@@ -39,7 +39,7 @@ from .frames import (
     frame_bounds,
     frame_operator,
     kernel_matrix,
-    kernel_project,
+    redundancy,
     semiframe_trend,
     split,
     synthesis,
@@ -69,12 +69,10 @@ from .pairs import (
     ResolutionReport,
     bessel_bound,
     coefficient_geometry,
-    extended_synthesis,
     frame_transfer,
     induced_inner,
     induced_kernel,
     lower_semiframe_dual,
-    pair_redundancy,
     pair_verdict,
     range_kernel,
     reproducing_partner,

@@ -94,7 +94,12 @@ def _family_from_file(path: Path) -> VectorFamily:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return VectorFamily.from_json(data)
+    try:
+        return VectorFamily.from_json(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{path}: malformed family ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def _json_bytes(payload) -> bytes:
@@ -123,13 +128,13 @@ def _cmd_inspect(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
     if args.format == "csv":
         return _csv_bytes(family.profile_rows(), header=("point", "weight", "squared_norm"))
-    nodes = family.space.nodes
+    atoms = int(np.count_nonzero(family.space.is_atom))
     payload = {
         "nodes": family.size,
         "dim": family.dim,
         "total_measure": family.space.total_weight,
-        "atom_nodes": sum(node.provenance.value == "atom" for node in nodes),
-        "cell_nodes": sum(node.provenance.value == "cell" for node in nodes),
+        "atom_nodes": atoms,
+        "cell_nodes": family.size - atoms,
         "profile": [
             {"point": point, "weight": weight, "squared_norm": sq}
             for point, weight, sq in family.profile_rows()
@@ -232,7 +237,7 @@ def _cmd_experiment(args: argparse.Namespace) -> bytes:
         for size in sizes:
             family = builder(size)
             rows.append(
-                (size, family.size, family.dim, pairs.pair_redundancy(family, policy))
+                (size, family.size, family.dim, frames.redundancy(family, policy))
             )
         if args.format == "csv":
             return _csv_bytes(rows, header=("size", "rows", "dim", "redundancy"))

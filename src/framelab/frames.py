@@ -15,15 +15,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numerics
-from .errors import (
-    DimensionMismatchError,
-    NotAFrameError,
-    ValidationError,
-)
-from .measure import DiscretizedSpace, Provenance
+from .errors import DimensionMismatchError, ValidationError
+from .measure import DiscretizedSpace
+from .numerics import FRAME_RTOL
 from .rkhs import KernelTable
 
-FRAME_RTOL = 1e-8
 ROW_MATCH_TOL = 1e-12
 TREND_VANISH_RATIO = 0.5
 TREND_GROWTH_RATIO = 2.0
@@ -173,6 +169,14 @@ def frame_operator(family: VectorFamily) -> np.ndarray:
     return family.members.T @ (w[:, None] * family.members.conj())
 
 
+def redundancy(family: VectorFamily, rank_policy: numerics.RankPolicy | None = None) -> int:
+    """Node excess over the numerical rank of the member table.
+
+    This is the dimension of the null space of the weighted synthesis map.
+    """
+    return family.size - numerics.rank(family.members, rank_policy)
+
+
 def frame_bounds(
     family: VectorFamily,
     rank_policy: numerics.RankPolicy | None = None,
@@ -191,15 +195,13 @@ def frame_bounds(
     finite truncations of unbounded systems need those, or the trend
     utilities, to surface semi-frame behavior.
     """
-    values, _ = numerics.hermitian_eig(frame_operator(family))
-    lower = float(max(values[0], 0.0))
-    upper = float(values[-1])
-    r = numerics.rank(family.members, rank_policy)
-    redundancy = family.size - r
+    spectrum = numerics.frame_spectrum(frame_operator(family))
+    lower, upper = spectrum.lower, spectrum.upper
+    excess = redundancy(family, rank_policy)
     condition = upper / lower if lower > 0 else float("inf")
     if absolute_lower is None and absolute_upper is None:
         tolerance = frame_rtol * upper
-        if lower > tolerance:
+        if spectrum.is_frame(frame_rtol):
             classification = Classification.FRAME
         else:
             classification = Classification.BESSEL_ONLY
@@ -215,17 +217,16 @@ def frame_bounds(
             classification = Classification.LOWER_ONLY
         else:
             classification = Classification.NEITHER
-    all_cells = all(node.provenance is Provenance.CELL for node in family.space.nodes)
     degenerate = (
-        redundancy == 0
-        and all_cells
+        excess == 0
+        and not family.space.is_atom.any()
         and not _equal_row_groups(family, row_tolerance)
     )
     return FrameReport(
         lower=lower,
         upper=upper,
-        redundancy=redundancy,
-        index=r - family.size,
+        redundancy=excess,
+        index=-excess,
         condition=condition,
         classification=classification,
         frame_tolerance=float(tolerance),
@@ -239,38 +240,24 @@ def canonical_dual(family: VectorFamily, frame_rtol: float = FRAME_RTOL) -> Vect
     Refuses with ``NotAFrameError`` when the lower bound sits below tolerance,
     since inverting the frame operator would amplify noise unboundedly.
     """
-    s = frame_operator(family)
-    values, _ = numerics.hermitian_eig(s)
-    lower, upper = float(max(values[0], 0.0)), float(values[-1])
-    if lower <= frame_rtol * upper or upper == 0.0:
-        raise NotAFrameError(
-            f"lower bound {lower:.3e} below tolerance {frame_rtol:.0e} * {upper:.3e}"
-        )
-    dual_members = np.linalg.solve(s, family.members.T).T
+    _, _, values, vectors = numerics.require_frame(frame_operator(family), frame_rtol)
+    # row j is S^-1 member(j), i.e. members @ S^-T with S^-T = conj(V) diag(1/values) V^T
+    dual_members = ((family.members @ vectors.conj()) / values) @ vectors.T
     return VectorFamily(space=family.space, members=dual_members)
 
 
 def kernel_matrix(family: VectorFamily, frame_rtol: float = FRAME_RTOL) -> KernelTable:
     """Kernel ``K[x, y] = <S^-1 member(y), member(x)>`` of the analysis range.
 
-    The induced integral operator (see :func:`kernel_project`) is the
+    The induced integral operator (:meth:`KernelTable.apply`) is the
     orthogonal projection, in the weighted node pairing, onto the space of
-    analysis images.
+    analysis images.  The table is built as ``B B^H`` with
+    ``B = conj(members) V diag(values)**-1/2``, so it is Hermitian by
+    construction.
     """
-    s = frame_operator(family)
-    values, _ = numerics.hermitian_eig(s)
-    lower, upper = float(max(values[0], 0.0)), float(values[-1])
-    if lower <= frame_rtol * upper or upper == 0.0:
-        raise NotAFrameError(
-            f"lower bound {lower:.3e} below tolerance {frame_rtol:.0e} * {upper:.3e}"
-        )
-    entries = family.members.conj() @ np.linalg.solve(s, family.members.T)
-    return KernelTable(space=family.space, entries=entries)
-
-
-def kernel_project(kernel: KernelTable, values) -> np.ndarray:
-    """Apply the integral operator of a kernel table to a coefficient function."""
-    return kernel.apply(values)
+    _, _, values, vectors = numerics.require_frame(frame_operator(family), frame_rtol)
+    factor = (family.members.conj() @ vectors) / np.sqrt(values)
+    return KernelTable(space=family.space, entries=factor @ factor.conj().T)
 
 
 def _equal_row_groups(family: VectorFamily, row_tolerance: float) -> list[list[int]]:
@@ -279,9 +266,7 @@ def _equal_row_groups(family: VectorFamily, row_tolerance: float) -> list[list[i
     Only groups of two or more nodes are returned; each group is matched
     against its seed row with an absolute per-entry tolerance.
     """
-    cell_indices = [
-        j for j, node in enumerate(family.space.nodes) if node.provenance is Provenance.CELL
-    ]
+    cell_indices = np.flatnonzero(~family.space.is_atom).tolist()
     used: set[int] = set()
     groups: list[list[int]] = []
     for pos, j in enumerate(cell_indices):
@@ -315,13 +300,10 @@ def split(
     """
     if row_tolerance < 0:
         raise ValidationError("row_tolerance must be nonnegative")
-    discrete: list[np.ndarray] = []
-    removed: set[int] = set()
-    for j, node in enumerate(family.space.nodes):
-        if node.provenance is Provenance.ATOM:
-            discrete.append(np.sqrt(node.weight) * family.members[j])
-            removed.add(j)
     w = family.space.weights
+    atoms = np.flatnonzero(family.space.is_atom).tolist()
+    discrete = [np.sqrt(w[j]) * family.members[j] for j in atoms]
+    removed = set(atoms)
     for group in _equal_row_groups(family, row_tolerance):
         total = float(np.sum(w[list(group)]))
         mean = np.zeros(family.dim, dtype=np.complex128)

@@ -11,7 +11,7 @@ came from a true atom or from a quadrature cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -199,20 +199,27 @@ class DiscretizedSpace:
     The node-level pairing ``inner(F, G) = sum_j w_j F_j conj(G_j)`` is the
     discrete stand-in for the weighted L2 inner product; it is linear in the
     first slot, matching the convention used throughout the package.
+    ``weights`` and the ``is_atom`` provenance mask are read-only arrays
+    derived once from the nodes.
     """
 
     nodes: tuple[Node, ...]
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    is_atom: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        nodes = tuple(self.nodes)
+        weights = np.array([node.weight for node in nodes], dtype=float)
+        is_atom = np.array([node.provenance is Provenance.ATOM for node in nodes], dtype=bool)
+        weights.setflags(write=False)
+        is_atom.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "is_atom", is_atom)
 
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([node.weight for node in self.nodes], dtype=float)
 
     @property
     def total_weight(self) -> float:

@@ -3,20 +3,25 @@
 Every operator in framelab is materialized as a dense ``complex128`` numpy
 array; problem sizes are desk scale, so there is no sparse or iterative
 machinery.  All rank decisions and pseudoinverse cutoffs are concentrated in
-:class:`RankPolicy` so no other module hand-rolls its own thresholds.
+:class:`RankPolicy`, and the frame bounds of a frame operator together with the
+rule that refuses to invert it live in :func:`frame_spectrum` and
+:func:`require_frame`, so no other module hand-rolls its own thresholds.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonSquareError, NotHermitianError, ValidationError
+from .errors import NonSquareError, NotAFrameError, NotHermitianError, ValidationError
 
 DEFAULT_RANK_RTOL = 1e-10
 HERMITIAN_RTOL = 1e-12
+FRAME_RTOL = 1e-8
 
 RANK_TOL_ENV = "FRAMELAB_RANK_TOL"
 
@@ -44,6 +49,8 @@ class RankPolicy:
     def __post_init__(self) -> None:
         if not (self.relative_threshold > 0):
             raise ValidationError("relative_threshold must be positive")
+        if not math.isfinite(self.relative_threshold):
+            raise ValidationError("relative_threshold must be finite")
 
     def cutoff(self, singular_values: np.ndarray, shape: tuple[int, int]) -> float:
         if singular_values.size == 0:
@@ -82,6 +89,46 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     sym = (m + m.conj().T) / 2.0
     values, vectors = np.linalg.eigh(sym)
     return values, vectors
+
+
+class FrameSpectrum(NamedTuple):
+    """Frame bounds of a frame operator and the eigenpairs they were read from.
+
+    ``lower`` is the smallest eigenvalue clamped at 0 and ``upper`` the largest;
+    ``values`` ascend and ``vectors`` holds the matching unitary columns, so
+    inverses and square roots of the operator need no further factorization.
+    """
+
+    lower: float
+    upper: float
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def is_frame(self, frame_rtol: float) -> bool:
+        """Whether the lower bound clears ``frame_rtol`` times a nonzero upper bound."""
+        return self.lower > frame_rtol * self.upper and self.upper != 0.0
+
+
+def frame_spectrum(operator) -> FrameSpectrum:
+    """Spectral frame bounds of a Hermitian positive semidefinite operator."""
+    values, vectors = hermitian_eig(operator)
+    return FrameSpectrum(float(max(values[0], 0.0)), float(values[-1]), values, vectors)
+
+
+def require_frame(operator, frame_rtol: float = FRAME_RTOL) -> FrameSpectrum:
+    """:func:`frame_spectrum` of an operator that is about to be inverted.
+
+    Refuses with ``NotAFrameError`` when the spectrum fails
+    :meth:`FrameSpectrum.is_frame`, since the inverse would amplify noise
+    unboundedly.
+    """
+    spectrum = frame_spectrum(operator)
+    if not spectrum.is_frame(frame_rtol):
+        raise NotAFrameError(
+            f"lower bound {spectrum.lower:.3e} below tolerance {frame_rtol:.0e} "
+            f"* {spectrum.upper:.3e}"
+        )
+    return spectrum
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

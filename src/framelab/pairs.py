@@ -15,18 +15,16 @@ import numpy as np
 from . import numerics
 from .errors import (
     DimensionMismatchError,
-    NotAFrameError,
     NotInjectiveError,
     NotInvertibleError,
     NotSurjectiveError,
     SpaceMismatchError,
-    ValidationError,
 )
-from .frames import VectorFamily, frame_operator, synthesis
+from .frames import VectorFamily, frame_operator, redundancy, synthesis
+from .numerics import FRAME_RTOL
 from .rkhs import KernelTable
 
 CONDITION_THRESHOLD = 1e10
-FRAME_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +63,7 @@ def resolution_operator(
 ) -> ResolutionReport:
     """Analysis against ``psi`` composed with weighted synthesis onto ``phi``."""
     _check_same_space(psi, phi)
-    w = psi.space.weights
-    operator = phi.members.T @ (w[:, None] * psi.members.conj())
+    operator = _mixed_operator(psi, phi)
     condition = numerics.condition_number(operator)
     invertible = bool(np.isfinite(condition) and condition <= condition_threshold)
     inverse = np.linalg.inv(operator) if invertible else None
@@ -79,49 +76,25 @@ def resolution_operator(
     )
 
 
-def extended_synthesis(family: VectorFamily, values) -> np.ndarray:
-    """Weighted synthesis on an arbitrary coefficient function.
-
-    At finite resolution every coefficient function pairs boundedly against
-    the family, so the extension of :func:`framelab.frames.synthesis` is the
-    same weighted sum on a larger domain; it is kept as its own entry point
-    because several constructions are phrased through it rather than through
-    the frame calculus.
-    """
-    return synthesis(family, values)
-
-
-def pair_redundancy(family: VectorFamily, rank_policy: numerics.RankPolicy | None = None) -> int:
-    """Dimension of the null space of the weighted synthesis map."""
-    return family.size - numerics.rank(family.members, rank_policy)
+def _mixed_operator(psi: VectorFamily, phi: VectorFamily) -> np.ndarray:
+    """Matrix of ``f -> sum_j w_j <f, psi_j> phi_j`` on one shared space."""
+    w = psi.space.weights
+    return phi.members.T @ (w[:, None] * psi.members.conj())
 
 
 @dataclass(frozen=True, eq=False)
 class CoefficientGeometry:
     """Geometry induced on coefficient functions by one family.
 
-    ``gram[j, k]`` is the ambient inner product of the members at nodes j and
-    k; together with the node weights it expresses the induced pairing as a
-    double sum, while :func:`induced_inner` evaluates the same pairing through
-    the synthesis images.
+    Two coefficient functions pair through their synthesis images, see
+    :func:`induced_inner`.
     """
 
     family: VectorFamily
-    gram: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = numerics.as_matrix(self.gram)
-        n = self.family.size
-        if g.shape != (n, n):
-            raise ValidationError(f"gram table must be {n}x{n}, got {g.shape}")
-        g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "gram", g)
 
 
 def coefficient_geometry(family: VectorFamily) -> CoefficientGeometry:
-    gram = family.members @ family.members.conj().T
-    return CoefficientGeometry(family=family, gram=gram)
+    return CoefficientGeometry(family=family)
 
 
 def induced_inner(geometry: CoefficientGeometry, f_values, g_values) -> complex:
@@ -131,8 +104,8 @@ def induced_inner(geometry: CoefficientGeometry, f_values, g_values) -> complex:
     synthesis map: any coefficient function synthesizing to zero pairs to
     zero against everything.
     """
-    tf = extended_synthesis(geometry.family, f_values)
-    tg = extended_synthesis(geometry.family, g_values)
+    tf = synthesis(geometry.family, f_values)
+    tg = synthesis(geometry.family, g_values)
     return complex(np.vdot(tg, tf))
 
 
@@ -168,9 +141,9 @@ def induced_kernel(psi: VectorFamily, phi: VectorFamily) -> KernelTable:
     Hermitian and positive semidefinite.
     """
     report = _invertible_resolution(psi, phi)
-    # adjoint-side resolution operator: analysis against phi, synthesis onto psi
-    adjoint_inverse = np.linalg.inv(report.operator.conj().T)
-    transported = adjoint_inverse @ psi.members.T
+    # inverse of the adjoint-side resolution operator (analysis against phi,
+    # synthesis onto psi), which is the adjoint of the inverse
+    transported = report.inverse.conj().T @ psi.members.T
     entries = transported.T @ transported.conj()
     return KernelTable(
         space=psi.space, entries=entries, geometry=coefficient_geometry(phi)
@@ -210,21 +183,16 @@ def frame_transfer(
         raise DimensionMismatchError(
             f"frame vectors must form a (count, {psi.dim}) table, got {g.shape}"
         )
-    ambient_op = g.T @ g.conj()
-    g_values, _ = numerics.hermitian_eig(ambient_op)
-    g_lower, g_upper = float(max(g_values[0], 0.0)), float(g_values[-1])
-    if g_lower <= frame_rtol * g_upper or g_upper == 0.0:
-        raise NotAFrameError("supplied vectors do not frame the ambient space")
+    g_lower, g_upper, _, _ = numerics.require_frame(g.T @ g.conj(), frame_rtol)
     report = _invertible_resolution(psi, phi)
     functions = g @ psi.members.conj().T
     transported = report.operator @ g.T
-    transfer_op = transported @ transported.conj().T
-    t_values, _ = numerics.hermitian_eig(transfer_op)
+    lower, upper, _, _ = numerics.frame_spectrum(transported @ transported.conj().T)
     sing = numerics.singular_values(report.operator)
     return FrameTransferReport(
         functions=functions,
-        lower=float(max(t_values[0], 0.0)),
-        upper=float(t_values[-1]),
+        lower=lower,
+        upper=upper,
         predicted_lower=g_lower * float(sing[-1]) ** 2,
         predicted_upper=g_upper * float(sing[0]) ** 2,
     )
@@ -279,8 +247,7 @@ def partner_pointwise_sums(partner: VectorFamily) -> np.ndarray:
 
 def bessel_bound(family: VectorFamily) -> float:
     """Largest eigenvalue of the frame operator: the optimal Bessel constant."""
-    values, _ = numerics.hermitian_eig(frame_operator(family))
-    return float(values[-1])
+    return numerics.frame_spectrum(frame_operator(family)).upper
 
 
 def pair_verdict(
@@ -290,14 +257,14 @@ def pair_verdict(
 ) -> dict:
     """One-shot reproducing-pair check, shaped for report serialization."""
     report = resolution_operator(psi, phi, condition_threshold)
-    swapped = resolution_operator(phi, psi, condition_threshold)
-    adjoint_gap = float(np.max(np.abs(swapped.operator - report.operator.conj().T)))
+    swapped = _mixed_operator(phi, psi)
+    adjoint_gap = float(np.max(np.abs(swapped - report.operator.conj().T)))
     verdict = {
         "reproducing_pair": report.invertible,
         "resolution": report.to_json(),
         "adjoint_identity_gap": adjoint_gap,
-        "redundancy_psi": pair_redundancy(psi),
-        "redundancy_phi": pair_redundancy(phi),
+        "redundancy_psi": redundancy(psi),
+        "redundancy_phi": redundancy(phi),
     }
     if report.invertible:
         identity_gap = report.operator @ report.inverse - np.eye(psi.dim)

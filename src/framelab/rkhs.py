@@ -17,13 +17,13 @@ import numpy as np
 from . import numerics
 from .errors import (
     DimensionMismatchError,
-    NotAFrameError,
     NotOrthonormalError,
     PairDegenerateError,
     SumsDisagreeError,
     ValidationError,
 )
 from .measure import DiscretizedSpace, unit_segment_space
+from .numerics import FRAME_RTOL
 
 if TYPE_CHECKING:
     from .pairs import CoefficientGeometry
@@ -31,7 +31,6 @@ if TYPE_CHECKING:
 ORTHO_TOL = 1e-10
 ORDER_AGREE_TOL = 1e-10
 SPAN_CONDITION_LIMIT = 1e10
-FRAME_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,13 +357,7 @@ def point_evaluation_bounds(
     b = function_matrix(functions, space)
     q = mu_orthonormal_basis(b, space)
     coords = q.conj().T @ (space.weights[:, None] * b)
-    frame_op = coords @ coords.conj().T
-    values, _ = numerics.hermitian_eig(frame_op)
-    lower, upper = float(max(values[0], 0.0)), float(values[-1])
-    if lower <= frame_rtol * upper:
-        raise NotAFrameError(
-            f"lower bound {lower:.3e} below tolerance {frame_rtol:.0e} * {upper:.3e}"
-        )
+    upper = numerics.require_frame(coords @ coords.conj().T, frame_rtol).upper
     if upper_bound is None:
         upper_bound = upper
     sums = np.sum(np.abs(b) ** 2, axis=1)

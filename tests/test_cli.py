@@ -224,3 +224,35 @@ def test_missing_input_file_is_io_error(tmp_path):
     out = tmp_path / "x.json"
     assert run("bounds", "--in", str(tmp_path / "nope.json"), "--out", str(out)) == EXIT_IO
     assert not out.exists()
+
+
+def test_infinite_rank_tolerance_refused(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "report.json"
+    monkeypatch.setenv("FRAMELAB_RANK_TOL", "inf")
+    assert run("bounds", "--gallery", "mercedes", "--out", str(out)) == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("framelab: invalid input: ")
+    assert not out.exists()
+
+
+_NODE = {"point": 0.0, "weight": 1.0, "provenance": "atom"}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {"space": {"nodes": [{"point": 0.0, "provenance": "atom"}]}, "dim": 1, "members": [[1.0, 0.0]]},
+        {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1]]},
+    ],
+    ids=["top-level-list", "node-without-weight", "short-member-entry"],
+)
+def test_malformed_family_json(tmp_path, capsys, payload):
+    family_path = tmp_path / "family.json"
+    family_path.write_text(json.dumps(payload))
+    out = tmp_path / "report.json"
+    assert run("bounds", "--in", str(family_path), "--out", str(out)) == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"framelab: invalid input: {family_path}: ")
+    assert not out.exists()

@@ -20,12 +20,12 @@ from framelab.frames import (
     frame_bounds,
     frame_operator,
     kernel_matrix,
-    kernel_project,
     semiframe_trend,
     split,
     synthesis,
 )
 from framelab.measure import DiscretizedSpace, Node, Provenance
+from framelab.numerics import FRAME_RTOL
 
 from conftest import (
     cell_space,
@@ -266,7 +266,7 @@ class TestKernelProject:
         table = kernel_matrix(family)
         f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         image = analysis(family, f)
-        np.testing.assert_allclose(kernel_project(table, image), image, atol=1e-10)
+        np.testing.assert_allclose(table.apply(image), image, atol=1e-10)
 
     def test_annihilates_orthogonal_complement(self, rng):
         family = random_family(rng, 9, 4, weighted=True)
@@ -279,7 +279,7 @@ class TestKernelProject:
         coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         weighted = np.sqrt(w) * coeffs
         complement = (weighted - q @ (q.conj().T @ weighted)) / np.sqrt(w)
-        np.testing.assert_allclose(kernel_project(table, complement), 0.0, atol=1e-10)
+        np.testing.assert_allclose(table.apply(complement), 0.0, atol=1e-10)
 
     def test_idempotent_and_mu_self_adjoint(self, rng):
         family = random_family(rng, 12, 5, weighted=True)
@@ -291,8 +291,8 @@ class TestKernelProject:
         for _ in range(20):
             f = rng.standard_normal(12) + 1j * rng.standard_normal(12)
             g = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-            lhs = family.space.inner(kernel_project(table, f), g)
-            rhs = family.space.inner(f, kernel_project(table, g))
+            lhs = family.space.inner(table.apply(f), g)
+            rhs = family.space.inner(f, table.apply(g))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
         # equivalently: the table itself is Hermitian
         np.testing.assert_allclose(table.entries, table.entries.conj().T, atol=1e-12)
@@ -304,6 +304,77 @@ class TestKernelProject:
         q, _ = np.linalg.qr(sw[:, None] * analysis_matrix(family))
         oracle = (q @ q.conj().T) / np.outer(sw, sw)
         np.testing.assert_allclose(table.entries, oracle, atol=1e-9)
+
+
+def family_with_spectrum(seed, rows, eigenvalues):
+    """Weighted cell family whose frame operator has exactly the given eigenvalues.
+
+    Members ``W^-1/2 Q diag(sqrt(eigenvalues)) V^H`` with orthonormal columns Q
+    and unitary V give the frame operator ``conj(V) diag(eigenvalues) V^T``.
+    """
+    rng = np.random.default_rng(seed)
+    dim = len(eigenvalues)
+    weights = rng.uniform(0.1, 3.0, rows)
+    q, _ = np.linalg.qr(complex_rng_matrix(rng, rows, dim))
+    v, _ = np.linalg.qr(complex_rng_matrix(rng, dim, dim))
+    members = (q * np.sqrt(eigenvalues)) @ v.conj().T / np.sqrt(weights)[:, None]
+    return VectorFamily(space=cell_space(weights), members=members)
+
+
+@st.composite
+def conditioned_families(draw):
+    """Weighted families with frame-operator condition between 1 and 1e6."""
+    dim = draw(st.integers(1, 5))
+    rows = draw(st.integers(dim, 9))
+    condition = 10.0 ** draw(st.floats(0.0, 6.0))
+    top = draw(st.floats(0.1, 10.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    family = family_with_spectrum(seed, rows, top * np.geomspace(1.0 / condition, 1.0, dim))
+    return family, condition
+
+
+class TestSpectralProperties:
+    """Identities of the dual and the frame kernel, with roundoff scaled by the condition."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(conditioned_families())
+    def test_dual_reconstruction(self, case):
+        family, condition = case
+        dual = canonical_dual(family)
+        eye = np.eye(family.dim)
+        rebuilt = np.column_stack([synthesis(dual, analysis(family, e)) for e in eye])
+        np.testing.assert_allclose(rebuilt, eye, atol=1e-13 * condition)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(conditioned_families())
+    def test_kernel_hermitian_and_idempotent(self, case):
+        family, condition = case
+        table = kernel_matrix(family)
+        assert table.is_hermitian()
+        entries = table.entries
+        twice = np.column_stack([table.apply(entries[:, j]) for j in range(table.size)])
+        scale = np.max(np.abs(entries))
+        np.testing.assert_allclose(twice, entries, atol=1e-13 * condition * scale)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.one_of(st.sampled_from([0.0, FRAME_RTOL]), st.floats(0.0, 3.0 * FRAME_RTOL)),
+    )
+    def test_refused_exactly_below_relative_tolerance(self, seed, dim, ratio):
+        eigenvalues = np.geomspace(1.0, 4.0, dim)
+        eigenvalues[0] = ratio * eigenvalues[-1]
+        family = family_with_spectrum(seed, dim + 2, eigenvalues)
+        report = frame_bounds(family)
+        refused = report.lower <= FRAME_RTOL * report.upper
+        assert (report.classification is Classification.BESSEL_ONLY) == refused
+        for build in (canonical_dual, kernel_matrix):
+            if refused:
+                with pytest.raises(NotAFrameError):
+                    build(family)
+            else:
+                build(family)
 
 
 class TestSplit:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab import numerics
-from framelab.errors import NonSquareError, NotHermitianError, ValidationError
+from framelab.errors import NonSquareError, NotAFrameError, NotHermitianError, ValidationError
 
 from conftest import complex_rng_matrix
 
@@ -144,6 +144,11 @@ class TestRankPolicy:
         with pytest.raises(ValidationError):
             numerics.RankPolicy(relative_threshold=0.0)
 
+    @pytest.mark.parametrize("threshold", [float("inf"), float("-inf"), float("nan")])
+    def test_threshold_finite(self, threshold):
+        with pytest.raises(ValidationError):
+            numerics.RankPolicy(relative_threshold=threshold)
+
     def test_custom_threshold_changes_rank(self):
         a = np.diag([1.0, 1e-6])
         assert numerics.rank(a) == 2
@@ -156,6 +161,11 @@ class TestRankPolicy:
         with pytest.raises(ValidationError):
             numerics.RankPolicy.from_environment()
 
+    def test_environment_infinity_refused(self, monkeypatch):
+        monkeypatch.setenv(numerics.RANK_TOL_ENV, "inf")
+        with pytest.raises(ValidationError, match="finite"):
+            numerics.RankPolicy.from_environment()
+
     def test_environment_default(self, monkeypatch):
         monkeypatch.delenv(numerics.RANK_TOL_ENV, raising=False)
         assert numerics.RankPolicy.from_environment().relative_threshold == numerics.DEFAULT_RANK_RTOL
@@ -164,3 +174,27 @@ class TestRankPolicy:
 def test_condition_number_of_singular_matrix_is_infinite():
     assert numerics.condition_number(np.zeros((3, 3))) == float("inf")
     assert numerics.condition_number(np.diag([4.0, 2.0])) == 2.0
+
+
+class TestFrameSpectrum:
+    def test_bounds_are_extreme_eigenvalues(self, rng):
+        a = complex_rng_matrix(rng, 6, 4)
+        op = a.conj().T @ a
+        spectrum = numerics.frame_spectrum(op)
+        exact = np.linalg.eigvalsh(op)
+        assert spectrum.lower == pytest.approx(exact[0], rel=1e-10)
+        assert spectrum.upper == pytest.approx(exact[-1], rel=1e-10)
+        v = spectrum.vectors
+        np.testing.assert_allclose(v @ np.diag(spectrum.values) @ v.conj().T, op, atol=1e-12)
+
+    def test_negative_roundoff_clamped(self):
+        spectrum = numerics.frame_spectrum(np.diag([-1e-18, 2.0]))
+        assert spectrum.lower == 0.0 and spectrum.upper == 2.0
+        assert spectrum.values[0] == -1e-18
+
+    def test_refusal_boundary_is_inclusive(self):
+        with pytest.raises(NotAFrameError, match="below tolerance 1e-08"):
+            numerics.require_frame(np.diag([1e-8, 1.0]))
+        assert numerics.require_frame(np.diag([2e-8, 1.0])).lower == 2e-8
+        with pytest.raises(NotAFrameError):
+            numerics.require_frame(np.zeros((2, 2)))
