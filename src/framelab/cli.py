@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation error, 2 numerical refusal (for example a
 requested inversion on a family whose lower bound sits below tolerance),
-3 I/O error.  Reports are fully serialized in memory before anything is
-written, so a failing command never leaves a partial output file behind.
+3 I/O error.  Reports are fully serialized in memory, then written to a
+temporary file beside the target and renamed over it, so a failing command
+never leaves a partial output file behind.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import argparse
 import csv
 import io
 import json
+import os
+import secrets
 import sys
 from pathlib import Path
 
@@ -116,8 +119,24 @@ def _csv_bytes(rows, header) -> bytes:
 
 
 def _write(path: Path, data: bytes) -> None:
-    with open(path, "wb") as handle:
-        handle.write(data)
+    """Replace ``path`` with ``data`` atomically.
+
+    The bytes go to a fresh file in the target's directory, which is then
+    renamed over the target, so a failed write leaves any earlier report
+    untouched and no temporary file behind.
+    """
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(temporary, "xb") as handle:
+            handle.write(data)
+        os.replace(temporary, path)
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        # name the target, not the temporary file, as a direct write would
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def _rank_policy() -> RankPolicy:

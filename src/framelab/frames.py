@@ -195,6 +195,7 @@ def frame_bounds(
     finite truncations of unbounded systems need those, or the trend
     utilities, to surface semi-frame behavior.
     """
+    _check_row_tolerance(row_tolerance)
     spectrum = numerics.frame_spectrum(frame_operator(family))
     lower, upper = spectrum.lower, spectrum.upper
     excess = redundancy(family, rank_policy)
@@ -260,28 +261,54 @@ def kernel_matrix(family: VectorFamily, frame_rtol: float = FRAME_RTOL) -> Kerne
     return KernelTable(space=family.space, entries=factor @ factor.conj().T)
 
 
+def _check_row_tolerance(row_tolerance: float) -> None:
+    if not np.isfinite(row_tolerance):
+        raise ValidationError(f"row_tolerance must be finite, got {row_tolerance}")
+    if row_tolerance < 0:
+        raise ValidationError("row_tolerance must be nonnegative")
+
+
 def _equal_row_groups(family: VectorFamily, row_tolerance: float) -> list[list[int]]:
     """Greedy grouping of quadrature nodes with entrywise-equal member rows.
 
-    Only groups of two or more nodes are returned; each group is matched
-    against its seed row with an absolute per-entry tolerance.
+    Seeds are taken in node order; each unused seed collects every later
+    unused cell row within ``row_tolerance`` of it in every entry.  Only
+    groups of two or more nodes are returned.
+
+    Candidates are filtered by a window on one key column, the real or
+    imaginary column of the cell rows with the largest spread.  A row within
+    ``row_tolerance`` of the seed in every entry is within it in that column
+    too, since ``|Re z|, |Im z| <= |z|`` holds exactly for ``np.abs``; the
+    window ``key +- 2 * row_tolerance`` absorbs the rounding of its ends.
+    Sorting costs O(n log n); the exact entrywise test then runs only on the
+    rows inside each seed's window.
     """
-    cell_indices = np.flatnonzero(~family.space.is_atom).tolist()
-    used: set[int] = set()
+    cells = np.flatnonzero(~family.space.is_atom)
+    if cells.size < 2:
+        return []
+    rows = family.members[cells]
+    spreads = np.concatenate([np.ptp(rows.real, axis=0), np.ptp(rows.imag, axis=0)])
+    column = int(np.argmax(spreads))
+    key = (rows.real if column < family.dim else rows.imag)[:, column % family.dim]
+    order = np.argsort(key)
+    sorted_key = key[order]
+    starts = np.searchsorted(sorted_key, key - 2 * row_tolerance, side="left")
+    stops = np.searchsorted(sorted_key, key + 2 * row_tolerance, side="right")
+    used = np.zeros(cells.size, dtype=bool)
     groups: list[list[int]] = []
-    for pos, j in enumerate(cell_indices):
-        if j in used:
+    for seed in np.flatnonzero(stops - starts > 1):
+        if used[seed]:
             continue
-        group = [j]
-        seed = family.members[j]
-        for k in cell_indices[pos + 1 :]:
-            if k in used:
-                continue
-            if np.max(np.abs(family.members[k] - seed)) <= row_tolerance:
-                group.append(k)
-        if len(group) >= 2:
-            groups.append(group)
-            used.update(group)
+        window = order[starts[seed] : stops[seed]]
+        candidates = np.sort(window[(window > seed) & ~used[window]])
+        if candidates.size == 0:
+            continue
+        gaps = np.max(np.abs(rows[candidates] - rows[seed]), axis=1)
+        matches = candidates[gaps <= row_tolerance]
+        if matches.size:
+            group = np.concatenate(([seed], matches))
+            used[group] = True
+            groups.append(cells[group].tolist())
     return groups
 
 
@@ -298,24 +325,22 @@ def split(
     splits exactly into the discrete squared pairings plus the energy of the
     continuous part.
     """
-    if row_tolerance < 0:
-        raise ValidationError("row_tolerance must be nonnegative")
+    _check_row_tolerance(row_tolerance)
     w = family.space.weights
     atoms = np.flatnonzero(family.space.is_atom).tolist()
     discrete = [np.sqrt(w[j]) * family.members[j] for j in atoms]
-    removed = set(atoms)
+    keep = ~family.space.is_atom
     for group in _equal_row_groups(family, row_tolerance):
-        total = float(np.sum(w[list(group)]))
+        total = float(np.sum(w[group]))
         mean = np.zeros(family.dim, dtype=np.complex128)
         for j in group:
             mean += w[j] * family.members[j]
         discrete.append(mean / np.sqrt(total))
-        removed.update(group)
-    keep = [j for j in range(family.size) if j not in removed]
-    continuous_space = DiscretizedSpace(nodes=tuple(family.space.nodes[j] for j in keep))
-    continuous = VectorFamily(
-        space=continuous_space, members=family.members[keep, :].reshape(len(keep), family.dim)
+        keep[group] = False
+    continuous_space = DiscretizedSpace(
+        nodes=tuple(family.space.nodes[j] for j in np.flatnonzero(keep))
     )
+    continuous = VectorFamily(space=continuous_space, members=family.members[keep])
     return discrete, continuous
 
 

@@ -1,6 +1,9 @@
+import builtins
 import csv
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -233,6 +236,63 @@ def test_infinite_rank_tolerance_refused(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("framelab: invalid input: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan"])
+def test_non_finite_row_tolerance_refused(tmp_path, capsys, tolerance):
+    out = tmp_path / "split.json"
+    code = run(
+        "split", "--gallery", "torus", "--dim", "4", "--grid", "8",
+        "--row-tol", tolerance, "--out", str(out),
+    )
+    assert code == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("framelab: invalid input: ")
+    assert not out.exists()
+
+
+class _HalfWriter:
+    """File handle that writes half of its data, then fails like a full disk."""
+
+    def __init__(self, path, mode):
+        self.handle = builtins.open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _failing_replace(source, target):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "name, fake", [("open", _HalfWriter), ("os.replace", _failing_replace)], ids=["write", "replace"]
+)
+def test_failed_write_keeps_existing_report(tmp_path, monkeypatch, capsys, name, fake):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"earlier report\n")
+    monkeypatch.setattr(f"framelab.cli.{name}", fake, raising=False)
+    assert run("bounds", "--gallery", "mercedes", "--out", str(out)) == EXIT_IO
+    lines = capsys.readouterr().err.splitlines()
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert lines == [f"framelab: i/o error: {reason}: {str(out)!r}"]
+    assert out.read_bytes() == b"earlier report\n"
+    assert sorted(tmp_path.iterdir()) == [out]
+
+
+def test_write_replaces_existing_report(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"earlier report\n")
+    assert run("bounds", "--gallery", "mercedes", "--out", str(out)) == EXIT_OK
+    assert json.loads(out.read_text())["classification"] == "frame"
+    assert sorted(tmp_path.iterdir()) == [out]
 
 
 _NODE = {"point": 0.0, "weight": 1.0, "provenance": "atom"}

@@ -11,6 +11,7 @@ from framelab.errors import (
     ValidationError,
 )
 from framelab.frames import (
+    ROW_MATCH_TOL,
     Classification,
     VectorFamily,
     analysis,
@@ -21,9 +22,11 @@ from framelab.frames import (
     frame_operator,
     kernel_matrix,
     semiframe_trend,
+    _equal_row_groups,
     split,
     synthesis,
 )
+from framelab.gallery import build_torus
 from framelab.measure import DiscretizedSpace, Node, Provenance
 from framelab.numerics import FRAME_RTOL
 
@@ -442,6 +445,91 @@ class TestSplit:
     def test_negative_tolerance_rejected(self, rng):
         with pytest.raises(ValidationError):
             split(random_family(rng, 3, 2), row_tolerance=-1.0)
+
+    @pytest.mark.parametrize("tolerance", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("command", [split, frame_bounds], ids=["split", "frame_bounds"])
+    def test_non_finite_tolerance_rejected(self, rng, command, tolerance):
+        with pytest.raises(ValidationError, match="row_tolerance must be finite"):
+            command(random_family(rng, 3, 2), row_tolerance=tolerance)
+
+
+def all_pairs_row_groups(family, row_tolerance):
+    """Reference grouping: every seed against every later unused cell row."""
+    cell_indices = np.flatnonzero(~family.space.is_atom).tolist()
+    used: set[int] = set()
+    groups: list[list[int]] = []
+    for pos, j in enumerate(cell_indices):
+        if j in used:
+            continue
+        group = [j]
+        seed = family.members[j]
+        for k in cell_indices[pos + 1 :]:
+            if k in used:
+                continue
+            if np.max(np.abs(family.members[k] - seed)) <= row_tolerance:
+                group.append(k)
+        if len(group) >= 2:
+            groups.append(group)
+            used.update(group)
+    return groups
+
+
+def mixed_space(rng, atoms):
+    nodes = tuple(
+        Node(
+            point=float(i),
+            weight=float(rng.uniform(0.1, 2.0)),
+            provenance=Provenance.ATOM if atom else Provenance.CELL,
+        )
+        for i, atom in enumerate(atoms)
+    )
+    return DiscretizedSpace(nodes=nodes)
+
+
+@st.composite
+def repeated_row_families(draw):
+    """Repeated rows over atom and cell nodes, with noise near the row tolerance.
+
+    Half of the rows are moved by up to ``factor * tolerance`` in each real
+    and imaginary part.  A flat family has equal real parts and imaginary
+    parts within ``tolerance`` of zero, so every window holds every row.
+    """
+    tolerance = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.3, 1.0]))
+    factor = draw(st.sampled_from([0.0, 0.5, 1 / np.sqrt(2), 1.0, 1.5]))
+    rows = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 4))
+    flat = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if flat:
+        members = 1.0 + 1j * tolerance * rng.uniform(-1.0, 1.0, (rows, dim))
+    else:
+        distinct = complex_rng_matrix(rng, int(rng.integers(1, rows + 1)), dim)
+        members = distinct[rng.integers(0, distinct.shape[0], rows)]
+        noise = rng.uniform(-1.0, 1.0, (rows, dim)) + 1j * rng.uniform(-1.0, 1.0, (rows, dim))
+        moved = rng.random(rows) < 0.5
+        members = members + factor * tolerance * noise * moved[:, None]
+    space = mixed_space(rng, rng.random(rows) < 0.25)
+    return VectorFamily(space=space, members=members), tolerance
+
+
+class TestEqualRowGroups:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(repeated_row_families())
+    def test_matches_all_pairs_reference(self, case):
+        family, tolerance = case
+        assert _equal_row_groups(family, tolerance) == all_pairs_row_groups(family, tolerance)
+
+    def test_block_family(self, rng):
+        labels = [0, 1, 0, 1, 2, 0, 2, 1]
+        distinct = complex_rng_matrix(rng, 3, 2)
+        space = mixed_space(rng, [j == 3 for j in range(len(labels))])
+        family = VectorFamily(space=space, members=distinct[labels])
+        groups = _equal_row_groups(family, ROW_MATCH_TOL)
+        assert groups == [[0, 2, 5], [1, 7], [4, 6]]  # node 3 is an atom
+        assert groups == all_pairs_row_groups(family, ROW_MATCH_TOL)
+
+    def test_large_torus_has_no_repeated_rows(self):
+        assert _equal_row_groups(build_torus(256, 4096), ROW_MATCH_TOL) == []
 
 
 class TestTrend:
