@@ -119,20 +119,25 @@ def _csv_bytes(rows, header) -> bytes:
 
 
 def _write(path: Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` atomically.
+    """Replace ``path`` with ``data``, atomically where the target is a file.
 
-    The bytes go to a fresh file in the target's directory, which is then
-    renamed over the target, so a failed write leaves any earlier report
-    untouched and no temporary file behind.
+    For a missing or regular target the bytes go to a fresh file in the
+    directory of the file itself (a symlink is followed and kept), which is
+    then renamed over it, so a failed write leaves any earlier report untouched
+    and no temporary file behind. Any other target, such as ``/dev/stdout``,
+    ``/dev/null`` or a FIFO, is written in place.
     """
-    temporary = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    if path.exists() and not path.is_file():
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return
+    target = Path(os.path.realpath(path))
+    temporary = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
     try:
         with open(temporary, "xb") as handle:
             handle.write(data)
-        os.replace(temporary, path)
+        os.replace(temporary, target)
     except OSError as exc:
-        if exc.errno is None:
-            raise
         # name the target, not the temporary file, as a direct write would
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
     finally:

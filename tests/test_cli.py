@@ -4,6 +4,8 @@ import errno
 import json
 import math
 import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -293,6 +295,34 @@ def test_write_replaces_existing_report(tmp_path):
     assert run("bounds", "--gallery", "mercedes", "--out", str(out)) == EXIT_OK
     assert json.loads(out.read_text())["classification"] == "frame"
     assert sorted(tmp_path.iterdir()) == [out]
+
+
+def test_write_follows_symlink(tmp_path):
+    real = tmp_path / "real.json"
+    real.write_bytes(b"earlier report\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert run("bounds", "--gallery", "mercedes", "--out", str(link)) == EXIT_OK
+    assert link.is_symlink()
+    assert json.loads(real.read_text())["classification"] == "frame"
+    assert sorted(tmp_path.iterdir()) == [link, real]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_write_into_fifo_in_place(tmp_path):
+    expected = tmp_path / "expected.json"
+    assert run("bounds", "--gallery", "mercedes", "--out", str(expected)) == EXIT_OK
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run("bounds", "--gallery", "mercedes", "--out", str(fifo)) == EXIT_OK
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [expected.read_bytes()]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(tmp_path.iterdir()) == [expected, fifo]
 
 
 _NODE = {"point": 0.0, "weight": 1.0, "provenance": "atom"}
