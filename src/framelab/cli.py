@@ -99,7 +99,9 @@ def _family_from_file(path: Path) -> VectorFamily:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return VectorFamily.from_json(data)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"{path}: malformed family ({type(exc).__name__}: {exc})"
         ) from exc

@@ -8,6 +8,7 @@ conjugate-linear in the second, so ``analysis(family, f)[j] = <f, row_j>``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -71,11 +72,11 @@ class VectorFamily:
         from .measure import DiscretizedSpace as _DS
 
         space = _DS.from_json(data["space"])
-        flat = np.array(
-            [complex(re, im) for re, im in data["members"]], dtype=np.complex128
-        )
+        flat = _decode_pairs(data["members"])
         if "dim" in data:
-            dim = int(data["dim"])
+            dim = data["dim"]
+            if type(dim) is not int or dim < 1:
+                raise ValidationError(f"dim must be a positive integer, got {dim!r}")
         elif space.size and flat.size % space.size == 0:
             dim = flat.size // space.size
         else:
@@ -91,6 +92,21 @@ class VectorFamily:
         norms = np.sum(np.abs(self.members) ** 2, axis=1)
         for node, sq in zip(self.space.nodes, norms):
             yield node.point, node.weight, float(sq)
+
+
+def _decode_pairs(pairs) -> np.ndarray:
+    """Complex array from JSON ``[re, im]`` pairs of numbers.
+
+    The checks run as C-level passes over the decoded lists (anything that is
+    not a pair fails the length pass or leaves non-numbers for the type pass),
+    and the floats are reinterpreted as complex numbers, so they stay exact.
+    """
+    if not set(map(len, pairs)) <= {2}:
+        raise ValidationError("members must be [re, im] pairs")
+    flat = list(itertools.chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int, float}:
+        raise ValidationError("member entries must be numbers")
+    return np.fromiter(flat, dtype=np.float64, count=len(flat)).view(np.complex128)
 
 
 class Classification(Enum):
@@ -195,7 +211,7 @@ def frame_bounds(
     finite truncations of unbounded systems need those, or the trend
     utilities, to surface semi-frame behavior.
     """
-    _check_row_tolerance(row_tolerance)
+    numerics.check_tolerance(row_tolerance, "row_tolerance")
     spectrum = numerics.frame_spectrum(frame_operator(family))
     lower, upper = spectrum.lower, spectrum.upper
     excess = redundancy(family, rank_policy)
@@ -252,20 +268,14 @@ def kernel_matrix(family: VectorFamily, frame_rtol: float = FRAME_RTOL) -> Kerne
 
     The induced integral operator (:meth:`KernelTable.apply`) is the
     orthogonal projection, in the weighted node pairing, onto the space of
-    analysis images.  The table is built as ``B B^H`` with
-    ``B = conj(members) V diag(values)**-1/2``, so it is Hermitian by
-    construction.
+    analysis images.  The table is stored as the factors ``B, B`` of
+    ``B B^H`` with ``B = conj(members) V diag(values)**-1/2``, so it is
+    Hermitian by construction and costs O(n d) memory.
     """
     _, _, values, vectors = numerics.require_frame(frame_operator(family), frame_rtol)
-    factor = (family.members.conj() @ vectors) / np.sqrt(values)
-    return KernelTable(space=family.space, entries=factor @ factor.conj().T)
-
-
-def _check_row_tolerance(row_tolerance: float) -> None:
-    if not np.isfinite(row_tolerance):
-        raise ValidationError(f"row_tolerance must be finite, got {row_tolerance}")
-    if row_tolerance < 0:
-        raise ValidationError("row_tolerance must be nonnegative")
+    factor = family.members.conj() @ vectors
+    factor /= np.sqrt(values)
+    return KernelTable(space=family.space, left=factor, right=factor)
 
 
 def _equal_row_groups(family: VectorFamily, row_tolerance: float) -> list[list[int]]:
@@ -325,7 +335,7 @@ def split(
     splits exactly into the discrete squared pairings plus the energy of the
     continuous part.
     """
-    _check_row_tolerance(row_tolerance)
+    numerics.check_tolerance(row_tolerance, "row_tolerance")
     w = family.space.weights
     atoms = np.flatnonzero(family.space.is_atom).tolist()
     discrete = [np.sqrt(w[j]) * family.members[j] for j in atoms]

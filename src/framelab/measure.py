@@ -185,11 +185,13 @@ class Node:
 
     @classmethod
     def from_json(cls, data: dict) -> "Node":
-        return cls(
-            point=data["point"],
-            weight=data["weight"],
-            provenance=Provenance(data["provenance"]),
-        )
+        point, weight = data["point"], data["weight"]
+        # JSON numbers decode to int or float; bool, str, list and None are refused
+        if type(point) not in (int, float, str):
+            raise ValidationError(f"node point must be a number or a string, got {point!r}")
+        if type(weight) not in (int, float):
+            raise ValidationError(f"node weight must be a number, got {weight!r}")
+        return cls(point=point, weight=weight, provenance=Provenance(data["provenance"]))
 
 
 @dataclass(frozen=True)

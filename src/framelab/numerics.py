@@ -1,11 +1,15 @@
 """Dense complex linear algebra with one shared floating-point policy.
 
-Every operator in framelab is materialized as a dense ``complex128`` numpy
-array; problem sizes are desk scale, so there is no sparse or iterative
-machinery.  All rank decisions and pseudoinverse cutoffs are concentrated in
-:class:`RankPolicy`, and the frame bounds of a frame operator together with the
-rule that refuses to invert it live in :func:`frame_spectrum` and
-:func:`require_frame`, so no other module hand-rolls its own thresholds.
+Operators on the ambient space (frame operators, resolution operators,
+coordinate Gram matrices) are dense ``complex128`` numpy arrays of size at
+most ``d x d`` or ``n x d``; node-indexed ``n x n`` kernels are kept by
+:mod:`framelab.rkhs` as two ``n x r`` factors instead.  There is no sparse or
+iterative machinery.  All rank decisions and pseudoinverse cutoffs are
+concentrated in :class:`RankPolicy`, and the frame bounds of a frame operator
+together with the rule that refuses to invert it live in
+:func:`frame_spectrum` and :func:`require_frame`, so no other module
+hand-rolls its own thresholds.  Tolerances and bounds passed in by callers go
+through :func:`check_tolerance`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,14 @@ HERMITIAN_RTOL = 1e-12
 FRAME_RTOL = 1e-8
 
 RANK_TOL_ENV = "FRAMELAB_RANK_TOL"
+
+
+def check_tolerance(value: float, name: str) -> None:
+    """Refuse a tolerance or bound that is not a finite, nonnegative number."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    if value < 0:
+        raise ValidationError(f"{name} must be nonnegative")
 
 
 def as_matrix(a) -> np.ndarray:

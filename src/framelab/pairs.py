@@ -128,8 +128,10 @@ def range_kernel(psi: VectorFamily, phi: VectorFamily) -> KernelTable:
     frame kernel when the two families are one frame.
     """
     report = _invertible_resolution(psi, phi)
-    entries = psi.members.conj() @ report.inverse @ phi.members.T
-    return KernelTable(space=psi.space, entries=entries)
+    # entries conj(psi) S^-1 phi^T, stored as the factors conj(psi) S^-1 and conj(phi)
+    return KernelTable(
+        space=psi.space, left=psi.members.conj() @ report.inverse, right=phi.members.conj()
+    )
 
 
 def induced_kernel(psi: VectorFamily, phi: VectorFamily) -> KernelTable:
@@ -137,16 +139,20 @@ def induced_kernel(psi: VectorFamily, phi: VectorFamily) -> KernelTable:
 
     Section ``k_x = entries[x, :]`` reproduces point values through
     :func:`induced_inner` against the geometry of ``phi`` for every analysis
-    image of ``psi``.  The table is the Gram of transported members, hence
-    Hermitian and positive semidefinite.
+    image of ``psi``.  The table is the Gram of transported members, stored
+    as those members on both sides, hence Hermitian and positive
+    semidefinite.
     """
     report = _invertible_resolution(psi, phi)
-    # inverse of the adjoint-side resolution operator (analysis against phi,
-    # synthesis onto psi), which is the adjoint of the inverse
-    transported = report.inverse.conj().T @ psi.members.T
-    entries = transported.T @ transported.conj()
+    # row x is the member psi_x transported by the inverse of the adjoint-side
+    # resolution operator (analysis against phi, synthesis onto psi), which is
+    # the adjoint of the inverse
+    transported = psi.members @ report.inverse.conj()
     return KernelTable(
-        space=psi.space, entries=entries, geometry=coefficient_geometry(phi)
+        space=psi.space,
+        left=transported,
+        right=transported,
+        geometry=coefficient_geometry(phi),
     )
 
 

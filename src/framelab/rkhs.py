@@ -1,14 +1,19 @@
 """Reproducing kernels over finite node sets.
 
-Kernels are stored densely as tables ``K[x, y]`` over the nodes of a
-:class:`~framelab.measure.DiscretizedSpace`.  A table may carry a geometry
-tag: ``None`` means the plain weighted node pairing, while a
-:class:`~framelab.pairs.CoefficientGeometry` marks tables whose reproducing
-identity holds in the inner product induced by a synthesis map.
+A kernel over the nodes of a :class:`~framelab.measure.DiscretizedSpace` is
+stored as two ``n x r`` factors, ``K = left @ right^H``.  Every kernel built
+here has rank ``r`` at most the ambient dimension, so applying a kernel,
+reading its diagonal or one section costs O(n r); the dense ``n x n`` table is
+built only when a caller asks for :attr:`KernelTable.entries` or an export.
+A table may carry a geometry tag: ``None`` means the plain weighted node
+pairing, while a :class:`~framelab.pairs.CoefficientGeometry` marks tables
+whose reproducing identity holds in the inner product induced by a synthesis
+map.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -31,39 +36,83 @@ if TYPE_CHECKING:
 ORTHO_TOL = 1e-10
 ORDER_AGREE_TOL = 1e-10
 SPAN_CONDITION_LIMIT = 1e10
+# entries per dense block when a check needs every entry of a factored kernel
+BLOCK_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class KernelTable:
-    """Dense kernel ``K[x, y]`` over the nodes of a discretized space.
+    """Kernel ``K[x, y] = sum_k left[x, k] conj(right[y, k])`` over the nodes of a space.
 
     ``apply`` realizes the induced integral operator
-    ``(K F)(x) = sum_y w_y K[x, y] F(y)``.  Reproducing-kernel constructors
+    ``(K F)(x) = sum_y w_y K[x, y] F(y)``.  ``apply``, ``diagonal`` and
+    ``section`` work on the factors in O(n r); :attr:`entries`, ``to_json``
+    and ``csv_rows`` build the dense table on each call and keep nothing.
+    ``KernelTable(space=..., entries=table)`` stores a ready-made dense table
+    as the factors ``(table, identity)``.  Reproducing-kernel constructors
     guarantee Hermitian symmetry of their tables; tables of oblique
     projections (mixed analysis/synthesis kernels) are in general not
     Hermitian, so symmetry is checked by the builders, not here.
     """
 
     space: DiscretizedSpace
-    entries: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     geometry: "CoefficientGeometry | None" = None
 
+    def __init__(
+        self,
+        space: DiscretizedSpace,
+        left=None,
+        right=None,
+        geometry: "CoefficientGeometry | None" = None,
+        *,
+        entries=None,
+    ) -> None:
+        if entries is not None:
+            if left is not None or right is not None:
+                raise ValidationError("give a kernel as entries or as factors, not both")
+            left, right = entries, np.eye(space.size, dtype=np.complex128)
+        elif left is None or right is None:
+            raise ValidationError("a kernel needs both factors or its entries")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "geometry", geometry)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        m = numerics.as_matrix(self.entries)
         n = self.space.size
-        if m.shape != (n, n):
-            raise ValidationError(f"kernel table must be {n}x{n}, got {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        shared = self.left is self.right
+        left, right = numerics.as_matrix(self.left), numerics.as_matrix(self.right)
+        if left.shape[0] != n or left.shape != right.shape:
+            raise ValidationError(
+                f"kernel factors must both be {n}xr, got {left.shape} and {right.shape}"
+            )
+        # |K[x, y]| <= |left[x]| |right[y]| (Cauchy-Schwarz), so a finite
+        # product of the largest row norms keeps every dense entry finite
+        if not math.isfinite(_largest_row_norm(left) * _largest_row_norm(right)):
+            raise ValidationError("kernel factor row norms overflow the dense entries")
+        left = left.copy()
+        left.setflags(write=False)
+        right = left if shared else right.copy()
+        right.setflags(write=False)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def size(self) -> int:
         return self.space.size
 
     @property
+    def entries(self) -> np.ndarray:
+        """The dense ``n x n`` table, computed anew on every access."""
+        return self.left @ self.right.conj().T
+
+    @property
     def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.entries)).copy()
+        """Real part of ``K[x, x]``."""
+        return _row_inner_real(self.left, self.right)
 
     def section(self, index: int) -> np.ndarray:
         """The reproducing section attached to node ``index``.
@@ -77,16 +126,17 @@ class KernelTable:
         if not 0 <= index < self.size:
             raise ValidationError(f"node index {index} out of range")
         if self.geometry is None:
-            return self.entries[:, index].copy()
-        return self.entries[index, :].copy()
+            return self.left @ self.right[index].conj()
+        return np.conj(self.right @ self.left[index].conj())
 
     def apply(self, values) -> np.ndarray:
         f = self.space.values(values)
-        return self.entries @ (self.space.weights * f)
+        # right^H (w f), conjugating vectors instead of copying the factor
+        return self.left @ np.conj(np.conj(self.space.weights * f) @ self.right)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        scale = float(np.max(np.abs(self.entries))) if self.size else 0.0
-        gap = float(np.max(np.abs(self.entries - self.entries.conj().T))) if self.size else 0.0
+        """Whether ``max |K - K^H| <= tol * max(max |K|, 1)``, checked in row blocks."""
+        scale, gap = _blockwise_max(self.left, self.right, self.right, self.left)
         return gap <= tol * max(scale, 1.0)
 
     def to_json(self) -> dict:
@@ -99,10 +149,48 @@ class KernelTable:
     def csv_rows(self):
         """Yield ``(x, y, re, im)`` rows for tabular export."""
         points = [node.point for node in self.space.nodes]
+        entries = self.entries
         for j in range(self.size):
             for k in range(self.size):
-                z = self.entries[j, k]
+                z = entries[j, k]
                 yield points[j], points[k], float(z.real), float(z.imag)
+
+
+def _row_inner_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re sum_k a[x, k] conj(b[x, k])`` per row, read through real and imaginary views."""
+    return np.einsum("ij,ij->i", a.real, b.real) + np.einsum("ij,ij->i", a.imag, b.imag)
+
+
+def _largest_row_norm(a: np.ndarray) -> float:
+    if a.size == 0:
+        return 0.0
+    largest = float(np.max(_row_inner_real(a, a)))
+    if math.isfinite(largest):
+        return math.sqrt(largest)
+    # the squares overflowed; hypot accumulates the norms without squaring
+    return float(np.max(np.hypot.reduce(np.abs(a), axis=1)))
+
+
+def _blockwise_max(left, right, other_left, other_right) -> tuple[float, float]:
+    """``(max |A|, max |A - B|)`` for ``A = left right^H`` and ``B = other_left other_right^H``.
+
+    Both products are formed ``BLOCK_ENTRIES`` entries at a time, so the
+    check needs O(n r) memory beyond one block.
+    """
+    n = left.shape[0]
+    if n == 0:
+        return 0.0, 0.0
+    right_h = right.conj().T
+    other_right_h = other_right.conj().T
+    step = max(1, BLOCK_ENTRIES // n)
+    scale = gap = 0.0
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        block = left[rows] @ right_h
+        scale = max(scale, float(np.max(np.abs(block))))
+        block -= other_left[rows] @ other_right_h
+        gap = max(gap, float(np.max(np.abs(block))))
+    return scale, gap
 
 
 def function_matrix(functions, space: DiscretizedSpace) -> np.ndarray:
@@ -129,27 +217,35 @@ def function_matrix(functions, space: DiscretizedSpace) -> np.ndarray:
 def mu_orthonormal_basis(functions, space: DiscretizedSpace, drop_tol: float = 1e-12) -> np.ndarray:
     """Orthonormal basis of the span in the weighted node pairing.
 
-    Modified Gram-Schmidt with one reorthogonalization pass; vectors whose
-    residual drops below ``drop_tol`` times the largest input norm are
-    discarded.  A function system that is already orthonormal is returned
-    unchanged up to roundoff.
+    Classical Gram-Schmidt with one reorthogonalization pass: each column is
+    projected twice against the columns kept so far, ``v -= Q (Q^H (w v))``,
+    and is kept when its residual norm exceeds ``drop_tol`` times the largest
+    input norm.  Two passes are as stable as modified Gram-Schmidt with
+    reorthogonalization ("twice is enough") and run as matrix products.  A
+    function system that is already orthonormal is returned unchanged up to
+    roundoff.
     """
+    numerics.check_tolerance(drop_tol, "drop_tol")
     b = function_matrix(functions, space)
     w = space.weights
-    norms = [space.norm(b[:, i]) for i in range(b.shape[1])]
-    scale = max(norms) if norms else 0.0
-    columns: list[np.ndarray] = []
+    norms = np.sqrt(w @ np.abs(b) ** 2)
+    scale = float(np.max(norms)) if norms.size else 0.0
+    # kept columns fill q from the left; Fortran order keeps q[:, :kept] contiguous
+    q = np.empty(b.shape, dtype=np.complex128, order="F")
+    kept = 0
     for i in range(b.shape[1]):
         v = b[:, i].copy()
+        basis = q[:, :kept]
         for _ in range(2):
-            for q in columns:
-                v -= np.sum(w * v * np.conj(q)) * q
+            # Q^H (w v) as conj(Q^T conj(w v)), so Q is never copied conjugated
+            v -= basis @ np.conj(basis.T @ np.conj(w * v))
         nv = space.norm(v)
         if nv > drop_tol * scale:
-            columns.append(v / nv)
-    if not columns:
+            q[:, kept] = v / nv
+            kept += 1
+    if not kept:
         raise ValidationError("function system spans only the zero space")
-    return np.column_stack(columns)
+    return np.ascontiguousarray(q[:, :kept])
 
 
 def kernel_from_onb(basis, space: DiscretizedSpace, ortho_tol: float = ORTHO_TOL) -> KernelTable:
@@ -158,19 +254,20 @@ def kernel_from_onb(basis, space: DiscretizedSpace, ortho_tol: float = ORTHO_TOL
     Raises ``NotOrthonormalError`` when the pairwise inner products deviate
     from the identity by more than ``ortho_tol``.
     """
+    numerics.check_tolerance(ortho_tol, "ortho_tol")
     b = function_matrix(basis, space)
     w = space.weights
     gram = b.conj().T @ (w[:, None] * b)
     gap = float(np.max(np.abs(gram - np.eye(b.shape[1]))))
     if gap > ortho_tol:
         raise NotOrthonormalError(f"orthonormality defect {gap:.3e} exceeds {ortho_tol:.0e}")
-    return KernelTable(space=space, entries=b @ b.conj().T)
+    return KernelTable(space=space, left=b, right=b)
 
 
 def kernel_of_span(functions, space: DiscretizedSpace) -> KernelTable:
     """Kernel of the span of an arbitrary function system."""
     q = mu_orthonormal_basis(functions, space)
-    return KernelTable(space=space, entries=q @ q.conj().T)
+    return KernelTable(space=space, left=q, right=q)
 
 
 def _span_pair_data(first, second, space: DiscretizedSpace):
@@ -230,6 +327,7 @@ def kernel_from_pair_report(
     carries both residuals.  ``operator`` must be given in the coordinates of
     the returned span basis.
     """
+    numerics.check_tolerance(condition_limit, "condition_limit")
     q, f1, f2, c1, c2, s_hat = _span_pair_data(first, second, space)
     dim = q.shape[1]
     condition = numerics.condition_number(s_hat)
@@ -238,7 +336,8 @@ def kernel_from_pair_report(
     # look well conditioned relative to itself) still counts as degenerate
     scale = numerics.operator_norm(c1) * numerics.operator_norm(c2)
     smallest = float(numerics.singular_values(s_hat)[-1]) if s_hat.size else 0.0
-    if scale == 0.0 or smallest <= scale / condition_limit:
+    # multiplied out, so a zero limit counts every operator as singular
+    if scale == 0.0 or smallest * condition_limit <= scale:
         raise PairDegenerateError(
             f"span resolution operator is numerically singular "
             f"(smallest singular value {smallest:.3e} against scale {scale:.3e})"
@@ -251,11 +350,11 @@ def kernel_from_pair_report(
             raise DimensionMismatchError(
                 f"operator must be {dim}x{dim} on the span, got {a_hat.shape}"
             )
-    k_first = (q @ (a_hat @ c1)) @ f2.conj().T
-    k_second = (q @ (a_hat.conj().T @ c2)) @ f1.conj().T
-    disagreement = float(np.max(np.abs(k_first - k_second)))
+    first_left = q @ (a_hat @ c1)
+    second_left = q @ (a_hat.conj().T @ c2)
+    _, disagreement = _blockwise_max(first_left, f2, second_left, f1)
     residual = float(np.max(np.abs(a_hat @ s_hat - np.eye(dim))))
-    table = KernelTable(space=space, entries=k_first)
+    table = KernelTable(space=space, left=first_left, right=f2)
     return PairKernelReport(
         table=table,
         span_dim=dim,
@@ -278,6 +377,7 @@ def kernel_from_pair(
     ``agree_tol``, which happens exactly when ``operator`` is inconsistent
     with the pair.
     """
+    numerics.check_tolerance(agree_tol, "agree_tol")
     report = kernel_from_pair_report(first, second, space, operator)
     if report.order_disagreement > agree_tol:
         raise SumsDisagreeError(
@@ -316,6 +416,8 @@ def bessel_pointwise_check(
     kernel's geometry; the verdict also records strict positivity of the sums,
     which holds for frames but can fail for mere upper-bounded systems.
     """
+    numerics.check_tolerance(upper_bound, "upper_bound")
+    numerics.check_tolerance(slack, "slack")
     b = function_matrix(functions, kernel.space)
     sums = np.sum(np.abs(b) ** 2, axis=1)
     limits = upper_bound * kernel.diagonal + slack
@@ -352,8 +454,11 @@ def point_evaluation_bounds(
 
     When ``upper_bound`` is omitted the upper frame bound of the system on its
     span is computed from the coordinate frame operator; a system whose lower
-    bound vanishes relative to the upper one is refused.
+    bound vanishes relative to the upper one is refused.  A given
+    ``upper_bound`` must be finite and nonnegative.
     """
+    if upper_bound is not None:
+        numerics.check_tolerance(upper_bound, "upper_bound")
     b = function_matrix(functions, space)
     q = mu_orthonormal_basis(b, space)
     coords = q.conj().T @ (space.weights[:, None] * b)

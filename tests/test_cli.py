@@ -334,8 +334,20 @@ _NODE = {"point": 0.0, "weight": 1.0, "provenance": "atom"}
         [],
         {"space": {"nodes": [{"point": 0.0, "provenance": "atom"}]}, "dim": 1, "members": [[1.0, 0.0]]},
         {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1]]},
+        {"space": {"nodes": [_NODE]}, "dim": 2.5, "members": [[1.0, 0.0], [0.0, 1.0]]},
+        {"space": {"nodes": [_NODE]}, "dim": "2", "members": [[1.0, 0.0], [0.0, 1.0]]},
+        {"space": {"nodes": [{**_NODE, "weight": "1"}]}, "dim": 1, "members": [[1.0, 0.0]]},
+        {"space": {"nodes": [{**_NODE, "weight": True}]}, "dim": 1, "members": [[1.0, 0.0]]},
+        {"space": {"nodes": [{**_NODE, "point": [1, 2]}]}, "dim": 1, "members": [[1.0, 0.0]]},
+        {"space": {"nodes": [{**_NODE, "point": None}]}, "dim": 1, "members": [[1.0, 0.0]]},
+        {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[True, False]]},
+        {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[10**400, 0]]},
     ],
-    ids=["top-level-list", "node-without-weight", "short-member-entry"],
+    ids=[
+        "top-level-list", "node-without-weight", "short-member-entry", "fractional-dim",
+        "string-dim", "string-weight", "boolean-weight", "list-point", "null-point",
+        "boolean-member-entry", "overflowing-member-entry",
+    ],
 )
 def test_malformed_family_json(tmp_path, capsys, payload):
     family_path = tmp_path / "family.json"
@@ -346,3 +358,17 @@ def test_malformed_family_json(tmp_path, capsys, payload):
     assert len(lines) == 1
     assert lines[0].startswith(f"framelab: invalid input: {family_path}: ")
     assert not out.exists()
+
+
+def test_integer_family_values_accepted(tmp_path):
+    payload = {
+        "space": {"nodes": [{"point": 3, "weight": 2, "provenance": "cell"}]},
+        "dim": 2,
+        "members": [[1, 0], [0.5, -2]],
+    }
+    family_path = tmp_path / "family.json"
+    family_path.write_text(json.dumps(payload))
+    out = tmp_path / "inspect.json"
+    assert run("inspect", "--in", str(family_path), "--out", str(out)) == EXIT_OK
+    profile = json.loads(out.read_text())["profile"]
+    assert profile == [{"point": 3, "weight": 2, "squared_norm": 5.25}]

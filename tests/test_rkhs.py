@@ -1,6 +1,12 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from framelab import rkhs
 from framelab.errors import (
     DimensionMismatchError,
     NotAFrameError,
@@ -10,7 +16,9 @@ from framelab.errors import (
     ValidationError,
 )
 from framelab.frames import analysis_matrix, kernel_matrix
+from framelab.gallery import build_torus
 from framelab.measure import unit_segment_space
+from framelab.pairs import coefficient_geometry
 from framelab.rkhs import (
     KernelTable,
     bessel_pointwise_check,
@@ -32,6 +40,58 @@ from conftest import cell_space, complex_rng_matrix, random_family, unit_weight_
 def random_span_basis(rng, space, dim):
     raw = complex_rng_matrix(rng, space.size, dim)
     return mu_orthonormal_basis(raw, space)
+
+
+def modified_gram_schmidt(functions, space, drop_tol=1e-12):
+    """Reference basis: modified Gram-Schmidt, one axpy per kept column, run twice."""
+    b = function_matrix(functions, space)
+    w = space.weights
+    scale = max(space.norm(b[:, i]) for i in range(b.shape[1]))
+    columns = []
+    for i in range(b.shape[1]):
+        v = b[:, i].copy()
+        for _ in range(2):
+            for q in columns:
+                v -= np.sum(w * v * np.conj(q)) * q
+        nv = space.norm(v)
+        if nv > drop_tol * scale:
+            columns.append(v / nv)
+    return np.column_stack(columns)
+
+
+@st.composite
+def dependent_systems(draw):
+    """Function systems with dependent, duplicated, nearly parallel, zero and tiny columns.
+
+    ``rank`` independent random columns are mixed into the other columns, so
+    each mixed, duplicated, zero or tiny column lies in their span; a nearly
+    parallel column leaves it by ``1e-6`` of its norm.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = draw(st.integers(1, 12))
+    rank = draw(st.integers(1, rows))
+    extra = draw(
+        st.lists(st.sampled_from(["mix", "duplicate", "near", "zero", "tiny"]), max_size=6)
+    )
+    rng = np.random.default_rng(seed)
+    space = cell_space(rng.uniform(0.25, 2.5, size=rows))
+    base = complex_rng_matrix(rng, rows, rank)
+    columns = [base[:, j] for j in range(rank)]
+    for kind in extra:
+        pick = int(rng.integers(len(columns)))
+        if kind == "mix":
+            columns.append(base @ complex_rng_matrix(rng, rank, 1)[:, 0])
+        elif kind == "duplicate":
+            columns.append(columns[pick].copy())
+        elif kind == "near":
+            # kept, but one Gram-Schmidt pass alone would lose orthogonality
+            columns.append(columns[pick] + 1e-6 * complex_rng_matrix(rng, rows, 1)[:, 0])
+        elif kind == "zero":
+            columns.append(np.zeros(rows, dtype=complex))
+        else:
+            columns.append(1e-14 * columns[pick])
+    order = rng.permutation(len(columns))
+    return np.column_stack([columns[j] for j in order]), space
 
 
 class TestFunctionMatrix:
@@ -64,6 +124,24 @@ class TestMuOrthonormalBasis:
         w = space.weights
         gram = q.conj().T @ (w[:, None] * q)
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-13)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dependent_systems())
+    def test_matches_modified_gram_schmidt(self, case):
+        functions, space = case
+        reference = modified_gram_schmidt(functions, space)
+        q = mu_orthonormal_basis(functions, space)
+        # the same columns survive, and Gram-Schmidt fixes each kept vector
+        assert q.shape == reference.shape
+        np.testing.assert_allclose(q, reference, atol=1e-9)
+        w = space.weights
+        np.testing.assert_allclose(q.conj().T @ (w[:, None] * q), np.eye(q.shape[1]), atol=1e-12)
+
+    @pytest.mark.parametrize("drop_tol", [float("nan"), float("inf"), -1e-3])
+    def test_bad_drop_tolerance_refused(self, rng, drop_tol):
+        space = unit_weight_space(4)
+        with pytest.raises(ValidationError, match="drop_tol"):
+            mu_orthonormal_basis(complex_rng_matrix(rng, 4, 2), space, drop_tol=drop_tol)
 
     def test_dependent_columns_dropped(self, rng):
         space = unit_weight_space(5)
@@ -290,3 +368,185 @@ class TestKernelTable:
         payload = table.to_json()
         assert payload["geometry"] == "plain"
         assert len(payload["entries"]) == 9
+
+    def test_entries_are_not_cached(self):
+        table = kernel_from_onb(np.eye(3, dtype=complex), unit_weight_space(3))
+        assert table.entries is not table.entries
+        assert "entries" not in vars(table)
+
+    def test_factors_are_read_only_copies(self, rng):
+        space = unit_weight_space(4)
+        left = complex_rng_matrix(rng, 4, 2)
+        table = KernelTable(space=space, left=left, right=left)
+        before = table.entries
+        left[0, 0] = 100.0
+        np.testing.assert_array_equal(table.entries, before)
+        assert not table.left.flags.writeable and not table.right.flags.writeable
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            {"left": np.ones((3, 2)), "right": np.ones((3, 1))},
+            {"left": np.ones((2, 2)), "right": np.ones((2, 2))},
+            {"left": np.ones(3), "right": np.ones(3)},
+            {"left": np.ones((3, 2))},
+            {"entries": np.eye(3), "left": np.ones((3, 3)), "right": np.ones((3, 3))},
+            {"left": np.full((3, 2), np.nan), "right": np.ones((3, 2))},
+            {"left": np.ones((3, 2)), "right": np.full((3, 2), np.inf)},
+        ],
+        ids=[
+            "rank-mismatch", "node-mismatch", "one-dimensional", "one-factor",
+            "entries-and-factors", "nan-factor", "infinite-factor",
+        ],
+    )
+    def test_malformed_factors_refused(self, factors):
+        with pytest.raises(ValidationError):
+            KernelTable(space=unit_weight_space(3), **factors)
+
+    def test_overflowing_row_norms_refused(self):
+        space = unit_weight_space(2)
+        big = np.full((2, 1), 1e200, dtype=complex)
+        with pytest.raises(ValidationError, match="overflow"):
+            KernelTable(space=space, left=big, right=big)
+
+    def test_extreme_but_finite_row_norms_accepted(self):
+        # the squared left row norms overflow, the product of the norms does not
+        space = unit_weight_space(2)
+        left = np.full((2, 2), 1e160, dtype=complex)
+        right = np.full((2, 2), 1e-160, dtype=complex)
+        table = KernelTable(space=space, left=left, right=right)
+        np.testing.assert_allclose(table.entries, 2.0, rtol=1e-12)
+
+
+def random_factors(rng, rows, rank, hermitian):
+    left = complex_rng_matrix(rng, rows, rank)
+    right = left.copy() if hermitian else complex_rng_matrix(rng, rows, rank)
+    return left, right
+
+
+@st.composite
+def factored_tables(draw):
+    """Random factored tables with rank 1, rank n or a rank in between."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = draw(st.integers(1, 9))
+    rank = draw(st.sampled_from([1, rows, max(1, rows // 2)]))
+    hermitian = draw(st.booleans())
+    induced = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    space = cell_space(rng.uniform(0.25, 2.5, size=rows))
+    left, right = random_factors(rng, rows, rank, hermitian)
+    geometry = None
+    if induced:
+        geometry = coefficient_geometry(random_family(rng, rows, 2, weighted=False))
+    table = KernelTable(space=space, left=left, right=right, geometry=geometry)
+    return table, left @ right.conj().T, rng
+
+
+class TestFactoredKernelTable:
+    """The factored table against the dense oracle ``left @ right^H``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(factored_tables())
+    def test_matches_dense_oracle(self, case):
+        table, dense, rng = case
+        n = table.size
+        w = table.space.weights
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        scale = max(float(np.max(np.abs(dense))), 1.0)
+        np.testing.assert_allclose(table.apply(f), dense @ (w * f), atol=1e-12 * scale * n)
+        np.testing.assert_allclose(table.diagonal, np.real(np.diag(dense)), atol=1e-13 * scale)
+        for j in range(n):
+            expected = dense[:, j] if table.geometry is None else dense[j, :]
+            np.testing.assert_allclose(table.section(j), expected, atol=1e-13 * scale)
+        oracle_gap = float(np.max(np.abs(dense - dense.conj().T)))
+        oracle_scale = float(np.max(np.abs(dense)))
+        assert table.is_hermitian() == (oracle_gap <= 1e-12 * max(oracle_scale, 1.0))
+        np.testing.assert_array_equal(table.entries, dense)
+        pairs = [[float(z.real), float(z.imag)] for z in dense.ravel()]
+        assert table.to_json()["entries"] == pairs
+        points = [node.point for node in table.space.nodes]
+        rows = [(points[j], points[k], *pairs[j * n + k]) for j in range(n) for k in range(n)]
+        assert list(table.csv_rows()) == rows
+
+    def test_dense_table_round_trips(self, rng):
+        space = unit_weight_space(4)
+        dense = complex_rng_matrix(rng, 4, 4)
+        table = KernelTable(space=space, entries=dense)
+        np.testing.assert_array_equal(table.entries, dense)
+        assert not table.is_hermitian()
+        assert KernelTable(space=space, entries=dense + dense.conj().T).is_hermitian()
+
+    def test_hermitian_check_spans_row_blocks(self, rng, monkeypatch):
+        # one asymmetric entry in the last row block still fails the check
+        monkeypatch.setattr(rkhs, "BLOCK_ENTRIES", 12)  # blocks of two rows
+        space = unit_weight_space(6)
+        dense = np.eye(6, dtype=complex)
+        dense[5, 4] = 1e-6
+        assert not KernelTable(space=space, entries=dense).is_hermitian()
+        assert KernelTable(space=space, entries=dense).is_hermitian(tol=1e-5)
+
+    def test_frame_kernel_scales_with_rank_not_nodes(self):
+        # n = 16384 nodes at rank 64: the dense table alone would take 4 GiB
+        family = build_torus(64, 16384)
+        n, d = family.members.shape
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            table = kernel_matrix(family)
+            once = table.apply(np.ones(n))
+            diagonal = table.diagonal
+            section = table.section(n // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - start
+        assert peak < 4 * n * d * 16
+        assert elapsed < 10.0
+        # the kernel of a frame sums to the rank against the weights
+        assert float(np.sum(family.space.weights * diagonal)) == pytest.approx(d, rel=1e-9)
+        np.testing.assert_allclose(table.apply(once), once, atol=1e-9)
+        assert section.shape == (n,) and np.all(np.isfinite(section))
+
+
+class TestRefusedTolerances:
+    @pytest.mark.parametrize("bound", [-1.0, float("nan"), float("inf")])
+    def test_point_evaluation_upper_bound(self, rng, bound):
+        space = unit_weight_space(4)
+        with pytest.raises(ValidationError, match="upper_bound"):
+            point_evaluation_bounds(complex_rng_matrix(rng, 4, 2), space, upper_bound=bound)
+
+    @pytest.mark.parametrize("bound", [-1.0, float("nan"), float("inf")])
+    def test_bessel_pointwise_upper_bound(self, bound):
+        space = unit_weight_space(3)
+        table = kernel_from_onb(np.eye(3, dtype=complex), space)
+        with pytest.raises(ValidationError, match="upper_bound"):
+            bessel_pointwise_check(np.eye(3, dtype=complex), table, bound)
+
+    def test_bessel_pointwise_slack(self):
+        space = unit_weight_space(3)
+        table = kernel_from_onb(np.eye(3, dtype=complex), space)
+        with pytest.raises(ValidationError, match="slack"):
+            bessel_pointwise_check(np.eye(3, dtype=complex), table, 1.0, slack=float("nan"))
+
+    def test_orthonormality_tolerance(self):
+        with pytest.raises(ValidationError, match="ortho_tol"):
+            kernel_from_onb(2.0 * np.eye(3, dtype=complex), unit_weight_space(3), float("nan"))
+
+    @pytest.mark.parametrize("limit", [-1.0, float("nan"), float("inf")])
+    def test_condition_limit(self, rng, limit):
+        space = cell_space(rng.uniform(0.4, 1.6, 6))
+        q = random_span_basis(rng, space, 2)
+        with pytest.raises(ValidationError, match="condition_limit"):
+            kernel_from_pair_report(q, q, space, condition_limit=limit)
+
+    def test_zero_condition_limit_refuses_every_pair(self, rng):
+        space = cell_space(rng.uniform(0.4, 1.6, 6))
+        q = random_span_basis(rng, space, 2)
+        with pytest.raises(PairDegenerateError):
+            kernel_from_pair_report(q, q, space, condition_limit=0.0)
+
+    def test_order_agreement_tolerance(self, rng):
+        space = cell_space(rng.uniform(0.4, 1.6, 6))
+        q = random_span_basis(rng, space, 2)
+        with pytest.raises(ValidationError, match="agree_tol"):
+            kernel_from_pair(q, q, space, agree_tol=float("nan"))
