@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import frames, gallery, pairs, rkhs
+from . import frames, gallery, numerics, pairs, rkhs
 from .errors import NumericalRefusal, ValidationError
 from .frames import VectorFamily
 from .numerics import RankPolicy
@@ -191,13 +191,8 @@ def _cmd_kernel(args: argparse.Namespace) -> bytes:
 
 def _cmd_redundancy(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
-    report = frames.frame_bounds(family, rank_policy=_rank_policy())
-    payload = {
-        "rows": family.size,
-        "dim": family.dim,
-        "redundancy": report.redundancy,
-        "index": report.index,
-    }
+    excess = frames.redundancy(family, _rank_policy())
+    payload = {"rows": family.size, "dim": family.dim, "redundancy": excess, "index": -excess}
     return _json_bytes(payload)
 
 
@@ -205,9 +200,7 @@ def _cmd_split(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
     discrete, continuous = frames.split(family, row_tolerance=args.row_tol)
     payload = {
-        "discrete": [
-            [[float(z.real), float(z.imag)] for z in vector] for vector in discrete
-        ],
+        "discrete": [numerics.complex_pairs(vector) for vector in discrete],
         "continuous": continuous.to_json(),
     }
     return _json_bytes(payload)

@@ -64,7 +64,7 @@ class VectorFamily:
         return {
             "space": self.space.to_json(),
             "dim": self.dim,
-            "members": [[float(z.real), float(z.imag)] for z in self.members.ravel()],
+            "members": numerics.complex_pairs(self.members),
         }
 
     @classmethod
@@ -196,34 +196,32 @@ def redundancy(family: VectorFamily, rank_policy: numerics.RankPolicy | None = N
 def frame_bounds(
     family: VectorFamily,
     rank_policy: numerics.RankPolicy | None = None,
-    frame_rtol: float = FRAME_RTOL,
     absolute_lower: float | None = None,
     absolute_upper: float | None = None,
-    row_tolerance: float = ROW_MATCH_TOL,
 ) -> FrameReport:
     """Spectral frame bounds and redundancy accounting.
 
     The bounds are the extreme eigenvalues of the frame operator.  Without
     absolute thresholds, the family is a frame when the lower bound clears
-    ``frame_rtol`` times the upper one, otherwise only the (finite) upper
+    ``FRAME_RTOL`` times the upper one, otherwise only the (finite) upper
     inequality stands.  Explicit ``absolute_lower`` / ``absolute_upper``
     thresholds classify by which of the two inequalities fails against them;
     finite truncations of unbounded systems need those, or the trend
-    utilities, to surface semi-frame behavior.
+    utilities, to surface semi-frame behavior.  The zero-redundancy check
+    matches member rows within ``ROW_MATCH_TOL``.
     """
-    numerics.check_tolerance(row_tolerance, "row_tolerance")
     spectrum = numerics.frame_spectrum(frame_operator(family))
     lower, upper = spectrum.lower, spectrum.upper
     excess = redundancy(family, rank_policy)
     condition = upper / lower if lower > 0 else float("inf")
     if absolute_lower is None and absolute_upper is None:
-        tolerance = frame_rtol * upper
-        if spectrum.is_frame(frame_rtol):
+        tolerance = FRAME_RTOL * upper
+        if spectrum.is_frame():
             classification = Classification.FRAME
         else:
             classification = Classification.BESSEL_ONLY
     else:
-        tolerance = absolute_lower if absolute_lower is not None else frame_rtol * upper
+        tolerance = absolute_lower if absolute_lower is not None else FRAME_RTOL * upper
         lower_fails = lower < tolerance
         upper_fails = absolute_upper is not None and upper > absolute_upper
         if not lower_fails and not upper_fails:
@@ -237,7 +235,7 @@ def frame_bounds(
     degenerate = (
         excess == 0
         and not family.space.is_atom.any()
-        and not _equal_row_groups(family, row_tolerance)
+        and not _equal_row_groups(family, ROW_MATCH_TOL)
     )
     return FrameReport(
         lower=lower,
@@ -251,19 +249,19 @@ def frame_bounds(
     )
 
 
-def canonical_dual(family: VectorFamily, frame_rtol: float = FRAME_RTOL) -> VectorFamily:
+def canonical_dual(family: VectorFamily) -> VectorFamily:
     """Family of inverse-frame-operator images, giving perfect reconstruction.
 
     Refuses with ``NotAFrameError`` when the lower bound sits below tolerance,
     since inverting the frame operator would amplify noise unboundedly.
     """
-    _, _, values, vectors = numerics.require_frame(frame_operator(family), frame_rtol)
+    _, _, values, vectors = numerics.require_frame(frame_operator(family))
     # row j is S^-1 member(j), i.e. members @ S^-T with S^-T = conj(V) diag(1/values) V^T
     dual_members = ((family.members @ vectors.conj()) / values) @ vectors.T
     return VectorFamily(space=family.space, members=dual_members)
 
 
-def kernel_matrix(family: VectorFamily, frame_rtol: float = FRAME_RTOL) -> KernelTable:
+def kernel_matrix(family: VectorFamily) -> KernelTable:
     """Kernel ``K[x, y] = <S^-1 member(y), member(x)>`` of the analysis range.
 
     The induced integral operator (:meth:`KernelTable.apply`) is the
@@ -272,7 +270,7 @@ def kernel_matrix(family: VectorFamily, frame_rtol: float = FRAME_RTOL) -> Kerne
     ``B B^H`` with ``B = conj(members) V diag(values)**-1/2``, so it is
     Hermitian by construction and costs O(n d) memory.
     """
-    _, _, values, vectors = numerics.require_frame(frame_operator(family), frame_rtol)
+    _, _, values, vectors = numerics.require_frame(frame_operator(family))
     factor = family.members.conj() @ vectors
     factor /= np.sqrt(values)
     return KernelTable(space=family.space, left=factor, right=factor)
@@ -371,23 +369,19 @@ def semiframe_trend(
     return results
 
 
-def classify_trend(
-    trend: Sequence[tuple[int, float, float]],
-    vanish_ratio: float = TREND_VANISH_RATIO,
-    growth_ratio: float = TREND_GROWTH_RATIO,
-) -> Classification:
+def classify_trend(trend: Sequence[tuple[int, float, float]]) -> Classification:
     """Asymptotic classification from a bound trend.
 
     The lower bound is considered vanishing when its last value drops below
-    ``vanish_ratio`` times its first; the upper bound diverging when its last
-    value exceeds ``growth_ratio`` times its first.
+    ``TREND_VANISH_RATIO`` times its first; the upper bound diverging when its
+    last value exceeds ``TREND_GROWTH_RATIO`` times its first.
     """
     if len(trend) < 2:
         raise ValidationError("a trend needs at least two sizes")
     first_lower, last_lower = trend[0][1], trend[-1][1]
     first_upper, last_upper = trend[0][2], trend[-1][2]
-    vanishing = last_lower < vanish_ratio * first_lower
-    diverging = last_upper > growth_ratio * first_upper
+    vanishing = last_lower < TREND_VANISH_RATIO * first_lower
+    diverging = last_upper > TREND_GROWTH_RATIO * first_upper
     if vanishing and diverging:
         return Classification.NEITHER
     if vanishing:

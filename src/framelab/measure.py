@@ -11,6 +11,7 @@ came from a true atom or from a quadrature cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -179,6 +180,9 @@ class Node:
     def __post_init__(self) -> None:
         if not (_require_finite(self.weight, "weight") > 0):
             raise ValidationError(f"node weight must be positive, got {self.weight}")
+        # Python ints are exact, and too large ones would overflow math.isfinite
+        if not isinstance(self.point, (str, int)) and not math.isfinite(self.point):
+            raise ValidationError(f"node point must be finite, got {self.point!r}")
 
     def to_json(self) -> dict:
         return {"point": self.point, "weight": self.weight, "provenance": self.provenance.value}

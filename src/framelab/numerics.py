@@ -8,8 +8,12 @@ iterative machinery.  All rank decisions and pseudoinverse cutoffs are
 concentrated in :class:`RankPolicy`, and the frame bounds of a frame operator
 together with the rule that refuses to invert it live in
 :func:`frame_spectrum` and :func:`require_frame`, so no other module
-hand-rolls its own thresholds.  Tolerances and bounds passed in by callers go
-through :func:`check_tolerance`.
+hand-rolls its own thresholds.  The thresholds are constants:
+``DEFAULT_RANK_RTOL`` (overridable only through ``FRAMELAB_RANK_TOL``),
+``HERMITIAN_RTOL`` for Hermitian symmetry and ``FRAME_RTOL`` for the frame
+verdict; the few tolerances and bounds that callers still pass go through
+:func:`check_tolerance`.  Complex arrays are written out as ``[re, im]``
+pairs by :func:`complex_pairs`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ def check_tolerance(value: float, name: str) -> None:
         raise ValidationError(f"{name} must be finite, got {value}")
     if value < 0:
         raise ValidationError(f"{name} must be nonnegative")
+
+
+def complex_pairs(a) -> list[list[float]]:
+    """Entries of a complex array in C order as ``[re, im]`` lists of floats."""
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
 
 
 def as_matrix(a) -> np.ndarray:
@@ -116,9 +125,9 @@ class FrameSpectrum(NamedTuple):
     values: np.ndarray
     vectors: np.ndarray
 
-    def is_frame(self, frame_rtol: float) -> bool:
-        """Whether the lower bound clears ``frame_rtol`` times a nonzero upper bound."""
-        return self.lower > frame_rtol * self.upper and self.upper != 0.0
+    def is_frame(self) -> bool:
+        """Whether the lower bound clears ``FRAME_RTOL`` times a nonzero upper bound."""
+        return self.lower > FRAME_RTOL * self.upper and self.upper != 0.0
 
 
 def frame_spectrum(operator) -> FrameSpectrum:
@@ -127,7 +136,7 @@ def frame_spectrum(operator) -> FrameSpectrum:
     return FrameSpectrum(float(max(values[0], 0.0)), float(values[-1]), values, vectors)
 
 
-def require_frame(operator, frame_rtol: float = FRAME_RTOL) -> FrameSpectrum:
+def require_frame(operator) -> FrameSpectrum:
     """:func:`frame_spectrum` of an operator that is about to be inverted.
 
     Refuses with ``NotAFrameError`` when the spectrum fails
@@ -135,9 +144,9 @@ def require_frame(operator, frame_rtol: float = FRAME_RTOL) -> FrameSpectrum:
     unboundedly.
     """
     spectrum = frame_spectrum(operator)
-    if not spectrum.is_frame(frame_rtol):
+    if not spectrum.is_frame():
         raise NotAFrameError(
-            f"lower bound {spectrum.lower:.3e} below tolerance {frame_rtol:.0e} "
+            f"lower bound {spectrum.lower:.3e} below tolerance {FRAME_RTOL:.0e} "
             f"* {spectrum.upper:.3e}"
         )
     return spectrum

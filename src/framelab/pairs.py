@@ -21,7 +21,6 @@ from .errors import (
     SpaceMismatchError,
 )
 from .frames import VectorFamily, frame_operator, redundancy, synthesis
-from .numerics import FRAME_RTOL
 from .rkhs import KernelTable
 
 CONDITION_THRESHOLD = 1e10
@@ -29,21 +28,24 @@ CONDITION_THRESHOLD = 1e10
 
 @dataclass(frozen=True, eq=False)
 class ResolutionReport:
-    """Resolution operator of a pair together with its invertibility verdict."""
+    """Resolution operator of a pair together with its invertibility verdict.
+
+    The operator counts as invertible when its condition number is at most
+    ``CONDITION_THRESHOLD``.
+    """
 
     operator: np.ndarray
     condition: float
     invertible: bool
     inverse: np.ndarray | None
-    condition_threshold: float
 
     def to_json(self) -> dict:
         return {
-            "operator": [[float(z.real), float(z.imag)] for z in self.operator.ravel()],
+            "operator": numerics.complex_pairs(self.operator),
             "dim": self.operator.shape[0],
             "condition": self.condition if np.isfinite(self.condition) else "infinite",
             "invertible": self.invertible,
-            "condition_threshold": self.condition_threshold,
+            "condition_threshold": CONDITION_THRESHOLD,
         }
 
 
@@ -56,23 +58,15 @@ def _check_same_space(psi: VectorFamily, phi: VectorFamily) -> None:
         )
 
 
-def resolution_operator(
-    psi: VectorFamily,
-    phi: VectorFamily,
-    condition_threshold: float = CONDITION_THRESHOLD,
-) -> ResolutionReport:
+def resolution_operator(psi: VectorFamily, phi: VectorFamily) -> ResolutionReport:
     """Analysis against ``psi`` composed with weighted synthesis onto ``phi``."""
     _check_same_space(psi, phi)
     operator = _mixed_operator(psi, phi)
     condition = numerics.condition_number(operator)
-    invertible = bool(np.isfinite(condition) and condition <= condition_threshold)
+    invertible = bool(np.isfinite(condition) and condition <= CONDITION_THRESHOLD)
     inverse = np.linalg.inv(operator) if invertible else None
     return ResolutionReport(
-        operator=operator,
-        condition=condition,
-        invertible=invertible,
-        inverse=inverse,
-        condition_threshold=condition_threshold,
+        operator=operator, condition=condition, invertible=invertible, inverse=inverse
     )
 
 
@@ -114,7 +108,7 @@ def _invertible_resolution(psi: VectorFamily, phi: VectorFamily) -> ResolutionRe
     if not report.invertible:
         raise NotInvertibleError(
             f"resolution operator condition {report.condition:.3e} exceeds "
-            f"{report.condition_threshold:.0e}"
+            f"{CONDITION_THRESHOLD:.0e}"
         )
     return report
 
@@ -172,12 +166,7 @@ class FrameTransferReport:
     predicted_upper: float
 
 
-def frame_transfer(
-    psi: VectorFamily,
-    phi: VectorFamily,
-    frame_vectors,
-    frame_rtol: float = FRAME_RTOL,
-) -> FrameTransferReport:
+def frame_transfer(psi: VectorFamily, phi: VectorFamily, frame_vectors) -> FrameTransferReport:
     """Push an ambient frame through analysis into the induced geometry.
 
     The transported system is a frame there, with bounds squeezed between the
@@ -189,7 +178,7 @@ def frame_transfer(
         raise DimensionMismatchError(
             f"frame vectors must form a (count, {psi.dim}) table, got {g.shape}"
         )
-    g_lower, g_upper, _, _ = numerics.require_frame(g.T @ g.conj(), frame_rtol)
+    g_lower, g_upper, _, _ = numerics.require_frame(g.T @ g.conj())
     report = _invertible_resolution(psi, phi)
     functions = g @ psi.members.conj().T
     transported = report.operator @ g.T
@@ -256,13 +245,9 @@ def bessel_bound(family: VectorFamily) -> float:
     return numerics.frame_spectrum(frame_operator(family)).upper
 
 
-def pair_verdict(
-    psi: VectorFamily,
-    phi: VectorFamily,
-    condition_threshold: float = CONDITION_THRESHOLD,
-) -> dict:
+def pair_verdict(psi: VectorFamily, phi: VectorFamily) -> dict:
     """One-shot reproducing-pair check, shaped for report serialization."""
-    report = resolution_operator(psi, phi, condition_threshold)
+    report = resolution_operator(psi, phi)
     swapped = _mixed_operator(phi, psi)
     adjoint_gap = float(np.max(np.abs(swapped - report.operator.conj().T)))
     verdict = {

@@ -13,6 +13,7 @@ map.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -28,11 +29,12 @@ from .errors import (
     ValidationError,
 )
 from .measure import DiscretizedSpace, unit_segment_space
-from .numerics import FRAME_RTOL
 
 if TYPE_CHECKING:
     from .pairs import CoefficientGeometry
 
+# a span basis drops a column whose residual norm is at most this times the largest input norm
+SPAN_DROP_RTOL = 1e-12
 ORTHO_TOL = 1e-10
 ORDER_AGREE_TOL = 1e-10
 SPAN_CONDITION_LIMIT = 1e10
@@ -40,7 +42,7 @@ SPAN_CONDITION_LIMIT = 1e10
 BLOCK_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class KernelTable:
     """Kernel ``K[x, y] = sum_k left[x, k] conj(right[y, k])`` over the nodes of a space.
 
@@ -48,38 +50,16 @@ class KernelTable:
     ``(K F)(x) = sum_y w_y K[x, y] F(y)``.  ``apply``, ``diagonal`` and
     ``section`` work on the factors in O(n r); :attr:`entries`, ``to_json``
     and ``csv_rows`` build the dense table on each call and keep nothing.
-    ``KernelTable(space=..., entries=table)`` stores a ready-made dense table
-    as the factors ``(table, identity)``.  Reproducing-kernel constructors
-    guarantee Hermitian symmetry of their tables; tables of oblique
-    projections (mixed analysis/synthesis kernels) are in general not
-    Hermitian, so symmetry is checked by the builders, not here.
+    Reproducing-kernel constructors guarantee Hermitian symmetry of their
+    tables; tables of oblique projections (mixed analysis/synthesis kernels)
+    are in general not Hermitian, so symmetry is checked by the builders, not
+    here.
     """
 
     space: DiscretizedSpace
     left: np.ndarray
     right: np.ndarray
     geometry: "CoefficientGeometry | None" = None
-
-    def __init__(
-        self,
-        space: DiscretizedSpace,
-        left=None,
-        right=None,
-        geometry: "CoefficientGeometry | None" = None,
-        *,
-        entries=None,
-    ) -> None:
-        if entries is not None:
-            if left is not None or right is not None:
-                raise ValidationError("give a kernel as entries or as factors, not both")
-            left, right = entries, np.eye(space.size, dtype=np.complex128)
-        elif left is None or right is None:
-            raise ValidationError("a kernel needs both factors or its entries")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "geometry", geometry)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.space.size
@@ -134,26 +114,24 @@ class KernelTable:
         # right^H (w f), conjugating vectors instead of copying the factor
         return self.left @ np.conj(np.conj(self.space.weights * f) @ self.right)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """Whether ``max |K - K^H| <= tol * max(max |K|, 1)``, checked in row blocks."""
+    def is_hermitian(self) -> bool:
+        """Whether ``max |K - K^H| <= HERMITIAN_RTOL * max(max |K|, 1)``, in row blocks."""
         scale, gap = _blockwise_max(self.left, self.right, self.right, self.left)
-        return gap <= tol * max(scale, 1.0)
+        return gap <= numerics.HERMITIAN_RTOL * max(scale, 1.0)
 
     def to_json(self) -> dict:
         return {
             "space": self.space.to_json(),
             "geometry": "induced" if self.geometry is not None else "plain",
-            "entries": [[float(z.real), float(z.imag)] for z in self.entries.ravel()],
+            "entries": numerics.complex_pairs(self.entries),
         }
 
     def csv_rows(self):
         """Yield ``(x, y, re, im)`` rows for tabular export."""
         points = [node.point for node in self.space.nodes]
-        entries = self.entries
-        for j in range(self.size):
-            for k in range(self.size):
-                z = entries[j, k]
-                yield points[j], points[k], float(z.real), float(z.imag)
+        pairs = numerics.complex_pairs(self.entries)
+        for (x, y), (re, im) in zip(itertools.product(points, repeat=2), pairs):
+            yield x, y, re, im
 
 
 def _row_inner_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -214,18 +192,17 @@ def function_matrix(functions, space: DiscretizedSpace) -> np.ndarray:
     return arr
 
 
-def mu_orthonormal_basis(functions, space: DiscretizedSpace, drop_tol: float = 1e-12) -> np.ndarray:
+def mu_orthonormal_basis(functions, space: DiscretizedSpace) -> np.ndarray:
     """Orthonormal basis of the span in the weighted node pairing.
 
     Classical Gram-Schmidt with one reorthogonalization pass: each column is
     projected twice against the columns kept so far, ``v -= Q (Q^H (w v))``,
-    and is kept when its residual norm exceeds ``drop_tol`` times the largest
-    input norm.  Two passes are as stable as modified Gram-Schmidt with
-    reorthogonalization ("twice is enough") and run as matrix products.  A
-    function system that is already orthonormal is returned unchanged up to
+    and is kept when its residual norm exceeds ``SPAN_DROP_RTOL`` times the
+    largest input norm.  Two passes are as stable as modified Gram-Schmidt
+    with reorthogonalization ("twice is enough") and run as matrix products.
+    A function system that is already orthonormal is returned unchanged up to
     roundoff.
     """
-    numerics.check_tolerance(drop_tol, "drop_tol")
     b = function_matrix(functions, space)
     w = space.weights
     norms = np.sqrt(w @ np.abs(b) ** 2)
@@ -240,7 +217,7 @@ def mu_orthonormal_basis(functions, space: DiscretizedSpace, drop_tol: float = 1
             # Q^H (w v) as conj(Q^T conj(w v)), so Q is never copied conjugated
             v -= basis @ np.conj(basis.T @ np.conj(w * v))
         nv = space.norm(v)
-        if nv > drop_tol * scale:
+        if nv > SPAN_DROP_RTOL * scale:
             q[:, kept] = v / nv
             kept += 1
     if not kept:
@@ -248,19 +225,18 @@ def mu_orthonormal_basis(functions, space: DiscretizedSpace, drop_tol: float = 1
     return np.ascontiguousarray(q[:, :kept])
 
 
-def kernel_from_onb(basis, space: DiscretizedSpace, ortho_tol: float = ORTHO_TOL) -> KernelTable:
+def kernel_from_onb(basis, space: DiscretizedSpace) -> KernelTable:
     """Kernel of the span of an orthonormal system: ``K = sum_i b_i(x) conj(b_i(y))``.
 
     Raises ``NotOrthonormalError`` when the pairwise inner products deviate
-    from the identity by more than ``ortho_tol``.
+    from the identity by more than ``ORTHO_TOL``.
     """
-    numerics.check_tolerance(ortho_tol, "ortho_tol")
     b = function_matrix(basis, space)
     w = space.weights
     gram = b.conj().T @ (w[:, None] * b)
     gap = float(np.max(np.abs(gram - np.eye(b.shape[1]))))
-    if gap > ortho_tol:
-        raise NotOrthonormalError(f"orthonormality defect {gap:.3e} exceeds {ortho_tol:.0e}")
+    if gap > ORTHO_TOL:
+        raise NotOrthonormalError(f"orthonormality defect {gap:.3e} exceeds {ORTHO_TOL:.0e}")
     return KernelTable(space=space, left=b, right=b)
 
 
@@ -314,7 +290,6 @@ def kernel_from_pair_report(
     second,
     space: DiscretizedSpace,
     operator: np.ndarray | None = None,
-    condition_limit: float = SPAN_CONDITION_LIMIT,
 ) -> PairKernelReport:
     """Expand the span kernel through a pair of function systems.
 
@@ -325,19 +300,21 @@ def kernel_from_pair_report(
     ``sum_i (A* second_i)(x) conj(first_i(y))`` produces the same table and
     ``A`` composed with the resolution operator is the identity.  The report
     carries both residuals.  ``operator`` must be given in the coordinates of
-    the returned span basis.
+    the returned span basis.  The pair is refused as degenerate when the
+    smallest singular value of the resolution operator is at most the pair's
+    scale divided by ``SPAN_CONDITION_LIMIT``.
     """
-    numerics.check_tolerance(condition_limit, "condition_limit")
     q, f1, f2, c1, c2, s_hat = _span_pair_data(first, second, space)
     dim = q.shape[1]
-    condition = numerics.condition_number(s_hat)
+    # the joint span is never empty, so s_hat has at least one singular value
+    sing = numerics.singular_values(s_hat)
+    smallest = float(sing[-1])
+    condition = float(sing[0] / smallest) if smallest > 0.0 else float("inf")
     # invertibility is judged against the natural scale of the pair, the
     # product of the coordinate norms, so a uniformly tiny operator (which may
     # look well conditioned relative to itself) still counts as degenerate
     scale = numerics.operator_norm(c1) * numerics.operator_norm(c2)
-    smallest = float(numerics.singular_values(s_hat)[-1]) if s_hat.size else 0.0
-    # multiplied out, so a zero limit counts every operator as singular
-    if scale == 0.0 or smallest * condition_limit <= scale:
+    if scale == 0.0 or smallest * SPAN_CONDITION_LIMIT <= scale:
         raise PairDegenerateError(
             f"span resolution operator is numerically singular "
             f"(smallest singular value {smallest:.3e} against scale {scale:.3e})"
@@ -369,17 +346,15 @@ def kernel_from_pair(
     second,
     space: DiscretizedSpace,
     operator: np.ndarray | None = None,
-    agree_tol: float = ORDER_AGREE_TOL,
 ) -> KernelTable:
     """Strict version of :func:`kernel_from_pair_report`.
 
     Raises ``SumsDisagreeError`` when the two expansion orders differ beyond
-    ``agree_tol``, which happens exactly when ``operator`` is inconsistent
-    with the pair.
+    ``ORDER_AGREE_TOL``, which happens exactly when ``operator`` is
+    inconsistent with the pair.
     """
-    numerics.check_tolerance(agree_tol, "agree_tol")
     report = kernel_from_pair_report(first, second, space, operator)
-    if report.order_disagreement > agree_tol:
+    if report.order_disagreement > ORDER_AGREE_TOL:
         raise SumsDisagreeError(
             f"expansion orders disagree by {report.order_disagreement:.3e}"
         )
@@ -444,33 +419,19 @@ class PointEvalBound:
     upper_bound: float
 
 
-def point_evaluation_bounds(
-    functions,
-    space: DiscretizedSpace,
-    upper_bound: float | None = None,
-    frame_rtol: float = FRAME_RTOL,
-) -> PointEvalBound:
+def point_evaluation_bounds(functions, space: DiscretizedSpace) -> PointEvalBound:
     """Point-evaluation bounds from a frame of its span.
 
-    When ``upper_bound`` is omitted the upper frame bound of the system on its
-    span is computed from the coordinate frame operator; a system whose lower
-    bound vanishes relative to the upper one is refused.  A given
-    ``upper_bound`` must be finite and nonnegative.
+    The upper frame bound of the system on its span is computed from the
+    coordinate frame operator; a system whose lower bound vanishes relative
+    to the upper one is refused.
     """
-    if upper_bound is not None:
-        numerics.check_tolerance(upper_bound, "upper_bound")
     b = function_matrix(functions, space)
     q = mu_orthonormal_basis(b, space)
     coords = q.conj().T @ (space.weights[:, None] * b)
-    upper = numerics.require_frame(coords @ coords.conj().T, frame_rtol).upper
-    if upper_bound is None:
-        upper_bound = upper
+    upper = numerics.require_frame(coords @ coords.conj().T).upper
     sums = np.sum(np.abs(b) ** 2, axis=1)
-    return PointEvalBound(
-        constants=np.sqrt(sums * upper_bound),
-        pointwise_sums=sums,
-        upper_bound=float(upper_bound),
-    )
+    return PointEvalBound(constants=np.sqrt(sums * upper), pointwise_sums=sums, upper_bound=upper)
 
 
 def step_basis(cells: int) -> tuple[DiscretizedSpace, np.ndarray]:

@@ -340,13 +340,15 @@ _NODE = {"point": 0.0, "weight": 1.0, "provenance": "atom"}
         {"space": {"nodes": [{**_NODE, "weight": True}]}, "dim": 1, "members": [[1.0, 0.0]]},
         {"space": {"nodes": [{**_NODE, "point": [1, 2]}]}, "dim": 1, "members": [[1.0, 0.0]]},
         {"space": {"nodes": [{**_NODE, "point": None}]}, "dim": 1, "members": [[1.0, 0.0]]},
+        {"space": {"nodes": [{**_NODE, "point": float("nan")}]}, "dim": 1, "members": [[1.0, 0.0]]},
+        {"space": {"nodes": [{**_NODE, "point": float("inf")}]}, "dim": 1, "members": [[1.0, 0.0]]},
         {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[True, False]]},
         {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[10**400, 0]]},
     ],
     ids=[
         "top-level-list", "node-without-weight", "short-member-entry", "fractional-dim",
         "string-dim", "string-weight", "boolean-weight", "list-point", "null-point",
-        "boolean-member-entry", "overflowing-member-entry",
+        "nan-point", "infinite-point", "boolean-member-entry", "overflowing-member-entry",
     ],
 )
 def test_malformed_family_json(tmp_path, capsys, payload):

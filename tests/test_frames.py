@@ -447,7 +447,7 @@ class TestSplit:
             split(random_family(rng, 3, 2), row_tolerance=-1.0)
 
     @pytest.mark.parametrize("tolerance", [np.inf, -np.inf, np.nan])
-    @pytest.mark.parametrize("command", [split, frame_bounds], ids=["split", "frame_bounds"])
+    @pytest.mark.parametrize("command", [split], ids=["split"])
     def test_non_finite_tolerance_rejected(self, rng, command, tolerance):
         with pytest.raises(ValidationError, match="row_tolerance must be finite"):
             command(random_family(rng, 3, 2), row_tolerance=tolerance)

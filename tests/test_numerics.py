@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,29 @@ class TestRankPolicy:
 def test_condition_number_of_singular_matrix_is_infinite():
     assert numerics.condition_number(np.zeros((3, 3))) == float("inf")
     assert numerics.condition_number(np.diag([4.0, 2.0])) == 2.0
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda a: a,
+        np.asfortranarray,
+        lambda a: a[::2, 1:],
+        lambda a: a.T,
+        lambda a: a[2],
+        lambda a: a[:0],
+    ],
+    ids=["c-order", "fortran-order", "sliced", "transposed", "row", "empty"],
+)
+def test_complex_pairs_match_per_entry_floats(rng, layout):
+    a = complex_rng_matrix(rng, 5, 4)
+    a[0, 0] = complex(-0.0, 0.0)
+    a[2, 1] = complex(0.0, -0.0)
+    a[4, 3] = complex(-0.0, -0.0)
+    view = layout(a)
+    oracle = [[float(z.real), float(z.imag)] for z in view.ravel()]
+    # json text tells -0.0 from 0.0, as the written reports do
+    assert json.dumps(numerics.complex_pairs(view)) == json.dumps(oracle)
 
 
 class TestFrameSpectrum:
