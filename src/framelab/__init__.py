@@ -25,7 +25,6 @@ from .errors import (
     OutOfRangeError,
     PairDegenerateError,
     SpaceMismatchError,
-    SumsDisagreeError,
     ValidationError,
 )
 from .frames import (
@@ -60,15 +59,13 @@ from .measure import (
     discretize,
     sierpinski_subset,
     unit_segment_space,
-    weighted_space,
 )
-from .numerics import RankPolicy, hermitian_eig, pinv, rank, svd
+from .numerics import hermitian_eig, pinv, rank
 from .pairs import (
     CoefficientGeometry,
     FrameTransferReport,
     ResolutionReport,
     bessel_bound,
-    coefficient_geometry,
     frame_transfer,
     induced_inner,
     induced_kernel,
@@ -87,12 +84,10 @@ from .rkhs import (
     blowup_experiment,
     function_matrix,
     kernel_from_onb,
-    kernel_from_pair,
     kernel_from_pair_report,
     kernel_of_span,
     mu_orthonormal_basis,
     point_evaluation_bounds,
-    span_pair_operator,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ import numpy as np
 from . import frames, gallery, numerics, pairs, rkhs
 from .errors import NumericalRefusal, ValidationError
 from .frames import VectorFamily
-from .numerics import RankPolicy
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -146,10 +145,6 @@ def _write(path: Path, data: bytes) -> None:
         temporary.unlink(missing_ok=True)
 
 
-def _rank_policy() -> RankPolicy:
-    return RankPolicy.from_environment()
-
-
 def _cmd_inspect(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
     if args.format == "csv":
@@ -171,7 +166,7 @@ def _cmd_inspect(args: argparse.Namespace) -> bytes:
 
 def _cmd_bounds(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
-    report = frames.frame_bounds(family, rank_policy=_rank_policy())
+    report = frames.frame_bounds(family)
     return _json_bytes(report.to_json())
 
 
@@ -191,7 +186,7 @@ def _cmd_kernel(args: argparse.Namespace) -> bytes:
 
 def _cmd_redundancy(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
-    excess = frames.redundancy(family, _rank_policy())
+    excess = frames.redundancy(family)
     payload = {"rows": family.size, "dim": family.dim, "redundancy": excess, "index": -excess}
     return _json_bytes(payload)
 
@@ -214,7 +209,7 @@ def _cmd_pair_check(args: argparse.Namespace) -> bytes:
 
 def _cmd_partner(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
-    partner = pairs.reproducing_partner(family, rank_policy=_rank_policy())
+    partner = pairs.reproducing_partner(family)
     residual = pairs.resolution_operator(partner, family).operator - np.eye(family.dim)
     payload = {
         "partner": partner.to_json(),
@@ -251,13 +246,10 @@ def _cmd_experiment(args: argparse.Namespace) -> bytes:
             }
         )
     if args.experiment == "redundancy":
-        policy = _rank_policy()
         rows = []
         for size in sizes:
             family = builder(size)
-            rows.append(
-                (size, family.size, family.dim, frames.redundancy(family, policy))
-            )
+            rows.append((size, family.size, family.dim, frames.redundancy(family)))
         if args.format == "csv":
             return _csv_bytes(rows, header=("size", "rows", "dim", "redundancy"))
         return _json_bytes(

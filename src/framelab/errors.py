@@ -65,7 +65,3 @@ class NotSurjectiveError(NumericalRefusal):
 
 class PairDegenerateError(NumericalRefusal):
     """Two function families do not form a reproducing pair on their span."""
-
-
-class SumsDisagreeError(NumericalRefusal):
-    """The two kernel expansion orders disagree beyond tolerance."""

@@ -185,17 +185,16 @@ def frame_operator(family: VectorFamily) -> np.ndarray:
     return family.members.T @ (w[:, None] * family.members.conj())
 
 
-def redundancy(family: VectorFamily, rank_policy: numerics.RankPolicy | None = None) -> int:
+def redundancy(family: VectorFamily) -> int:
     """Node excess over the numerical rank of the member table.
 
     This is the dimension of the null space of the weighted synthesis map.
     """
-    return family.size - numerics.rank(family.members, rank_policy)
+    return family.size - numerics.rank(family.members)
 
 
 def frame_bounds(
     family: VectorFamily,
-    rank_policy: numerics.RankPolicy | None = None,
     absolute_lower: float | None = None,
     absolute_upper: float | None = None,
 ) -> FrameReport:
@@ -212,7 +211,7 @@ def frame_bounds(
     """
     spectrum = numerics.frame_spectrum(frame_operator(family))
     lower, upper = spectrum.lower, spectrum.upper
-    excess = redundancy(family, rank_policy)
+    excess = redundancy(family)
     condition = upper / lower if lower > 0 else float("inf")
     if absolute_lower is None and absolute_upper is None:
         tolerance = FRAME_RTOL * upper
@@ -364,8 +363,8 @@ def semiframe_trend(
     """
     results = []
     for size in sizes:
-        report = frame_bounds(builder(size))
-        results.append((int(size), report.lower, report.upper))
+        spectrum = numerics.frame_spectrum(frame_operator(builder(size)))
+        results.append((int(size), spectrum.lower, spectrum.upper))
     return results
 
 

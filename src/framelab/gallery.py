@@ -53,27 +53,6 @@ class GallerySpec:
     seed: int | None = None
     power: int = 1
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "dim": self.dim,
-            "grid": self.grid,
-            "rows": self.rows,
-            "seed": self.seed,
-            "power": self.power,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GallerySpec":
-        return cls(
-            kind=GalleryKind(data["kind"]),
-            dim=data.get("dim"),
-            grid=data.get("grid"),
-            rows=data.get("rows"),
-            seed=data.get("seed"),
-            power=data.get("power", 1),
-        )
-
 
 def frequency_enumeration(count: int) -> list[int]:
     """Integer frequencies ordered 0, 1, -1, 2, -2, ... truncated to ``count``."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -68,13 +67,6 @@ class Density:
             return lo + target / self.c
         return (lo**self.k + self.k * target / self.c) ** (1.0 / self.k)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "c": self.c, "k": self.k}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Density":
-        return cls(kind=data["kind"], c=data["c"], k=data.get("k", 1.0))
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -96,13 +88,6 @@ class Segment:
     def measure(self) -> float:
         return self.density.mass(self.lo, self.hi)
 
-    def to_json(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "density": self.density.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Segment":
-        return cls(lo=data["lo"], hi=data["hi"], density=Density.from_json(data["density"]))
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -114,13 +99,6 @@ class Atom:
     def __post_init__(self) -> None:
         if not (_require_finite(self.weight, "weight") > 0):
             raise ValidationError(f"atom weight must be positive, got {self.weight}")
-
-    def to_json(self) -> dict:
-        return {"label": self.label, "weight": self.weight}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Atom":
-        return cls(label=str(data["label"]), weight=data["weight"])
 
 
 class SpaceKind(Enum):
@@ -149,19 +127,6 @@ class MeasureSpace:
     @property
     def total_measure(self) -> float:
         return sum(a.weight for a in self.atoms) + sum(s.measure for s in self.segments)
-
-    def to_json(self) -> dict:
-        return {
-            "atoms": [a.to_json() for a in self.atoms],
-            "segments": [s.to_json() for s in self.segments],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MeasureSpace":
-        return cls(
-            atoms=tuple(Atom.from_json(a) for a in data.get("atoms", [])),
-            segments=tuple(Segment.from_json(s) for s in data.get("segments", [])),
-        )
 
 
 class Provenance(Enum):
@@ -334,14 +299,3 @@ def unit_segment_space(cells: int) -> DiscretizedSpace:
     """Uniform equal-mass discretization of [0, 1]."""
     space = MeasureSpace(segments=(Segment(0.0, 1.0, Density("const", 1.0)),))
     return discretize(space, cells)
-
-
-def weighted_space(weights: Iterable[float]) -> DiscretizedSpace:
-    """Quadrature-cell space with explicit positive weights at integer points."""
-    nodes = tuple(
-        Node(point=float(i), weight=float(w), provenance=Provenance.CELL)
-        for i, w in enumerate(weights)
-    )
-    if not nodes:
-        raise ValidationError("weighted_space needs at least one weight")
-    return DiscretizedSpace(nodes=nodes)

@@ -4,14 +4,14 @@ Operators on the ambient space (frame operators, resolution operators,
 coordinate Gram matrices) are dense ``complex128`` numpy arrays of size at
 most ``d x d`` or ``n x d``; node-indexed ``n x n`` kernels are kept by
 :mod:`framelab.rkhs` as two ``n x r`` factors instead.  There is no sparse or
-iterative machinery.  All rank decisions and pseudoinverse cutoffs are
-concentrated in :class:`RankPolicy`, and the frame bounds of a frame operator
-together with the rule that refuses to invert it live in
-:func:`frame_spectrum` and :func:`require_frame`, so no other module
-hand-rolls its own thresholds.  The thresholds are constants:
-``DEFAULT_RANK_RTOL`` (overridable only through ``FRAMELAB_RANK_TOL``),
-``HERMITIAN_RTOL`` for Hermitian symmetry and ``FRAME_RTOL`` for the frame
-verdict; the few tolerances and bounds that callers still pass go through
+iterative machinery.  Every rank decision and pseudoinverse cutoff comes
+from :func:`rank_cutoff`, and the frame bounds of a frame operator together
+with the rule that refuses to invert it live in :func:`frame_spectrum` and
+:func:`require_frame`, so no other module hand-rolls its own thresholds.  The
+thresholds are constants: ``DEFAULT_RANK_RTOL`` (overridable only through
+``FRAMELAB_RANK_TOL``, read at each rank decision), ``HERMITIAN_RTOL`` for
+Hermitian symmetry and ``FRAME_RTOL`` for the frame verdict; the few
+tolerances and bounds that callers still pass go through
 :func:`check_tolerance`.  Complex arrays are written out as ``[re, im]``
 pairs by :func:`complex_pairs`.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,37 +56,28 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class RankPolicy:
-    """Relative cutoff turning singular values into a numerical rank.
+def rank_cutoff(singular_values: np.ndarray, shape: tuple[int, int]) -> float:
+    """Bound at or below which a singular value falls outside the numerical rank.
 
-    A singular value counts toward the rank when it exceeds
-    ``relative_threshold * sigma_max * max(rows, cols)``.
+    The cutoff is ``threshold * sigma_max * max(rows, cols)``.  The relative
+    threshold is read from ``FRAMELAB_RANK_TOL`` on every call, or is
+    ``DEFAULT_RANK_RTOL`` when the variable is unset, and must be a finite
+    positive number.
     """
-
-    relative_threshold: float = DEFAULT_RANK_RTOL
-
-    def __post_init__(self) -> None:
-        if not (self.relative_threshold > 0):
-            raise ValidationError("relative_threshold must be positive")
-        if not math.isfinite(self.relative_threshold):
-            raise ValidationError("relative_threshold must be finite")
-
-    def cutoff(self, singular_values: np.ndarray, shape: tuple[int, int]) -> float:
-        if singular_values.size == 0:
-            return 0.0
-        return self.relative_threshold * float(singular_values[0]) * max(shape)
-
-    @classmethod
-    def from_environment(cls) -> "RankPolicy":
-        """Default policy, overridable through the FRAMELAB_RANK_TOL variable."""
-        raw = os.environ.get(RANK_TOL_ENV)
-        if raw is None:
-            return cls()
+    raw = os.environ.get(RANK_TOL_ENV)
+    threshold = DEFAULT_RANK_RTOL
+    if raw is not None:
         try:
-            return cls(relative_threshold=float(raw))
+            threshold = float(raw)
         except ValueError as exc:
             raise ValidationError(f"{RANK_TOL_ENV} must be a number, got {raw!r}") from exc
+    if not (threshold > 0):
+        raise ValidationError("relative_threshold must be positive")
+    if not math.isfinite(threshold):
+        raise ValidationError("relative_threshold must be finite")
+    if singular_values.size == 0:
+        return 0.0
+    return threshold * float(singular_values[0]) * max(shape)
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -152,44 +142,31 @@ def require_frame(operator) -> FrameSpectrum:
     return spectrum
 
 
-def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD ``a = U @ diag(s) @ V.conj().T`` with ``s`` descending."""
-    m = as_matrix(a)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    return u, s, vh.conj().T
-
-
 def singular_values(a) -> np.ndarray:
     m = as_matrix(a)
     return np.linalg.svd(m, compute_uv=False)
 
 
-def pinv(a, policy: RankPolicy | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the policy's singular value cutoff.
+def pinv(a) -> tuple[np.ndarray, int]:
+    """Moore-Penrose pseudoinverse and numerical rank, both from one SVD.
 
-    Inverts on the numerical range and annihilates the numerical null space,
-    which is exactly the bounded left inverse used by the dual constructions.
+    Inverts the singular values above :func:`rank_cutoff` and annihilates the
+    rest, which is exactly the bounded left inverse used by the dual
+    constructions; the rank is the number of inverted values.
     """
     m = as_matrix(a)
-    policy = policy or RankPolicy()
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    cut = policy.cutoff(s, m.shape)
+    keep = s > rank_cutoff(s, m.shape)
     inverted = np.zeros_like(s)
-    keep = s > cut
     inverted[keep] = 1.0 / s[keep]
-    return vh.conj().T @ (inverted[:, None] * u.conj().T)
+    return vh.conj().T @ (inverted[:, None] * u.conj().T), int(np.count_nonzero(keep))
 
 
-def rank(a, policy: RankPolicy | None = None) -> int:
-    """Number of singular values above the policy cutoff."""
-    policy = policy or RankPolicy()
-    s = singular_values(a)
-    return int(np.count_nonzero(s > policy.cutoff(s, as_matrix(a).shape)))
-
-
-def nullity(a, policy: RankPolicy | None = None) -> int:
+def rank(a) -> int:
+    """Number of singular values above :func:`rank_cutoff`."""
     m = as_matrix(a)
-    return m.shape[1] - rank(m, policy)
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(s > rank_cutoff(s, m.shape)))
 
 
 def condition_number(a) -> float:

@@ -87,10 +87,6 @@ class CoefficientGeometry:
     family: VectorFamily
 
 
-def coefficient_geometry(family: VectorFamily) -> CoefficientGeometry:
-    return CoefficientGeometry(family=family)
-
-
 def induced_inner(geometry: CoefficientGeometry, f_values, g_values) -> complex:
     """Pairing ``< T F, T G >`` of synthesis images.
 
@@ -146,7 +142,7 @@ def induced_kernel(psi: VectorFamily, phi: VectorFamily) -> KernelTable:
         space=psi.space,
         left=transported,
         right=transported,
-        geometry=coefficient_geometry(phi),
+        geometry=CoefficientGeometry(family=phi),
     )
 
 
@@ -193,9 +189,7 @@ def frame_transfer(psi: VectorFamily, phi: VectorFamily, frame_vectors) -> Frame
     )
 
 
-def lower_semiframe_dual(
-    psi: VectorFamily, rank_policy: numerics.RankPolicy | None = None
-) -> VectorFamily:
+def lower_semiframe_dual(psi: VectorFamily) -> VectorFamily:
     """Dual family built from the bounded left inverse of analysis.
 
     Requires an injective analysis map.  The dual is assembled from the
@@ -206,17 +200,15 @@ def lower_semiframe_dual(
     w = psi.space.weights
     sqrt_w = np.sqrt(w)
     weighted_analysis = sqrt_w[:, None] * psi.members.conj()
-    if numerics.rank(weighted_analysis, rank_policy) < psi.dim:
+    left_inverse, rank = numerics.pinv(weighted_analysis)
+    if rank < psi.dim:
         raise NotInjectiveError("analysis map is rank deficient")
-    left_inverse = numerics.pinv(weighted_analysis, rank_policy)
     # projecting onto the analysis range is a no-op for the minimal-norm inverse
     dual_members = left_inverse.T / sqrt_w[:, None]
     return VectorFamily(space=psi.space, members=dual_members)
 
 
-def reproducing_partner(
-    phi: VectorFamily, rank_policy: numerics.RankPolicy | None = None
-) -> VectorFamily:
+def reproducing_partner(phi: VectorFamily) -> VectorFamily:
     """Partner family turning ``phi`` into a reproducing pair.
 
     Requires the weighted synthesis map of ``phi`` to be surjective.  Each
@@ -229,9 +221,10 @@ def reproducing_partner(
     w = phi.space.weights
     sqrt_w = np.sqrt(w)
     weighted_synthesis = phi.members.T * sqrt_w[None, :]
-    if numerics.rank(weighted_synthesis, rank_policy) < phi.dim:
+    preimages, rank = numerics.pinv(weighted_synthesis)
+    if rank < phi.dim:
         raise NotSurjectiveError("synthesis map does not reach the ambient space")
-    preimages = numerics.pinv(weighted_synthesis, rank_policy) / sqrt_w[:, None]
+    preimages /= sqrt_w[:, None]
     return VectorFamily(space=phi.space, members=preimages.conj())
 
 

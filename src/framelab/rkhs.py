@@ -8,7 +8,9 @@ built only when a caller asks for :attr:`KernelTable.entries` or an export.
 A table may carry a geometry tag: ``None`` means the plain weighted node
 pairing, while a :class:`~framelab.pairs.CoefficientGeometry` marks tables
 whose reproducing identity holds in the inner product induced by a synthesis
-map.
+map.  A pair of function systems expands the kernel of its joint span through
+the inverse of the pair's resolution operator; the report of that expansion
+carries how far its two summation orders disagree rather than refusing on it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import (
     DimensionMismatchError,
     NotOrthonormalError,
     PairDegenerateError,
-    SumsDisagreeError,
     ValidationError,
 )
 from .measure import DiscretizedSpace, unit_segment_space
@@ -36,7 +37,6 @@ if TYPE_CHECKING:
 # a span basis drops a column whose residual norm is at most this times the largest input norm
 SPAN_DROP_RTOL = 1e-12
 ORTHO_TOL = 1e-10
-ORDER_AGREE_TOL = 1e-10
 SPAN_CONDITION_LIMIT = 1e10
 # entries per dense block when a check needs every entry of a factored kernel
 BLOCK_ENTRIES = 1 << 16
@@ -247,6 +247,13 @@ def kernel_of_span(functions, space: DiscretizedSpace) -> KernelTable:
 
 
 def _span_pair_data(first, second, space: DiscretizedSpace):
+    """``(q, f1, f2, c1, c2, s_hat)`` of a pair of function systems.
+
+    ``q`` is an orthonormal basis of the joint span, ``f1`` and ``f2`` hold the
+    two systems as columns, ``c1`` and ``c2`` their coordinates in ``q``, and
+    ``s_hat = c1 c2^H`` represents the mixed resolution operator
+    ``f -> sum_i <f, second_i> first_i`` in those coordinates.
+    """
     f1 = function_matrix(first, space)
     f2 = function_matrix(second, space)
     if f1.shape[1] != f2.shape[1]:
@@ -260,20 +267,6 @@ def _span_pair_data(first, second, space: DiscretizedSpace):
     return q, f1, f2, c1, c2, c1 @ c2.conj().T
 
 
-def span_pair_operator(
-    first, second, space: DiscretizedSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mixed resolution operator of two function systems on their joint span.
-
-    Returns ``(basis, operator)`` where ``basis`` is an orthonormal basis Q of
-    the joint span and ``operator`` represents, in Q-coordinates, the map
-    ``f -> sum_i <f, second_i> first_i``.  This is the operator whose inverse
-    reproduces the span kernel through the two-sided expansion below.
-    """
-    q, _, _, _, _, s_hat = _span_pair_data(first, second, space)
-    return q, s_hat
-
-
 @dataclass(frozen=True, eq=False)
 class PairKernelReport:
     """Diagnostics of a pair-expanded kernel."""
@@ -285,22 +278,15 @@ class PairKernelReport:
     condition: float
 
 
-def kernel_from_pair_report(
-    first,
-    second,
-    space: DiscretizedSpace,
-    operator: np.ndarray | None = None,
-) -> PairKernelReport:
+def kernel_from_pair_report(first, second, space: DiscretizedSpace) -> PairKernelReport:
     """Expand the span kernel through a pair of function systems.
 
     The table is ``K(x, y) = sum_i (A first_i)(x) conj(second_i(y))`` where A
-    acts on the joint span.  When ``operator`` is omitted, A is the inverse of
-    the mixed resolution operator returned by :func:`span_pair_operator`; with
-    that choice the second expansion order
+    is the inverse, on the joint span, of the mixed resolution operator
+    ``f -> sum_i <f, second_i> first_i``.  The second expansion order
     ``sum_i (A* second_i)(x) conj(first_i(y))`` produces the same table and
-    ``A`` composed with the resolution operator is the identity.  The report
-    carries both residuals.  ``operator`` must be given in the coordinates of
-    the returned span basis.  The pair is refused as degenerate when the
+    ``A`` composed with the resolution operator is the identity; the report
+    carries both residuals.  The pair is refused as degenerate when the
     smallest singular value of the resolution operator is at most the pair's
     scale divided by ``SPAN_CONDITION_LIMIT``.
     """
@@ -319,14 +305,7 @@ def kernel_from_pair_report(
             f"span resolution operator is numerically singular "
             f"(smallest singular value {smallest:.3e} against scale {scale:.3e})"
         )
-    if operator is None:
-        a_hat = np.linalg.inv(s_hat)
-    else:
-        a_hat = numerics.as_matrix(operator)
-        if a_hat.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"operator must be {dim}x{dim} on the span, got {a_hat.shape}"
-            )
+    a_hat = np.linalg.inv(s_hat)
     first_left = q @ (a_hat @ c1)
     second_left = q @ (a_hat.conj().T @ c2)
     _, disagreement = _blockwise_max(first_left, f2, second_left, f1)
@@ -339,26 +318,6 @@ def kernel_from_pair_report(
         inverse_residual=residual,
         condition=condition,
     )
-
-
-def kernel_from_pair(
-    first,
-    second,
-    space: DiscretizedSpace,
-    operator: np.ndarray | None = None,
-) -> KernelTable:
-    """Strict version of :func:`kernel_from_pair_report`.
-
-    Raises ``SumsDisagreeError`` when the two expansion orders differ beyond
-    ``ORDER_AGREE_TOL``, which happens exactly when ``operator`` is
-    inconsistent with the pair.
-    """
-    report = kernel_from_pair_report(first, second, space, operator)
-    if report.order_disagreement > ORDER_AGREE_TOL:
-        raise SumsDisagreeError(
-            f"expansion orders disagree by {report.order_disagreement:.3e}"
-        )
-    return report.table
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,6 +41,12 @@ def random_unit_vector(rng, dim):
     return v / np.linalg.norm(v)
 
 
+@pytest.fixture(autouse=True)
+def _default_rank_tolerance(monkeypatch):
+    """Run every test under the default rank threshold, whatever the shell exports."""
+    monkeypatch.delenv("FRAMELAB_RANK_TOL", raising=False)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -201,11 +200,6 @@ class TestSpec:
             build(GallerySpec(kind=GalleryKind.TORUS, dim=4))
         with pytest.raises(InvalidSpecError):
             build(GallerySpec(kind=GalleryKind.RANDOM, rows=5))
-
-    def test_json_round_trip(self):
-        spec = GallerySpec(kind=GalleryKind.RANDOM, dim=3, rows=9, seed=2)
-        data = json.loads(json.dumps(spec.to_json()))
-        assert GallerySpec.from_json(data) == spec
 
     def test_trend_sizes_validated(self):
         spec = GallerySpec(kind=GalleryKind.DELTA)

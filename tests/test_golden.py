@@ -100,6 +100,10 @@ _case(
     "pair_check_singular", "pair-check", "--psi", "{in}/psi.json", "--phi", "{in}/phi_singular.json"
 )
 _case("pair_check_mismatch", "pair-check", "--psi", "{in}/psi.json", "--phi", "{in}/mixed.json")
+_case(
+    "pair_check_rank_tol", "pair-check", "--psi", "{in}/psi.json", "--phi", "{in}/phi.json",
+    FRAMELAB_RANK_TOL="0.5",
+)
 _case("experiment_blowup", "experiment", "blowup", "--sizes", "2,8,32")
 _case("experiment_blowup_csv", "experiment", "blowup", "--sizes", "1,4,16", "--format", "csv")
 _case("experiment_trend_torus", "experiment", "trend", "--gallery", "torus", "--sizes", "2,4,8")
@@ -135,6 +139,10 @@ _case("error_random_without_seed", "bounds", "--gallery", "random", "--rows", "4
 _case("error_negative_row_tol", "split", *MERCEDES, "--row-tol", "-1")
 _case("error_rank_tol_text", "bounds", *MERCEDES, FRAMELAB_RANK_TOL="tiny")
 _case("error_rank_tol_negative", "bounds", *MERCEDES, FRAMELAB_RANK_TOL="-1")
+_case(
+    "error_pair_check_rank_tol", "pair-check", "--psi", "{in}/psi.json", "--phi", "{in}/phi.json",
+    FRAMELAB_RANK_TOL="tiny",
+)
 _case("error_missing_file", "bounds", "--in", "{in}/missing.json")
 
 

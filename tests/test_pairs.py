@@ -18,8 +18,8 @@ from framelab.frames import (
     synthesis,
 )
 from framelab.pairs import (
+    CoefficientGeometry,
     bessel_bound,
-    coefficient_geometry,
     frame_transfer,
     induced_inner,
     induced_kernel,
@@ -144,14 +144,14 @@ class TestPairRedundancy:
 class TestInducedInner:
     def test_onb_reduces_to_plain_pairing(self, rng):
         family = onb_family(4)
-        geometry = coefficient_geometry(family)
+        geometry = CoefficientGeometry(family=family)
         f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         assert induced_inner(geometry, f, g) == pytest.approx(np.sum(f * np.conj(g)))
 
     def test_kernel_functions_have_zero_norm(self, rng):
         family = random_family(rng, 6, 3, weighted=True)
-        geometry = coefficient_geometry(family)
+        geometry = CoefficientGeometry(family=family)
         w = family.space.weights
         _, _, vh = np.linalg.svd(family.members.T * w[None, :])
         null_vector = vh[-1].conj()
@@ -159,7 +159,7 @@ class TestInducedInner:
 
     def test_double_sum_oracle(self, rng):
         family = random_family(rng, 7, 3, weighted=True)
-        geometry = coefficient_geometry(family)
+        geometry = CoefficientGeometry(family=family)
         w = family.space.weights
         f = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         g = rng.standard_normal(7) + 1j * rng.standard_normal(7)
@@ -271,7 +271,7 @@ class TestFrameTransfer:
         psi, phi = random_pair(rng, rows=9, dim=3)
         g = complex_rng_matrix(rng, 5, 3)
         report = frame_transfer(psi, phi, g)
-        geometry = coefficient_geometry(phi)
+        geometry = CoefficientGeometry(family=phi)
         gram = np.empty((5, 5), dtype=complex)
         for i in range(5):
             for j in range(5):

@@ -12,25 +12,22 @@ from framelab.errors import (
     NotAFrameError,
     NotOrthonormalError,
     PairDegenerateError,
-    SumsDisagreeError,
     ValidationError,
 )
 from framelab.frames import analysis_matrix, kernel_matrix
 from framelab.gallery import build_torus
 from framelab.measure import unit_segment_space
-from framelab.pairs import coefficient_geometry
+from framelab.pairs import CoefficientGeometry
 from framelab.rkhs import (
     KernelTable,
     bessel_pointwise_check,
     blowup_experiment,
     function_matrix,
     kernel_from_onb,
-    kernel_from_pair,
     kernel_from_pair_report,
     kernel_of_span,
     mu_orthonormal_basis,
     point_evaluation_bounds,
-    span_pair_operator,
     step_basis,
 )
 
@@ -204,7 +201,7 @@ class TestKernelFromPair:
     def test_onb_pair_with_identity(self, rng):
         space = cell_space(rng.uniform(0.4, 1.6, 7))
         q = random_span_basis(rng, space, 3)
-        table = kernel_from_pair(q, q, space, operator=np.eye(3))
+        table = kernel_from_pair_report(q, q, space).table
         np.testing.assert_allclose(table.entries, kernel_from_onb(q, space).entries, atol=1e-11)
 
     def test_parseval_family_with_identity(self, rng):
@@ -212,7 +209,7 @@ class TestKernelFromPair:
         q = random_span_basis(rng, space, 3)
         unitary_tall, _ = np.linalg.qr(complex_rng_matrix(rng, 5, 5))
         parseval = q @ unitary_tall[:3, :]  # 5 functions, Parseval for the span
-        table = kernel_from_pair(parseval, parseval, space, operator=np.eye(3))
+        table = kernel_from_pair_report(parseval, parseval, space).table
         np.testing.assert_allclose(table.entries, kernel_from_onb(q, space).entries, atol=1e-10)
 
     def test_generic_pair_default_operator(self, rng):
@@ -228,27 +225,18 @@ class TestKernelFromPair:
         assert report.inverse_residual <= 1e-10
         assert report.span_dim == 4
 
-    def test_inconsistent_operator_detected(self, rng):
-        space = cell_space(rng.uniform(0.4, 1.6, 8))
-        q = random_span_basis(rng, space, 3)
-        first = q @ (complex_rng_matrix(rng, 3, 3) + 0.5 * np.eye(3))
-        second = q @ (complex_rng_matrix(rng, 3, 3) + 0.5 * np.eye(3))
-        skewed = np.eye(3) + np.diag([0.0, 1.0, 2.0]) @ np.ones((3, 3)) * 0.3
-        with pytest.raises(SumsDisagreeError):
-            kernel_from_pair(first, second, space, operator=skewed)
-
     def test_degenerate_pair_rejected(self, rng):
         space = unit_weight_space(6)
         q = random_span_basis(rng, space, 2)
         first = np.column_stack([q[:, 0], q[:, 0]])
         second = np.column_stack([q[:, 1], -q[:, 1]])
         with pytest.raises(PairDegenerateError):
-            kernel_from_pair(first, second, space)
+            kernel_from_pair_report(first, second, space)
 
     def test_span_pair_operator_shape(self, rng):
         space = unit_weight_space(6)
         q = random_span_basis(rng, space, 2)
-        basis, operator = span_pair_operator(q, q, space)
+        basis, *_, operator = rkhs._span_pair_data(q, q, space)
         assert basis.shape == (6, 2)
         np.testing.assert_allclose(operator, np.eye(2), atol=1e-12)
 
@@ -428,7 +416,7 @@ def factored_tables(draw):
     left, right = random_factors(rng, rows, rank, hermitian)
     geometry = None
     if induced:
-        geometry = coefficient_geometry(random_family(rng, rows, 2, weighted=False))
+        geometry = CoefficientGeometry(family=random_family(rng, rows, 2, weighted=False))
     table = KernelTable(space=space, left=left, right=right, geometry=geometry)
     return table, left @ right.conj().T, rng
 
