@@ -49,8 +49,7 @@ def _parse_sizes(raw: str) -> list[int]:
     return sizes
 
 
-def _add_input_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--in", dest="in_path", type=Path, help="family JSON file")
+def _add_gallery_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gallery", type=str, help="gallery kind")
     parser.add_argument("--dim", type=int, help="gallery truncation size")
     parser.add_argument("--grid", type=int, help="gallery node count")
@@ -59,11 +58,13 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--power", type=int, default=1, help="radial weight exponent")
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+def _add_output_flags(parser: argparse.ArgumentParser, tabular: bool) -> None:
+    """``--out`` always; ``--format`` only where the handler can write CSV."""
     parser.add_argument("--out", type=Path, required=True, help="output file path")
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
+    if tabular:
+        parser.add_argument(
+            "--format", choices=("json", "csv"), default="json", help="output format"
+        )
 
 
 def _gallery_spec(args: argparse.Namespace) -> gallery.GallerySpec:
@@ -210,7 +211,7 @@ def _cmd_pair_check(args: argparse.Namespace) -> bytes:
 def _cmd_partner(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
     partner = pairs.reproducing_partner(family)
-    residual = pairs.resolution_operator(partner, family).operator - np.eye(family.dim)
+    residual = pairs.mixed_operator(partner, family) - np.eye(family.dim)
     payload = {
         "partner": partner.to_json(),
         "pointwise_sums": [float(v) for v in pairs.partner_pointwise_sums(partner)],
@@ -267,36 +268,33 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="framelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("inspect", "summarize a family and its space"),
-        ("bounds", "frame bounds, redundancy and classification"),
-        ("dual", "canonical dual family"),
-        ("kernel", "kernel table of the analysis range"),
-        ("redundancy", "node excess over the member rank"),
-    ):
+    commands = {
+        "inspect": "summarize a family and its space",
+        "bounds": "frame bounds, redundancy and classification",
+        "dual": "canonical dual family",
+        "kernel": "kernel table of the analysis range",
+        "redundancy": "node excess over the member rank",
+        "split": "discrete versus strictly continuous parts",
+        "pair-check": "reproducing-pair verdict for two families",
+        "partner": "reproducing partner of a family",
+    }
+    for name, helptext in commands.items():
         cmd = sub.add_parser(name, help=helptext)
-        _add_input_flags(cmd)
-        _add_output_flags(cmd)
-
-    split_cmd = sub.add_parser("split", help="discrete versus strictly continuous parts")
-    _add_input_flags(split_cmd)
-    _add_output_flags(split_cmd)
-    split_cmd.add_argument("--row-tol", type=float, default=frames.ROW_MATCH_TOL)
-
-    pair_cmd = sub.add_parser("pair-check", help="reproducing-pair verdict for two families")
-    pair_cmd.add_argument("--psi", type=Path, required=True)
-    pair_cmd.add_argument("--phi", type=Path, required=True)
-    _add_output_flags(pair_cmd)
-
-    partner_cmd = sub.add_parser("partner", help="reproducing partner of a family")
-    _add_input_flags(partner_cmd)
-    _add_output_flags(partner_cmd)
+        if name == "pair-check":
+            cmd.add_argument("--psi", type=Path, required=True)
+            cmd.add_argument("--phi", type=Path, required=True)
+        else:
+            cmd.add_argument("--in", dest="in_path", type=Path, help="family JSON file")
+            _add_gallery_flags(cmd)
+        if name == "split":
+            cmd.add_argument("--row-tol", type=float, default=frames.ROW_MATCH_TOL)
+        _add_output_flags(cmd, tabular=name in ("inspect", "kernel"))
 
     exp_cmd = sub.add_parser("experiment", help="trend and refinement experiments")
     exp_cmd.add_argument("experiment", choices=("blowup", "trend", "redundancy"))
     exp_cmd.add_argument("--sizes", type=str, required=True, help="comma-separated sizes")
-    _add_input_flags(exp_cmd)
-    _add_output_flags(exp_cmd)
+    _add_gallery_flags(exp_cmd)
+    _add_output_flags(exp_cmd, tabular=True)
 
     return parser
 

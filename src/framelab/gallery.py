@@ -90,8 +90,8 @@ def build_torus(dim: int, grid: int) -> VectorFamily:
     return VectorFamily(space=space, members=members)
 
 
-def _exp_tail_cut(power: int, fraction: float = AFFINE_TAIL_FRACTION) -> float:
-    """Radius beyond which the squared-exponential radial mass falls under ``fraction``.
+def _exp_tail_cut(power: int) -> float:
+    """Radius beyond which the squared-exponential radial mass is below ``AFFINE_TAIL_FRACTION``.
 
     For integer ``power`` the normalized upper tail of ``r**(power-1) e^{-2r}``
     has the closed form ``e^{-2R} sum_{m<power} (2R)^m / m!``; the cut is found
@@ -104,29 +104,23 @@ def _exp_tail_cut(power: int, fraction: float = AFFINE_TAIL_FRACTION) -> float:
     lo, hi = 0.0, 60.0 + 10.0 * power
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if tail(mid) > fraction:
+        if tail(mid) > AFFINE_TAIL_FRACTION:
             lo = mid
         else:
             hi = mid
     return hi
 
 
-def build_affine(
-    cells: int,
-    grid: int | None = None,
-    power: int = 1,
-    profile: Callable[[np.ndarray], np.ndarray] | None = None,
-    upper_limit: float | None = None,
-) -> VectorFamily:
+def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorFamily:
     """Modulated-profile family over a frequency grid.
 
     The ambient space is the radial half line with weight ``r**(power-1)``,
-    truncated where the default profile's energy tail drops below 1e-8 of the
-    total and embedded into coordinates through square-root weights.  Members
-    are pure modulations of the profile sampled on a frequency window matched
-    to the radial spacing, so the frame operator approaches multiplication by
-    ``r**(power-1) |profile(r)|**2``; for ``power == 1`` the match is exact up
-    to roundoff.
+    truncated where the energy tail of the profile ``exp(-r)`` drops below
+    ``AFFINE_TAIL_FRACTION`` of the total and embedded into coordinates
+    through square-root weights.  Members are pure modulations of the profile
+    sampled on a frequency window matched to the radial spacing, so the frame
+    operator approaches multiplication by ``r**(power-1) exp(-2r)``; for
+    ``power == 1`` the match is exact up to roundoff.
     """
     if cells < 1:
         raise InvalidSpecError("affine family needs cells >= 1")
@@ -136,12 +130,7 @@ def build_affine(
         grid = cells
     if grid < cells:
         raise InvalidSpecError("frequency grid must be at least as fine as the radial grid")
-    if profile is None:
-        profile = _default_profile
-        if upper_limit is None:
-            upper_limit = _exp_tail_cut(power)
-    elif upper_limit is None:
-        raise InvalidSpecError("custom profiles need an explicit upper_limit")
+    upper_limit = _exp_tail_cut(power)
     radial_space = affine_radial_space(cells, power, upper_limit)
     radii = np.array([node.point for node in radial_space.nodes], dtype=float)
     radial_weights = radial_space.weights
@@ -153,14 +142,10 @@ def build_affine(
     freqs = np.array([node.point for node in frequency_space.nodes], dtype=float)
     members = (
         np.sqrt(radial_weights)[None, :]
-        * profile(radii)[None, :]
+        * np.exp(-radii)[None, :]
         * np.exp(-2j * np.pi * np.outer(freqs, radii))
     )
     return VectorFamily(space=frequency_space, members=members)
-
-
-def _default_profile(r: np.ndarray) -> np.ndarray:
-    return np.exp(-r)
 
 
 def affine_radial_space(cells: int, power: int, upper_limit: float) -> DiscretizedSpace:
@@ -187,26 +172,15 @@ def affine_radial_space(cells: int, power: int, upper_limit: float) -> Discretiz
     return DiscretizedSpace(nodes=tuple(nodes))
 
 
-def affine_symbol(
-    cells: int,
-    power: int = 1,
-    profile: Callable[[np.ndarray], np.ndarray] | None = None,
-    upper_limit: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Radial midpoints and the multiplier symbol ``r**(power-1) |profile(r)|**2``.
+def affine_symbol(cells: int, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Radial midpoints and the multiplier symbol ``r**(power-1) exp(-2r)``.
 
     The frame operator of the matching affine family is approximately (for
     ``power == 1`` exactly) diagonal with this symbol on the diagonal.
     """
-    if profile is None:
-        profile = _default_profile
-        if upper_limit is None:
-            upper_limit = _exp_tail_cut(power)
-    elif upper_limit is None:
-        raise InvalidSpecError("custom profiles need an explicit upper_limit")
-    radial_space = affine_radial_space(cells, power, upper_limit)
+    radial_space = affine_radial_space(cells, power, _exp_tail_cut(power))
     radii = np.array([node.point for node in radial_space.nodes], dtype=float)
-    symbol = radii ** (power - 1) * np.abs(profile(radii)) ** 2
+    symbol = radii ** (power - 1) * np.exp(-radii) ** 2
     return radii, symbol
 
 

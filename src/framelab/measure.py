@@ -287,11 +287,11 @@ def discretize(space: MeasureSpace, cells_per_segment: int) -> DiscretizedSpace:
     return DiscretizedSpace(nodes=tuple(nodes))
 
 
-def counting_space(count: int, prefix: str = "p") -> DiscretizedSpace:
-    """Unit-weight atomic space with ``count`` labelled points."""
+def counting_space(count: int) -> DiscretizedSpace:
+    """Unit-weight atomic space with ``count`` points labelled ``p0``, ``p1``, ..."""
     if count < 1:
         raise ValidationError("count must be at least 1")
-    atoms = tuple(Atom(label=f"{prefix}{i}", weight=1.0) for i in range(count))
+    atoms = tuple(Atom(label=f"p{i}", weight=1.0) for i in range(count))
     return discretize(MeasureSpace(atoms=atoms), 1)
 
 

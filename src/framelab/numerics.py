@@ -65,16 +65,12 @@ def rank_cutoff(singular_values: np.ndarray, shape: tuple[int, int]) -> float:
     positive number.
     """
     raw = os.environ.get(RANK_TOL_ENV)
-    threshold = DEFAULT_RANK_RTOL
-    if raw is not None:
-        try:
-            threshold = float(raw)
-        except ValueError as exc:
-            raise ValidationError(f"{RANK_TOL_ENV} must be a number, got {raw!r}") from exc
-    if not (threshold > 0):
-        raise ValidationError("relative_threshold must be positive")
-    if not math.isfinite(threshold):
-        raise ValidationError("relative_threshold must be finite")
+    try:
+        threshold = DEFAULT_RANK_RTOL if raw is None else float(raw)
+    except ValueError:
+        threshold = math.nan
+    if not 0 < threshold < math.inf:
+        raise ValidationError(f"{RANK_TOL_ENV} must be a finite positive number, got {raw!r}")
     if singular_values.size == 0:
         return 0.0
     return threshold * float(singular_values[0]) * max(shape)
@@ -167,14 +163,6 @@ def rank(a) -> int:
     m = as_matrix(a)
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s > rank_cutoff(s, m.shape)))
-
-
-def condition_number(a) -> float:
-    """Ratio of extreme singular values; inf when the smallest is zero."""
-    s = singular_values(a)
-    if s.size == 0 or s[-1] <= 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
 
 
 def operator_norm(a) -> float:

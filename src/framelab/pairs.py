@@ -31,10 +31,12 @@ class ResolutionReport:
     """Resolution operator of a pair together with its invertibility verdict.
 
     The operator counts as invertible when its condition number is at most
-    ``CONDITION_THRESHOLD``.
+    ``CONDITION_THRESHOLD``; ``singular_values`` (descending) are the ones
+    that number was read from.
     """
 
     operator: np.ndarray
+    singular_values: np.ndarray
     condition: float
     invertible: bool
     inverse: np.ndarray | None
@@ -61,16 +63,22 @@ def _check_same_space(psi: VectorFamily, phi: VectorFamily) -> None:
 def resolution_operator(psi: VectorFamily, phi: VectorFamily) -> ResolutionReport:
     """Analysis against ``psi`` composed with weighted synthesis onto ``phi``."""
     _check_same_space(psi, phi)
-    operator = _mixed_operator(psi, phi)
-    condition = numerics.condition_number(operator)
+    operator = mixed_operator(psi, phi)
+    sing = numerics.singular_values(operator)
+    # a family has dim >= 1, so there is always a smallest singular value
+    condition = float(sing[0] / sing[-1]) if sing[-1] > 0.0 else float("inf")
     invertible = bool(np.isfinite(condition) and condition <= CONDITION_THRESHOLD)
     inverse = np.linalg.inv(operator) if invertible else None
     return ResolutionReport(
-        operator=operator, condition=condition, invertible=invertible, inverse=inverse
+        operator=operator,
+        singular_values=sing,
+        condition=condition,
+        invertible=invertible,
+        inverse=inverse,
     )
 
 
-def _mixed_operator(psi: VectorFamily, phi: VectorFamily) -> np.ndarray:
+def mixed_operator(psi: VectorFamily, phi: VectorFamily) -> np.ndarray:
     """Matrix of ``f -> sum_j w_j <f, psi_j> phi_j`` on one shared space."""
     w = psi.space.weights
     return phi.members.T @ (w[:, None] * psi.members.conj())
@@ -179,13 +187,12 @@ def frame_transfer(psi: VectorFamily, phi: VectorFamily, frame_vectors) -> Frame
     functions = g @ psi.members.conj().T
     transported = report.operator @ g.T
     lower, upper, _, _ = numerics.frame_spectrum(transported @ transported.conj().T)
-    sing = numerics.singular_values(report.operator)
     return FrameTransferReport(
         functions=functions,
         lower=lower,
         upper=upper,
-        predicted_lower=g_lower * float(sing[-1]) ** 2,
-        predicted_upper=g_upper * float(sing[0]) ** 2,
+        predicted_lower=g_lower * float(report.singular_values[-1]) ** 2,
+        predicted_upper=g_upper * float(report.singular_values[0]) ** 2,
     )
 
 
@@ -241,7 +248,7 @@ def bessel_bound(family: VectorFamily) -> float:
 def pair_verdict(psi: VectorFamily, phi: VectorFamily) -> dict:
     """One-shot reproducing-pair check, shaped for report serialization."""
     report = resolution_operator(psi, phi)
-    swapped = _mixed_operator(phi, psi)
+    swapped = mixed_operator(phi, psi)
     adjoint_gap = float(np.max(np.abs(swapped - report.operator.conj().T)))
     verdict = {
         "reproducing_pair": report.invertible,

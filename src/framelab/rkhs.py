@@ -38,6 +38,8 @@ if TYPE_CHECKING:
 SPAN_DROP_RTOL = 1e-12
 ORTHO_TOL = 1e-10
 SPAN_CONDITION_LIMIT = 1e10
+# absolute room the pointwise square-sum bound leaves for roundoff
+POINTWISE_SLACK = 1e-9
 # entries per dense block when a check needs every entry of a factored kernel
 BLOCK_ENTRIES = 1 << 16
 
@@ -333,28 +335,18 @@ class PointwiseVerdict:
     def all_upper_ok(self) -> bool:
         return bool(np.all(self.upper_ok))
 
-    @property
-    def all_lower_positive(self) -> bool:
-        return bool(np.all(self.lower_positive))
 
-
-def bessel_pointwise_check(
-    functions,
-    kernel: KernelTable,
-    upper_bound: float,
-    slack: float = 1e-9,
-) -> PointwiseVerdict:
-    """Check ``sum_i |f_i(x)|^2 <= upper_bound * K(x, x) + slack`` per node.
+def bessel_pointwise_check(functions, kernel: KernelTable, upper_bound: float) -> PointwiseVerdict:
+    """Check ``sum_i |f_i(x)|^2 <= upper_bound * K(x, x) + POINTWISE_SLACK`` per node.
 
     ``upper_bound`` must be a verified upper frame bound of the system in the
     kernel's geometry; the verdict also records strict positivity of the sums,
     which holds for frames but can fail for mere upper-bounded systems.
     """
     numerics.check_tolerance(upper_bound, "upper_bound")
-    numerics.check_tolerance(slack, "slack")
     b = function_matrix(functions, kernel.space)
     sums = np.sum(np.abs(b) ** 2, axis=1)
-    limits = upper_bound * kernel.diagonal + slack
+    limits = upper_bound * kernel.diagonal + POINTWISE_SLACK
     return PointwiseVerdict(
         sums=sums,
         limits=limits,

@@ -240,6 +240,31 @@ def test_infinite_rank_tolerance_refused(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        *(
+            ((command, "--gallery", "mercedes", "--format", "csv"), "--format")
+            for command in ("bounds", "dual", "redundancy", "split", "partner")
+        ),
+        (("pair-check", "--psi", "{family}", "--phi", "{family}", "--format", "csv"), "--format"),
+        (("experiment", "trend", "--in", "{family}", "--gallery", "torus", "--sizes", "2,4"),
+         "--in"),
+    ],
+)
+def test_flag_the_command_does_not_read_is_refused(tmp_path, capsys, argv, flag):
+    family_path = tmp_path / "family.json"
+    write_family(family_path, np.eye(3, dtype=complex))
+    out = tmp_path / "report.csv"
+    argv = [a.replace("{family}", str(family_path)) for a in argv]
+    assert run(*argv, "--out", str(out)) == EXIT_VALIDATION
+    value = argv[argv.index(flag) + 1]
+    assert capsys.readouterr().err.splitlines() == [
+        f"framelab: invalid input: unrecognized arguments: {flag} {value}"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "nan"])
 def test_non_finite_row_tolerance_refused(tmp_path, capsys, tolerance):
     out = tmp_path / "split.json"

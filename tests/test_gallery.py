@@ -104,14 +104,6 @@ class TestAffine:
         assert report.upper <= 1.0 + 1e-12
         assert report.lower <= 1e-7
 
-    def test_custom_profile_needs_limit(self):
-        with pytest.raises(InvalidSpecError):
-            build_affine(10, profile=lambda r: np.exp(-(r**2)))
-
-    def test_custom_profile(self):
-        family = build_affine(12, profile=lambda r: np.exp(-(r**2)), upper_limit=4.0)
-        assert family.size == 12
-
 
 class TestDelta:
     def test_column_sums_follow_pattern(self):

@@ -11,6 +11,10 @@ Regenerate the corpus (inputs, reports and manifest) with::
 
     PYTHONPATH=src python tests/test_golden.py
 
+or only the reports and manifest entries of some cases with::
+
+    PYTHONPATH=src python tests/test_golden.py NAME...
+
 and review the diff: a regenerated corpus is a behaviour change.
 """
 
@@ -21,6 +25,7 @@ import io
 import json
 import os
 import shutil
+import sys
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -144,6 +149,11 @@ _case(
     FRAMELAB_RANK_TOL="tiny",
 )
 _case("error_missing_file", "bounds", "--in", "{in}/missing.json")
+_case("error_format_not_offered", "bounds", *MERCEDES, "--format", "csv")
+_case(
+    "error_experiment_in", "experiment", "trend", "--in", "{in}/psi.json", "--gallery", "torus",
+    "--sizes", "2,4",
+)
 
 
 def _write_family(path: Path, family: VectorFamily) -> None:
@@ -281,16 +291,29 @@ def test_golden_case(name, manifest, tmp_path):
         _assert_json_close(json.loads(actual), want, tol)
 
 
-def regenerate() -> None:
-    """Rewrite inputs, reports and manifest from the current code."""
-    for path in (INPUTS, REPORTS):
-        shutil.rmtree(path, ignore_errors=True)
-        path.mkdir(parents=True)
-    for name, family in _input_families().items():
-        _write_family(INPUTS / f"{name}.json", family)
-    manifest = {}
+def regenerate(names: list[str]) -> None:
+    """Rewrite the reports and manifest entries of ``names`` from the current code.
+
+    With no names, the inputs, every report and the whole manifest are rewritten.
+    """
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        raise SystemExit(f"unknown golden cases: {', '.join(unknown)}")
+    if names:
+        manifest = json.loads(MANIFEST.read_text())
+    else:
+        for path in (INPUTS, REPORTS):
+            shutil.rmtree(path, ignore_errors=True)
+            path.mkdir(parents=True)
+        for name, family in _input_families().items():
+            _write_family(INPUTS / f"{name}.json", family)
+        manifest = {}
+        names = sorted(CASES)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
+        for name in names:
+            stale = manifest.get(name, {}).get("report")
+            if stale is not None:
+                (REPORTS / stale).unlink(missing_ok=True)
             code, stderr, out = _run(name, Path(tmp))
             report = None
             if out.exists():
@@ -301,4 +324,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

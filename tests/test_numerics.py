@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from framelab import numerics
 from framelab.errors import NonSquareError, NotAFrameError, NotHermitianError, ValidationError
+from framelab.frames import VectorFamily
+from framelab.pairs import resolution_operator
 
-from conftest import complex_rng_matrix
+from conftest import complex_rng_matrix, onb_family, unit_weight_space
 
 
 class TestHermitianEig:
@@ -132,13 +134,17 @@ class TestRankPolicy:
 
     def test_threshold_positive(self, monkeypatch):
         monkeypatch.setenv(numerics.RANK_TOL_ENV, "0")
-        with pytest.raises(ValidationError, match="relative_threshold must be positive"):
+        with pytest.raises(
+            ValidationError, match="FRAMELAB_RANK_TOL must be a finite positive number, got '0'"
+        ):
             numerics.rank(np.eye(2))
 
     @pytest.mark.parametrize("threshold", [float("inf"), float("-inf"), float("nan")])
     def test_threshold_finite(self, monkeypatch, threshold):
         monkeypatch.setenv(numerics.RANK_TOL_ENV, str(threshold))
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match=f"must be a finite positive number, got '{threshold}'"
+        ):
             numerics.rank(np.eye(2))
 
     def test_custom_threshold_changes_rank(self, monkeypatch):
@@ -152,12 +158,12 @@ class TestRankPolicy:
         monkeypatch.setenv(numerics.RANK_TOL_ENV, "1e-3")
         assert numerics.rank_cutoff(np.array([2.0]), (3, 1)) == 1e-3 * 2.0 * 3
         monkeypatch.setenv(numerics.RANK_TOL_ENV, "junk")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="finite positive number, got 'junk'"):
             numerics.rank_cutoff(np.array([2.0]), (3, 1))
 
     def test_environment_infinity_refused(self, monkeypatch):
         monkeypatch.setenv(numerics.RANK_TOL_ENV, "inf")
-        with pytest.raises(ValidationError, match="finite"):
+        with pytest.raises(ValidationError, match="finite positive number, got 'inf'"):
             numerics.rank_cutoff(np.array([2.0]), (3, 1))
 
     def test_environment_default(self, monkeypatch):
@@ -166,8 +172,12 @@ class TestRankPolicy:
 
 
 def test_condition_number_of_singular_matrix_is_infinite():
-    assert numerics.condition_number(np.zeros((3, 3))) == float("inf")
-    assert numerics.condition_number(np.diag([4.0, 2.0])) == 2.0
+    psi = onb_family(2)
+    phi = VectorFamily(space=unit_weight_space(2), members=np.diag([4.0, 2.0]))
+    assert resolution_operator(psi, phi).condition == 2.0
+    zero = VectorFamily(space=unit_weight_space(2), members=np.zeros((2, 2)))
+    report = resolution_operator(psi, zero)
+    assert report.condition == float("inf") and not report.invertible
 
 
 @pytest.mark.parametrize(

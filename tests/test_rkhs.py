@@ -493,9 +493,3 @@ class TestRefusedTolerances:
         table = kernel_from_onb(np.eye(3, dtype=complex), space)
         with pytest.raises(ValidationError, match="upper_bound"):
             bessel_pointwise_check(np.eye(3, dtype=complex), table, bound)
-
-    def test_bessel_pointwise_slack(self):
-        space = unit_weight_space(3)
-        table = kernel_from_onb(np.eye(3, dtype=complex), space)
-        with pytest.raises(ValidationError, match="slack"):
-            bessel_pointwise_check(np.eye(3, dtype=complex), table, 1.0, slack=float("nan"))
