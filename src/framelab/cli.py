@@ -5,17 +5,30 @@ requested inversion on a family whose lower bound sits below tolerance),
 3 I/O error.  Reports are fully serialized in memory, then written to a
 temporary file beside the target and renamed over it, so a failing command
 never leaves a partial output file behind.
+
+JSON reports are byte for byte ``json.dumps(report, indent=2, sort_keys=True)``
+plus a newline, but rendered here: CPython 3.11's ``json`` takes its C encoder
+only without ``indent``.  Lists of finite ``[float, float]`` pairs, the bulk of every
+report, cost one ``float.__repr__`` per float and one join; the rest follows
+the stdlib rules value by value.  The kernel CSV is byte for byte what
+``csv.writer`` gives row by row: the writer renders the header and each node
+point once, and the table is formed and rendered a block of rows at a time.
+The argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
+import math
 import os
 import secrets
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +41,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_REFUSED = 2
 EXIT_IO = 3
+
+# kernel entries per row block of the CSV export: each block's transient lists
+# stay a fraction of the output text
+CSV_BLOCK_ENTRIES = 1 << 10
 
 
 class _CliArgumentError(ValidationError):
@@ -49,13 +66,18 @@ def _parse_sizes(raw: str) -> list[int]:
     return sizes
 
 
+# gallery flags besides --gallery itself; each defaults to None, so an unset
+# flag leaves the GallerySpec default in force
+_SPEC_FLAGS = ("dim", "grid", "rows", "seed", "power")
+
+
 def _add_gallery_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gallery", type=str, help="gallery kind")
     parser.add_argument("--dim", type=int, help="gallery truncation size")
     parser.add_argument("--grid", type=int, help="gallery node count")
     parser.add_argument("--rows", type=int, help="gallery member count (random kind)")
     parser.add_argument("--seed", type=int, help="gallery seed (required for random)")
-    parser.add_argument("--power", type=int, default=1, help="radial weight exponent")
+    parser.add_argument("--power", type=int, help="radial weight exponent (default 1)")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, tabular: bool) -> None:
@@ -72,14 +94,8 @@ def _gallery_spec(args: argparse.Namespace) -> gallery.GallerySpec:
         kind = gallery.GalleryKind(args.gallery)
     except ValueError as exc:
         raise _CliArgumentError(f"unknown gallery kind {args.gallery!r}") from exc
-    return gallery.GallerySpec(
-        kind=kind,
-        dim=args.dim,
-        grid=args.grid,
-        rows=args.rows,
-        seed=args.seed,
-        power=args.power,
-    )
+    given = {name: getattr(args, name) for name in _SPEC_FLAGS if getattr(args, name) is not None}
+    return gallery.GallerySpec(kind=kind, **given)
 
 
 def _load_family(args: argparse.Namespace) -> VectorFamily:
@@ -108,7 +124,92 @@ def _family_from_file(path: Path) -> VectorFamily:
 
 
 def _json_bytes(payload) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` as UTF-8 bytes."""
+    out: list[str] = []
+    _render_json(payload, "\n", out, {})
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+def _render_json(value, newline: str, out: list[str], strings: dict[str, str]) -> None:
+    """Append the ``indent=2`` text of ``value``; ``newline`` carries its indent.
+
+    Exact ``str``, finite ``float`` and ``int`` values render as the stdlib
+    renders them (``strings`` keeps each string's text for the rest of the
+    report); empty containers, ``None``, booleans, non-finite floats, number
+    subclasses and unsupported types go to ``json.dumps`` one value at a time.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_json_string(value, strings))
+    elif kind is float and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        if kind is list and _render_pairs(value, newline, inner, out):
+            return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _render_json(item, inner, out, strings)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(separator)
+            out.append(_json_string(key, strings))
+            out.append(": ")
+            _render_json(item, inner, out, strings)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value))
+
+
+def _json_string(value, strings: dict[str, str]) -> str:
+    """A string, or an object key, as the stdlib writes it; ``strings`` keeps each text.
+
+    A key that is not a string is written as the string of its own JSON text.
+    """
+    if not isinstance(value, str):
+        if value is not None and not isinstance(value, (int, float)):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(value).__name__}"
+            )
+        value = json.dumps(value)
+    text = strings.get(value)
+    if text is None:
+        text = strings[value] = json.dumps(value)
+    return text
+
+
+def _render_pairs(items: list, newline: str, inner: str, out: list[str]) -> bool:
+    """Append ``items`` in one pass if it is a list of finite ``[float, float]`` pairs.
+
+    The checks are C-level passes over the lists; a sum is finite only when
+    every term is (one that overflows merely sends the list down the generic
+    path).  The reprs fill every other slot of one list and the separators
+    go in by slice assignment.  Returns False, appending nothing, otherwise.
+    """
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return False
+    flat = list(itertools.chain.from_iterable(items))
+    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+        return False
+    innermost = inner + "  "
+    count = len(items)
+    parts = [""] * (4 * count)
+    parts[0::2] = map(float.__repr__, flat)
+    parts[1::4] = ["," + innermost] * count
+    parts[3::4] = [inner + "]," + inner + "[" + innermost] * count
+    parts[-1] = inner + "]" + newline + "]"
+    out.append("[" + inner + "[" + innermost)
+    out += parts
+    return True
 
 
 def _csv_bytes(rows, header) -> bytes:
@@ -118,6 +219,42 @@ def _csv_bytes(rows, header) -> bytes:
     for row in rows:
         writer.writerow(row)
     return buffer.getvalue().encode("utf-8")
+
+
+def _kernel_csv_bytes(table: rkhs.KernelTable) -> bytearray:
+    """``x,y,re,im`` rows of ``table``: the bytes ``csv.writer`` gives row by row.
+
+    The writer renders the header and each node point once; a ``(point, "")``
+    row comes out as ``<cell>,\\n``, so every cell is quoted as the writer
+    quotes it.  Entries are formed from the factors in blocks of about
+    ``CSV_BLOCK_ENTRIES`` and written as ``float.__repr__``, as the writer
+    writes floats.  A block holds at least two rows, or the whole table: BLAS
+    may hand a one-row product to its matrix-vector kernel (OpenBLAS does),
+    which can round differently from the full product.
+    """
+    lines: list[str] = []
+    writer = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerow(("x", "y", "re", "im"))
+    for node in table.space.nodes:
+        writer.writerow((node.point, ""))
+    header, cells = lines[0], [line[:-1] for line in lines[1:]]
+    text = bytearray(header[:-1].encode("utf-8"))
+    n = table.size
+    count = max(1, n // max(2, CSV_BLOCK_ENTRIES // max(n, 1)))
+    edges = [n * i // count for i in range(count + 1)]
+    right_h = table.right.conj().T
+    for start, stop in zip(edges, edges[1:]):
+        block = table.left[start:stop] @ right_h
+        # each entry opens with the line break and "x,y," of its own row
+        heads: list[str] = []
+        for cell in cells[start:stop]:
+            heads += map(("\n" + cell).__add__, cells)
+        parts = [","] * (4 * len(heads))
+        parts[0::4] = heads
+        parts[1::2] = map(float.__repr__, block.view(np.float64).ravel().tolist())
+        text += "".join(parts).encode("utf-8")
+    text += b"\n"
+    return text
 
 
 def _write(path: Path, data: bytes) -> None:
@@ -181,7 +318,7 @@ def _cmd_kernel(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
     table = frames.kernel_matrix(family)
     if args.format == "csv":
-        return _csv_bytes(table.csv_rows(), header=("x", "y", "re", "im"))
+        return _kernel_csv_bytes(table)
     return _json_bytes(table.to_json())
 
 
@@ -223,6 +360,10 @@ def _cmd_partner(args: argparse.Namespace) -> bytes:
 def _cmd_experiment(args: argparse.Namespace) -> bytes:
     sizes = _parse_sizes(args.sizes)
     if args.experiment == "blowup":
+        flags = ("gallery", *_SPEC_FLAGS)
+        given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+        if given:
+            raise _CliArgumentError(f"experiment blowup reads no gallery flags: {' '.join(given)}")
         points = rkhs.blowup_experiment(sizes)
         if args.format == "csv":
             return _csv_bytes(points, header=("cells", "max_diagonal"))
@@ -264,7 +405,9 @@ def _cmd_experiment(args: argparse.Namespace) -> bytes:
     raise _CliArgumentError(f"unknown experiment {args.experiment!r}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``framelab`` parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="framelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,18 +4,21 @@ A kernel over the nodes of a :class:`~framelab.measure.DiscretizedSpace` is
 stored as two ``n x r`` factors, ``K = left @ right^H``.  Every kernel built
 here has rank ``r`` at most the ambient dimension, so applying a kernel,
 reading its diagonal or one section costs O(n r); the dense ``n x n`` table is
-built only when a caller asks for :attr:`KernelTable.entries` or an export.
+built only when a caller asks for :attr:`KernelTable.entries` or the JSON
+export (the CLI's CSV export forms it a block of rows at a time).
 A table may carry a geometry tag: ``None`` means the plain weighted node
 pairing, while a :class:`~framelab.pairs.CoefficientGeometry` marks tables
 whose reproducing identity holds in the inner product induced by a synthesis
 map.  A pair of function systems expands the kernel of its joint span through
 the inverse of the pair's resolution operator; the report of that expansion
 carries how far its two summation orders disagree rather than refusing on it.
+The refinement blow-up needs no table at all: the kernel of the step basis is
+diagonal, and its diagonal and orthonormality follow from the ``n`` basis
+values in O(n).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -50,8 +53,8 @@ class KernelTable:
 
     ``apply`` realizes the induced integral operator
     ``(K F)(x) = sum_y w_y K[x, y] F(y)``.  ``apply``, ``diagonal`` and
-    ``section`` work on the factors in O(n r); :attr:`entries`, ``to_json``
-    and ``csv_rows`` build the dense table on each call and keep nothing.
+    ``section`` work on the factors in O(n r); :attr:`entries` and ``to_json``
+    build the dense table on each call and keep nothing.
     Reproducing-kernel constructors guarantee Hermitian symmetry of their
     tables; tables of oblique projections (mixed analysis/synthesis kernels)
     are in general not Hermitian, so symmetry is checked by the builders, not
@@ -127,13 +130,6 @@ class KernelTable:
             "geometry": "induced" if self.geometry is not None else "plain",
             "entries": numerics.complex_pairs(self.entries),
         }
-
-    def csv_rows(self):
-        """Yield ``(x, y, re, im)`` rows for tabular export."""
-        points = [node.point for node in self.space.nodes]
-        pairs = numerics.complex_pairs(self.entries)
-        for (x, y), (re, im) in zip(itertools.product(points, repeat=2), pairs):
-            yield x, y, re, im
 
 
 def _row_inner_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -385,13 +381,6 @@ def point_evaluation_bounds(functions, space: DiscretizedSpace) -> PointEvalBoun
     return PointEvalBound(constants=np.sqrt(sums * upper), pointwise_sums=sums, upper_bound=upper)
 
 
-def step_basis(cells: int) -> tuple[DiscretizedSpace, np.ndarray]:
-    """Equal-mass step functions on [0, 1]: an orthonormal basis per refinement."""
-    space = unit_segment_space(cells)
-    basis = np.sqrt(cells) * np.eye(cells, dtype=np.complex128)
-    return space, basis
-
-
 def blowup_experiment(refinements: Sequence[int]) -> list[tuple[int, float]]:
     """Max kernel diagonal of the step-function basis per refinement.
 
@@ -399,13 +388,21 @@ def blowup_experiment(refinements: Sequence[int]) -> list[tuple[int, float]]:
     the normalized indicator basis puts ``n`` on the whole diagonal, so the
     recorded maxima grow linearly in the refinement; the diagonal of a kernel
     over a fixed node set cannot stay bounded under indefinite refinement.
+    Each indicator takes the value ``sqrt(n)`` on its own cell and 0 elsewhere,
+    so the diagonal and the orthonormality check come from those ``n`` values
+    in O(n): disjoint supports make every off-diagonal inner product exactly 0,
+    which leaves ``max |w |v|^2 - 1| <= ORTHO_TOL`` to check.
     """
     sizes = list(refinements)
     if sizes != sorted(sizes):
         raise ValidationError("refinement counts must be ascending")
     out: list[tuple[int, float]] = []
     for n in sizes:
-        space, basis = step_basis(n)
-        table = kernel_from_onb(basis, space)
-        out.append((n, float(np.max(table.diagonal))))
+        space = unit_segment_space(n)
+        values = np.full(n, math.sqrt(n))
+        diagonal = values * values
+        gap = float(np.max(np.abs(space.weights * diagonal - 1.0)))
+        if gap > ORTHO_TOL:
+            raise NotOrthonormalError(f"orthonormality defect {gap:.3e} exceeds {ORTHO_TOL:.0e}")
+        out.append((n, float(np.max(diagonal))))
     return out

@@ -10,6 +10,7 @@ import threading
 import numpy as np
 import pytest
 
+from framelab import cli
 from framelab.cli import EXIT_IO, EXIT_OK, EXIT_REFUSED, EXIT_VALIDATION, main
 from framelab.frames import VectorFamily
 
@@ -263,6 +264,47 @@ def test_flag_the_command_does_not_read_is_refused(tmp_path, capsys, argv, flag)
         f"framelab: invalid input: unrecognized arguments: {flag} {value}"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [("--power", "1"), ("--seed", "3"), ("--gallery", "torus", "--grid", "8")]
+)
+def test_blowup_refuses_gallery_flags(tmp_path, capsys, flags):
+    out = tmp_path / "blowup.json"
+    assert run("experiment", "blowup", "--sizes", "2,4", *flags, "--out", str(out)) == (
+        EXIT_VALIDATION
+    )
+    named = " ".join(flag for flag in flags if flag.startswith("--"))
+    assert capsys.readouterr().err.splitlines() == [
+        f"framelab: invalid input: experiment blowup reads no gallery flags: {named}"
+    ]
+    assert not out.exists()
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, capsys):
+    runs = [
+        ("bounds", "--gallery", "mercedes", "--format", "csv"),
+        ("bounds", "--gallery", "mercedes"),
+        ("kernel", "--gallery", "torus", "--dim", "3", "--grid", "6", "--format", "csv"),
+        ("kernel", "--gallery", "torus", "--dim", "x"),
+    ]
+
+    def outcomes(fresh):
+        results = []
+        for index, argv in enumerate(runs):
+            if fresh:
+                cli.build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{index}"
+            code = run(*argv, "--out", str(out))
+            report = out.read_bytes() if out.exists() else None
+            results.append((code, capsys.readouterr().err, report))
+        return results
+
+    cached = outcomes(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert cached == outcomes(fresh=True)
+    assert [code for code, _, _ in cached] == [EXIT_VALIDATION, EXIT_OK, EXIT_OK, EXIT_VALIDATION]
+    assert [err.count("\n") for _, err, _ in cached] == [1, 0, 0, 1]
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan"])

@@ -139,6 +139,10 @@ _case("error_no_source", "bounds")
 _case("error_two_sources", "bounds", "--in", "{in}/psi.json", *MERCEDES)
 _case("error_bad_sizes", "experiment", "blowup", "--sizes", "2,x")
 _case("error_descending_sizes", "experiment", "blowup", "--sizes", "8,2")
+_case(
+    "error_blowup_gallery_flags", "experiment", "blowup", "--sizes", "2,4", "--gallery", "torus",
+    "--dim", "3",
+)
 _case("error_trend_needs_gallery", "experiment", "trend", "--sizes", "2,4")
 _case("error_random_without_seed", "bounds", "--gallery", "random", "--rows", "4", "--dim", "2")
 _case("error_negative_row_tol", "split", *MERCEDES, "--row-tol", "-1")

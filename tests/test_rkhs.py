@@ -1,3 +1,5 @@
+import csv
+import io
 import time
 import tracemalloc
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import rkhs
+from framelab import cli, rkhs
 from framelab.errors import (
     DimensionMismatchError,
     NotAFrameError,
@@ -28,7 +30,6 @@ from framelab.rkhs import (
     kernel_of_span,
     mu_orthonormal_basis,
     point_evaluation_bounds,
-    step_basis,
 )
 
 from conftest import cell_space, complex_rng_matrix, random_family, unit_weight_space
@@ -149,8 +150,8 @@ class TestKernelFromOnb:
         np.testing.assert_allclose(table.entries, np.eye(3), atol=1e-14)
 
     def test_step_basis_diagonal(self):
-        space, basis = step_basis(5)
-        table = kernel_from_onb(basis, space)
+        space = unit_segment_space(5)
+        table = kernel_from_onb(np.sqrt(5) * np.eye(5, dtype=complex), space)
         np.testing.assert_allclose(table.diagonal, 5.0, atol=1e-12)
 
     def test_fourier_pair_on_four_nodes(self):
@@ -320,9 +321,13 @@ class TestBlowup:
             blowup_experiment([8, 4])
 
     def test_diagonal_flat_across_nodes(self):
-        space, basis = step_basis(16)
-        table = kernel_from_onb(basis, space)
-        np.testing.assert_allclose(table.diagonal, 16.0, atol=1e-12)
+        # the O(n) maxima against the dense kernel of the step basis, bit for bit
+        sizes = [1, 2, 3, 16, 17]
+        for (n, largest), size in zip(blowup_experiment(sizes), sizes):
+            table = kernel_from_onb(np.sqrt(size) * np.eye(size, dtype=complex),
+                                    unit_segment_space(size))
+            np.testing.assert_allclose(table.diagonal, size, atol=1e-12)
+            assert (n, largest) == (size, float(np.max(table.diagonal)))
 
 
 class TestKernelTable:
@@ -342,11 +347,11 @@ class TestKernelTable:
         with pytest.raises(ValidationError):
             table.section(5)
 
-    def test_csv_rows_and_json(self, rng):
+    def test_csv_and_json_exports(self, rng):
         family = random_family(rng, 3, 2)
         table = kernel_matrix(family)
-        rows = list(table.csv_rows())
-        assert len(rows) == 9
+        rows = list(csv.reader(io.StringIO(cli._kernel_csv_bytes(table).decode())))
+        assert rows[0] == ["x", "y", "re", "im"] and len(rows) == 10
         payload = table.to_json()
         assert payload["geometry"] == "plain"
         assert len(payload["entries"]) == 9
@@ -445,7 +450,9 @@ class TestFactoredKernelTable:
         assert table.to_json()["entries"] == pairs
         points = [node.point for node in table.space.nodes]
         rows = [(points[j], points[k], *pairs[j * n + k]) for j in range(n) for k in range(n)]
-        assert list(table.csv_rows()) == rows
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([("x", "y", "re", "im"), *rows])
+        assert cli._kernel_csv_bytes(table) == expected.getvalue().encode()
 
     def test_dense_table_round_trips(self, rng):
         space = unit_weight_space(4)
