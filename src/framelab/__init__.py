@@ -62,7 +62,6 @@ from .measure import (
 )
 from .numerics import hermitian_eig, pinv, rank
 from .pairs import (
-    CoefficientGeometry,
     FrameTransferReport,
     ResolutionReport,
     bessel_bound,

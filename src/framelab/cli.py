@@ -66,8 +66,8 @@ def _parse_sizes(raw: str) -> list[int]:
     return sizes
 
 
-# gallery flags besides --gallery itself; each defaults to None, so an unset
-# flag leaves the GallerySpec default in force
+# gallery flags besides --gallery itself, named as the GallerySpec fields; each
+# defaults to None, as the fields do, and a kind refuses a set one it does not read
 _SPEC_FLAGS = ("dim", "grid", "rows", "seed", "power")
 
 
@@ -94,8 +94,7 @@ def _gallery_spec(args: argparse.Namespace) -> gallery.GallerySpec:
         kind = gallery.GalleryKind(args.gallery)
     except ValueError as exc:
         raise _CliArgumentError(f"unknown gallery kind {args.gallery!r}") from exc
-    given = {name: getattr(args, name) for name in _SPEC_FLAGS if getattr(args, name) is not None}
-    return gallery.GallerySpec(kind=kind, **given)
+    return gallery.GallerySpec(kind=kind, **{name: getattr(args, name) for name in _SPEC_FLAGS})
 
 
 def _load_family(args: argparse.Namespace) -> VectorFamily:

@@ -57,9 +57,6 @@ class VectorFamily:
     def dim(self) -> int:
         return self.members.shape[1]
 
-    def scaled(self, factor: complex) -> "VectorFamily":
-        return VectorFamily(space=self.space, members=factor * self.members)
-
     def to_json(self) -> dict:
         return {
             "space": self.space.to_json(),
@@ -69,9 +66,7 @@ class VectorFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "VectorFamily":
-        from .measure import DiscretizedSpace as _DS
-
-        space = _DS.from_json(data["space"])
+        space = DiscretizedSpace.from_json(data["space"])
         flat = _decode_pairs(data["members"])
         if "dim" in data:
             dim = data["dim"]
@@ -193,44 +188,21 @@ def redundancy(family: VectorFamily) -> int:
     return family.size - numerics.rank(family.members)
 
 
-def frame_bounds(
-    family: VectorFamily,
-    absolute_lower: float | None = None,
-    absolute_upper: float | None = None,
-) -> FrameReport:
+def frame_bounds(family: VectorFamily) -> FrameReport:
     """Spectral frame bounds and redundancy accounting.
 
-    The bounds are the extreme eigenvalues of the frame operator.  Without
-    absolute thresholds, the family is a frame when the lower bound clears
-    ``FRAME_RTOL`` times the upper one, otherwise only the (finite) upper
-    inequality stands.  Explicit ``absolute_lower`` / ``absolute_upper``
-    thresholds classify by which of the two inequalities fails against them;
-    finite truncations of unbounded systems need those, or the trend
-    utilities, to surface semi-frame behavior.  The zero-redundancy check
-    matches member rows within ``ROW_MATCH_TOL``.
+    The bounds are the extreme eigenvalues of the frame operator.  The family
+    is a frame when the lower bound clears ``FRAME_RTOL`` times the upper one,
+    otherwise only the (finite) upper inequality stands; finite truncations of
+    unbounded systems need the trend utilities to surface semi-frame
+    behavior.  The zero-redundancy check matches member rows within
+    ``ROW_MATCH_TOL``.
     """
     spectrum = numerics.frame_spectrum(frame_operator(family))
     lower, upper = spectrum.lower, spectrum.upper
     excess = redundancy(family)
     condition = upper / lower if lower > 0 else float("inf")
-    if absolute_lower is None and absolute_upper is None:
-        tolerance = FRAME_RTOL * upper
-        if spectrum.is_frame():
-            classification = Classification.FRAME
-        else:
-            classification = Classification.BESSEL_ONLY
-    else:
-        tolerance = absolute_lower if absolute_lower is not None else FRAME_RTOL * upper
-        lower_fails = lower < tolerance
-        upper_fails = absolute_upper is not None and upper > absolute_upper
-        if not lower_fails and not upper_fails:
-            classification = Classification.FRAME
-        elif lower_fails and not upper_fails:
-            classification = Classification.BESSEL_ONLY
-        elif not lower_fails and upper_fails:
-            classification = Classification.LOWER_ONLY
-        else:
-            classification = Classification.NEITHER
+    classification = Classification.FRAME if spectrum.is_frame() else Classification.BESSEL_ONLY
     degenerate = (
         excess == 0
         and not family.space.is_atom.any()
@@ -243,7 +215,7 @@ def frame_bounds(
         index=-excess,
         condition=condition,
         classification=classification,
-        frame_tolerance=float(tolerance),
+        frame_tolerance=float(FRAME_RTOL * upper),
         degenerate_zero_redundancy=degenerate,
     )
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -43,15 +43,16 @@ class GallerySpec:
     ``dim`` is the truncation size (ambient dimension or cell count depending
     on the kind), ``grid`` the node count of the underlying space, ``rows``
     the member count for random families, ``power`` the exponent parameter of
-    the radial weight used by the affine construction.
+    the radial weight used by the affine construction.  An unset field is
+    ``None``; a set field that the kind does not read is refused.
     """
 
     kind: GalleryKind
     dim: int | None = None
     grid: int | None = None
     rows: int | None = None
-    seed: int | None = None
-    power: int = 1
+    seed: int | list[int] | None = None
+    power: int | None = None
 
 
 def frequency_enumeration(count: int) -> list[int]:
@@ -236,7 +237,7 @@ def build_mercedes() -> VectorFamily:
     return VectorFamily(space=space, members=members)
 
 
-def build_random(rows: int, dim: int, seed) -> VectorFamily:
+def build_random(rows: int, dim: int, seed=None) -> VectorFamily:
     """Standard complex Gaussian members over a counting space; seeded."""
     if rows < 1 or dim < 1:
         raise InvalidSpecError("random family needs rows >= 1 and dim >= 1")
@@ -250,36 +251,51 @@ def build_random(rows: int, dim: int, seed) -> VectorFamily:
     return VectorFamily(space=space, members=members)
 
 
+@dataclass(frozen=True)
+class _Reads:
+    """The spec fields one gallery kind reads.
+
+    ``build`` passes ``needs`` by position, refusing a spec that leaves one
+    unset, and each set field of ``takes`` by name.  ``sized`` maps each field
+    a truncation size sets to the multiple of the size it takes; it is
+    ``None`` for a kind that is not size-parameterized.  A truncation reads
+    the other fields from its spec.
+    """
+
+    builder: Callable[..., VectorFamily]
+    needs: tuple[str, ...]
+    takes: tuple[str, ...] = ()
+    sized: dict[str, int] | None = None
+
+
+_READS = {
+    GalleryKind.TORUS: _Reads(build_torus, ("dim", "grid"), sized={"dim": 1, "grid": 4}),
+    # a truncation keeps the default grid, one frequency per radial cell
+    GalleryKind.AFFINE: _Reads(build_affine, ("dim",), ("grid", "power"), {"dim": 1, "grid": 1}),
+    GalleryKind.DELTA: _Reads(build_delta, ("dim",), sized={"dim": 1}),
+    GalleryKind.DOUBLED_ONB: _Reads(build_doubled_onb, ("dim",), sized={"dim": 1}),
+    GalleryKind.AUGMENTED_ONB: _Reads(build_augmented_onb, ("dim",), sized={"dim": 1}),
+    GalleryKind.MERCEDES: _Reads(build_mercedes, ()),
+    GalleryKind.RANDOM: _Reads(build_random, ("rows", "dim"), ("seed",), {"rows": 1}),
+}
+
+
+def _refuse_unread(spec: GallerySpec, reads, what: str) -> None:
+    names = [field.name for field in fields(GallerySpec) if field.name != "kind"]
+    unread = [name for name in names if name not in reads and getattr(spec, name) is not None]
+    if unread:
+        raise InvalidSpecError(f"{what} does not read {', '.join(unread)}")
+
+
 def build(spec: GallerySpec) -> VectorFamily:
-    """Construct the family described by ``spec``."""
-    kind = spec.kind
-    if kind is GalleryKind.TORUS:
-        if spec.dim is None or spec.grid is None:
-            raise InvalidSpecError("torus spec needs dim and grid")
-        return build_torus(spec.dim, spec.grid)
-    if kind is GalleryKind.AFFINE:
-        if spec.dim is None:
-            raise InvalidSpecError("affine spec needs dim (radial cell count)")
-        return build_affine(spec.dim, spec.grid, spec.power)
-    if kind is GalleryKind.DELTA:
-        if spec.dim is None:
-            raise InvalidSpecError("delta spec needs dim")
-        return build_delta(spec.dim)
-    if kind is GalleryKind.DOUBLED_ONB:
-        if spec.dim is None:
-            raise InvalidSpecError("doubled-onb spec needs dim")
-        return build_doubled_onb(spec.dim)
-    if kind is GalleryKind.AUGMENTED_ONB:
-        if spec.dim is None:
-            raise InvalidSpecError("augmented-onb spec needs dim")
-        return build_augmented_onb(spec.dim)
-    if kind is GalleryKind.MERCEDES:
-        return build_mercedes()
-    if kind is GalleryKind.RANDOM:
-        if spec.rows is None or spec.dim is None:
-            raise InvalidSpecError("random spec needs rows and dim")
-        return build_random(spec.rows, spec.dim, spec.seed)
-    raise InvalidSpecError(f"unknown gallery kind {kind!r}")
+    """Construct the family described by ``spec``, refusing fields its kind does not read."""
+    reads = _READS[spec.kind]
+    _refuse_unread(spec, reads.needs + reads.takes, f"{spec.kind.value} gallery")
+    missing = [name for name in reads.needs if getattr(spec, name) is None]
+    if missing:
+        raise InvalidSpecError(f"{spec.kind.value} spec needs {' and '.join(missing)}")
+    taken = {name: getattr(spec, name) for name in reads.takes if getattr(spec, name) is not None}
+    return reads.builder(*(getattr(spec, name) for name in reads.needs), **taken)
 
 
 def truncation_sequence(
@@ -287,31 +303,26 @@ def truncation_sequence(
 ) -> Callable[[int], VectorFamily]:
     """Size-indexed builder for bound-trend experiments.
 
-    The returned callable is deterministic: identical specs and sizes always
-    produce identical families.  The torus keeps its grid matched at four
-    nodes per frequency slot; random families derive one child seed per size.
+    Each size is built by :func:`build` with the fields its kind's truncation
+    size sets, so identical specs and sizes always produce identical
+    families: the torus keeps four nodes per frequency slot, and a seeded
+    spec gives each size the child seed ``[seed, size]``.
     """
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise InvalidSpecError("trend sizes must be ascending")
     if any(s < 1 for s in sizes):
         raise InvalidSpecError("trend sizes must be positive")
-    kind = spec.kind
+    reads = _READS[spec.kind]
+    if reads.sized is None:
+        raise InvalidSpecError(f"gallery kind {spec.kind.value} is not size-parameterized")
+    unsized = [name for name in reads.needs + reads.takes if name not in reads.sized]
+    _refuse_unread(spec, unsized, f"{spec.kind.value} truncation")
 
-    if kind is GalleryKind.TORUS:
-        return lambda size: build_torus(size, 4 * size)
-    if kind is GalleryKind.DELTA:
-        return lambda size: build_delta(size)
-    if kind is GalleryKind.DOUBLED_ONB:
-        return lambda size: build_doubled_onb(size)
-    if kind is GalleryKind.AUGMENTED_ONB:
-        return lambda size: build_augmented_onb(size)
-    if kind is GalleryKind.AFFINE:
-        return lambda size: build_affine(size, None, spec.power)
-    if kind is GalleryKind.RANDOM:
-        if spec.dim is None:
-            raise InvalidSpecError("random trend needs dim")
-        if spec.seed is None:
-            raise InvalidSpecError("random trend needs a seed")
-        return lambda size: build_random(size, spec.dim, [spec.seed, size])
-    raise InvalidSpecError(f"gallery kind {kind.value} is not size-parameterized")
+    def family(size: int) -> VectorFamily:
+        sized = {name: per_size * size for name, per_size in reads.sized.items()}
+        if spec.seed is not None:
+            sized["seed"] = [spec.seed, size]
+        return build(replace(spec, **sized))
+
+    return family

@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import OutOfRangeError, ValidationError
 
-MASS_RTOL = 1e-12
-
 
 def _require_finite(value: float, name: str) -> float:
     v = float(value)
@@ -247,7 +245,7 @@ def sierpinski_subset(space: MeasureSpace, segment_index: int, b: float) -> tupl
 
     The interval is anchored at the segment's lower endpoint and its upper
     endpoint is found by closed-form inversion of the cumulative mass, so the
-    achieved mass agrees with ``b`` to relative precision ``MASS_RTOL``.
+    achieved mass agrees with ``b`` to roundoff.
     """
     if not 0 <= segment_index < len(space.segments):
         raise OutOfRangeError(f"segment index {segment_index} out of range")

@@ -84,26 +84,15 @@ def mixed_operator(psi: VectorFamily, phi: VectorFamily) -> np.ndarray:
     return phi.members.T @ (w[:, None] * psi.members.conj())
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientGeometry:
-    """Geometry induced on coefficient functions by one family.
-
-    Two coefficient functions pair through their synthesis images, see
-    :func:`induced_inner`.
-    """
-
-    family: VectorFamily
-
-
-def induced_inner(geometry: CoefficientGeometry, f_values, g_values) -> complex:
-    """Pairing ``< T F, T G >`` of synthesis images.
+def induced_inner(family: VectorFamily, f_values, g_values) -> complex:
+    """Pairing ``< T F, T G >`` of synthesis images under ``family``.
 
     This is a genuine inner product only modulo the null space of the
     synthesis map: any coefficient function synthesizing to zero pairs to
     zero against everything.
     """
-    tf = synthesis(geometry.family, f_values)
-    tg = synthesis(geometry.family, g_values)
+    tf = synthesis(family, f_values)
+    tg = synthesis(family, g_values)
     return complex(np.vdot(tg, tf))
 
 
@@ -146,12 +135,7 @@ def induced_kernel(psi: VectorFamily, phi: VectorFamily) -> KernelTable:
     # resolution operator (analysis against phi, synthesis onto psi), which is
     # the adjoint of the inverse
     transported = psi.members @ report.inverse.conj()
-    return KernelTable(
-        space=psi.space,
-        left=transported,
-        right=transported,
-        geometry=CoefficientGeometry(family=phi),
-    )
+    return KernelTable(space=psi.space, left=transported, right=transported, geometry=phi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,12 +6,12 @@ here has rank ``r`` at most the ambient dimension, so applying a kernel,
 reading its diagonal or one section costs O(n r); the dense ``n x n`` table is
 built only when a caller asks for :attr:`KernelTable.entries` or the JSON
 export (the CLI's CSV export forms it a block of rows at a time).
-A table may carry a geometry tag: ``None`` means the plain weighted node
-pairing, while a :class:`~framelab.pairs.CoefficientGeometry` marks tables
-whose reproducing identity holds in the inner product induced by a synthesis
-map.  A pair of function systems expands the kernel of its joint span through
-the inverse of the pair's resolution operator; the report of that expansion
-carries how far its two summation orders disagree rather than refusing on it.
+A table may carry a geometry: ``None`` means the plain weighted node
+pairing, while a family marks tables whose reproducing identity holds in the
+inner product induced by that family's synthesis map.  A pair of function
+systems expands the kernel of its joint span through the inverse of the
+pair's resolution operator; the report of that expansion carries how far its
+two summation orders disagree rather than refusing on it.
 The refinement blow-up needs no table at all: the kernel of the step basis is
 diagonal, and its diagonal and orthonormality follow from the ``n`` basis
 values in O(n).
@@ -35,7 +35,7 @@ from .errors import (
 from .measure import DiscretizedSpace, unit_segment_space
 
 if TYPE_CHECKING:
-    from .pairs import CoefficientGeometry
+    from .frames import VectorFamily
 
 # a span basis drops a column whose residual norm is at most this times the largest input norm
 SPAN_DROP_RTOL = 1e-12
@@ -58,13 +58,14 @@ class KernelTable:
     Reproducing-kernel constructors guarantee Hermitian symmetry of their
     tables; tables of oblique projections (mixed analysis/synthesis kernels)
     are in general not Hermitian, so symmetry is checked by the builders, not
-    here.
+    here.  ``geometry`` is the family whose synthesis map induces the pairing
+    the table reproduces in, or ``None`` for the plain node pairing.
     """
 
     space: DiscretizedSpace
     left: np.ndarray
     right: np.ndarray
-    geometry: "CoefficientGeometry | None" = None
+    geometry: "VectorFamily | None" = None
 
     def __post_init__(self) -> None:
         n = self.space.size
@@ -396,6 +397,8 @@ def blowup_experiment(refinements: Sequence[int]) -> list[tuple[int, float]]:
     sizes = list(refinements)
     if sizes != sorted(sizes):
         raise ValidationError("refinement counts must be ascending")
+    if any(n < 1 for n in sizes):
+        raise ValidationError("refinement counts must be positive")
     out: list[tuple[int, float]] = []
     for n in sizes:
         space = unit_segment_space(n)

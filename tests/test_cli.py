@@ -281,6 +281,72 @@ def test_blowup_refuses_gallery_flags(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+# the gallery flags each kind reads, with values it accepts: as the input of a
+# single-family command and as the spec of a truncation (experiment trend/redundancy)
+GALLERY_FLAG_VALUES = {"--dim": "3", "--grid": "8", "--rows": "5", "--seed": "1", "--power": "2"}
+SINGLE_FAMILY_READS = {
+    "torus": ("--dim", "--grid"),
+    "affine": ("--dim", "--grid", "--power"),
+    "delta": ("--dim",),
+    "doubled-onb": ("--dim",),
+    "augmented-onb": ("--dim",),
+    "mercedes": (),
+    "random": ("--rows", "--dim", "--seed"),
+}
+TRUNCATION_READS = {
+    "torus": (),
+    "affine": ("--power",),
+    "delta": (),
+    "doubled-onb": (),
+    "augmented-onb": (),
+    "random": ("--dim", "--seed"),
+}
+# command -> (argv before the gallery flags, reads per kind, what the refusal names)
+GALLERY_COMMANDS = {
+    "bounds": (("bounds",), SINGLE_FAMILY_READS, "gallery"),
+    "trend": (("experiment", "trend", "--sizes", "2,4"), TRUNCATION_READS, "truncation"),
+}
+
+
+def _gallery_argv(command, kind, flags):
+    prefix = GALLERY_COMMANDS[command][0]
+    values = [item for flag in flags for item in (flag, GALLERY_FLAG_VALUES[flag])]
+    return [*prefix, "--gallery", kind, *values]
+
+
+@pytest.mark.parametrize(
+    "command, kind, flag",
+    [
+        (command, kind, flag)
+        for command, (_, reads, _) in GALLERY_COMMANDS.items()
+        for kind, read in reads.items()
+        for flag in GALLERY_FLAG_VALUES
+        if flag not in read
+    ],
+)
+def test_gallery_flag_the_kind_does_not_read_is_refused(tmp_path, capsys, command, kind, flag):
+    _, reads, noun = GALLERY_COMMANDS[command]
+    out = tmp_path / "report.json"
+    argv = _gallery_argv(command, kind, (*reads[kind], flag))
+    assert run(*argv, "--out", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        f"framelab: invalid input: {kind} {noun} does not read {flag[2:]}"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [(command, kind) for command, (_, reads, _) in GALLERY_COMMANDS.items() for kind in reads],
+)
+def test_every_gallery_flag_the_kind_reads_is_accepted(tmp_path, capsys, command, kind):
+    out = tmp_path / "report.json"
+    argv = _gallery_argv(command, kind, GALLERY_COMMANDS[command][1][kind])
+    assert run(*argv, "--out", str(out)) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
+
 def test_cached_parser_matches_a_fresh_one(tmp_path, capsys):
     runs = [
         ("bounds", "--gallery", "mercedes", "--format", "csv"),

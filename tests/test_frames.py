@@ -187,17 +187,6 @@ class TestFrameBounds:
         assert report.classification is Classification.BESSEL_ONLY
         assert report.condition == float("inf")
 
-    def test_absolute_thresholds(self):
-        family = mercedes_family()
-        report = frame_bounds(family, absolute_lower=2.0, absolute_upper=1.0)
-        assert report.classification is Classification.NEITHER
-        report = frame_bounds(family, absolute_lower=1.0, absolute_upper=1.0)
-        assert report.classification is Classification.LOWER_ONLY
-        report = frame_bounds(family, absolute_lower=2.0)
-        assert report.classification is Classification.BESSEL_ONLY
-        report = frame_bounds(family, absolute_lower=1.0, absolute_upper=2.0)
-        assert report.classification is Classification.FRAME
-
     def test_degenerate_zero_redundancy_flag(self, rng):
         # quadrature-only nodes, unique rows, square full rank: the finite
         # shadow of a refinement too coarse to rule out discreteness

@@ -199,3 +199,85 @@ class TestSpec:
             truncation_sequence(spec, [8, 4])
         with pytest.raises(InvalidSpecError):
             truncation_sequence(GallerySpec(kind=GalleryKind.MERCEDES), [2, 3])
+
+    def test_random_trend_needs_seed_and_dim(self):
+        for spec in (GallerySpec(kind=GalleryKind.RANDOM, dim=3),
+                     GallerySpec(kind=GalleryKind.RANDOM, seed=5)):
+            with pytest.raises(InvalidSpecError):
+                truncation_sequence(spec, [2, 4])(2)
+
+
+# the fields each kind's build reads, with values it accepts
+FIELD_VALUES = {"dim": 3, "grid": 8, "rows": 5, "seed": 1, "power": 2}
+BUILD_READS = {
+    GalleryKind.TORUS: ("dim", "grid"),
+    GalleryKind.AFFINE: ("dim", "grid", "power"),
+    GalleryKind.DELTA: ("dim",),
+    GalleryKind.DOUBLED_ONB: ("dim",),
+    GalleryKind.AUGMENTED_ONB: ("dim",),
+    GalleryKind.MERCEDES: (),
+    GalleryKind.RANDOM: ("rows", "dim", "seed"),
+}
+# the fields a truncation reads from its spec; its size sets the rest
+TRUNCATION_READS = {
+    GalleryKind.TORUS: (),
+    GalleryKind.AFFINE: ("power",),
+    GalleryKind.DELTA: (),
+    GalleryKind.DOUBLED_ONB: (),
+    GalleryKind.AUGMENTED_ONB: (),
+    GalleryKind.RANDOM: ("dim", "seed"),
+}
+
+
+def _spec(kind, names):
+    return GallerySpec(kind=kind, **{name: FIELD_VALUES[name] for name in names})
+
+
+class TestUnreadFields:
+    @pytest.mark.parametrize(
+        "kind, field",
+        [(kind, f) for kind, reads in BUILD_READS.items() for f in FIELD_VALUES if f not in reads],
+    )
+    def test_build_refuses(self, kind, field):
+        with pytest.raises(InvalidSpecError, match=f"^{kind.value} gallery does not read {field}$"):
+            build(_spec(kind, (*BUILD_READS[kind], field)))
+
+    @pytest.mark.parametrize("kind", list(BUILD_READS))
+    def test_build_reads(self, kind):
+        build(_spec(kind, BUILD_READS[kind]))
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            (kind, f)
+            for kind, reads in TRUNCATION_READS.items()
+            for f in FIELD_VALUES
+            if f not in reads
+        ],
+    )
+    def test_truncation_refuses(self, kind, field):
+        message = f"^{kind.value} truncation does not read {field}$"
+        with pytest.raises(InvalidSpecError, match=message):
+            truncation_sequence(_spec(kind, (*TRUNCATION_READS[kind], field)), [2, 4])
+
+    def test_unread_fields_named_together(self):
+        spec = GallerySpec(kind=GalleryKind.MERCEDES, dim=9, power=4)
+        with pytest.raises(InvalidSpecError, match="^mercedes gallery does not read dim, power$"):
+            build(spec)
+
+    def test_truncations_match_direct_builds(self):
+        cases = [
+            (GallerySpec(kind=GalleryKind.TORUS), lambda n: build_torus(n, 4 * n)),
+            (GallerySpec(kind=GalleryKind.AFFINE, power=2), lambda n: build_affine(n, power=2)),
+            (GallerySpec(kind=GalleryKind.DELTA), build_delta),
+            (GallerySpec(kind=GalleryKind.DOUBLED_ONB), build_doubled_onb),
+            (GallerySpec(kind=GalleryKind.AUGMENTED_ONB), build_augmented_onb),
+            (GallerySpec(kind=GalleryKind.RANDOM, dim=3, seed=5),
+             lambda n: build_random(n, 3, [5, n])),
+        ]
+        for spec, direct in cases:
+            builder = truncation_sequence(spec, [2, 5])
+            for size in (2, 5):
+                family, expected = builder(size), direct(size)
+                assert np.array_equal(family.members, expected.members)
+                assert family.space == expected.space

@@ -144,6 +144,12 @@ _case(
     "--dim", "3",
 )
 _case("error_trend_needs_gallery", "experiment", "trend", "--sizes", "2,4")
+_case("error_blowup_zero_size", "experiment", "blowup", "--sizes", "0")
+_case("error_mercedes_unread_flags", "bounds", *MERCEDES, "--dim", "9", "--power", "4")
+_case(
+    "error_trend_torus_unread_flags", "experiment", "trend", "--gallery", "torus", "--dim", "5",
+    "--grid", "9", "--sizes", "2,4",
+)
 _case("error_random_without_seed", "bounds", "--gallery", "random", "--rows", "4", "--dim", "2")
 _case("error_negative_row_tol", "split", *MERCEDES, "--row-tol", "-1")
 _case("error_rank_tol_text", "bounds", *MERCEDES, FRAMELAB_RANK_TOL="tiny")

@@ -19,7 +19,6 @@ from framelab.errors import (
 from framelab.frames import analysis_matrix, kernel_matrix
 from framelab.gallery import build_torus
 from framelab.measure import unit_segment_space
-from framelab.pairs import CoefficientGeometry
 from framelab.rkhs import (
     KernelTable,
     bessel_pointwise_check,
@@ -320,6 +319,11 @@ class TestBlowup:
         with pytest.raises(ValidationError):
             blowup_experiment([8, 4])
 
+    @pytest.mark.parametrize("sizes", [[0], [-1], [0, 2]])
+    def test_requires_positive(self, sizes):
+        with pytest.raises(ValidationError, match="^refinement counts must be positive$"):
+            blowup_experiment(sizes)
+
     def test_diagonal_flat_across_nodes(self):
         # the O(n) maxima against the dense kernel of the step basis, bit for bit
         sizes = [1, 2, 3, 16, 17]
@@ -421,7 +425,7 @@ def factored_tables(draw):
     left, right = random_factors(rng, rows, rank, hermitian)
     geometry = None
     if induced:
-        geometry = CoefficientGeometry(family=random_family(rng, rows, 2, weighted=False))
+        geometry = random_family(rng, rows, 2, weighted=False)
     table = KernelTable(space=space, left=left, right=right, geometry=geometry)
     return table, left @ right.conj().T, rng
 
