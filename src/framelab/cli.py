@@ -47,22 +47,18 @@ EXIT_IO = 3
 CSV_BLOCK_ENTRIES = 1 << 10
 
 
-class _CliArgumentError(ValidationError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
-        raise _CliArgumentError(message)
+        raise ValidationError(message)
 
 
 def _parse_sizes(raw: str) -> list[int]:
     try:
         sizes = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
-        raise _CliArgumentError(f"bad size list {raw!r}") from exc
+        raise ValidationError(f"bad size list {raw!r}") from exc
     if not sizes:
-        raise _CliArgumentError("size list is empty")
+        raise ValidationError("size list is empty")
     return sizes
 
 
@@ -80,27 +76,18 @@ def _add_gallery_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--power", type=int, help="radial weight exponent (default 1)")
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, tabular: bool) -> None:
-    """``--out`` always; ``--format`` only where the handler can write CSV."""
-    parser.add_argument("--out", type=Path, required=True, help="output file path")
-    if tabular:
-        parser.add_argument(
-            "--format", choices=("json", "csv"), default="json", help="output format"
-        )
-
-
 def _gallery_spec(args: argparse.Namespace) -> gallery.GallerySpec:
     try:
         kind = gallery.GalleryKind(args.gallery)
     except ValueError as exc:
-        raise _CliArgumentError(f"unknown gallery kind {args.gallery!r}") from exc
+        raise ValidationError(f"unknown gallery kind {args.gallery!r}") from exc
     return gallery.GallerySpec(kind=kind, **{name: getattr(args, name) for name in _SPEC_FLAGS})
 
 
 def _load_family(args: argparse.Namespace) -> VectorFamily:
     sources = [args.in_path is not None, args.gallery is not None]
     if sum(sources) != 1:
-        raise _CliArgumentError("exactly one of --in or --gallery is required")
+        raise ValidationError("exactly one of --in or --gallery is required")
     if args.in_path is not None:
         return _family_from_file(args.in_path)
     return gallery.build(_gallery_spec(args))
@@ -110,7 +97,7 @@ def _family_from_file(path: Path) -> VectorFamily:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return VectorFamily.from_json(data)
@@ -220,6 +207,16 @@ def _csv_bytes(rows, header) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+def _table_bytes(args: argparse.Namespace, key: str, header, rows, **summary) -> bytes:
+    """CSV rows under ``header``, or JSON with one object per row under ``key``.
+
+    Each object is keyed by ``header``; the ``summary`` fields sit beside ``key``.
+    """
+    if args.format == "csv":
+        return _csv_bytes(rows, header)
+    return _json_bytes({key: [dict(zip(header, row)) for row in rows], **summary})
+
+
 def _kernel_csv_bytes(table: rkhs.KernelTable) -> bytearray:
     """``x,y,re,im`` rows of ``table``: the bytes ``csv.writer`` gives row by row.
 
@@ -284,21 +281,18 @@ def _write(path: Path, data: bytes) -> None:
 
 def _cmd_inspect(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
-    if args.format == "csv":
-        return _csv_bytes(family.profile_rows(), header=("point", "weight", "squared_norm"))
     atoms = int(np.count_nonzero(family.space.is_atom))
-    payload = {
-        "nodes": family.size,
-        "dim": family.dim,
-        "total_measure": family.space.total_weight,
-        "atom_nodes": atoms,
-        "cell_nodes": family.size - atoms,
-        "profile": [
-            {"point": point, "weight": weight, "squared_norm": sq}
-            for point, weight, sq in family.profile_rows()
-        ],
-    }
-    return _json_bytes(payload)
+    return _table_bytes(
+        args,
+        "profile",
+        ("point", "weight", "squared_norm"),
+        family.profile_rows(),
+        nodes=family.size,
+        dim=family.dim,
+        total_measure=family.space.total_weight,
+        atom_nodes=atoms,
+        cell_nodes=family.size - atoms,
+    )
 
 
 def _cmd_bounds(args: argparse.Namespace) -> bytes:
@@ -362,46 +356,24 @@ def _cmd_experiment(args: argparse.Namespace) -> bytes:
         flags = ("gallery", *_SPEC_FLAGS)
         given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
         if given:
-            raise _CliArgumentError(f"experiment blowup reads no gallery flags: {' '.join(given)}")
+            raise ValidationError(f"experiment blowup reads no gallery flags: {' '.join(given)}")
         points = rkhs.blowup_experiment(sizes)
-        if args.format == "csv":
-            return _csv_bytes(points, header=("cells", "max_diagonal"))
-        return _json_bytes(
-            {"points": [{"cells": n, "max_diagonal": d} for n, d in points]}
-        )
+        return _table_bytes(args, "points", ("cells", "max_diagonal"), points)
     if args.gallery is None:
-        raise _CliArgumentError(f"experiment {args.experiment} needs --gallery")
+        raise ValidationError(f"experiment {args.experiment} needs --gallery")
     spec = _gallery_spec(args)
     builder = gallery.truncation_sequence(spec, sizes)
     if args.experiment == "trend":
         trend = frames.semiframe_trend(builder, sizes)
         verdict = frames.classify_trend(trend)
-        if args.format == "csv":
-            return _csv_bytes(trend, header=("size", "lower", "upper"))
-        return _json_bytes(
-            {
-                "trend": [
-                    {"size": s, "lower": lo, "upper": up} for s, lo, up in trend
-                ],
-                "classification": verdict.value,
-            }
+        return _table_bytes(
+            args, "trend", ("size", "lower", "upper"), trend, classification=verdict.value
         )
-    if args.experiment == "redundancy":
-        rows = []
-        for size in sizes:
-            family = builder(size)
-            rows.append((size, family.size, family.dim, frames.redundancy(family)))
-        if args.format == "csv":
-            return _csv_bytes(rows, header=("size", "rows", "dim", "redundancy"))
-        return _json_bytes(
-            {
-                "redundancy": [
-                    {"size": s, "rows": n, "dim": d, "redundancy": r}
-                    for s, n, d, r in rows
-                ]
-            }
-        )
-    raise _CliArgumentError(f"unknown experiment {args.experiment!r}")
+    rows = []
+    for size in sizes:
+        family = builder(size)
+        rows.append((size, family.size, family.dim, frames.redundancy(family)))
+    return _table_bytes(args, "redundancy", ("size", "rows", "dim", "redundancy"), rows)
 
 
 @functools.cache
@@ -411,54 +383,46 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     commands = {
-        "inspect": "summarize a family and its space",
-        "bounds": "frame bounds, redundancy and classification",
-        "dual": "canonical dual family",
-        "kernel": "kernel table of the analysis range",
-        "redundancy": "node excess over the member rank",
-        "split": "discrete versus strictly continuous parts",
-        "pair-check": "reproducing-pair verdict for two families",
-        "partner": "reproducing partner of a family",
+        "inspect": (_cmd_inspect, "summarize a family and its space"),
+        "bounds": (_cmd_bounds, "frame bounds, redundancy and classification"),
+        "dual": (_cmd_dual, "canonical dual family"),
+        "kernel": (_cmd_kernel, "kernel table of the analysis range"),
+        "redundancy": (_cmd_redundancy, "node excess over the member rank"),
+        "split": (_cmd_split, "discrete versus strictly continuous parts"),
+        "pair-check": (_cmd_pair_check, "reproducing-pair verdict for two families"),
+        "partner": (_cmd_partner, "reproducing partner of a family"),
+        "experiment": (_cmd_experiment, "trend and refinement experiments"),
     }
-    for name, helptext in commands.items():
+    for name, (handler, helptext) in commands.items():
         cmd = sub.add_parser(name, help=helptext)
-        if name == "pair-check":
+        cmd.set_defaults(handler=handler)
+        if handler is _cmd_pair_check:
             cmd.add_argument("--psi", type=Path, required=True)
             cmd.add_argument("--phi", type=Path, required=True)
+        elif handler is _cmd_experiment:
+            cmd.add_argument("experiment", choices=("blowup", "trend", "redundancy"))
+            cmd.add_argument("--sizes", type=str, required=True, help="comma-separated sizes")
+            _add_gallery_flags(cmd)
         else:
             cmd.add_argument("--in", dest="in_path", type=Path, help="family JSON file")
             _add_gallery_flags(cmd)
-        if name == "split":
+        if handler is _cmd_split:
             cmd.add_argument("--row-tol", type=float, default=frames.ROW_MATCH_TOL)
-        _add_output_flags(cmd, tabular=name in ("inspect", "kernel"))
-
-    exp_cmd = sub.add_parser("experiment", help="trend and refinement experiments")
-    exp_cmd.add_argument("experiment", choices=("blowup", "trend", "redundancy"))
-    exp_cmd.add_argument("--sizes", type=str, required=True, help="comma-separated sizes")
-    _add_gallery_flags(exp_cmd)
-    _add_output_flags(exp_cmd, tabular=True)
+        cmd.add_argument("--out", type=Path, required=True, help="output file path")
+        # --format only where the handler can write CSV
+        if handler in (_cmd_inspect, _cmd_kernel, _cmd_experiment):
+            cmd.add_argument(
+                "--format", choices=("json", "csv"), default="json", help="output format"
+            )
 
     return parser
-
-
-_HANDLERS = {
-    "inspect": _cmd_inspect,
-    "bounds": _cmd_bounds,
-    "dual": _cmd_dual,
-    "kernel": _cmd_kernel,
-    "redundancy": _cmd_redundancy,
-    "split": _cmd_split,
-    "pair-check": _cmd_pair_check,
-    "partner": _cmd_partner,
-    "experiment": _cmd_experiment,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = _HANDLERS[args.command](args)
+        payload = args.handler(args)
         _write(args.out, payload)
     except ValidationError as exc:
         print(f"framelab: invalid input: {exc}", file=sys.stderr)

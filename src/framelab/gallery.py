@@ -96,19 +96,24 @@ def _exp_tail_cut(power: int) -> float:
 
     For integer ``power`` the normalized upper tail of ``r**(power-1) e^{-2r}``
     has the closed form ``e^{-2R} sum_{m<power} (2R)^m / m!``; the cut is found
-    by bisection.
+    by bisection.  A power whose tail overflows a float on the way is refused.
     """
     def tail(radius: float) -> float:
         x = 2.0 * radius
         return math.exp(-x) * sum(x**m / math.factorial(m) for m in range(power))
 
-    lo, hi = 0.0, 60.0 + 10.0 * power
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if tail(mid) > AFFINE_TAIL_FRACTION:
-            lo = mid
-        else:
-            hi = mid
+    try:
+        lo, hi = 0.0, 60.0 + 10.0 * power
+        for _ in range(200):
+            mid = (lo + hi) / 2.0
+            if tail(mid) > AFFINE_TAIL_FRACTION:
+                lo = mid
+            else:
+                hi = mid
+    except OverflowError as exc:
+        raise InvalidSpecError(
+            f"affine power {power} is too large for its radial tail cut"
+        ) from exc
     return hi
 
 
@@ -243,7 +248,10 @@ def build_random(rows: int, dim: int, seed=None) -> VectorFamily:
         raise InvalidSpecError("random family needs rows >= 1 and dim >= 1")
     if seed is None:
         raise InvalidSpecError("random family needs an explicit seed")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError as exc:
+        raise InvalidSpecError(f"random family seed {seed!r} refused: {exc}") from exc
     members = (
         rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
     ) / math.sqrt(2.0)

@@ -324,9 +324,7 @@ class PointwiseVerdict:
     """Per-node outcome of the pointwise square-sum bound."""
 
     sums: np.ndarray
-    limits: np.ndarray
     upper_ok: np.ndarray
-    lower_positive: np.ndarray
 
     @property
     def all_upper_ok(self) -> bool:
@@ -337,18 +335,13 @@ def bessel_pointwise_check(functions, kernel: KernelTable, upper_bound: float) -
     """Check ``sum_i |f_i(x)|^2 <= upper_bound * K(x, x) + POINTWISE_SLACK`` per node.
 
     ``upper_bound`` must be a verified upper frame bound of the system in the
-    kernel's geometry; the verdict also records strict positivity of the sums,
-    which holds for frames but can fail for mere upper-bounded systems.
+    kernel's geometry.
     """
     numerics.check_tolerance(upper_bound, "upper_bound")
     b = function_matrix(functions, kernel.space)
     sums = np.sum(np.abs(b) ** 2, axis=1)
-    limits = upper_bound * kernel.diagonal + POINTWISE_SLACK
     return PointwiseVerdict(
-        sums=sums,
-        limits=limits,
-        upper_ok=sums <= limits,
-        lower_positive=sums > 0,
+        sums=sums, upper_ok=sums <= upper_bound * kernel.diagonal + POINTWISE_SLACK
     )
 
 

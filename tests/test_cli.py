@@ -5,7 +5,10 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -507,3 +510,112 @@ def test_integer_family_values_accepted(tmp_path):
     assert run("inspect", "--in", str(family_path), "--out", str(out)) == EXIT_OK
     profile = json.loads(out.read_text())["profile"]
     assert profile == [{"point": 3, "weight": 2, "squared_norm": 5.25}]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff{}", b"[" * 100_000],
+    ids=["not-utf-8", "nested-past-the-recursion-limit"],
+)
+@pytest.mark.parametrize("flag", ["--in", "--psi", "--phi"])
+def test_family_file_that_is_not_json_text(tmp_path, capsys, raw, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    good = tmp_path / "good.json"
+    write_family(good, np.eye(2, dtype=complex))
+    out = tmp_path / "report.json"
+    if flag == "--in":
+        argv = ["bounds", "--in", str(bad)]
+    else:
+        argv = ["pair-check", "--psi", str(good), "--phi", str(good), flag, str(bad)]
+    assert run(*argv, "--out", str(out)) == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"framelab: invalid input: {bad}: not valid JSON (")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("bounds", "--gallery", "random", "--rows", "3", "--dim", "2", "--seed", "-1"),
+            "random family seed -1 refused",
+        ),
+        (
+            ("experiment", "trend", "--gallery", "random", "--dim", "2", "--seed", "-5",
+             "--sizes", "2,3"),
+            "random family seed [-5, 2] refused",
+        ),
+        (
+            ("experiment", "redundancy", "--gallery", "random", "--dim", "2", "--seed", "-5",
+             "--sizes", "2,3"),
+            "random family seed [-5, 2] refused",
+        ),
+        (
+            ("bounds", "--gallery", "affine", "--dim", "4", "--power", "103"),
+            "affine power 103 is too large for its radial tail cut",
+        ),
+        (
+            ("experiment", "trend", "--gallery", "affine", "--power", "103", "--sizes", "2,3"),
+            "affine power 103 is too large for its radial tail cut",
+        ),
+    ],
+    ids=["seed-single", "seed-trend", "seed-redundancy", "power-single", "power-trend"],
+)
+def test_gallery_value_outside_the_builder_range(tmp_path, capsys, argv, message):
+    out = tmp_path / "report.json"
+    assert run(*argv, "--out", str(out)) == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"framelab: invalid input: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("inspect", "--gallery", "torus", "--dim", "3", "--grid", "8"), "profile"),
+        (("experiment", "blowup", "--sizes", "2,8"), "points"),
+        (("experiment", "trend", "--gallery", "delta", "--sizes", "4,8"), "trend"),
+        (("experiment", "redundancy", "--gallery", "doubled-onb", "--sizes", "2,4"), "redundancy"),
+    ],
+    ids=["inspect", "blowup", "trend", "redundancy"],
+)
+def test_tabular_json_holds_the_csv_rows(tmp_path, argv, key):
+    out_json = tmp_path / "report.json"
+    out_csv = tmp_path / "report.csv"
+    assert run(*argv, "--out", str(out_json)) == EXIT_OK
+    assert run(*argv, "--out", str(out_csv), "--format", "csv") == EXIT_OK
+    with open(out_csv, newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    objects = json.loads(out_json.read_text())[key]
+    assert rows and [sorted(obj) for obj in objects] == [sorted(header)] * len(rows)
+    # csv.writer and the JSON renderer both write a float as its repr
+    assert [[str(obj[field]) for field in header] for obj in objects] == rows
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_one_size_trend_refused_in_either_format(tmp_path, capsys, fmt):
+    out = tmp_path / "trend.out"
+    argv = ("experiment", "trend", "--gallery", "delta", "--sizes", "8", "--format", fmt)
+    assert run(*argv, "--out", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "framelab: invalid input: a trend needs at least two sizes\n"
+    assert not out.exists()
+
+
+def test_module_entry_point(tmp_path):
+    out = tmp_path / "report.json"
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "framelab.cli", "bounds", "--gallery", "mercedes",
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (EXIT_OK, "", "")
+    in_process = tmp_path / "in_process.json"
+    assert run("bounds", "--gallery", "mercedes", "--out", str(in_process)) == EXIT_OK
+    assert out.read_bytes() == in_process.read_bytes()
+    assert json.loads(out.read_text())["classification"] == "frame"

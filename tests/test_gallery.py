@@ -104,6 +104,14 @@ class TestAffine:
         assert report.upper <= 1.0 + 1e-12
         assert report.lower <= 1e-7
 
+    def test_power_past_the_float_range_refused(self):
+        # power 102 is the largest whose tail-cut bisection stays within a float
+        assert build_affine(4, power=102).members.shape == (4, 4)
+        with pytest.raises(InvalidSpecError, match="affine power 103 is too large"):
+            build_affine(4, power=103)
+        with pytest.raises(InvalidSpecError, match="affine power 103 is too large"):
+            affine_symbol(4, power=103)
+
 
 class TestDelta:
     def test_column_sums_follow_pattern(self):
@@ -164,6 +172,13 @@ class TestRandom:
     def test_seed_required(self):
         with pytest.raises(InvalidSpecError):
             build_random(7, 3, seed=None)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(InvalidSpecError, match="random family seed -1 refused"):
+            build_random(7, 3, seed=-1)
+        builder = truncation_sequence(GallerySpec(kind=GalleryKind.RANDOM, dim=3, seed=-5), [2])
+        with pytest.raises(InvalidSpecError, match=r"random family seed \[-5, 2\] refused"):
+            builder(2)
 
     def test_trend_builder_deterministic(self):
         spec = GallerySpec(kind=GalleryKind.RANDOM, dim=3, seed=5)
