@@ -9,6 +9,7 @@ conjugate-linear in the second, so ``analysis(family, f)[j] = <f, row_j>``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -43,9 +44,17 @@ class VectorFamily:
             )
         if m.shape[1] < 1:
             raise ValidationError("ambient dimension must be at least 1")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("member entries must be finite")
         m = m.copy()
+        # the weighted sum of squared row norms is the trace of the frame
+        # operator and bounds its entries; weights are positive, so it is
+        # finite only when every entry, squared row norm and weighted one is
+        parts = m.view(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = float(self.space.weights @ np.einsum("ij,ij->i", parts, parts))
+        if not math.isfinite(energy):
+            if not np.all(np.isfinite(m)):
+                raise ValidationError("member entries must be finite")
+            raise ValidationError("squared norms of the members overflow")
         m.setflags(write=False)
         object.__setattr__(self, "members", m)
 

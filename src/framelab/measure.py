@@ -22,7 +22,7 @@ from .errors import OutOfRangeError, ValidationError
 
 def _require_finite(value: float, name: str) -> float:
     v = float(value)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return v
 

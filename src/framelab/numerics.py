@@ -5,7 +5,13 @@ coordinate Gram matrices) are dense ``complex128`` numpy arrays of size at
 most ``d x d`` or ``n x d``; node-indexed ``n x n`` kernels are kept by
 :mod:`framelab.rkhs` as two ``n x r`` factors instead.  There is no sparse or
 iterative machinery.  Every rank decision and pseudoinverse cutoff comes
-from :func:`rank_cutoff`, and the frame bounds of a frame operator together
+from :func:`rank_cutoff`.  :func:`rank` certifies full rank from the Gram
+spectrum of the shorter side: with eigenvalues ``lam`` ascending and the
+slack ``4 * (rows + cols) * eps * trace``, the rank is ``min(rows, cols)``
+when ``lam[0] - slack`` exceeds the squared cutoff of
+``sqrt(lam[-1] + slack)``; otherwise, and for empty, overflowing or
+underflowing input, it counts singular values from an SVD.  Either way the
+verdict is the SVD count.  The frame bounds of a frame operator together
 with the rule that refuses to invert it live in :func:`frame_spectrum` and
 :func:`require_frame`, so no other module hand-rolls its own thresholds.  The
 thresholds are constants: ``DEFAULT_RANK_RTOL`` (overridable only through
@@ -31,6 +37,11 @@ HERMITIAN_RTOL = 1e-12
 FRAME_RTOL = 1e-8
 
 RANK_TOL_ENV = "FRAMELAB_RANK_TOL"
+
+_EPS = float(np.finfo(np.float64).eps)
+# below this Gram trace per table entry, gradual underflow in forming the Gram
+# could exceed the rank certificate's rounding slack
+_GRAM_FLOOR = float(np.finfo(np.float64).tiny) / _EPS
 
 
 def check_tolerance(value: float, name: str) -> None:
@@ -159,8 +170,33 @@ def pinv(a) -> tuple[np.ndarray, int]:
 
 
 def rank(a) -> int:
-    """Number of singular values above :func:`rank_cutoff`."""
+    """Number of singular values above :func:`rank_cutoff`.
+
+    Full rank is first certified from the eigenvalues ``lam`` of the Gram
+    matrix ``G`` of the shorter side (``min(rows, cols)`` square).  Forming
+    ``G`` and taking its eigenvalues is backward stable, so by Weyl's
+    inequality ``|lam_i - sigma_i**2| <= slack`` with
+    ``slack = 4 * (rows + cols) * eps * trace(G)`` and
+    ``trace(G) = ||a||_F**2``.  When ``lam[0] - slack`` exceeds the squared
+    cutoff of the upper bound ``sqrt(lam[-1] + slack)`` on ``sigma_max``,
+    every singular value clears the cutoff and the rank is
+    ``min(rows, cols)``.  The certificate also requires ``trace(G)`` to be
+    finite and above ``rows * cols * tiny / eps``, so that neither
+    overflow nor gradual underflow in ``G`` escapes the slack.  Otherwise the
+    singular values are counted from an SVD; either way the verdict is the
+    SVD count.
+    """
     m = as_matrix(a)
+    rows, cols = m.shape
+    with np.errstate(all="ignore"):
+        gram = m.conj().T @ m if rows >= cols else m @ m.conj().T
+        trace = float(np.trace(gram).real)
+    if _GRAM_FLOOR * rows * cols < trace < math.inf and np.all(np.isfinite(gram)):
+        lam = np.linalg.eigvalsh(gram)
+        slack = 4 * (rows + cols) * _EPS * trace
+        bound = rank_cutoff(np.sqrt([lam[-1] + slack]), m.shape)
+        if lam[0] - slack > bound * bound:
+            return min(rows, cols)
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s > rank_cutoff(s, m.shape)))
 

@@ -208,15 +208,15 @@ def reproducing_partner(phi: VectorFamily) -> VectorFamily:
     the minimal-norm choice makes the pair's resolution operator exactly the
     identity.  The per-node squared sums of the preimages equal the squared
     row norms of the returned members.
+
+    Weighted synthesis is the adjoint of weighted analysis, so its
+    minimal-norm right inverse is the adjoint of the minimal-norm left
+    inverse behind :func:`lower_semiframe_dual`, and the partner is that dual.
     """
-    w = phi.space.weights
-    sqrt_w = np.sqrt(w)
-    weighted_synthesis = phi.members.T * sqrt_w[None, :]
-    preimages, rank = numerics.pinv(weighted_synthesis)
-    if rank < phi.dim:
-        raise NotSurjectiveError("synthesis map does not reach the ambient space")
-    preimages /= sqrt_w[:, None]
-    return VectorFamily(space=phi.space, members=preimages.conj())
+    try:
+        return lower_semiframe_dual(phi)
+    except NotInjectiveError as exc:
+        raise NotSurjectiveError("synthesis map does not reach the ambient space") from exc
 
 
 def partner_pointwise_sums(partner: VectorFamily) -> np.ndarray:

@@ -480,13 +480,17 @@ _NODE = {"point": 0.0, "weight": 1.0, "provenance": "atom"}
         {"space": {"nodes": [{**_NODE, "point": float("inf")}]}, "dim": 1, "members": [[1.0, 0.0]]},
         {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[True, False]]},
         {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[10**400, 0]]},
+        {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1e200, 0.0]]},
+        {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1e308, 0.0]]},
     ],
     ids=[
         "top-level-list", "node-without-weight", "short-member-entry", "fractional-dim",
         "string-dim", "string-weight", "boolean-weight", "list-point", "null-point",
         "nan-point", "infinite-point", "boolean-member-entry", "overflowing-member-entry",
+        "member-square-overflows", "member-square-far-past-the-float-range",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_family_json(tmp_path, capsys, payload):
     family_path = tmp_path / "family.json"
     family_path.write_text(json.dumps(payload))
@@ -495,6 +499,20 @@ def test_malformed_family_json(tmp_path, capsys, payload):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"framelab: invalid input: {family_path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("weight, entry", [(1.0, 1e200), (1e-300, 1e200), (1e300, 1e10)])
+def test_inspect_refuses_overflowing_squared_norms(tmp_path, capsys, weight, entry):
+    payload = {"space": {"nodes": [{**_NODE, "weight": weight}]}, "dim": 1, "members": [[entry, 0.0]]}
+    family_path = tmp_path / "family.json"
+    family_path.write_text(json.dumps(payload))
+    out = tmp_path / "inspect.json"
+    assert run("inspect", "--in", str(family_path), "--out", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"framelab: invalid input: {family_path}: squared norms of the members overflow\n"
+    )
     assert not out.exists()
 
 

@@ -15,7 +15,9 @@ or only the reports and manifest entries of some cases with::
 
     PYTHONPATH=src python tests/test_golden.py NAME...
 
-and review the diff: a regenerated corpus is a behaviour change.
+and review the diff: a regenerated corpus is a behaviour change.  Regenerate
+only named cases (``python tests/test_golden.py NAME...``): a whole-corpus run
+rewrites the ``dual_*`` and ``kernel_*`` floats on any other BLAS build.
 """
 
 from __future__ import annotations

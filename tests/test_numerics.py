@@ -1,8 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from framelab import numerics
@@ -127,6 +128,79 @@ class TestRank:
         s = np.linalg.svd(a, compute_uv=False)
         assert int(np.sum(s > 1e-10 * s[0] * 12)) == 5
         assert numerics.rank(a) == 5
+
+
+def _svd_count(a, threshold):
+    """Reference rank: singular values above ``threshold * sigma_max * max(shape)``."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s > threshold * s[0] * max(a.shape)))
+
+
+class _SvdCalled(Exception):
+    pass
+
+
+def _no_svd(*args, **kwargs):
+    raise _SvdCalled
+
+
+class TestRankCertificate:
+    """The Gram certificate of full rank gives exactly the SVD count."""
+
+    @pytest.mark.parametrize("threshold", [None, "1e-3", "0.5"])
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        short=st.integers(1, 12),
+        extra=st.integers(0, 36),
+        tall=st.booleans(),
+        kind=st.sampled_from(["generic", "thin-product", "above-cutoff", "below-cutoff"]),
+        exponent=st.sampled_from([0, 600, -600, -530, 510]),
+    )
+    def test_equals_svd_count(
+        self, monkeypatch, threshold, seed, short, extra, tall, kind, exponent
+    ):
+        if threshold is not None:
+            monkeypatch.setenv(numerics.RANK_TOL_ENV, threshold)
+        rng = np.random.default_rng(seed)
+        rows, cols = (short + extra, short) if tall else (short, short + extra)
+        if kind == "generic":
+            a = complex_rng_matrix(rng, rows, cols)
+        elif kind == "thin-product":
+            inner = int(rng.integers(0, short))
+            a = complex_rng_matrix(rng, rows, inner) @ complex_rng_matrix(rng, inner, cols)
+        else:
+            # unit singular values except the smallest, placed just off the cutoff
+            cutoff = float(threshold or numerics.DEFAULT_RANK_RTOL) * max(rows, cols)
+            s = np.ones(short)
+            s[-1] = cutoff * (1 + 1e-6 if kind == "above-cutoff" else 1 - 1e-6)
+            u, _ = np.linalg.qr(complex_rng_matrix(rng, rows, short))
+            v, _ = np.linalg.qr(complex_rng_matrix(rng, cols, short))
+            a = (u * s) @ v.conj().T
+        a = a * 2.0**exponent
+        tolerance = float(threshold or numerics.DEFAULT_RANK_RTOL)
+        assert numerics.rank(a) == _svd_count(a, tolerance)
+
+    def test_well_conditioned_table_needs_no_svd(self, rng, monkeypatch):
+        a = complex_rng_matrix(rng, 512, 32)
+        deficient = complex_rng_matrix(rng, 512, 31) @ complex_rng_matrix(rng, 31, 32)
+        monkeypatch.setattr(np.linalg, "svd", _no_svd)
+        assert numerics.rank(a) == 32
+        with pytest.raises(_SvdCalled):
+            numerics.rank(deficient)
+
+    @pytest.mark.parametrize(
+        "a", [[[1e200]], [[1e308, 1.0], [1.0, 1e-300]]], ids=["square-overflows", "ill-scaled"]
+    )
+    def test_overflowing_gram_falls_back_silently(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert numerics.rank(a) == _svd_count(np.asarray(a), numerics.DEFAULT_RANK_RTOL)
 
 
 class TestRankPolicy:

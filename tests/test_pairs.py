@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab import pairs
 from framelab.errors import (
@@ -370,6 +372,20 @@ class TestReproducingPartner:
             f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             rebuilt = synthesis(phi, analysis(partner, f))
             assert np.max(np.abs(rebuilt - f)) <= 1e-9 * max(np.linalg.norm(f), 1.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8), extra=st.integers(0, 16))
+    def test_equals_lower_semiframe_dual(self, seed, dim, extra):
+        rng = np.random.default_rng(seed)
+        phi = random_family(rng, dim + extra, dim, weighted=True)
+        partner = reproducing_partner(phi)
+        dual = lower_semiframe_dual(phi)
+        np.testing.assert_array_equal(partner.members, dual.members)
+        # reference: conjugated minimal-norm preimages under weighted synthesis
+        sqrt_w = np.sqrt(phi.space.weights)
+        preimages = np.linalg.pinv(phi.members.T * sqrt_w) / sqrt_w[:, None]
+        scale = np.max(np.abs(preimages))
+        np.testing.assert_allclose(partner.members, preimages.conj(), rtol=0, atol=1e-10 * scale)
 
     def test_rank_deficient_rejected(self, rng):
         members = complex_rng_matrix(rng, 8, 4)
