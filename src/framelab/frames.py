@@ -235,10 +235,8 @@ def canonical_dual(family: VectorFamily) -> VectorFamily:
     Refuses with ``NotAFrameError`` when the lower bound sits below tolerance,
     since inverting the frame operator would amplify noise unboundedly.
     """
-    _, _, values, vectors = numerics.require_frame(frame_operator(family))
-    # row j is S^-1 member(j), i.e. members @ S^-T with S^-T = conj(V) diag(1/values) V^T
-    dual_members = ((family.members @ vectors.conj()) / values) @ vectors.T
-    return VectorFamily(space=family.space, members=dual_members)
+    spectrum = numerics.require_frame(frame_operator(family))
+    return VectorFamily(space=family.space, members=spectrum.inverse_rows(family.members))
 
 
 def kernel_matrix(family: VectorFamily) -> KernelTable:

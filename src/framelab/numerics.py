@@ -5,15 +5,19 @@ coordinate Gram matrices) are dense ``complex128`` numpy arrays of size at
 most ``d x d`` or ``n x d``; node-indexed ``n x n`` kernels are kept by
 :mod:`framelab.rkhs` as two ``n x r`` factors instead.  There is no sparse or
 iterative machinery.  Every rank decision and pseudoinverse cutoff comes
-from :func:`rank_cutoff`.  :func:`rank` certifies full rank from the Gram
-spectrum of the shorter side: with eigenvalues ``lam`` ascending and the
-slack ``4 * (rows + cols) * eps * trace``, the rank is ``min(rows, cols)``
-when ``lam[0] - slack`` exceeds the squared cutoff of
-``sqrt(lam[-1] + slack)``; otherwise, and for empty, overflowing or
-underflowing input, it counts singular values from an SVD.  Either way the
-verdict is the SVD count.  The frame bounds of a frame operator together
-with the rule that refuses to invert it live in :func:`frame_spectrum` and
-:func:`require_frame`, so no other module hand-rolls its own thresholds.  The
+from :func:`rank_cutoff`.  One certificate, :func:`certifies_full_rank`,
+decides full rank from a Gram spectrum: with eigenvalues ``lam`` ascending
+and the slack ``4 * (rows + cols) * eps * trace``, the table has rank
+``min(rows, cols)`` when ``lam[0] - slack`` exceeds the squared cutoff of
+``sqrt(lam[-1] + slack)``, and empty, overflowing or underflowing input is
+never certified.  :func:`rank` asks it first and otherwise counts singular
+values from an SVD, and :func:`framelab.pairs.lower_semiframe_dual` asks it
+of the frame operator before building the dual from its eigenpairs; either
+way a rank verdict is the SVD count.  The frame bounds of a frame operator
+together with the rule that refuses to invert it live in
+:func:`frame_spectrum` and :func:`require_frame`, and the inverse applied to
+the rows of a member table in :meth:`FrameSpectrum.inverse_rows`, so no other
+module hand-rolls its own thresholds or dual formula.  The
 thresholds are constants: ``DEFAULT_RANK_RTOL`` (overridable only through
 ``FRAMELAB_RANK_TOL``, read at each rank decision), ``HERMITIAN_RTOL`` for
 Hermitian symmetry and ``FRAME_RTOL`` for the frame verdict; the few
@@ -126,6 +130,15 @@ class FrameSpectrum(NamedTuple):
         """Whether the lower bound clears ``FRAME_RTOL`` times a nonzero upper bound."""
         return self.lower > FRAME_RTOL * self.upper and self.upper != 0.0
 
+    def inverse_rows(self, members) -> np.ndarray:
+        """Each row of ``members`` mapped by the inverse operator: ``members @ S^-T``.
+
+        For the members of a frame this is its canonical dual.  ``S^-T =
+        conj(V) diag(1 / values) V^T`` is formed first, so the rows cost one
+        ``n x d x d`` product.
+        """
+        return members @ ((self.vectors.conj() / self.values) @ self.vectors.T)
+
 
 def frame_spectrum(operator) -> FrameSpectrum:
     """Spectral frame bounds of a Hermitian positive semidefinite operator."""
@@ -169,34 +182,58 @@ def pinv(a) -> tuple[np.ndarray, int]:
     return vh.conj().T @ (inverted[:, None] * u.conj().T), int(np.count_nonzero(keep))
 
 
+def certifies_full_rank(gram, shape: tuple[int, int], values=None) -> bool:
+    """Whether a Gram matrix certifies that a ``shape`` table has full rank.
+
+    ``gram`` is the Gram matrix of the table's shorter side (``min(rows,
+    cols)`` square) and ``values`` its ascending eigenvalues, taken with
+    ``eigvalsh`` when not given.  Forming ``gram`` and taking its eigenvalues
+    is backward stable, so by Weyl's inequality
+    ``|values[i] - sigma_i**2| <= slack`` with
+    ``slack = 4 * (rows + cols) * eps * trace(gram)`` and
+    ``trace(gram) = ||table||_F**2``.  Full rank is certified when
+    ``values[0] - slack`` exceeds the squared :func:`rank_cutoff` of the
+    upper bound ``sqrt(values[-1] + slack)`` on ``sigma_max``: every singular
+    value then clears the cutoff.  The trace must be finite and above
+    ``rows * cols * tiny / eps``, and every entry of ``gram`` finite, so that
+    neither overflow nor gradual underflow escapes the slack; otherwise
+    nothing is certified.
+
+    The slack also covers a frame operator ``S = members^T (w * conj(members))``
+    over ``n`` nodes in ``d`` dimensions, taken as the Gram of the weighted
+    analysis table ``A = sqrt(w) * conj(members)`` of shape ``(n, d)``
+    although ``A`` is never formed.  Each entry of the computed ``S`` is a
+    length-``n`` complex inner product of weighted terms, so to first order it
+    is off by at most ``(n + 3) * eps`` times the same entry of ``|A|^H |A|``;
+    that error matrix has norm at most ``(n + 3) * eps * trace(S)``, since
+    ``|| |A|^H |A| || <= ||A||_F**2``.  It fits inside the slack together with
+    the symmetrization and the eigensolver's own backward error.
+    """
+    rows, cols = shape
+    with np.errstate(all="ignore"):
+        trace = float(np.trace(gram).real)
+    if not (_GRAM_FLOOR * rows * cols < trace < math.inf and np.all(np.isfinite(gram))):
+        return False
+    if values is None:
+        values = np.linalg.eigvalsh(gram)
+    slack = 4 * (rows + cols) * _EPS * trace
+    bound = rank_cutoff(np.sqrt([values[-1] + slack]), shape)
+    return bool(values[0] - slack > bound * bound)
+
+
 def rank(a) -> int:
     """Number of singular values above :func:`rank_cutoff`.
 
-    Full rank is first certified from the eigenvalues ``lam`` of the Gram
-    matrix ``G`` of the shorter side (``min(rows, cols)`` square).  Forming
-    ``G`` and taking its eigenvalues is backward stable, so by Weyl's
-    inequality ``|lam_i - sigma_i**2| <= slack`` with
-    ``slack = 4 * (rows + cols) * eps * trace(G)`` and
-    ``trace(G) = ||a||_F**2``.  When ``lam[0] - slack`` exceeds the squared
-    cutoff of the upper bound ``sqrt(lam[-1] + slack)`` on ``sigma_max``,
-    every singular value clears the cutoff and the rank is
-    ``min(rows, cols)``.  The certificate also requires ``trace(G)`` to be
-    finite and above ``rows * cols * tiny / eps``, so that neither
-    overflow nor gradual underflow in ``G`` escapes the slack.  Otherwise the
-    singular values are counted from an SVD; either way the verdict is the
-    SVD count.
+    Full rank is first certified by :func:`certifies_full_rank` from the
+    Gram matrix of the shorter side; otherwise the singular values are
+    counted from an SVD.  Either way the verdict is the SVD count.
     """
     m = as_matrix(a)
     rows, cols = m.shape
     with np.errstate(all="ignore"):
         gram = m.conj().T @ m if rows >= cols else m @ m.conj().T
-        trace = float(np.trace(gram).real)
-    if _GRAM_FLOOR * rows * cols < trace < math.inf and np.all(np.isfinite(gram)):
-        lam = np.linalg.eigvalsh(gram)
-        slack = 4 * (rows + cols) * _EPS * trace
-        bound = rank_cutoff(np.sqrt([lam[-1] + slack]), m.shape)
-        if lam[0] - slack > bound * bound:
-            return min(rows, cols)
+    if certifies_full_rank(gram, m.shape):
+        return min(rows, cols)
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s > rank_cutoff(s, m.shape)))
 

@@ -183,15 +183,38 @@ def frame_transfer(psi: VectorFamily, phi: VectorFamily, frame_vectors) -> Frame
 def lower_semiframe_dual(psi: VectorFamily) -> VectorFamily:
     """Dual family built from the bounded left inverse of analysis.
 
-    Requires an injective analysis map.  The dual is assembled from the
-    minimal-norm left inverse in the weighted coordinates, which makes the
-    mixed resolution operator of (``psi``, dual) the identity and caps the
+    Requires an injective analysis map, refused with ``NotInjectiveError``
+    when the weighted analysis table ``A = sqrt(w) * conj(members)`` has
+    numerical rank below the dimension.  The dual is assembled from the
+    minimal-norm left inverse ``A^+`` in the weighted coordinates, which makes
+    the mixed resolution operator of (``psi``, dual) the identity and caps the
     dual's Bessel constant by the squared operator norm of that inverse.
+
+    ``A^H A`` is the frame operator ``S``, so on full rank ``A^+ =
+    S^-1 A^H`` and the dual is the canonical dual ``members @ S^-T``.  It is
+    built that way, from the eigenpairs of ``S``, when the spectrum of ``S``
+    is a frame's (:meth:`~framelab.numerics.FrameSpectrum.is_frame`) and
+    certifies full rank of ``A``
+    (:func:`~framelab.numerics.certifies_full_rank`); one Newton step on the
+    resolution residual ``R = dual^T (w * conj(members)) - I`` then brings
+    the identity gap down to what an SVD gives.  Any other input, such as an
+    injective family with ``cond(S)`` past ``1 / FRAME_RTOL`` or a
+    rank-deficient one, takes ``A^+`` and its rank from one SVD
+    (:func:`~framelab.numerics.pinv`).  The routes agree to rounding, and
+    both refuse exactly when the SVD count of ``A`` is below the dimension.
     """
-    w = psi.space.weights
-    sqrt_w = np.sqrt(w)
-    weighted_analysis = sqrt_w[:, None] * psi.members.conj()
-    left_inverse, rank = numerics.pinv(weighted_analysis)
+    operator = frame_operator(psi)
+    spectrum = numerics.frame_spectrum(operator)
+    if spectrum.is_frame() and numerics.certifies_full_rank(
+        operator, (psi.size, psi.dim), spectrum.values
+    ):
+        dual_members = spectrum.inverse_rows(psi.members)
+        residual = dual_members.T @ (psi.space.weights[:, None] * psi.members.conj())
+        residual -= np.eye(psi.dim)
+        dual_members -= dual_members @ residual.T
+        return VectorFamily(space=psi.space, members=dual_members)
+    sqrt_w = np.sqrt(psi.space.weights)
+    left_inverse, rank = numerics.pinv(sqrt_w[:, None] * psi.members.conj())
     if rank < psi.dim:
         raise NotInjectiveError("analysis map is rank deficient")
     # projecting onto the analysis range is a no-op for the minimal-norm inverse
@@ -211,7 +234,11 @@ def reproducing_partner(phi: VectorFamily) -> VectorFamily:
 
     Weighted synthesis is the adjoint of weighted analysis, so its
     minimal-norm right inverse is the adjoint of the minimal-norm left
-    inverse behind :func:`lower_semiframe_dual`, and the partner is that dual.
+    inverse behind :func:`lower_semiframe_dual`, and the partner is that dual,
+    built on the same two routes.  When the frame operator's spectrum is a
+    frame's and certifies full rank, the partner comes from its eigenpairs
+    and equals the canonical dual of ``phi`` to rounding; otherwise it comes
+    from one SVD of the weighted synthesis map's adjoint.
     """
     try:
         return lower_semiframe_dual(phi)

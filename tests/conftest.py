@@ -41,6 +41,15 @@ def random_unit_vector(rng, dim):
     return v / np.linalg.norm(v)
 
 
+class SvdCalled(Exception):
+    """Raised by :func:`no_svd` in place of an SVD."""
+
+
+def no_svd(*args, **kwargs):
+    """Stand-in for ``np.linalg.svd`` in tests that pin a route without one."""
+    raise SvdCalled
+
+
 @pytest.fixture(autouse=True)
 def _default_rank_tolerance(monkeypatch):
     """Run every test under the default rank threshold, whatever the shell exports."""

@@ -11,7 +11,7 @@ from framelab.errors import NonSquareError, NotAFrameError, NotHermitianError, V
 from framelab.frames import VectorFamily
 from framelab.pairs import resolution_operator
 
-from conftest import complex_rng_matrix, onb_family, unit_weight_space
+from conftest import SvdCalled, complex_rng_matrix, no_svd, onb_family, unit_weight_space
 
 
 class TestHermitianEig:
@@ -136,14 +136,6 @@ def _svd_count(a, threshold):
     return int(np.count_nonzero(s > threshold * s[0] * max(a.shape)))
 
 
-class _SvdCalled(Exception):
-    pass
-
-
-def _no_svd(*args, **kwargs):
-    raise _SvdCalled
-
-
 class TestRankCertificate:
     """The Gram certificate of full rank gives exactly the SVD count."""
 
@@ -189,9 +181,9 @@ class TestRankCertificate:
     def test_well_conditioned_table_needs_no_svd(self, rng, monkeypatch):
         a = complex_rng_matrix(rng, 512, 32)
         deficient = complex_rng_matrix(rng, 512, 31) @ complex_rng_matrix(rng, 31, 32)
-        monkeypatch.setattr(np.linalg, "svd", _no_svd)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         assert numerics.rank(a) == 32
-        with pytest.raises(_SvdCalled):
+        with pytest.raises(SvdCalled):
             numerics.rank(deficient)
 
     @pytest.mark.parametrize(

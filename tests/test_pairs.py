@@ -1,9 +1,12 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import pairs
+from framelab import numerics, pairs
 from framelab.errors import (
     NotAFrameError,
     NotInjectiveError,
@@ -34,10 +37,15 @@ from framelab.pairs import (
 from conftest import (
     cell_space,
     complex_rng_matrix,
+    no_svd,
     onb_family,
     random_family,
     unit_weight_space,
 )
+
+# sigma_min / sigma_max of the weighted analysis table; 0.99e-4 and 1.01e-4
+# straddle cond(S) = 1 / FRAME_RTOL, where the dual changes route
+SWITCH_RATIOS = [1.0, 1e-2, 10**-3.5, 0.99e-4, 1.01e-4, 1e-6]
 
 
 def random_pair(rng, rows=10, dim=4):
@@ -45,6 +53,27 @@ def random_pair(rng, rows=10, dim=4):
     psi = VectorFamily(space=space, members=complex_rng_matrix(rng, rows, dim))
     phi = VectorFamily(space=space, members=complex_rng_matrix(rng, rows, dim))
     return psi, phi
+
+
+def conditioned_family(rng, rows, dim, ratio):
+    """Weighted family whose weighted analysis singular values run from 1 to ``ratio``."""
+    space = cell_space(rng.uniform(0.25, 2.5, rows))
+    u, _ = np.linalg.qr(complex_rng_matrix(rng, rows, dim))
+    v, _ = np.linalg.qr(complex_rng_matrix(rng, dim, dim))
+    weighted_analysis = (u * np.logspace(0.0, np.log10(ratio), dim)) @ v.conj().T
+    members = weighted_analysis.conj() / np.sqrt(space.weights)[:, None]
+    return VectorFamily(space=space, members=members)
+
+
+def pinv_dual(family):
+    """Reference dual: conjugated minimal-norm preimages under weighted synthesis."""
+    sqrt_w = np.sqrt(family.space.weights)
+    return (np.linalg.pinv(family.members.T * sqrt_w) / sqrt_w[:, None]).conj()
+
+
+def identity_gap(family, dual):
+    """Largest entry of the pair's resolution operator minus the identity."""
+    return float(np.max(np.abs(pairs.mixed_operator(family, dual) - np.eye(family.dim))))
 
 
 class TestResolutionOperator:
@@ -199,6 +228,15 @@ class TestRangeKernel:
         table = range_kernel(psi, phi)
         np.testing.assert_allclose(table.entries @ np.diag(w), oracle, atol=1e-9)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8), extra=st.integers(0, 24))
+    def test_idempotent_on_the_factors(self, seed, dim, extra):
+        # K W with K = L R^H is idempotent exactly when the r x r core R^H W L is I
+        psi, phi = random_pair(np.random.default_rng(seed), rows=dim + extra, dim=dim)
+        table = range_kernel(psi, phi)
+        core = table.right.conj().T @ (psi.space.weights[:, None] * table.left)
+        np.testing.assert_allclose(core, np.eye(dim), rtol=0, atol=1e-9)
+
     def test_not_invertible(self, rng):
         space = unit_weight_space(4)
         psi = VectorFamily(space=space, members=complex_rng_matrix(rng, 4, 2))
@@ -263,6 +301,21 @@ class TestFrameTransfer:
         report = frame_transfer(psi, phi, g)
         slack = 1e-9 * report.predicted_upper
         assert report.predicted_lower - slack <= report.lower
+        assert report.upper <= report.predicted_upper + slack
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 6),
+        extra=st.integers(0, 12),
+        count_extra=st.integers(0, 6),
+    )
+    def test_bounds_inside_predicted_interval_property(self, seed, dim, extra, count_extra):
+        rng = np.random.default_rng(seed)
+        psi, phi = random_pair(rng, rows=dim + extra, dim=dim)
+        report = frame_transfer(psi, phi, complex_rng_matrix(rng, dim + count_extra, dim))
+        slack = 1e-9 * report.predicted_upper
+        assert report.predicted_lower - slack <= report.lower <= report.upper
         assert report.upper <= report.predicted_upper + slack
 
     def test_gram_eigenvalues_match_bounds(self, rng):
@@ -335,8 +388,35 @@ class TestLowerSemiframeDual:
     def test_rank_deficient_rejected(self):
         members = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]], dtype=complex)
         family = VectorFamily(space=unit_weight_space(3), members=members)
-        with pytest.raises(NotInjectiveError):
-            lower_semiframe_dual(family)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            with pytest.raises(NotInjectiveError, match="^analysis map is rank deficient$"):
+                lower_semiframe_dual(family)
+        assert svd.called
+
+    @pytest.mark.parametrize("ratio", [None, 1.01e-4], ids=["random", "cond-9.8e7"])
+    def test_frame_needs_no_svd(self, rng, monkeypatch, ratio):
+        # at cond(S) just inside 1 / FRAME_RTOL the Newton step keeps the gap at SVD level
+        if ratio is None:
+            psi = random_family(rng, 512, 32, weighted=True)
+        else:
+            psi = conditioned_family(rng, 512, 32, ratio)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        dual = lower_semiframe_dual(psi)
+        partner = reproducing_partner(psi)
+        np.testing.assert_array_equal(partner.members, dual.members)
+        assert identity_gap(psi, dual) <= 1e-12
+
+    def test_injective_non_frame_takes_the_svd(self, rng):
+        # cond(S) = 1e10 is past 1 / FRAME_RTOL, yet the analysis map is injective
+        psi = conditioned_family(rng, 64, 8, 1e-5)
+        assert not numerics.frame_spectrum(frame_operator(psi)).is_frame()
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            dual = lower_semiframe_dual(psi)
+        assert svd.called
+        reference = pinv_dual(psi)
+        scale = np.max(np.abs(reference))
+        np.testing.assert_allclose(dual.members, reference, rtol=0, atol=1e-10 * scale)
+        assert identity_gap(psi, dual) <= 1e-10
 
 
 class TestReproducingPartner:
@@ -373,26 +453,50 @@ class TestReproducingPartner:
             rebuilt = synthesis(phi, analysis(partner, f))
             assert np.max(np.abs(rebuilt - f)) <= 1e-9 * max(np.linalg.norm(f), 1.0)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8), extra=st.integers(0, 16))
-    def test_equals_lower_semiframe_dual(self, seed, dim, extra):
-        rng = np.random.default_rng(seed)
-        phi = random_family(rng, dim + extra, dim, weighted=True)
-        partner = reproducing_partner(phi)
-        dual = lower_semiframe_dual(phi)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        extra=st.integers(0, 16),
+        ratio=st.sampled_from(SWITCH_RATIOS),
+        threshold=st.sampled_from([None, "1e-3", "0.5"]),
+    )
+    def test_equals_lower_semiframe_dual(self, seed, dim, extra, ratio, threshold):
+        phi = conditioned_family(np.random.default_rng(seed), dim + extra, dim, ratio)
+        env = {} if threshold is None else {numerics.RANK_TOL_ENV: threshold}
+        # reference rank: SVD count of the weighted analysis table
+        weighted_analysis = np.sqrt(phi.space.weights)[:, None] * phi.members.conj()
+        s = np.linalg.svd(weighted_analysis, compute_uv=False)
+        tolerance = float(threshold or numerics.DEFAULT_RANK_RTOL)
+        if np.count_nonzero(s > tolerance * s[0] * max(weighted_analysis.shape)) < dim:
+            with mock.patch.dict(os.environ, env):
+                with pytest.raises(NotSurjectiveError):
+                    reproducing_partner(phi)
+                with pytest.raises(NotInjectiveError):
+                    lower_semiframe_dual(phi)
+            return
+        with mock.patch.dict(os.environ, env):
+            partner = reproducing_partner(phi)
+            dual = lower_semiframe_dual(phi)
         np.testing.assert_array_equal(partner.members, dual.members)
-        # reference: conjugated minimal-norm preimages under weighted synthesis
-        sqrt_w = np.sqrt(phi.space.weights)
-        preimages = np.linalg.pinv(phi.members.T * sqrt_w) / sqrt_w[:, None]
-        scale = np.max(np.abs(preimages))
-        np.testing.assert_allclose(partner.members, preimages.conj(), rtol=0, atol=1e-10 * scale)
+        # no backward-stable pseudoinverse beats cond(A) * eps, so past
+        # cond(A) ~ 4e4 (ratio 1e-6 here) the bound follows the conditioning
+        bound = max(1e-10, 10 * s[0] / s[-1] * np.finfo(float).eps)
+        reference = pinv_dual(phi)
+        scale = np.max(np.abs(reference))
+        np.testing.assert_allclose(partner.members, reference, rtol=0, atol=bound * scale)
+        assert identity_gap(phi, dual) <= bound
 
     def test_rank_deficient_rejected(self, rng):
         members = complex_rng_matrix(rng, 8, 4)
         members[:, 3] = members[:, 0] + members[:, 1]
         family = VectorFamily(space=unit_weight_space(8), members=members)
-        with pytest.raises(NotSurjectiveError):
-            reproducing_partner(family)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            with pytest.raises(
+                NotSurjectiveError, match="^synthesis map does not reach the ambient space$"
+            ):
+                reproducing_partner(family)
+        assert svd.called
 
 
 class TestScalingCovariance:
