@@ -97,7 +97,8 @@ def _family_from_file(path: Path) -> VectorFamily:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+        # ValueError: malformed text, bytes that are not UTF-8, an int past the digit limit
+        except (RecursionError, ValueError) as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return VectorFamily.from_json(data)
@@ -231,8 +232,7 @@ def _kernel_csv_bytes(table: rkhs.KernelTable) -> bytearray:
     lines: list[str] = []
     writer = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(("x", "y", "re", "im"))
-    for node in table.space.nodes:
-        writer.writerow((node.point, ""))
+    writer.writerows(zip(table.space.points, itertools.repeat("")))
     header, cells = lines[0], [line[:-1] for line in lines[1:]]
     text = bytearray(header[:-1].encode("utf-8"))
     n = table.size

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numerics
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, NumericalRefusal, ValidationError
 from .measure import DiscretizedSpace
 from .numerics import FRAME_RTOL
 from .rkhs import KernelTable
@@ -236,7 +236,16 @@ def canonical_dual(family: VectorFamily) -> VectorFamily:
     since inverting the frame operator would amplify noise unboundedly.
     """
     spectrum = numerics.require_frame(frame_operator(family))
-    return VectorFamily(space=family.space, members=spectrum.inverse_rows(family.members))
+    with np.errstate(all="ignore"):  # dual_family refuses a dual past the float range
+        return dual_family(family.space, spectrum.inverse_rows(family.members))
+
+
+def dual_family(space: DiscretizedSpace, members: np.ndarray) -> VectorFamily:
+    """Family of dual ``members``, refused (``NumericalRefusal``) if they left the float range."""
+    try:
+        return VectorFamily(space=space, members=members)
+    except ValidationError as exc:
+        raise NumericalRefusal("the inverse overflows the float range") from exc
 
 
 def kernel_matrix(family: VectorFamily) -> KernelTable:
@@ -323,11 +332,8 @@ def split(
             mean += w[j] * family.members[j]
         discrete.append(mean / np.sqrt(total))
         keep[group] = False
-    continuous_space = DiscretizedSpace(
-        nodes=tuple(family.space.nodes[j] for j in np.flatnonzero(keep))
-    )
-    continuous = VectorFamily(space=continuous_space, members=family.members[keep])
-    return discrete, continuous
+    continuous = DiscretizedSpace(nodes=itertools.compress(family.space.nodes, keep))
+    return discrete, VectorFamily(space=continuous, members=family.members[keep])
 
 
 def semiframe_trend(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -15,7 +16,6 @@ from .measure import (
     Density,
     DiscretizedSpace,
     MeasureSpace,
-    Node,
     Provenance,
     Segment,
     counting_space,
@@ -85,9 +85,8 @@ def build_torus(dim: int, grid: int) -> VectorFamily:
             f"grid {grid} too coarse for frequencies up to {int(np.max(np.abs(freqs)))}"
         )
     space = unit_segment_space(grid)
-    points = np.array([node.point for node in space.nodes], dtype=float)
     coefficients = 1.0 / (np.arange(dim) + 1.0)
-    members = coefficients[None, :] * np.exp(2j * np.pi * np.outer(points, freqs))
+    members = coefficients[None, :] * np.exp(2j * np.pi * np.outer(space.points, freqs))
     return VectorFamily(space=space, members=members)
 
 
@@ -138,18 +137,16 @@ def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorF
         raise InvalidSpecError("frequency grid must be at least as fine as the radial grid")
     upper_limit = _exp_tail_cut(power)
     radial_space = affine_radial_space(cells, power, upper_limit)
-    radii = np.array([node.point for node in radial_space.nodes], dtype=float)
-    radial_weights = radial_space.weights
+    radii = np.array(radial_space.points)
     spacing = upper_limit / cells
     extent = 1.0 / spacing
     frequency_space = discretize(
         MeasureSpace(segments=(Segment(0.0, extent, Density("const", 1.0)),)), grid
     )
-    freqs = np.array([node.point for node in frequency_space.nodes], dtype=float)
     members = (
-        np.sqrt(radial_weights)[None, :]
+        np.sqrt(radial_space.weights)[None, :]
         * np.exp(-radii)[None, :]
-        * np.exp(-2j * np.pi * np.outer(freqs, radii))
+        * np.exp(-2j * np.pi * np.outer(frequency_space.points, radii))
     )
     return VectorFamily(space=frequency_space, members=members)
 
@@ -162,20 +159,10 @@ def affine_radial_space(cells: int, power: int, upper_limit: float) -> Discretiz
     window resolve the radial nodes independently, turning the frame operator
     into a multiplier; each node still carries the exact mass of its cell.
     """
-    density = Density("power", 1.0, float(power))
-    width = upper_limit / cells
-    nodes = []
-    for i in range(cells):
-        left = i * width
-        right = (i + 1) * width if i < cells - 1 else upper_limit
-        nodes.append(
-            Node(
-                point=(left + right) / 2.0,
-                weight=density.mass(left, right),
-                provenance=Provenance.CELL,
-            )
-        )
-    return DiscretizedSpace(nodes=tuple(nodes))
+    edges = np.append(np.arange(cells) * (upper_limit / cells), upper_limit)
+    midpoints = ((edges[:-1] + edges[1:]) / 2.0).tolist()
+    masses = Density("power", 1.0, float(power)).mass(edges[:-1], edges[1:]).tolist()
+    return DiscretizedSpace(nodes=zip(midpoints, masses, itertools.repeat(Provenance.CELL)))
 
 
 def affine_symbol(cells: int, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +172,7 @@ def affine_symbol(cells: int, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
     ``power == 1`` exactly) diagonal with this symbol on the diagonal.
     """
     radial_space = affine_radial_space(cells, power, _exp_tail_cut(power))
-    radii = np.array([node.point for node in radial_space.nodes], dtype=float)
+    radii = np.array(radial_space.points)
     symbol = radii ** (power - 1) * np.exp(-radii) ** 2
     return radii, symbol
 

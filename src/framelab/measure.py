@@ -7,13 +7,19 @@ shapes keep cumulative-mass inversion closed form, which makes equal-mass
 subdivision exact.  After :func:`discretize`, every integral against the
 measure becomes a weighted sum over nodes, and each node remembers whether it
 came from a true atom or from a quadrature cell.
+
+A node is a plain :class:`Node` row; :class:`DiscretizedSpace` holds the node
+rules, checks them a column at a time and names a faulty node as ``nodes[j].field``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,14 +59,14 @@ class Density:
         if self.kind == "power" and not (_require_finite(self.k, "k") > 0):
             raise ValidationError("power density exponent k must be positive")
 
-    def mass(self, lo: float, hi: float) -> float:
-        """Integrated density over ``[lo, hi]``."""
+    def mass(self, lo, hi):
+        """Integrated density over ``[lo, hi]``; ``lo`` and ``hi`` may be arrays of edges."""
         if self.kind == "const":
             return self.c * (hi - lo)
         return self.c * (hi**self.k - lo**self.k) / self.k
 
-    def invert_mass(self, lo: float, target: float) -> float:
-        """Endpoint ``t >= lo`` with ``mass(lo, t) == target``."""
+    def invert_mass(self, lo: float, target):
+        """Endpoint ``t >= lo`` with ``mass(lo, t) == target``; ``target`` may be an array."""
         if self.kind == "const":
             return lo + target / self.c
         return (lo**self.k + self.k * target / self.c) ** (1.0 / self.k)
@@ -132,33 +138,19 @@ class Provenance(Enum):
     CELL = "cell"
 
 
-@dataclass(frozen=True)
-class Node:
-    """One quadrature node: location, weight and origin flag."""
+class Node(NamedTuple):
+    """One quadrature node: location, weight and origin flag, checked by its space."""
 
     point: float | str
     weight: float
     provenance: Provenance
 
-    def __post_init__(self) -> None:
-        if not (_require_finite(self.weight, "weight") > 0):
-            raise ValidationError(f"node weight must be positive, got {self.weight}")
-        # Python ints are exact, and too large ones would overflow math.isfinite
-        if not isinstance(self.point, (str, int)) and not math.isfinite(self.point):
-            raise ValidationError(f"node point must be finite, got {self.point!r}")
 
-    def to_json(self) -> dict:
-        return {"point": self.point, "weight": self.weight, "provenance": self.provenance.value}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Node":
-        point, weight = data["point"], data["weight"]
-        # JSON numbers decode to int or float; bool, str, list and None are refused
-        if type(point) not in (int, float, str):
-            raise ValidationError(f"node point must be a number or a string, got {point!r}")
-        if type(weight) not in (int, float):
-            raise ValidationError(f"node weight must be a number, got {weight!r}")
-        return cls(point=point, weight=weight, provenance=Provenance(data["provenance"]))
+def _check_nodes(ok, name: str, rule: str, column) -> None:
+    """Refuse the first node whose ``ok`` flag is false: the one form of a node fault."""
+    if not np.all(ok):
+        j = int(np.argmin(ok))
+        raise ValidationError(f"nodes[{j}].{name} must be {rule}, got {column[j]!r}")
 
 
 @dataclass(frozen=True)
@@ -168,22 +160,28 @@ class DiscretizedSpace:
     The node-level pairing ``inner(F, G) = sum_j w_j F_j conj(G_j)`` is the
     discrete stand-in for the weighted L2 inner product; it is linear in the
     first slot, matching the convention used throughout the package.
-    ``weights`` and the ``is_atom`` provenance mask are read-only arrays
-    derived once from the nodes.
+    ``nodes`` takes ``(point, weight, provenance)`` triples, kept as :class:`Node` rows;
+    the ``points`` tuple and the read-only ``weights`` and ``is_atom`` arrays derive from them.
     """
 
     nodes: tuple[Node, ...]
+    points: tuple = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
     is_atom: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nodes = tuple(self.nodes)
-        weights = np.array([node.weight for node in nodes], dtype=float)
-        is_atom = np.array([node.provenance is Provenance.ATOM for node in nodes], dtype=bool)
-        weights.setflags(write=False)
+        nodes = tuple(itertools.starmap(Node, self.nodes))
+        points, weights, kinds = tuple(zip(*nodes)) or ((), (), ())
+        column = np.array(weights, dtype=float)
+        _check_nodes((column > 0) & (column < math.inf), "weight", "finite and positive", weights)
+        finite = [not isinstance(p, float) or math.isfinite(p) for p in points]
+        _check_nodes(finite, "point", "finite", points)
+        is_atom = np.fromiter(map(operator.is_, kinds, itertools.repeat(Provenance.ATOM)), bool)
+        column.setflags(write=False)
         is_atom.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", column)
         object.__setattr__(self, "is_atom", is_atom)
 
     @property
@@ -212,11 +210,24 @@ class DiscretizedSpace:
         return float(np.sqrt(np.sum(self.weights * np.abs(fa) ** 2)))
 
     def to_json(self) -> dict:
-        return {"nodes": [node.to_json() for node in self.nodes]}
+        rows = [{"point": p, "weight": w, "provenance": k.value} for p, w, k in self.nodes]
+        return {"nodes": rows}
 
     @classmethod
     def from_json(cls, data: dict) -> "DiscretizedSpace":
-        return cls(nodes=tuple(Node.from_json(n) for n in data.get("nodes", [])))
+        """Space of ``{"nodes": [{"point", "weight", "provenance"}, ...]}``, read as columns."""
+        rows = data.get("nodes", [])
+        points, weights, labels = (list(map(operator.itemgetter(k), rows)) for k in Node._fields)
+        # JSON numbers decode to int or float; bool, list and null are refused
+        for name, column, types, rule in (
+            ("point", points, {int, float, str}, "a number or a string"),
+            ("weight", weights, {int, float}, "a number"),
+        ):
+            _check_nodes(list(map(types.__contains__, map(type, column))), name, rule, column)
+        # str() makes every JSON value a lookup key; only "atom" and "cell" find a kind
+        kinds = list(map({kind.value: kind for kind in Provenance}.get, map(str, labels)))
+        _check_nodes([k is not None for k in kinds], "provenance", "'atom' or 'cell'", labels)
+        return cls(nodes=zip(points, weights, kinds))
 
 
 def classify(space: MeasureSpace) -> SpaceKind:
@@ -268,29 +279,22 @@ def discretize(space: MeasureSpace, cells_per_segment: int) -> DiscretizedSpace:
     """
     if cells_per_segment < 1:
         raise ValidationError("cells_per_segment must be at least 1")
-    nodes: list[Node] = []
-    for atom in space.atoms:
-        nodes.append(Node(point=atom.label, weight=atom.weight, provenance=Provenance.ATOM))
+    nodes = [(atom.label, atom.weight, Provenance.ATOM) for atom in space.atoms]
     for segment in space.segments:
-        total = segment.measure
-        step = total / cells_per_segment
-        bounds = [segment.lo]
-        for j in range(1, cells_per_segment):
-            bounds.append(segment.density.invert_mass(segment.lo, j * step))
-        bounds.append(segment.hi)
-        for left, right in zip(bounds, bounds[1:]):
-            nodes.append(
-                Node(point=(left + right) / 2.0, weight=step, provenance=Provenance.CELL)
-            )
-    return DiscretizedSpace(nodes=tuple(nodes))
+        step = segment.measure / cells_per_segment
+        inner = segment.density.invert_mass(segment.lo, step * np.arange(1, cells_per_segment))
+        edges = np.concatenate(([segment.lo], inner, [segment.hi]))
+        midpoints = ((edges[:-1] + edges[1:]) / 2.0).tolist()
+        nodes += zip(midpoints, itertools.repeat(step), itertools.repeat(Provenance.CELL))
+    return DiscretizedSpace(nodes=nodes)
 
 
 def counting_space(count: int) -> DiscretizedSpace:
     """Unit-weight atomic space with ``count`` points labelled ``p0``, ``p1``, ..."""
     if count < 1:
         raise ValidationError("count must be at least 1")
-    atoms = tuple(Atom(label=f"p{i}", weight=1.0) for i in range(count))
-    return discretize(MeasureSpace(atoms=atoms), 1)
+    ones, atoms = itertools.repeat(1.0), itertools.repeat(Provenance.ATOM)
+    return DiscretizedSpace(nodes=zip(map("p{}".format, range(count)), ones, atoms))
 
 
 def unit_segment_space(cells: int) -> DiscretizedSpace:

@@ -20,7 +20,7 @@ from .errors import (
     NotSurjectiveError,
     SpaceMismatchError,
 )
-from .frames import VectorFamily, frame_operator, redundancy, synthesis
+from .frames import VectorFamily, dual_family, frame_operator, redundancy, synthesis
 from .rkhs import KernelTable
 
 CONDITION_THRESHOLD = 1e10
@@ -205,21 +205,21 @@ def lower_semiframe_dual(psi: VectorFamily) -> VectorFamily:
     """
     operator = frame_operator(psi)
     spectrum = numerics.frame_spectrum(operator)
-    if spectrum.is_frame() and numerics.certifies_full_rank(
-        operator, (psi.size, psi.dim), spectrum.values
-    ):
-        dual_members = spectrum.inverse_rows(psi.members)
-        residual = dual_members.T @ (psi.space.weights[:, None] * psi.members.conj())
-        residual -= np.eye(psi.dim)
-        dual_members -= dual_members @ residual.T
-        return VectorFamily(space=psi.space, members=dual_members)
-    sqrt_w = np.sqrt(psi.space.weights)
-    left_inverse, rank = numerics.pinv(sqrt_w[:, None] * psi.members.conj())
-    if rank < psi.dim:
-        raise NotInjectiveError("analysis map is rank deficient")
-    # projecting onto the analysis range is a no-op for the minimal-norm inverse
-    dual_members = left_inverse.T / sqrt_w[:, None]
-    return VectorFamily(space=psi.space, members=dual_members)
+    with np.errstate(all="ignore"):  # dual_family refuses a dual past the float range
+        if spectrum.is_frame() and numerics.certifies_full_rank(
+            operator, (psi.size, psi.dim), spectrum.values
+        ):
+            dual_members = spectrum.inverse_rows(psi.members)
+            residual = dual_members.T @ (psi.space.weights[:, None] * psi.members.conj())
+            residual -= np.eye(psi.dim)
+            dual_members -= dual_members @ residual.T
+            return dual_family(psi.space, dual_members)
+        sqrt_w = np.sqrt(psi.space.weights)
+        left_inverse, rank = numerics.pinv(sqrt_w[:, None] * psi.members.conj())
+        if rank < psi.dim:
+            raise NotInjectiveError("analysis map is rank deficient")
+        # projecting onto the analysis range is a no-op for the minimal-norm inverse
+        return dual_family(psi.space, left_inverse.T / sqrt_w[:, None])
 
 
 def reproducing_partner(phi: VectorFamily) -> VectorFamily:

@@ -464,34 +464,53 @@ def test_write_into_fifo_in_place(tmp_path):
 _NODE = {"point": 0.0, "weight": 1.0, "provenance": "atom"}
 
 
+def _third_node(**fields) -> dict:
+    """A three-node family whose node 2 carries ``fields``."""
+    nodes = [_NODE, _NODE, {**_NODE, **fields}]
+    return {"space": {"nodes": nodes}, "dim": 1, "members": [[1.0, 0.0]] * 3}
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "payload, fault",
     [
-        [],
-        {"space": {"nodes": [{"point": 0.0, "provenance": "atom"}]}, "dim": 1, "members": [[1.0, 0.0]]},
-        {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1]]},
-        {"space": {"nodes": [_NODE]}, "dim": 2.5, "members": [[1.0, 0.0], [0.0, 1.0]]},
-        {"space": {"nodes": [_NODE]}, "dim": "2", "members": [[1.0, 0.0], [0.0, 1.0]]},
-        {"space": {"nodes": [{**_NODE, "weight": "1"}]}, "dim": 1, "members": [[1.0, 0.0]]},
-        {"space": {"nodes": [{**_NODE, "weight": True}]}, "dim": 1, "members": [[1.0, 0.0]]},
-        {"space": {"nodes": [{**_NODE, "point": [1, 2]}]}, "dim": 1, "members": [[1.0, 0.0]]},
-        {"space": {"nodes": [{**_NODE, "point": None}]}, "dim": 1, "members": [[1.0, 0.0]]},
-        {"space": {"nodes": [{**_NODE, "point": float("nan")}]}, "dim": 1, "members": [[1.0, 0.0]]},
-        {"space": {"nodes": [{**_NODE, "point": float("inf")}]}, "dim": 1, "members": [[1.0, 0.0]]},
-        {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[True, False]]},
-        {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[10**400, 0]]},
-        {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1e200, 0.0]]},
-        {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1e308, 0.0]]},
+        ([], None),
+        (
+            {"space": {"nodes": [{"point": 0.0, "provenance": "atom"}]}, "dim": 1,
+             "members": [[1.0, 0.0]]},
+            None,
+        ),
+        ({"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1]]}, None),
+        ({"space": {"nodes": [_NODE]}, "dim": 2.5, "members": [[1.0, 0.0], [0.0, 1.0]]}, None),
+        ({"space": {"nodes": [_NODE]}, "dim": "2", "members": [[1.0, 0.0], [0.0, 1.0]]}, None),
+        (_third_node(weight="1"), "nodes[2].weight must be a number, got '1'"),
+        (_third_node(weight=True), "nodes[2].weight must be a number, got True"),
+        (_third_node(point=[1, 2]), "nodes[2].point must be a number or a string, got [1, 2]"),
+        (_third_node(point=None), "nodes[2].point must be a number or a string, got None"),
+        (_third_node(point=float("nan")), "nodes[2].point must be finite, got nan"),
+        (_third_node(point=float("inf")), "nodes[2].point must be finite, got inf"),
+        ({"space": {"nodes": [_NODE]}, "dim": 1, "members": [[True, False]]}, None),
+        ({"space": {"nodes": [_NODE]}, "dim": 1, "members": [[10**400, 0]]}, None),
+        ({"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1e200, 0.0]]}, None),
+        ({"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1e308, 0.0]]}, None),
+        (_third_node(weight=None), "nodes[2].weight must be a number, got None"),
+        (_third_node(weight=0), "nodes[2].weight must be finite and positive, got 0"),
+        (_third_node(weight=-1), "nodes[2].weight must be finite and positive, got -1"),
+        (_third_node(weight=float("nan")), "nodes[2].weight must be finite and positive, got nan"),
+        (_third_node(provenance="dust"),
+         "nodes[2].provenance must be 'atom' or 'cell', got 'dust'"),
+        (_third_node(provenance=None), "nodes[2].provenance must be 'atom' or 'cell', got None"),
     ],
     ids=[
         "top-level-list", "node-without-weight", "short-member-entry", "fractional-dim",
         "string-dim", "string-weight", "boolean-weight", "list-point", "null-point",
         "nan-point", "infinite-point", "boolean-member-entry", "overflowing-member-entry",
         "member-square-overflows", "member-square-far-past-the-float-range",
+        "null-weight", "zero-weight", "negative-weight", "nan-weight", "unknown-provenance",
+        "null-provenance",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_malformed_family_json(tmp_path, capsys, payload):
+def test_malformed_family_json(tmp_path, capsys, payload, fault):
     family_path = tmp_path / "family.json"
     family_path.write_text(json.dumps(payload))
     out = tmp_path / "report.json"
@@ -499,6 +518,9 @@ def test_malformed_family_json(tmp_path, capsys, payload):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"framelab: invalid input: {family_path}: ")
+    if fault is not None:
+        # a node fault names the node's index and field
+        assert lines[0] == f"framelab: invalid input: {family_path}: {fault}"
     assert not out.exists()
 
 
@@ -513,6 +535,21 @@ def test_inspect_refuses_overflowing_squared_norms(tmp_path, capsys, weight, ent
     assert capsys.readouterr().err == (
         f"framelab: invalid input: {family_path}: squared norms of the members overflow\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("weight", [1e-320, 1e-300])
+@pytest.mark.parametrize("command", ["dual", "partner"])
+def test_dual_past_the_float_range_is_refused(tmp_path, capsys, command, weight):
+    # one finite node whose inverse overflows: a refusal, not invalid input
+    node = {**_NODE, "weight": weight}
+    payload = {"space": {"nodes": [node]}, "dim": 1, "members": [[1, 0]]}
+    family_path = tmp_path / "family.json"
+    family_path.write_text(json.dumps(payload))
+    out = tmp_path / "report.json"
+    assert run(command, "--in", str(family_path), "--out", str(out)) == EXIT_REFUSED
+    assert capsys.readouterr().err == "framelab: refused: the inverse overflows the float range\n"
     assert not out.exists()
 
 
@@ -532,8 +569,18 @@ def test_integer_family_values_accepted(tmp_path):
 
 @pytest.mark.parametrize(
     "raw",
-    [b"\xff{}", b"[" * 100_000],
-    ids=["not-utf-8", "nested-past-the-recursion-limit"],
+    [
+        b"\xff{}",
+        b"[" * 100_000,
+        pytest.param(
+            b'{"space": {"nodes": [{"point": ' + b"7" * 5000
+            + b', "weight": 1, "provenance": "cell"}]}, "dim": 1, "members": [[1, 0]]}',
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+            ),
+        ),
+    ],
+    ids=["not-utf-8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"],
 )
 @pytest.mark.parametrize("flag", ["--in", "--psi", "--phi"])
 def test_family_file_that_is_not_json_text(tmp_path, capsys, raw, flag):

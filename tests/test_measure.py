@@ -12,6 +12,7 @@ from framelab.measure import (
     Density,
     DiscretizedSpace,
     MeasureSpace,
+    Node,
     Provenance,
     Segment,
     SpaceKind,
@@ -218,6 +219,37 @@ class TestJsonRoundTrip:
         )
         data = json.loads(json.dumps(grid.to_json()))
         assert DiscretizedSpace.from_json(data) == grid
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.text(max_size=4),
+                    st.integers(-(10**30), 10**30),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 1e-300]),
+                ),
+                st.one_of(st.floats(1e-300, 1e300), st.integers(1, 10**30)),
+                st.sampled_from(list(Provenance)),
+            ),
+            max_size=8,
+        )
+    )
+    def test_space_of_triples(self, triples):
+        space = DiscretizedSpace(nodes=iter(triples))
+        text = json.dumps(space.to_json())
+        again = DiscretizedSpace.from_json(json.loads(text))
+        assert again == space
+        # points and weights keep their Python type, so a report prints them as given
+        assert json.dumps(again.to_json()) == text
+        assert space.nodes == tuple(Node(*triple) for triple in triples)
+        assert all(type(node) is Node for node in space.nodes)
+        assert space.points == tuple(point for point, _, _ in triples)
+        np.testing.assert_array_equal(space.weights, [float(w) for _, w, _ in triples])
+        assert space.weights.dtype == np.float64 and not space.weights.flags.writeable
+        assert space.is_atom.tolist() == [kind is Provenance.ATOM for _, _, kind in triples]
+        assert not space.is_atom.flags.writeable
 
 
 def test_counting_space_weights():
