@@ -45,6 +45,8 @@ EXIT_IO = 3
 # kernel entries per row block of the CSV export: each block's transient lists
 # stay a fraction of the output text
 CSV_BLOCK_ENTRIES = 1 << 10
+# rows of an [re, im] table per block of a JSON report, likewise
+PAIR_BLOCK = 1 << 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,21 +112,35 @@ def _family_from_file(path: Path) -> VectorFamily:
         ) from exc
 
 
-def _json_bytes(payload) -> bytes:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` as UTF-8 bytes."""
+def _json_bytes(payload) -> bytearray:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` as UTF-8 bytes.
+
+    An ndarray renders as ``json.dumps`` renders its ``.tolist()`` when it is
+    a 2-D float64 table of two columns, the ``[re, im]`` view that
+    :func:`framelab.numerics.complex_pairs` gives; any other ndarray raises
+    ``TypeError``, as the stdlib does for every ndarray.  Such a table goes
+    into the one output buffer ``PAIR_BLOCK`` rows at a time, and the rest of
+    the report goes in as text between the tables.
+    """
+    buffer = bytearray()
     out: list[str] = []
-    _render_json(payload, "\n", out, {})
+    _render_json(payload, "\n", out, buffer, {})
     out.append("\n")
-    return "".join(out).encode("utf-8")
+    buffer += "".join(out).encode("utf-8")
+    return buffer
 
 
-def _render_json(value, newline: str, out: list[str], strings: dict[str, str]) -> None:
+def _render_json(
+    value, newline: str, out: list[str], buffer: bytearray, strings: dict[str, str]
+) -> None:
     """Append the ``indent=2`` text of ``value``; ``newline`` carries its indent.
 
     Exact ``str``, finite ``float`` and ``int`` values render as the stdlib
     renders them (``strings`` keeps each string's text for the rest of the
-    report); empty containers, ``None``, booleans, non-finite floats, number
-    subclasses and unsupported types go to ``json.dumps`` one value at a time.
+    report) and ndarrays through :func:`_render_pairs`, which moves the text
+    in ``out`` to ``buffer``; empty containers, ``None``, booleans,
+    non-finite floats, number subclasses and unsupported types go to
+    ``json.dumps`` one value at a time.
     """
     kind = type(value)
     if kind is str:
@@ -133,14 +149,14 @@ def _render_json(value, newline: str, out: list[str], strings: dict[str, str]) -
         out.append(float.__repr__(value))
     elif kind is int:
         out.append(int.__repr__(value))
+    elif isinstance(value, np.ndarray):
+        _render_pairs(value, newline, out, buffer)
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
-        if kind is list and _render_pairs(value, newline, inner, out):
-            return
         separator = "[" + inner
         for item in value:
             out.append(separator)
-            _render_json(item, inner, out, strings)
+            _render_json(item, inner, out, buffer, strings)
             separator = "," + inner
         out.append(newline + "]")
     elif isinstance(value, dict) and value:
@@ -150,7 +166,7 @@ def _render_json(value, newline: str, out: list[str], strings: dict[str, str]) -
             out.append(separator)
             out.append(_json_string(key, strings))
             out.append(": ")
-            _render_json(item, inner, out, strings)
+            _render_json(item, inner, out, buffer, strings)
             separator = "," + inner
         out.append(newline + "}")
     else:
@@ -174,29 +190,44 @@ def _json_string(value, strings: dict[str, str]) -> str:
     return text
 
 
-def _render_pairs(items: list, newline: str, inner: str, out: list[str]) -> bool:
-    """Append ``items`` in one pass if it is a list of finite ``[float, float]`` pairs.
+def _float_text(value: float) -> str:
+    """A float as the stdlib writes it, ``NaN`` and ``Infinity`` included."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
-    The checks are C-level passes over the lists; a sum is finite only when
-    every term is (one that overflows merely sends the list down the generic
-    path).  The reprs fill every other slot of one list and the separators
-    go in by slice assignment.  Returns False, appending nothing, otherwise.
+
+def _render_pairs(table: np.ndarray, newline: str, out: list[str], buffer: bytearray) -> None:
+    """Render an ``(m, 2)`` float64 ``table`` as the stdlib renders ``table.tolist()``.
+
+    The text in ``out`` moves to ``buffer`` first.  Each block of
+    ``PAIR_BLOCK`` rows then becomes one list: its floats as
+    ``float.__repr__`` (or :func:`_float_text` in a block with a non-finite
+    value) fill every other slot and the separators go in by slice
+    assignment; the block is joined and encoded onto ``buffer``.
     """
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return False
-    flat = list(itertools.chain.from_iterable(items))
-    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
-        return False
+    if table.ndim != 2 or table.shape[1] != 2 or table.dtype != np.float64:
+        raise TypeError(
+            f"only (m, 2) float64 arrays are JSON serializable, not {table.dtype} {table.shape}"
+        )
+    count = len(table)
+    if not count:
+        out.append("[]")
+        return
+    inner = newline + "  "
     innermost = inner + "  "
-    count = len(items)
-    parts = [""] * (4 * count)
-    parts[0::2] = map(float.__repr__, flat)
-    parts[1::4] = ["," + innermost] * count
-    parts[3::4] = [inner + "]," + inner + "[" + innermost] * count
-    parts[-1] = inner + "]" + newline + "]"
     out.append("[" + inner + "[" + innermost)
-    out += parts
-    return True
+    buffer += "".join(out).encode("utf-8")
+    out.clear()
+    between = inner + "]," + inner + "[" + innermost
+    for start in range(0, count, PAIR_BLOCK):
+        block = table[start : start + PAIR_BLOCK]
+        rows = len(block)
+        text = float.__repr__ if np.isfinite(block).all() else _float_text
+        parts = [between] * (4 * rows)
+        parts[0::2] = map(text, block.ravel().tolist())
+        parts[1::4] = ["," + innermost] * rows
+        if start + rows == count:
+            parts[-1] = inner + "]" + newline + "]"
+        buffer += "".join(parts).encode("utf-8")
 
 
 def _csv_bytes(rows, header) -> bytes:

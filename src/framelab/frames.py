@@ -255,12 +255,16 @@ def kernel_matrix(family: VectorFamily) -> KernelTable:
     orthogonal projection, in the weighted node pairing, onto the space of
     analysis images.  The table is stored as the factors ``B, B`` of
     ``B B^H`` with ``B = conj(members) V diag(values)**-1/2``, so it is
-    Hermitian by construction and costs O(n d) memory.
+    Hermitian by construction and costs O(n d) memory.  A factor whose dense
+    entries would leave the float range is refused (``NumericalRefusal``).
     """
     _, _, values, vectors = numerics.require_frame(frame_operator(family))
     factor = family.members.conj() @ vectors
     factor /= np.sqrt(values)
-    return KernelTable(space=family.space, left=factor, right=factor)
+    try:
+        return KernelTable(space=family.space, left=factor, right=factor)
+    except ValidationError as exc:
+        raise NumericalRefusal("the inverse overflows the float range") from exc
 
 
 def _equal_row_groups(family: VectorFamily, row_tolerance: float) -> list[list[int]]:

@@ -217,7 +217,15 @@ class DiscretizedSpace:
     def from_json(cls, data: dict) -> "DiscretizedSpace":
         """Space of ``{"nodes": [{"point", "weight", "provenance"}, ...]}``, read as columns."""
         rows = data.get("nodes", [])
-        points, weights, labels = (list(map(operator.itemgetter(k), rows)) for k in Node._fields)
+        fields = Node._fields
+        try:
+            points, weights, labels = (list(map(operator.itemgetter(k), rows)) for k in fields)
+        except (KeyError, TypeError):
+            # a row that is not an object, or lacks a field: name the first such row
+            bad = [type(row) is not dict or not set(fields).issubset(row) for row in rows]
+            raise ValidationError(
+                f"nodes[{bad.index(True)}] must be an object with point, weight and provenance"
+            ) from None
         # JSON numbers decode to int or float; bool, list and null are refused
         for name, column, types, rule in (
             ("point", points, {int, float, str}, "a number or a string"),

@@ -23,7 +23,9 @@ thresholds are constants: ``DEFAULT_RANK_RTOL`` (overridable only through
 Hermitian symmetry and ``FRAME_RTOL`` for the frame verdict; the few
 tolerances and bounds that callers still pass go through
 :func:`check_tolerance`.  Complex arrays are written out as ``[re, im]``
-pairs by :func:`complex_pairs`.
+pairs through :func:`complex_pairs`, an ``(m, 2)`` float64 view of the
+entries in C order; a report renders that view as ``json.dumps`` renders its
+``.tolist()``.
 """
 
 from __future__ import annotations
@@ -56,9 +58,13 @@ def check_tolerance(value: float, name: str) -> None:
         raise ValidationError(f"{name} must be nonnegative")
 
 
-def complex_pairs(a) -> list[list[float]]:
-    """Entries of a complex array in C order as ``[re, im]`` lists of floats."""
-    return np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
+def complex_pairs(a) -> np.ndarray:
+    """Entries of a complex array in C order as the rows ``[re, im]`` of an ``(m, 2)`` float view.
+
+    A C-contiguous ``complex128`` input is viewed, not copied; ``.tolist()``
+    gives the ``[re, im]`` lists the reports write.
+    """
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).reshape(-1, 2)
 
 
 def as_matrix(a) -> np.ndarray:

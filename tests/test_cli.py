@@ -26,7 +26,7 @@ def run(*argv):
 
 def write_family(path, members):
     family = VectorFamily(space=unit_weight_space(members.shape[0]), members=members)
-    path.write_text(json.dumps(family.to_json()))
+    path.write_bytes(cli._json_bytes(family.to_json()))
     return family
 
 
@@ -477,7 +477,12 @@ def _third_node(**fields) -> dict:
         (
             {"space": {"nodes": [{"point": 0.0, "provenance": "atom"}]}, "dim": 1,
              "members": [[1.0, 0.0]]},
-            None,
+            "nodes[0] must be an object with point, weight and provenance",
+        ),
+        (
+            {"space": {"nodes": [_NODE, [0.5, 1.0, "cell"], _NODE]}, "dim": 1,
+             "members": [[1.0, 0.0]] * 3},
+            "nodes[1] must be an object with point, weight and provenance",
         ),
         ({"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1]]}, None),
         ({"space": {"nodes": [_NODE]}, "dim": 2.5, "members": [[1.0, 0.0], [0.0, 1.0]]}, None),
@@ -501,8 +506,8 @@ def _third_node(**fields) -> dict:
         (_third_node(provenance=None), "nodes[2].provenance must be 'atom' or 'cell', got None"),
     ],
     ids=[
-        "top-level-list", "node-without-weight", "short-member-entry", "fractional-dim",
-        "string-dim", "string-weight", "boolean-weight", "list-point", "null-point",
+        "top-level-list", "node-without-weight", "node-not-an-object", "short-member-entry",
+        "fractional-dim", "string-dim", "string-weight", "boolean-weight", "list-point", "null-point",
         "nan-point", "infinite-point", "boolean-member-entry", "overflowing-member-entry",
         "member-square-overflows", "member-square-far-past-the-float-range",
         "null-weight", "zero-weight", "negative-weight", "nan-weight", "unknown-provenance",
@@ -539,10 +544,14 @@ def test_inspect_refuses_overflowing_squared_norms(tmp_path, capsys, weight, ent
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("weight", [1e-320, 1e-300])
-@pytest.mark.parametrize("command", ["dual", "partner"])
+@pytest.mark.parametrize(
+    "command, weight",
+    [(command, weight) for command in ("dual", "partner") for weight in (1e-320, 1e-300)]
+    + [("kernel", 1e-320), ("kernel", 1e-310)],
+)
 def test_dual_past_the_float_range_is_refused(tmp_path, capsys, command, weight):
-    # one finite node whose inverse overflows: a refusal, not invalid input
+    # one finite node whose inverse (or its square root, for the kernel factor)
+    # overflows: a refusal, not invalid input
     node = {**_NODE, "weight": weight}
     payload = {"space": {"nodes": [node]}, "dim": 1, "members": [[1, 0]]}
     family_path = tmp_path / "family.json"

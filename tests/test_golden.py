@@ -169,7 +169,9 @@ _case(
 
 
 def _write_family(path: Path, family: VectorFamily) -> None:
-    path.write_text(json.dumps(family.to_json(), indent=1, sort_keys=True) + "\n")
+    data = family.to_json()
+    data["members"] = data["members"].tolist()
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
 def _input_families() -> dict[str, VectorFamily]:

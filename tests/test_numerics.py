@@ -266,7 +266,7 @@ def test_complex_pairs_match_per_entry_floats(rng, layout):
     view = layout(a)
     oracle = [[float(z.real), float(z.imag)] for z in view.ravel()]
     # json text tells -0.0 from 0.0, as the written reports do
-    assert json.dumps(numerics.complex_pairs(view)) == json.dumps(oracle)
+    assert json.dumps(numerics.complex_pairs(view).tolist()) == json.dumps(oracle)
 
 
 class TestFrameSpectrum:

@@ -1,3 +1,4 @@
+import json
 import os
 from unittest import mock
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import numerics, pairs
+from framelab import cli, numerics, pairs
 from framelab.errors import (
     NotAFrameError,
     NotInjectiveError,
@@ -122,7 +123,7 @@ class TestResolutionOperator:
 
     def test_json_shape(self, rng):
         psi, phi = random_pair(rng)
-        payload = resolution_operator(psi, phi).to_json()
+        payload = json.loads(cli._json_bytes(resolution_operator(psi, phi).to_json()))
         assert payload["invertible"]
         assert len(payload["operator"]) == psi.dim * psi.dim
 

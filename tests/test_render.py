@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import cli
+from framelab import cli, numerics
+from framelab.frames import VectorFamily
 from framelab.measure import DiscretizedSpace, Node, Provenance
 from framelab.rkhs import KernelTable
 
-from conftest import complex_rng_matrix
+from conftest import complex_rng_matrix, random_family
 
 REPORTS = Path(__file__).parent / "golden" / "reports"
 
@@ -87,7 +89,7 @@ def test_json_matches_the_stdlib(payload):
     "payload",
     [
         {"pairs": [[1.0, -0.0], [1e300, -1e300], [1e-320, 2.5]]},
-        {"entries": [[1.7976931348623157e308, 1.7976931348623157e308]] * 2},  # sum overflows
+        {"entries": [[1.7976931348623157e308, 1.7976931348623157e308]] * 2},
         {"z": {}, "a": (), "m": [], "e": [[]]},
         {True: 1, False: [[0.5, 1.0]]},
         {None: 0.5},
@@ -108,6 +110,79 @@ def test_json_refuses_what_the_stdlib_refuses():
             json.dumps(payload, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             cli._json_bytes(payload)
+
+
+def plain(payload):
+    """``payload`` with every ndarray replaced by its ``.tolist()``."""
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {key: plain(item) for key, item in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [plain(item) for item in payload]
+    return payload
+
+
+TABLE_ROWS = [0, 1, cli.PAIR_BLOCK - 1, cli.PAIR_BLOCK, cli.PAIR_BLOCK + 1]
+SPECIAL_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf]),
+    st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300),
+    st.floats(),
+)
+LAYOUTS = {
+    # each builds a rows x cols complex source from a generator
+    "c-order": lambda rng, r, c: complex_rng_matrix(rng, r, c),
+    "fortran-order": lambda rng, r, c: np.asfortranarray(complex_rng_matrix(rng, r, c)),
+    "sliced": lambda rng, r, c: complex_rng_matrix(rng, 2 * r, c + 1)[::2, 1:],
+    "transposed": lambda rng, r, c: complex_rng_matrix(rng, c, r).T,
+}
+
+
+@st.composite
+def pair_tables(draw):
+    """The ``complex_pairs`` view of a complex source with special values planted in it."""
+    count = draw(st.sampled_from(TABLE_ROWS))
+    cols = draw(st.sampled_from([c for c in (1, 2, 3, 5, 11, 31) if count % c == 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = draw(st.sampled_from(sorted(LAYOUTS)))
+    a = LAYOUTS[source](rng, count // cols, cols)
+    # spread the magnitudes over most of the float range
+    a *= np.exp2(rng.integers(-1000, 1000, size=a.shape))
+    for _ in range(draw(st.integers(0, 4)) if count else 0):
+        j = draw(st.integers(0, count - 1))
+        a[np.unravel_index(j, a.shape)] = complex(draw(SPECIAL_FLOATS), draw(SPECIAL_FLOATS))
+    return numerics.complex_pairs(a)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(pair_tables(), pair_tables())
+def test_pair_tables_match_the_stdlib(table, other):
+    payload = {"entries": table, "nested": [{"x": other}, table[:1], 0.5], "rows": len(table)}
+    assert cli._json_bytes(payload) == oracle_json(plain(payload))
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.zeros(4), np.zeros((2, 3)), np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=int)],
+    ids=["one-dimensional", "three-columns", "complex", "integer"],
+)
+def test_json_refuses_arrays_other_than_pair_tables(array):
+    with pytest.raises(TypeError):
+        json.dumps({"a": array}, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json_bytes({"a": array})
+
+
+def test_pair_table_render_peak_stays_near_the_output(rng):
+    # the 2048 x 128 family report: about 18 MiB of text
+    payload = random_family(rng, 2048, 128).to_json()
+    tracemalloc.start()
+    try:
+        text = cli._json_bytes(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(text)
 
 
 def table_over(points, rng, rank=2, provenance=Provenance.CELL) -> KernelTable:

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import time
 import tracemalloc
 
@@ -356,7 +357,7 @@ class TestKernelTable:
         table = kernel_matrix(family)
         rows = list(csv.reader(io.StringIO(cli._kernel_csv_bytes(table).decode())))
         assert rows[0] == ["x", "y", "re", "im"] and len(rows) == 10
-        payload = table.to_json()
+        payload = json.loads(cli._json_bytes(table.to_json()))
         assert payload["geometry"] == "plain"
         assert len(payload["entries"]) == 9
 
@@ -451,7 +452,7 @@ class TestFactoredKernelTable:
         assert table.is_hermitian() == (oracle_gap <= 1e-12 * max(oracle_scale, 1.0))
         np.testing.assert_array_equal(table.entries, dense)
         pairs = [[float(z.real), float(z.imag)] for z in dense.ravel()]
-        assert table.to_json()["entries"] == pairs
+        assert table.to_json()["entries"].tolist() == pairs
         points = [node.point for node in table.space.nodes]
         rows = [(points[j], points[k], *pairs[j * n + k]) for j in range(n) for k in range(n)]
         expected = io.StringIO()
