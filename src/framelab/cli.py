@@ -1,10 +1,10 @@
 """Command-line front end: load families, run analyses, emit JSON/CSV reports.
 
 Exit codes: 0 success, 1 validation error, 2 numerical refusal (for example a
-requested inversion on a family whose lower bound sits below tolerance),
-3 I/O error.  Reports are fully serialized in memory, then written to a
-temporary file beside the target and renamed over it, so a failing command
-never leaves a partial output file behind.
+requested inversion on a family whose lower bound sits below tolerance, or a
+computation that runs out of memory), 3 I/O error.  Reports are fully
+serialized in memory, then written to a temporary file beside the target and
+renamed over it, so a failing command never leaves a partial output file behind.
 
 JSON reports are byte for byte ``json.dumps(report, indent=2, sort_keys=True)``
 plus a newline, but rendered here: CPython 3.11's ``json`` takes its C encoder
@@ -106,10 +106,6 @@ def _family_from_file(path: Path) -> VectorFamily:
         return VectorFamily.from_json(data)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"{path}: malformed family ({type(exc).__name__}: {exc})"
-        ) from exc
 
 
 def _json_bytes(payload) -> bytearray:
@@ -410,7 +406,8 @@ def _cmd_experiment(args: argparse.Namespace) -> bytes:
 @functools.cache
 def build_parser() -> _Parser:
     """The ``framelab`` parser, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(prog="framelab", description=__doc__)
+    # the exit codes and the atomic write; the renderer notes stay in the module docstring
+    parser = _Parser(prog="framelab", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
 
     commands = {
@@ -418,7 +415,7 @@ def build_parser() -> _Parser:
         "bounds": (_cmd_bounds, "frame bounds, redundancy and classification"),
         "dual": (_cmd_dual, "canonical dual family"),
         "kernel": (_cmd_kernel, "kernel table of the analysis range"),
-        "redundancy": (_cmd_redundancy, "node excess over the member rank"),
+        "redundancy": (_cmd_redundancy, "node excess over the weighted analysis rank"),
         "split": (_cmd_split, "discrete versus strictly continuous parts"),
         "pair-check": (_cmd_pair_check, "reproducing-pair verdict for two families"),
         "partner": (_cmd_partner, "reproducing partner of a family"),
@@ -460,6 +457,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except NumericalRefusal as exc:
         print(f"framelab: refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except MemoryError as exc:
+        print(f"framelab: refused: out of memory: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except OSError as exc:
         print(f"framelab: i/o error: {exc}", file=sys.stderr)

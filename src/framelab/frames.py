@@ -74,17 +74,14 @@ class VectorFamily:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "VectorFamily":
-        space = DiscretizedSpace.from_json(data["space"])
-        flat = _decode_pairs(data["members"])
-        if "dim" in data:
-            dim = data["dim"]
-            if type(dim) is not int or dim < 1:
-                raise ValidationError(f"dim must be a positive integer, got {dim!r}")
-        elif space.size and flat.size % space.size == 0:
-            dim = flat.size // space.size
-        else:
-            raise ValidationError("cannot infer the ambient dimension from the payload")
+    def from_json(cls, data) -> "VectorFamily":
+        if type(data) is not dict:
+            raise ValidationError(f"a family must be an object, got {type(data).__name__}")
+        space = DiscretizedSpace.from_json(data.get("space"))
+        flat = _decode_pairs(data.get("members"))
+        dim = data.get("dim")
+        if type(dim) is not int or dim < 1:
+            raise ValidationError(f"dim must be a positive integer, got {dim!r}")
         if space.size * dim != flat.size:
             raise ValidationError(
                 f"member count {flat.size} does not factor as {space.size} x {dim}"
@@ -99,18 +96,28 @@ class VectorFamily:
 
 
 def _decode_pairs(pairs) -> np.ndarray:
-    """Complex array from JSON ``[re, im]`` pairs of numbers.
+    """Complex array from JSON ``[re, im]`` pairs; only a failed decode seeks the entry at fault."""
+    if type(pairs) is not list:
+        raise ValidationError(f"members must be a list of [re, im] pairs, got {pairs!r}")
+    flat = _pair_floats(pairs)
+    if flat is None:
+        k = next(k for k, pair in enumerate(pairs) if _pair_floats([pair]) is None)
+        raise ValidationError(
+            f"members[{k}] must be an [re, im] pair of numbers in the float range, got {pairs[k]!r}"
+        )
+    return flat.view(np.complex128)
 
-    The checks run as C-level passes over the decoded lists (anything that is
-    not a pair fails the length pass or leaves non-numbers for the type pass),
-    and the floats are reinterpreted as complex numbers, so they stay exact.
-    """
-    if not set(map(len, pairs)) <= {2}:
-        raise ValidationError("members must be [re, im] pairs")
-    flat = list(itertools.chain.from_iterable(pairs))
-    if not set(map(type, flat)) <= {int, float}:
-        raise ValidationError("member entries must be numbers")
-    return np.fromiter(flat, dtype=np.float64, count=len(flat)).view(np.complex128)
+
+def _pair_floats(pairs) -> np.ndarray | None:
+    """Exact floats of ``[re, im]`` number pairs, by C-level length and type passes; else None."""
+    try:
+        if set(map(len, pairs)) <= {2}:
+            flat = list(itertools.chain.from_iterable(pairs))
+            if set(map(type, flat)) <= {int, float}:
+                return np.fromiter(flat, dtype=np.float64, count=len(flat))
+    except (OverflowError, TypeError):  # an entry without a length; an int past the float range
+        pass
+    return None
 
 
 class Classification(Enum):
@@ -124,7 +131,7 @@ class Classification(Enum):
 class FrameReport:
     """Spectral bounds, redundancy and classification of one family.
 
-    ``redundancy`` counts the node excess over the rank of the member table;
+    ``redundancy`` counts the node excess over :func:`analysis_rank`;
     ``index`` is its negative.  ``degenerate_zero_redundancy`` marks the
     configuration where zero redundancy is reached on purely quadrature nodes
     with no repeated rows, which at finite resolution can only happen when the
@@ -180,7 +187,14 @@ def synthesis(family: VectorFamily, values) -> np.ndarray:
 
 def analysis_matrix(family: VectorFamily) -> np.ndarray:
     """Matrix of :func:`analysis` acting on ambient vectors."""
-    return family.members.conj().copy()
+    return family.members.conj()
+
+
+def weighted_analysis(family: VectorFamily) -> np.ndarray:
+    """Analysis in orthonormal coordinates: ``sqrt(w) * conj(members)``, whose Gram is ``S``."""
+    table = analysis_matrix(family)
+    table *= np.sqrt(family.space.weights)[:, None]
+    return table
 
 
 def frame_operator(family: VectorFamily) -> np.ndarray:
@@ -189,12 +203,28 @@ def frame_operator(family: VectorFamily) -> np.ndarray:
     return family.members.T @ (w[:, None] * family.members.conj())
 
 
+def analysis_rank(family: VectorFamily, operator=None, values=None) -> int:
+    """Numerical rank of :func:`weighted_analysis`: every rank verdict on a family.
+
+    A caller holding the frame operator, that table's Gram, passes it with its
+    ascending eigenvalues ``values`` when known.  With at least as many nodes
+    as dimensions, full rank is then certified from them
+    (:func:`~framelab.numerics.certifies_full_rank`) without forming the
+    table; otherwise :func:`~framelab.numerics.rank` counts the table.  Either
+    way the verdict is the SVD count.
+    """
+    if operator is not None and family.size >= family.dim:
+        if numerics.certifies_full_rank(operator, (family.size, family.dim), values):
+            return family.dim
+    return numerics.rank(weighted_analysis(family))
+
+
 def redundancy(family: VectorFamily) -> int:
-    """Node excess over the numerical rank of the member table.
+    """Node excess over :func:`analysis_rank`.
 
     This is the dimension of the null space of the weighted synthesis map.
     """
-    return family.size - numerics.rank(family.members)
+    return family.size - analysis_rank(family)
 
 
 def frame_bounds(family: VectorFamily) -> FrameReport:
@@ -207,9 +237,10 @@ def frame_bounds(family: VectorFamily) -> FrameReport:
     behavior.  The zero-redundancy check matches member rows within
     ``ROW_MATCH_TOL``.
     """
-    spectrum = numerics.frame_spectrum(frame_operator(family))
+    operator = frame_operator(family)
+    spectrum = numerics.frame_spectrum(operator)
     lower, upper = spectrum.lower, spectrum.upper
-    excess = redundancy(family)
+    excess = family.size - analysis_rank(family, operator, spectrum.values)
     condition = upper / lower if lower > 0 else float("inf")
     classification = Classification.FRAME if spectrum.is_frame() else Classification.BESSEL_ONLY
     degenerate = (

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -172,7 +173,10 @@ class DiscretizedSpace:
     def __post_init__(self) -> None:
         nodes = tuple(itertools.starmap(Node, self.nodes))
         points, weights, kinds = tuple(zip(*nodes)) or ((), (), ())
-        column = np.array(weights, dtype=float)
+        try:
+            column = np.array(weights, dtype=float)
+        except OverflowError:  # an int past the float range reads as NaN, which the rule refuses
+            column = np.array([w if abs(w) <= sys.float_info.max else math.nan for w in weights])
         _check_nodes((column > 0) & (column < math.inf), "weight", "finite and positive", weights)
         finite = [not isinstance(p, float) or math.isfinite(p) for p in points]
         _check_nodes(finite, "point", "finite", points)
@@ -214,9 +218,13 @@ class DiscretizedSpace:
         return {"nodes": rows}
 
     @classmethod
-    def from_json(cls, data: dict) -> "DiscretizedSpace":
+    def from_json(cls, data) -> "DiscretizedSpace":
         """Space of ``{"nodes": [{"point", "weight", "provenance"}, ...]}``, read as columns."""
-        rows = data.get("nodes", [])
+        if type(data) is not dict:
+            raise ValidationError(f"space must be an object with a nodes list, got {data!r}")
+        rows = data.get("nodes")
+        if type(rows) is not list:
+            raise ValidationError(f"nodes must be a list of node objects, got {rows!r}")
         fields = Node._fields
         try:
             points, weights, labels = (list(map(operator.itemgetter(k), rows)) for k in fields)

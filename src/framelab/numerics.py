@@ -5,16 +5,12 @@ coordinate Gram matrices) are dense ``complex128`` numpy arrays of size at
 most ``d x d`` or ``n x d``; node-indexed ``n x n`` kernels are kept by
 :mod:`framelab.rkhs` as two ``n x r`` factors instead.  There is no sparse or
 iterative machinery.  Every rank decision and pseudoinverse cutoff comes
-from :func:`rank_cutoff`.  One certificate, :func:`certifies_full_rank`,
-decides full rank from a Gram spectrum: with eigenvalues ``lam`` ascending
-and the slack ``4 * (rows + cols) * eps * trace``, the table has rank
-``min(rows, cols)`` when ``lam[0] - slack`` exceeds the squared cutoff of
-``sqrt(lam[-1] + slack)``, and empty, overflowing or underflowing input is
-never certified.  :func:`rank` asks it first and otherwise counts singular
-values from an SVD, and :func:`framelab.pairs.lower_semiframe_dual` asks it
-of the frame operator before building the dual from its eigenpairs; either
-way a rank verdict is the SVD count.  The frame bounds of a frame operator
-together with the rule that refuses to invert it live in
+from :func:`rank_cutoff`.  :func:`rank` first tries to certify full rank
+from a Gram spectrum (:func:`certifies_full_rank`) and otherwise counts
+singular values from an SVD, so a rank verdict is the SVD count; every rank
+verdict on a family is :func:`framelab.frames.analysis_rank`, which asks the
+certificate of the frame operator first.  The frame bounds of a frame
+operator together with the rule that refuses to invert it live in
 :func:`frame_spectrum` and :func:`require_frame`, and the inverse applied to
 the rows of a member table in :meth:`FrameSpectrum.inverse_rows`, so no other
 module hand-rolls its own thresholds or dual formula.  The

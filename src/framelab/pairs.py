@@ -20,7 +20,10 @@ from .errors import (
     NotSurjectiveError,
     SpaceMismatchError,
 )
-from .frames import VectorFamily, dual_family, frame_operator, redundancy, synthesis
+from .frames import (
+    VectorFamily, analysis_rank, dual_family, frame_operator, redundancy, synthesis,
+    weighted_analysis,
+)
 from .rkhs import KernelTable
 
 CONDITION_THRESHOLD = 1e10
@@ -183,43 +186,36 @@ def frame_transfer(psi: VectorFamily, phi: VectorFamily, frame_vectors) -> Frame
 def lower_semiframe_dual(psi: VectorFamily) -> VectorFamily:
     """Dual family built from the bounded left inverse of analysis.
 
-    Requires an injective analysis map, refused with ``NotInjectiveError``
-    when the weighted analysis table ``A = sqrt(w) * conj(members)`` has
-    numerical rank below the dimension.  The dual is assembled from the
-    minimal-norm left inverse ``A^+`` in the weighted coordinates, which makes
-    the mixed resolution operator of (``psi``, dual) the identity and caps the
-    dual's Bessel constant by the squared operator norm of that inverse.
+    Requires an injective analysis map: refused with ``NotInjectiveError``
+    when :func:`~framelab.frames.analysis_rank` is below the dimension.  The
+    dual comes from the minimal-norm left inverse ``A^+`` of the weighted
+    analysis table ``A = sqrt(w) * conj(members)``, which makes the mixed
+    resolution operator of (``psi``, dual) the identity and caps the dual's
+    Bessel constant by the squared operator norm of that inverse.
 
-    ``A^H A`` is the frame operator ``S``, so on full rank ``A^+ =
-    S^-1 A^H`` and the dual is the canonical dual ``members @ S^-T``.  It is
-    built that way, from the eigenpairs of ``S``, when the spectrum of ``S``
-    is a frame's (:meth:`~framelab.numerics.FrameSpectrum.is_frame`) and
-    certifies full rank of ``A``
-    (:func:`~framelab.numerics.certifies_full_rank`); one Newton step on the
-    resolution residual ``R = dual^T (w * conj(members)) - I`` then brings
-    the identity gap down to what an SVD gives.  Any other input, such as an
-    injective family with ``cond(S)`` past ``1 / FRAME_RTOL`` or a
-    rank-deficient one, takes ``A^+`` and its rank from one SVD
-    (:func:`~framelab.numerics.pinv`).  The routes agree to rounding, and
-    both refuse exactly when the SVD count of ``A`` is below the dimension.
+    ``A^H A`` is the frame operator ``S``, so on full rank ``A^+ = S^-1 A^H``
+    and the dual is the canonical dual ``members @ S^-T``.  It is built that
+    way, from the eigenpairs of ``S``, when the spectrum of ``S`` is a
+    frame's (:meth:`~framelab.numerics.FrameSpectrum.is_frame`); one Newton
+    step on the resolution residual ``R = dual^T (w * conj(members)) - I``
+    then brings the identity gap down to what an SVD gives.  Otherwise, as
+    when ``cond(S)`` is past ``1 / FRAME_RTOL``, ``A^+`` comes from one SVD
+    (:func:`~framelab.numerics.pinv`).  The routes agree to rounding.
     """
     operator = frame_operator(psi)
     spectrum = numerics.frame_spectrum(operator)
+    if analysis_rank(psi, operator, spectrum.values) < psi.dim:
+        raise NotInjectiveError("analysis map is rank deficient")
     with np.errstate(all="ignore"):  # dual_family refuses a dual past the float range
-        if spectrum.is_frame() and numerics.certifies_full_rank(
-            operator, (psi.size, psi.dim), spectrum.values
-        ):
+        if spectrum.is_frame():
             dual_members = spectrum.inverse_rows(psi.members)
             residual = dual_members.T @ (psi.space.weights[:, None] * psi.members.conj())
             residual -= np.eye(psi.dim)
             dual_members -= dual_members @ residual.T
             return dual_family(psi.space, dual_members)
-        sqrt_w = np.sqrt(psi.space.weights)
-        left_inverse, rank = numerics.pinv(sqrt_w[:, None] * psi.members.conj())
-        if rank < psi.dim:
-            raise NotInjectiveError("analysis map is rank deficient")
+        left_inverse, _ = numerics.pinv(weighted_analysis(psi))
         # projecting onto the analysis range is a no-op for the minimal-norm inverse
-        return dual_family(psi.space, left_inverse.T / sqrt_w[:, None])
+        return dual_family(psi.space, left_inverse.T / np.sqrt(psi.space.weights)[:, None])
 
 
 def reproducing_partner(phi: VectorFamily) -> VectorFamily:
@@ -234,11 +230,8 @@ def reproducing_partner(phi: VectorFamily) -> VectorFamily:
 
     Weighted synthesis is the adjoint of weighted analysis, so its
     minimal-norm right inverse is the adjoint of the minimal-norm left
-    inverse behind :func:`lower_semiframe_dual`, and the partner is that dual,
-    built on the same two routes.  When the frame operator's spectrum is a
-    frame's and certifies full rank, the partner comes from its eigenpairs
-    and equals the canonical dual of ``phi`` to rounding; otherwise it comes
-    from one SVD of the weighted synthesis map's adjoint.
+    inverse behind :func:`lower_semiframe_dual`: the partner is that dual,
+    refused on the same rank rule as :func:`~framelab.frames.redundancy`.
     """
     try:
         return lower_semiframe_dual(phi)

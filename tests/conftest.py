@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from framelab import DiscretizedSpace, Node, Provenance, VectorFamily
+from framelab.frames import VectorFamily
+from framelab.measure import DiscretizedSpace, Node, Provenance
 
 
 def complex_rng_matrix(rng, rows, cols):

@@ -470,10 +470,19 @@ def _third_node(**fields) -> dict:
     return {"space": {"nodes": nodes}, "dim": 1, "members": [[1.0, 0.0]] * 3}
 
 
+_PAIR_FAULT = "must be an [re, im] pair of numbers in the float range, got"
+
+
+def _one_node(**fields) -> dict:
+    """A one-node family with ``fields`` replacing or, when None, dropping its keys."""
+    payload = {"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1.0, 0.0]], **fields}
+    return {key: value for key, value in payload.items() if value is not None}
+
+
 @pytest.mark.parametrize(
     "payload, fault",
     [
-        ([], None),
+        ([], "a family must be an object, got list"),
         (
             {"space": {"nodes": [{"point": 0.0, "provenance": "atom"}]}, "dim": 1,
              "members": [[1.0, 0.0]]},
@@ -484,19 +493,25 @@ def _third_node(**fields) -> dict:
              "members": [[1.0, 0.0]] * 3},
             "nodes[1] must be an object with point, weight and provenance",
         ),
-        ({"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1]]}, None),
-        ({"space": {"nodes": [_NODE]}, "dim": 2.5, "members": [[1.0, 0.0], [0.0, 1.0]]}, None),
-        ({"space": {"nodes": [_NODE]}, "dim": "2", "members": [[1.0, 0.0], [0.0, 1.0]]}, None),
+        (_one_node(members=[[1]]), f"members[0] {_PAIR_FAULT} [1]"),
+        (
+            _one_node(dim=2.5, members=[[1.0, 0.0], [0.0, 1.0]]),
+            "dim must be a positive integer, got 2.5",
+        ),
+        (
+            _one_node(dim="2", members=[[1.0, 0.0], [0.0, 1.0]]),
+            "dim must be a positive integer, got '2'",
+        ),
         (_third_node(weight="1"), "nodes[2].weight must be a number, got '1'"),
         (_third_node(weight=True), "nodes[2].weight must be a number, got True"),
         (_third_node(point=[1, 2]), "nodes[2].point must be a number or a string, got [1, 2]"),
         (_third_node(point=None), "nodes[2].point must be a number or a string, got None"),
         (_third_node(point=float("nan")), "nodes[2].point must be finite, got nan"),
         (_third_node(point=float("inf")), "nodes[2].point must be finite, got inf"),
-        ({"space": {"nodes": [_NODE]}, "dim": 1, "members": [[True, False]]}, None),
-        ({"space": {"nodes": [_NODE]}, "dim": 1, "members": [[10**400, 0]]}, None),
-        ({"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1e200, 0.0]]}, None),
-        ({"space": {"nodes": [_NODE]}, "dim": 1, "members": [[1e308, 0.0]]}, None),
+        (_one_node(members=[[True, False]]), f"members[0] {_PAIR_FAULT} [True, False]"),
+        (_one_node(members=[[10**400, 0]]), f"members[0] {_PAIR_FAULT} [{10**400}, 0]"),
+        (_one_node(members=[[1e200, 0.0]]), "squared norms of the members overflow"),
+        (_one_node(members=[[1e308, 0.0]]), "squared norms of the members overflow"),
         (_third_node(weight=None), "nodes[2].weight must be a number, got None"),
         (_third_node(weight=0), "nodes[2].weight must be finite and positive, got 0"),
         (_third_node(weight=-1), "nodes[2].weight must be finite and positive, got -1"),
@@ -504,6 +519,23 @@ def _third_node(**fields) -> dict:
         (_third_node(provenance="dust"),
          "nodes[2].provenance must be 'atom' or 'cell', got 'dust'"),
         (_third_node(provenance=None), "nodes[2].provenance must be 'atom' or 'cell', got None"),
+        (_one_node(dim=None), "dim must be a positive integer, got None"),
+        (_one_node(members=None), "members must be a list of [re, im] pairs, got None"),
+        (
+            {"space": {"nodes": [_NODE, _NODE]}, "dim": 2, "members": [[1.0, 0.0]] * 3},
+            "member count 3 does not factor as 2 x 2",
+        ),
+        (_one_node(space=None), "space must be an object with a nodes list, got None"),
+        (_one_node(space={}), "nodes must be a list of node objects, got None"),
+        (_one_node(members=5), "members must be a list of [re, im] pairs, got 5"),
+        (
+            _one_node(members=[[1.0, 0.0], [1, "x"]], dim=2),
+            f"members[1] {_PAIR_FAULT} [1, 'x']",
+        ),
+        (
+            _third_node(weight=10**400),
+            f"nodes[2].weight must be finite and positive, got {10**400}",
+        ),
     ],
     ids=[
         "top-level-list", "node-without-weight", "node-not-an-object", "short-member-entry",
@@ -511,7 +543,9 @@ def _third_node(**fields) -> dict:
         "nan-point", "infinite-point", "boolean-member-entry", "overflowing-member-entry",
         "member-square-overflows", "member-square-far-past-the-float-range",
         "null-weight", "zero-weight", "negative-weight", "nan-weight", "unknown-provenance",
-        "null-provenance",
+        "null-provenance", "missing-dim", "missing-members", "member-count-does-not-factor",
+        "missing-space", "space-without-nodes", "members-not-a-list", "second-member-entry",
+        "overflowing-node-weight",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -520,12 +554,8 @@ def test_malformed_family_json(tmp_path, capsys, payload, fault):
     family_path.write_text(json.dumps(payload))
     out = tmp_path / "report.json"
     assert run("bounds", "--in", str(family_path), "--out", str(out)) == EXIT_VALIDATION
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"framelab: invalid input: {family_path}: ")
-    if fault is not None:
-        # a node fault names the node's index and field
-        assert lines[0] == f"framelab: invalid input: {family_path}: {fault}"
+    # a fault names the field at fault: space, dim, members[k] or nodes[j].field
+    assert capsys.readouterr().err == f"framelab: invalid input: {family_path}: {fault}\n"
     assert not out.exists()
 
 
@@ -693,3 +723,85 @@ def test_module_entry_point(tmp_path):
     assert run("bounds", "--gallery", "mercedes", "--out", str(in_process)) == EXIT_OK
     assert out.read_bytes() == in_process.read_bytes()
     assert json.loads(out.read_text())["classification"] == "frame"
+
+
+def test_out_of_memory_is_a_refusal(tmp_path, monkeypatch, capsys):
+    # stands in for a real allocation failure, such as `bounds --gallery delta --dim 1000000`
+    def exhausted(family):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(cli.frames, "frame_bounds", exhausted)
+    out = tmp_path / "report.json"
+    assert run("bounds", "--gallery", "delta", "--dim", "4", "--out", str(out)) == EXIT_REFUSED
+    assert capsys.readouterr().err == (
+        "framelab: refused: out of memory: Unable to allocate 14.6 TiB for an array\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "weight, entry, excess, partner_code",
+    [(1e-10, 1e-6, 1, EXIT_REFUSED), (1e10, 1e-11, 0, EXIT_OK)],
+    ids=["light-node-drops-out", "heavy-node-counts"],
+)
+def test_rank_verdicts_agree_across_commands(tmp_path, capsys, weight, entry, excess, partner_code):
+    # the rank is that of sqrt(w) * conj(members): diag(1, sqrt(weight) * entry)
+    nodes = [_NODE, {**_NODE, "point": 1.0, "weight": weight}]
+    payload = {"space": {"nodes": nodes}, "dim": 2, "members": [[1, 0], [0, 0], [0, 0], [entry, 0]]}
+    family_path = tmp_path / "family.json"
+    family_path.write_text(json.dumps(payload))
+    reports = {}
+    for command in ("redundancy", "bounds", "partner"):
+        out = tmp_path / f"{command}.json"
+        code = run(command, "--in", str(family_path), "--out", str(out))
+        reports[command] = (code, json.loads(out.read_text()) if code == EXIT_OK else None)
+    counts = {"rows": 2, "dim": 2, "redundancy": excess, "index": -excess}
+    assert reports["redundancy"] == (EXIT_OK, counts)
+    assert reports["bounds"][0] == EXIT_OK and reports["bounds"][1]["redundancy"] == excess
+    assert reports["partner"][0] == partner_code
+    if partner_code == EXIT_OK:
+        assert reports["partner"][1]["identity_residual"] <= 1e-12
+    else:
+        assert capsys.readouterr().err == (
+            "framelab: refused: synthesis map does not reach the ambient space\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bounds", "--gallery", "affine", "--dim", "4", "--grid", "2"),
+         "frequency grid must be at least as fine as the radial grid"),
+        (("bounds", "--gallery", "affine", "--dim", "0"), "affine family needs cells >= 1"),
+        (("bounds", "--gallery", "torus", "--dim", "0", "--grid", "8"),
+         "torus family needs dim >= 1"),
+        (("bounds", "--gallery", "delta", "--dim", "0"), "delta family needs count >= 1"),
+        (("bounds", "--gallery", "doubled-onb", "--dim", "0"), "doubled basis needs dim >= 1"),
+        (("bounds", "--gallery", "augmented-onb", "--dim", "0"), "augmented basis needs dim >= 1"),
+        (("bounds", "--gallery", "random", "--rows", "0", "--dim", "2", "--seed", "1"),
+         "random family needs rows >= 1 and dim >= 1"),
+        (("experiment", "blowup", "--sizes", ","), "size list is empty"),
+        (("experiment", "trend", "--gallery", "torus", "--sizes", "0,2"),
+         "trend sizes must be positive"),
+    ],
+    ids=["affine-grid", "affine-cells", "torus-dim", "delta-count", "doubled-dim",
+         "augmented-dim", "random-rows", "empty-sizes", "trend-size-zero"],
+)
+def test_out_of_range_sizes_refused(tmp_path, capsys, argv, message):
+    out = tmp_path / "report.json"
+    assert run(*argv, "--out", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"framelab: invalid input: {message}\n"
+    assert not out.exists()
+
+
+def test_pair_check_refuses_mixed_dimensions(tmp_path, capsys):
+    psi_path, phi_path = tmp_path / "psi.json", tmp_path / "phi.json"
+    write_family(psi_path, np.ones((2, 1), dtype=complex))
+    write_family(phi_path, np.eye(2, dtype=complex))
+    out = tmp_path / "verdict.json"
+    argv = ("pair-check", "--psi", str(psi_path), "--phi", str(phi_path), "--out", str(out))
+    assert run(*argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "framelab: invalid input: families have different ambient dimensions 1 and 2\n"
+    )
+    assert not out.exists()

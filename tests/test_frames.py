@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import cli
+from framelab import cli, numerics
 from framelab.errors import (
     DimensionMismatchError,
     NotAFrameError,
@@ -17,15 +17,18 @@ from framelab.frames import (
     VectorFamily,
     analysis,
     analysis_matrix,
+    analysis_rank,
     canonical_dual,
     classify_trend,
     frame_bounds,
     frame_operator,
     kernel_matrix,
+    redundancy,
     semiframe_trend,
     _equal_row_groups,
     split,
     synthesis,
+    weighted_analysis,
 )
 from framelab.gallery import build_torus
 from framelab.measure import DiscretizedSpace, Node, Provenance
@@ -63,6 +66,18 @@ class TestVectorFamily:
         back = VectorFamily.from_json(data)
         assert back.space == family.space
         np.testing.assert_allclose(back.members, family.members, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            (np.ones(3), "members must be a 2-d table, got ndim=1"),
+            (np.ones((3, 0)), "ambient dimension must be at least 1"),
+        ],
+        ids=["one-dimensional", "no-columns"],
+    )
+    def test_malformed_member_table_refused(self, members, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            VectorFamily(space=unit_weight_space(3), members=members)
 
     def test_profile_rows(self):
         family = mercedes_family()
@@ -202,6 +217,56 @@ class TestFrameBounds:
         payload = frame_bounds(onb_family(2)).to_json()
         assert payload["classification"] == "frame"
         assert payload["redundancy"] == 0
+
+
+class RankCalled(Exception):
+    """Raised by a stand-in for ``numerics.rank``."""
+
+
+def no_rank(*args, **kwargs):
+    raise RankCalled
+
+
+class TestAnalysisRank:
+    def test_weighted_analysis_is_the_scaled_conjugate(self, rng):
+        family = random_family(rng, 7, 3, weighted=True)
+        table = weighted_analysis(family)
+        expected = np.sqrt(family.space.weights)[:, None] * family.members.conj()
+        np.testing.assert_array_equal(table, expected)
+        # its Gram is the frame operator
+        np.testing.assert_allclose(table.conj().T @ table, frame_operator(family), atol=1e-12)
+
+    def test_certified_frame_needs_no_rank_call(self, rng, monkeypatch):
+        # frame_bounds certifies full rank from the frame operator it already holds
+        family = random_family(rng, 64, 8, weighted=True)
+        assert redundancy(family) == 56
+        monkeypatch.setattr(numerics, "rank", no_rank)
+        assert frame_bounds(family).redundancy == 56
+
+    def test_rank_deficient_family_falls_back_on_the_count(self, rng, monkeypatch):
+        members = complex_rng_matrix(rng, 6, 3)
+        members[:, 2] = members[:, 0]
+        family = VectorFamily(space=unit_weight_space(6), members=members)
+        assert analysis_rank(family) == 2
+        monkeypatch.setattr(numerics, "rank", no_rank)
+        with pytest.raises(RankCalled):
+            frame_bounds(family)
+
+    @pytest.mark.parametrize(
+        "weight, entry, rank", [(1e-10, 1e-6, 1), (1e10, 1e-11, 2)], ids=["light", "heavy"]
+    )
+    def test_weights_enter_the_rank(self, weight, entry, rank):
+        # the raw member rows diag(1, entry) have the other rank at the default cutoff
+        members = np.diag([1.0, entry]).astype(complex)
+        family = VectorFamily(space=cell_space([1.0, weight]), members=members)
+        assert numerics.rank(members) == 3 - rank
+        assert analysis_rank(family) == rank
+        assert redundancy(family) == frame_bounds(family).redundancy == 2 - rank
+
+    def test_fewer_nodes_than_dimensions(self, rng):
+        family = random_family(rng, 2, 5, weighted=True)
+        assert analysis_rank(family) == 2
+        assert redundancy(family) == 0
 
 
 class TestCanonicalDual:

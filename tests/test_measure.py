@@ -49,6 +49,15 @@ class TestDensity:
         with pytest.raises(ValidationError):
             Density("const", 0.0)
 
+    def test_nonpositive_power_exponent(self):
+        with pytest.raises(ValidationError, match="^power density exponent k must be positive$"):
+            Density("power", 1.0, 0.0)
+
+
+def test_atom_weight_must_be_positive():
+    with pytest.raises(ValidationError, match="^atom weight must be positive, got 0$"):
+        Atom("a", 0)
+
 
 class TestSegmentValidation:
     def test_inverted_endpoints(self):
@@ -58,6 +67,11 @@ class TestSegmentValidation:
     def test_power_needs_nonnegative_lo(self):
         with pytest.raises(ValidationError):
             Segment(-1.0, 1.0, Density("power", 1.0, 2.0))
+
+    @pytest.mark.parametrize("hi", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_endpoint_refused(self, hi):
+        with pytest.raises(ValidationError, match=f"^hi must be finite, got {hi}$"):
+            Segment(0.0, hi, Density("const", 1.0))
 
     def test_overlapping_segments_rejected(self):
         with pytest.raises(ValidationError):
@@ -250,6 +264,11 @@ class TestJsonRoundTrip:
         assert space.weights.dtype == np.float64 and not space.weights.flags.writeable
         assert space.is_atom.tolist() == [kind is Provenance.ATOM for _, _, kind in triples]
         assert not space.is_atom.flags.writeable
+
+
+def test_counting_space_needs_a_point():
+    with pytest.raises(ValidationError, match="^count must be at least 1$"):
+        measure.counting_space(0)
 
 
 def test_counting_space_weights():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from framelab import cli, numerics, pairs
 from framelab.errors import (
+    DimensionMismatchError,
     NotAFrameError,
     NotInjectiveError,
     NotInvertibleError,
@@ -281,6 +283,13 @@ class TestInducedKernel:
 
 
 class TestFrameTransfer:
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 5, 4)], ids=["1-d", "short-rows", "3-d"])
+    def test_frame_vectors_of_the_wrong_shape_refused(self, rng, shape):
+        psi, phi = random_pair(rng)
+        message = f"frame vectors must form a (count, 4) table, got {shape}"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            frame_transfer(psi, phi, np.ones(shape))
+
     def test_onb_pair_with_onb_frame(self):
         family = onb_family(3)
         report = frame_transfer(family, family, np.eye(3))

@@ -108,8 +108,21 @@ class TestFunctionMatrix:
         with pytest.raises(DimensionMismatchError):
             function_matrix([np.ones(4)], space)
 
+    def test_single_function_becomes_one_column(self):
+        out = function_matrix(np.arange(3.0), unit_weight_space(3))
+        np.testing.assert_array_equal(out, np.arange(3.0)[:, None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_values_refused(self, bad):
+        with pytest.raises(ValidationError, match="^function values must be finite$"):
+            function_matrix([np.array([1.0, bad, 0.0])], unit_weight_space(3))
+
 
 class TestMuOrthonormalBasis:
+    def test_zero_span_refused(self):
+        with pytest.raises(ValidationError, match="^function system spans only the zero space$"):
+            mu_orthonormal_basis(np.zeros((4, 2)), unit_weight_space(4))
+
     def test_orthonormal_input_unchanged(self, rng):
         space = cell_space(rng.uniform(0.3, 1.5, 6))
         q = random_span_basis(rng, space, 3)
@@ -233,6 +246,13 @@ class TestKernelFromPair:
         second = np.column_stack([q[:, 1], -q[:, 1]])
         with pytest.raises(PairDegenerateError):
             kernel_from_pair_report(first, second, space)
+
+    def test_unequal_lengths_refused(self, rng):
+        space = unit_weight_space(6)
+        q = random_span_basis(rng, space, 3)
+        message = "^paired systems need equal length, got 3 and 2$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            kernel_from_pair_report(q, q[:, :2], space)
 
     def test_span_pair_operator_shape(self, rng):
         space = unit_weight_space(6)
