@@ -20,7 +20,7 @@ from . import numerics
 from .errors import DimensionMismatchError, NumericalRefusal, ValidationError
 from .measure import DiscretizedSpace
 from .numerics import FRAME_RTOL
-from .rkhs import KernelTable
+from .rkhs import KernelTable, orthonormal_factor
 
 ROW_MATCH_TOL = 1e-12
 TREND_VANISH_RATIO = 0.5
@@ -198,9 +198,8 @@ def weighted_analysis(family: VectorFamily) -> np.ndarray:
 
 
 def frame_operator(family: VectorFamily) -> np.ndarray:
-    """Weighted sum of rank-one member projectors: synthesis after analysis."""
-    w = family.space.weights
-    return family.members.T @ (w[:, None] * family.members.conj())
+    """Weighted sum of rank-one member projectors, ``members^T W conj(members)``."""
+    return np.conj(numerics.weighted_gram(family.members, family.space.weights))
 
 
 def analysis_rank(family: VectorFamily, operator=None, values=None) -> int:
@@ -284,14 +283,13 @@ def kernel_matrix(family: VectorFamily) -> KernelTable:
 
     The induced integral operator (:meth:`KernelTable.apply`) is the
     orthogonal projection, in the weighted node pairing, onto the space of
-    analysis images.  The table is stored as the factors ``B, B`` of
-    ``B B^H`` with ``B = conj(members) V diag(values)**-1/2``, so it is
+    analysis images.  The table is stored as ``B B^H`` with ``B`` the
+    :func:`~framelab.rkhs.orthonormal_factor` of ``conj(members)``, so it is
     Hermitian by construction and costs O(n d) memory.  A factor whose dense
     entries would leave the float range is refused (``NumericalRefusal``).
     """
-    _, _, values, vectors = numerics.require_frame(frame_operator(family))
-    factor = family.members.conj() @ vectors
-    factor /= np.sqrt(values)
+    spectrum = numerics.require_frame(frame_operator(family))
+    factor = orthonormal_factor(analysis_matrix(family), family.space.weights, spectrum)
     try:
         return KernelTable(space=family.space, left=factor, right=factor)
     except ValidationError as exc:

@@ -93,6 +93,13 @@ def rank_cutoff(singular_values: np.ndarray, shape: tuple[int, int]) -> float:
     return threshold * float(singular_values[0]) * max(shape)
 
 
+def weighted_gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``table^H W table``, conjugating the weighted temporary in place instead of the table."""
+    weighted = weights[:, None] * table
+    np.conj(weighted, out=weighted)
+    return np.conj(table.T @ weighted)
+
+
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 

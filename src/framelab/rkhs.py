@@ -1,20 +1,17 @@
 """Reproducing kernels over finite node sets.
 
-A kernel over the nodes of a :class:`~framelab.measure.DiscretizedSpace` is
-stored as two ``n x r`` factors, ``K = left @ right^H``.  Every kernel built
-here has rank ``r`` at most the ambient dimension, so applying a kernel,
-reading its diagonal or one section costs O(n r); the dense ``n x n`` table is
-built only when a caller asks for :attr:`KernelTable.entries` or the JSON
-export (the CLI's CSV export forms it a block of rows at a time).
-A table may carry a geometry: ``None`` means the plain weighted node
-pairing, while a family marks tables whose reproducing identity holds in the
-inner product induced by that family's synthesis map.  A pair of function
-systems expands the kernel of its joint span through the inverse of the
-pair's resolution operator; the report of that expansion carries how far its
-two summation orders disagree rather than refusing on it.
-The refinement blow-up needs no table at all: the kernel of the step basis is
-diagonal, and its diagonal and orthonormality follow from the ``n`` basis
-values in O(n).
+A :class:`KernelTable` stores a kernel over the nodes of a
+:class:`~framelab.measure.DiscretizedSpace` as two ``n x r`` factors,
+``K = left @ right^H``, with ``r`` at most the ambient dimension, so it costs
+O(n r) unless a caller asks for the dense table.  The kernel of a span is
+``B B^H`` for one factor with ``B^H W B = I`` (:func:`mu_orthonormal_basis`),
+taken from the eigenpairs of the span's Gram when they certify full rank and
+from one SVD otherwise; the span rank follows
+:func:`~framelab.numerics.rank_cutoff` like every other rank verdict.  A pair
+of function systems expands the kernel of its joint span through the inverse
+of the pair's resolution operator and reports how far its two summation
+orders disagree rather than refusing on it.  The refinement blow-up needs no
+table: the step basis has a diagonal kernel, read from its ``n`` values.
 """
 
 from __future__ import annotations
@@ -27,18 +24,13 @@ import numpy as np
 
 from . import numerics
 from .errors import (
-    DimensionMismatchError,
-    NotOrthonormalError,
-    PairDegenerateError,
-    ValidationError,
+    DimensionMismatchError, NotOrthonormalError, PairDegenerateError, ValidationError,
 )
 from .measure import DiscretizedSpace, unit_segment_space
 
 if TYPE_CHECKING:
     from .frames import VectorFamily
 
-# a span basis drops a column whose residual norm is at most this times the largest input norm
-SPAN_DROP_RTOL = 1e-12
 ORTHO_TOL = 1e-10
 SPAN_CONDITION_LIMIT = 1e10
 # absolute room the pointwise square-sum bound leaves for roundoff
@@ -191,37 +183,41 @@ def function_matrix(functions, space: DiscretizedSpace) -> np.ndarray:
     return arr
 
 
-def mu_orthonormal_basis(functions, space: DiscretizedSpace) -> np.ndarray:
-    """Orthonormal basis of the span in the weighted node pairing.
+def orthonormal_factor(table, weights, spectrum: numerics.FrameSpectrum) -> np.ndarray:
+    """``B = table V diag(values)**-1/2``, from the frame ``spectrum`` of ``table^H W table``.
 
-    Classical Gram-Schmidt with one reorthogonalization pass: each column is
-    projected twice against the columns kept so far, ``v -= Q (Q^H (w v))``,
-    and is kept when its residual norm exceeds ``SPAN_DROP_RTOL`` times the
-    largest input norm.  Two passes are as stable as modified Gram-Schmidt
-    with reorthogonalization ("twice is enough") and run as matrix products.
-    A function system that is already orthonormal is returned unchanged up to
-    roundoff.
+    ``B^H W B = I`` up to a defect of ``eps`` times the Gram's condition, which
+    one Newton step ``B -= B (B^H W B - I) / 2`` takes down to rounding.
     """
-    b = function_matrix(functions, space)
+    factor = table @ (spectrum.vectors / np.sqrt(spectrum.values))
+    defect = numerics.weighted_gram(factor, weights) - np.eye(spectrum.values.size)
+    factor -= factor @ (0.5 * defect)
+    return factor
+
+
+def mu_orthonormal_basis(functions, space: DiscretizedSpace) -> np.ndarray:
+    """Factor ``B`` with ``B^H W B = I_r`` spanning functions ``F`` of rank ``r`` in ``sqrt(w) F``.
+
+    With no more functions than nodes and a Gram ``F^H W F`` that is a frame
+    operator certifying full rank (:func:`~framelab.numerics.certifies_full_rank`
+    reads the Gram of the shorter side), ``B`` is its :func:`orthonormal_factor`;
+    otherwise ``B`` holds the left singular vectors of ``sqrt(w) F`` above
+    :func:`~framelab.numerics.rank_cutoff`, over ``sqrt(w)``.  Only the
+    projector ``B B^H W`` is unique.
+    """
+    f = function_matrix(functions, space)
     w = space.weights
-    norms = np.sqrt(w @ np.abs(b) ** 2)
-    scale = float(np.max(norms)) if norms.size else 0.0
-    # kept columns fill q from the left; Fortran order keeps q[:, :kept] contiguous
-    q = np.empty(b.shape, dtype=np.complex128, order="F")
-    kept = 0
-    for i in range(b.shape[1]):
-        v = b[:, i].copy()
-        basis = q[:, :kept]
-        for _ in range(2):
-            # Q^H (w v) as conj(Q^T conj(w v)), so Q is never copied conjugated
-            v -= basis @ np.conj(basis.T @ np.conj(w * v))
-        nv = space.norm(v)
-        if nv > SPAN_DROP_RTOL * scale:
-            q[:, kept] = v / nv
-            kept += 1
+    if f.shape[0] >= f.shape[1] > 0:
+        gram = numerics.weighted_gram(f, w)
+        spectrum = numerics.frame_spectrum(gram)
+        if spectrum.is_frame() and numerics.certifies_full_rank(gram, f.shape, spectrum.values):
+            return orthonormal_factor(f, w, spectrum)
+    root = np.sqrt(w)[:, None]
+    u, s, _ = np.linalg.svd(root * f, full_matrices=False)
+    kept = int(np.count_nonzero(s > numerics.rank_cutoff(s, f.shape)))
     if not kept:
         raise ValidationError("function system spans only the zero space")
-    return np.ascontiguousarray(q[:, :kept])
+    return u[:, :kept] / root
 
 
 def kernel_from_onb(basis, space: DiscretizedSpace) -> KernelTable:
@@ -231,9 +227,7 @@ def kernel_from_onb(basis, space: DiscretizedSpace) -> KernelTable:
     from the identity by more than ``ORTHO_TOL``.
     """
     b = function_matrix(basis, space)
-    w = space.weights
-    gram = b.conj().T @ (w[:, None] * b)
-    gap = float(np.max(np.abs(gram - np.eye(b.shape[1]))))
+    gap = float(np.max(np.abs(numerics.weighted_gram(b, space.weights) - np.eye(b.shape[1]))))
     if gap > ORTHO_TOL:
         raise NotOrthonormalError(f"orthonormality defect {gap:.3e} exceeds {ORTHO_TOL:.0e}")
     return KernelTable(space=space, left=b, right=b)
@@ -259,10 +253,9 @@ def _span_pair_data(first, second, space: DiscretizedSpace):
         raise DimensionMismatchError(
             f"paired systems need equal length, got {f1.shape[1]} and {f2.shape[1]}"
         )
-    q = mu_orthonormal_basis(np.hstack([f1, f2]), space)
-    w = space.weights
-    c1 = q.conj().T @ (w[:, None] * f1)
-    c2 = q.conj().T @ (w[:, None] * f2)
+    joint = np.hstack([f1, f2])
+    q = mu_orthonormal_basis(joint, space)
+    c1, c2 = np.hsplit(q.conj().T @ (space.weights[:, None] * joint), 2)
     return q, f1, f2, c1, c2, c1 @ c2.conj().T
 
 

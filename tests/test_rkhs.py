@@ -17,7 +17,7 @@ from framelab.errors import (
     PairDegenerateError,
     ValidationError,
 )
-from framelab.frames import analysis_matrix, kernel_matrix
+from framelab.frames import VectorFamily, analysis_matrix, analysis_rank, kernel_matrix
 from framelab.gallery import build_torus
 from framelab.measure import unit_segment_space
 from framelab.rkhs import (
@@ -32,7 +32,7 @@ from framelab.rkhs import (
     point_evaluation_bounds,
 )
 
-from conftest import cell_space, complex_rng_matrix, random_family, unit_weight_space
+from conftest import cell_space, complex_rng_matrix, no_svd, random_family, unit_weight_space
 
 
 def random_span_basis(rng, space, dim):
@@ -82,7 +82,7 @@ def dependent_systems(draw):
         elif kind == "duplicate":
             columns.append(columns[pick].copy())
         elif kind == "near":
-            # kept, but one Gram-Schmidt pass alone would lose orthogonality
+            # kept, though its Gram is too ill-conditioned for the eigenpair route
             columns.append(columns[pick] + 1e-6 * complex_rng_matrix(rng, rows, 1)[:, 0])
         elif kind == "zero":
             columns.append(np.zeros(rows, dtype=complex))
@@ -90,6 +90,18 @@ def dependent_systems(draw):
             columns.append(1e-14 * columns[pick])
     order = rng.permutation(len(columns))
     return np.column_stack([columns[j] for j in order]), space
+
+
+@st.composite
+def low_rank_tables(draw):
+    """Products of random ``rows x rank`` and ``rank x cols`` factors, wide tables included."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 12))
+    rank = draw(st.integers(1, min(rows, cols)))
+    rng = np.random.default_rng(seed)
+    space = cell_space(rng.uniform(0.25, 2.5, size=rows))
+    return complex_rng_matrix(rng, rows, rank) @ complex_rng_matrix(rng, rank, cols), space
 
 
 class TestFunctionMatrix:
@@ -124,10 +136,11 @@ class TestMuOrthonormalBasis:
             mu_orthonormal_basis(np.zeros((4, 2)), unit_weight_space(4))
 
     def test_orthonormal_input_unchanged(self, rng):
+        # the basis is unique only up to a unitary; the projector q q^H is not
         space = cell_space(rng.uniform(0.3, 1.5, 6))
         q = random_span_basis(rng, space, 3)
         again = mu_orthonormal_basis(q, space)
-        np.testing.assert_allclose(again, q, atol=1e-12)
+        np.testing.assert_allclose(again @ again.conj().T, q @ q.conj().T, atol=1e-12)
 
     def test_orthonormality(self, rng):
         space = cell_space(rng.uniform(0.3, 1.5, 8))
@@ -142,11 +155,58 @@ class TestMuOrthonormalBasis:
         functions, space = case
         reference = modified_gram_schmidt(functions, space)
         q = mu_orthonormal_basis(functions, space)
-        # the same columns survive, and Gram-Schmidt fixes each kept vector
+        # the same span survives; its projector, unlike its basis, is unique
         assert q.shape == reference.shape
-        np.testing.assert_allclose(q, reference, atol=1e-9)
+        np.testing.assert_allclose(q @ q.conj().T, reference @ reference.conj().T, atol=1e-9)
         w = space.weights
         np.testing.assert_allclose(q.conj().T @ (w[:, None] * q), np.eye(q.shape[1]), atol=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(low_rank_tables(), dependent_systems()))
+    def test_orthonormal_at_the_analysis_rank(self, case):
+        functions, space = case
+        q = mu_orthonormal_basis(functions, space)
+        # F is the weighted analysis table of the family with members conj(F)
+        rank = analysis_rank(VectorFamily(space=space, members=functions.conj()))
+        assert q.shape == (space.size, rank)
+        w = space.weights
+        np.testing.assert_allclose(q.conj().T @ (w[:, None] * q), np.eye(rank), atol=1e-12)
+        # the projector q q^H W fixes every function of the system
+        scale = max(1.0, float(np.max(np.abs(functions))))
+        projected = q @ (q.conj().T @ (w[:, None] * functions))
+        np.testing.assert_allclose(projected, functions, atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.01e-4], ids=["cond-1", "cond-9.8e7"])
+    def test_frame_gram_needs_no_svd(self, rng, monkeypatch, ratio):
+        # sigma_min / sigma_max of sqrt(w) F; at a Gram condition just inside
+        # 1 / FRAME_RTOL the Newton step keeps the defect at rounding
+        space = cell_space(rng.uniform(0.3, 1.5, 512))
+        span = random_span_basis(rng, space, 32)
+        unitary, _ = np.linalg.qr(complex_rng_matrix(rng, 32, 32))
+        functions = span @ (np.geomspace(1.0, ratio, 32)[:, None] * unitary)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        q = mu_orthonormal_basis(functions, space)
+        w = space.weights
+        np.testing.assert_allclose(q.conj().T @ (w[:, None] * q), np.eye(32), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "tolerance, offset, kept",
+        [(None, 1e-6, 3), ("1e-3", 1e-6, 2), ("1e-2", 1e-3, 2)],
+        ids=["default", "1e-3", "frame-gram-below-the-cutoff"],
+    )
+    def test_rank_tolerance_decides_a_near_parallel_column(
+        self, rng, monkeypatch, tolerance, offset, kept
+    ):
+        space = cell_space(rng.uniform(0.3, 1.5, 8))
+        base = random_span_basis(rng, space, 2)
+        near = base[:, 0] + offset * random_span_basis(rng, space, 1)[:, 0]
+        if tolerance is not None:
+            monkeypatch.setenv("FRAMELAB_RANK_TOL", tolerance)
+        q = mu_orthonormal_basis(np.column_stack([base, near]), space)
+        assert q.shape[1] == kept
+        # the eigenpairs serve only a frame's Gram that certifies full rank
+        w = space.weights
+        np.testing.assert_allclose(q.conj().T @ (w[:, None] * q), np.eye(kept), atol=1e-12)
 
     def test_dependent_columns_dropped(self, rng):
         space = unit_weight_space(5)
@@ -238,6 +298,22 @@ class TestKernelFromPair:
         assert report.order_disagreement <= 1e-10
         assert report.inverse_residual <= 1e-10
         assert report.span_dim == 4
+
+    def test_ill_conditioned_first_system_keeps_the_span(self, rng):
+        # a first system of condition 1e5 must not add a rounding direction to the joint span
+        dim = 4
+        for _ in range(5):
+            space = cell_space(rng.uniform(0.3, 2.0, 24))
+            span = random_span_basis(rng, space, dim)
+            u, _ = np.linalg.qr(complex_rng_matrix(rng, dim, dim))
+            v, _ = np.linalg.qr(complex_rng_matrix(rng, dim, dim))
+            first = span @ (u * np.logspace(0, -5, dim)) @ v.conj().T
+            second = span @ (complex_rng_matrix(rng, dim, dim) + 0.5 * np.eye(dim))
+            report = kernel_from_pair_report(first, second, space)
+            assert report.span_dim == dim
+            reference = kernel_of_span(span, space).entries
+            scale = float(np.max(np.abs(reference)))
+            np.testing.assert_allclose(report.table.entries, reference, atol=1e-9 * scale)
 
     def test_degenerate_pair_rejected(self, rng):
         space = unit_weight_space(6)
@@ -516,6 +592,25 @@ class TestFactoredKernelTable:
         assert float(np.sum(family.space.weights * diagonal)) == pytest.approx(d, rel=1e-9)
         np.testing.assert_allclose(table.apply(once), once, atol=1e-9)
         assert section.shape == (n,) and np.all(np.isfinite(section))
+
+    def test_span_kernel_scales_with_rank_not_nodes(self):
+        # the span kernel of the same n = 16384 torus members stays within O(n d) memory
+        family = build_torus(64, 16384)
+        n, d = family.members.shape
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            table = kernel_of_span(family.members, family.space)
+            once = table.apply(np.ones(n))
+            diagonal = table.diagonal
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - start
+        assert peak < 4 * n * d * 16
+        assert elapsed < 10.0
+        assert float(np.sum(family.space.weights * diagonal)) == pytest.approx(d, rel=1e-9)
+        np.testing.assert_allclose(table.apply(once), once, atol=1e-9)
 
 
 class TestRefusedTolerances:

@@ -1,0 +1,44 @@
+"""Checks on the source of ``src/framelab`` itself, read through ``ast``."""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "framelab"
+
+
+def _module_constants(tree: ast.Module) -> list[str]:
+    """Names bound by the module-level assignments of ``tree`` that are spelled UPPER_CASE."""
+    names = []
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign):
+            targets = statement.targets
+        elif isinstance(statement, ast.AnnAssign):
+            targets = [statement.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if (
+                    isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Store)
+                    and node.id.lstrip("_").isupper()
+                ):
+                    names.append(node.id)
+    return names
+
+
+def test_every_module_constant_is_read_by_code():
+    # a rule deleted from the code must not leave its constant behind; a
+    # docstring mention is not a read, only a loaded name or an attribute is
+    defined = []
+    read = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined += [f"{path.stem}.{name}" for name in _module_constants(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined, "no module constants found"
+    assert [name for name in defined if name.split(".")[1] not in read] == []
