@@ -199,7 +199,7 @@ def weighted_analysis(family: VectorFamily) -> np.ndarray:
 
 def frame_operator(family: VectorFamily) -> np.ndarray:
     """Weighted sum of rank-one member projectors, ``members^T W conj(members)``."""
-    return np.conj(numerics.weighted_gram(family.members, family.space.weights))
+    return np.conj(numerics.weighted_gram(family.members, family.space.weights, family.members))
 
 
 def analysis_rank(family: VectorFamily, operator=None, values=None) -> int:
@@ -359,11 +359,8 @@ def split(
     discrete = [np.sqrt(w[j]) * family.members[j] for j in atoms]
     keep = ~family.space.is_atom
     for group in _equal_row_groups(family, row_tolerance):
-        total = float(np.sum(w[group]))
-        mean = np.zeros(family.dim, dtype=np.complex128)
-        for j in group:
-            mean += w[j] * family.members[j]
-        discrete.append(mean / np.sqrt(total))
+        mean = np.sum(w[group][:, None] * family.members[group], axis=0)
+        discrete.append(mean / np.sqrt(float(np.sum(w[group]))))
         keep[group] = False
     continuous = DiscretizedSpace(nodes=itertools.compress(family.space.nodes, keep))
     return discrete, VectorFamily(space=continuous, members=family.members[keep])

@@ -4,9 +4,11 @@ Operators on the ambient space (frame operators, resolution operators,
 coordinate Gram matrices) are dense ``complex128`` numpy arrays of size at
 most ``d x d`` or ``n x d``; node-indexed ``n x n`` kernels are kept by
 :mod:`framelab.rkhs` as two ``n x r`` factors instead.  There is no sparse or
-iterative machinery.  Every rank decision and pseudoinverse cutoff comes
-from :func:`rank_cutoff`.  :func:`rank` first tries to certify full rank
-from a Gram spectrum (:func:`certifies_full_rank`) and otherwise counts
+iterative machinery.  Every product ``X^H W Y`` over the nodes is
+:func:`weighted_gram` and every SVD of a weighted table ``sqrt(w) * X`` is
+:func:`weighted_svd`.  Every rank decision and SVD cutoff comes from
+:func:`rank_cutoff`.  :func:`rank` first tries to certify full rank from a
+Gram spectrum (:func:`certifies_full_rank`) and otherwise counts
 singular values from an SVD, so a rank verdict is the SVD count; every rank
 verdict on a family is :func:`framelab.frames.analysis_rank`, which asks the
 certificate of the frame operator first.  The frame bounds of a frame
@@ -93,11 +95,23 @@ def rank_cutoff(singular_values: np.ndarray, shape: tuple[int, int]) -> float:
     return threshold * float(singular_values[0]) * max(shape)
 
 
-def weighted_gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``table^H W table``, conjugating the weighted temporary in place instead of the table."""
-    weighted = weights[:, None] * table
+def weighted_gram(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left^H W right``, conjugating the weighted temporary in place instead of a table."""
+    weighted = weights[:, None] * right
     np.conj(weighted, out=weighted)
-    return np.conj(table.T @ weighted)
+    return np.conj(left.T @ weighted)
+
+
+def weighted_svd(table: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Thin SVD ``(B, s, vh)`` of ``sqrt(w) * table`` cut at :func:`rank_cutoff`.
+
+    ``B`` holds the kept left singular vectors over ``sqrt(w)``, so ``B^H W B
+    = I`` and ``sqrt(w) * table = sqrt(w) * B diag(s) vh`` up to the values cut.
+    """
+    root = np.sqrt(weights)[:, None]
+    u, s, vh = np.linalg.svd(root * table, full_matrices=False)
+    kept = int(np.count_nonzero(s > rank_cutoff(s, table.shape)))
+    return u[:, :kept] / root, s[:kept], vh[:kept]
 
 
 def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -117,9 +131,11 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
         raise NotHermitianError(
             f"asymmetry {asymmetry:.3e} exceeds {HERMITIAN_RTOL:.0e} * scale {scale:.3e}"
         )
-    sym = (m + m.conj().T) / 2.0
-    values, vectors = np.linalg.eigh(sym)
-    return values, vectors
+    with np.errstate(all="ignore"):
+        sym = (m + m.conj().T) / 2.0
+    if not np.all(np.isfinite(sym)):  # entries near the float limit: halve before the sum
+        sym = m / 2.0 + m.conj().T / 2.0
+    return np.linalg.eigh(sym)
 
 
 class FrameSpectrum(NamedTuple):
@@ -174,21 +190,6 @@ def require_frame(operator) -> FrameSpectrum:
 def singular_values(a) -> np.ndarray:
     m = as_matrix(a)
     return np.linalg.svd(m, compute_uv=False)
-
-
-def pinv(a) -> tuple[np.ndarray, int]:
-    """Moore-Penrose pseudoinverse and numerical rank, both from one SVD.
-
-    Inverts the singular values above :func:`rank_cutoff` and annihilates the
-    rest, which is exactly the bounded left inverse used by the dual
-    constructions; the rank is the number of inverted values.
-    """
-    m = as_matrix(a)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    keep = s > rank_cutoff(s, m.shape)
-    inverted = np.zeros_like(s)
-    inverted[keep] = 1.0 / s[keep]
-    return vh.conj().T @ (inverted[:, None] * u.conj().T), int(np.count_nonzero(keep))
 
 
 def certifies_full_rank(gram, shape: tuple[int, int], values=None) -> bool:

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .frames import (
     VectorFamily, analysis_rank, dual_family, frame_operator, redundancy, synthesis,
-    weighted_analysis,
 )
 from .rkhs import KernelTable
 
@@ -83,8 +82,7 @@ def resolution_operator(psi: VectorFamily, phi: VectorFamily) -> ResolutionRepor
 
 def mixed_operator(psi: VectorFamily, phi: VectorFamily) -> np.ndarray:
     """Matrix of ``f -> sum_j w_j <f, psi_j> phi_j`` on one shared space."""
-    w = psi.space.weights
-    return phi.members.T @ (w[:, None] * psi.members.conj())
+    return np.conj(numerics.weighted_gram(phi.members, psi.space.weights, psi.members))
 
 
 def induced_inner(family: VectorFamily, f_values, g_values) -> complex:
@@ -199,8 +197,9 @@ def lower_semiframe_dual(psi: VectorFamily) -> VectorFamily:
     frame's (:meth:`~framelab.numerics.FrameSpectrum.is_frame`); one Newton
     step on the resolution residual ``R = dual^T (w * conj(members)) - I``
     then brings the identity gap down to what an SVD gives.  Otherwise, as
-    when ``cond(S)`` is past ``1 / FRAME_RTOL``, ``A^+`` comes from one SVD
-    (:func:`~framelab.numerics.pinv`).  The routes agree to rounding.
+    when ``cond(S)`` is past ``1 / FRAME_RTOL``, it is ``conj(B diag(1/s) vh)``
+    from the :func:`~framelab.numerics.weighted_svd` of ``conj(members)``, whose
+    ``B`` has ``B^H W B = I``.  The routes agree to rounding.
     """
     operator = frame_operator(psi)
     spectrum = numerics.frame_spectrum(operator)
@@ -209,13 +208,12 @@ def lower_semiframe_dual(psi: VectorFamily) -> VectorFamily:
     with np.errstate(all="ignore"):  # dual_family refuses a dual past the float range
         if spectrum.is_frame():
             dual_members = spectrum.inverse_rows(psi.members)
-            residual = dual_members.T @ (psi.space.weights[:, None] * psi.members.conj())
+            residual = np.conj(numerics.weighted_gram(dual_members, psi.space.weights, psi.members))
             residual -= np.eye(psi.dim)
             dual_members -= dual_members @ residual.T
             return dual_family(psi.space, dual_members)
-        left_inverse, _ = numerics.pinv(weighted_analysis(psi))
-        # projecting onto the analysis range is a no-op for the minimal-norm inverse
-        return dual_family(psi.space, left_inverse.T / np.sqrt(psi.space.weights)[:, None])
+        basis, s, vh = numerics.weighted_svd(psi.members.conj(), psi.space.weights)
+        return dual_family(psi.space, np.conj((basis / s) @ vh))
 
 
 def reproducing_partner(phi: VectorFamily) -> VectorFamily:

@@ -190,7 +190,7 @@ def orthonormal_factor(table, weights, spectrum: numerics.FrameSpectrum) -> np.n
     one Newton step ``B -= B (B^H W B - I) / 2`` takes down to rounding.
     """
     factor = table @ (spectrum.vectors / np.sqrt(spectrum.values))
-    defect = numerics.weighted_gram(factor, weights) - np.eye(spectrum.values.size)
+    defect = numerics.weighted_gram(factor, weights, factor) - np.eye(spectrum.values.size)
     factor -= factor @ (0.5 * defect)
     return factor
 
@@ -208,16 +208,16 @@ def mu_orthonormal_basis(functions, space: DiscretizedSpace) -> np.ndarray:
     f = function_matrix(functions, space)
     w = space.weights
     if f.shape[0] >= f.shape[1] > 0:
-        gram = numerics.weighted_gram(f, w)
-        spectrum = numerics.frame_spectrum(gram)
-        if spectrum.is_frame() and numerics.certifies_full_rank(gram, f.shape, spectrum.values):
-            return orthonormal_factor(f, w, spectrum)
-    root = np.sqrt(w)[:, None]
-    u, s, _ = np.linalg.svd(root * f, full_matrices=False)
-    kept = int(np.count_nonzero(s > numerics.rank_cutoff(s, f.shape)))
-    if not kept:
+        with np.errstate(all="ignore"):  # an overflowing Gram takes the SVD
+            gram = numerics.weighted_gram(f, w, f)
+        if np.all(np.isfinite(gram)):
+            spectrum = numerics.frame_spectrum(gram)
+            if spectrum.is_frame() and numerics.certifies_full_rank(gram, f.shape, spectrum.values):
+                return orthonormal_factor(f, w, spectrum)
+    basis, _, _ = numerics.weighted_svd(f, w)
+    if not basis.shape[1]:
         raise ValidationError("function system spans only the zero space")
-    return u[:, :kept] / root
+    return basis
 
 
 def kernel_from_onb(basis, space: DiscretizedSpace) -> KernelTable:
@@ -227,7 +227,7 @@ def kernel_from_onb(basis, space: DiscretizedSpace) -> KernelTable:
     from the identity by more than ``ORTHO_TOL``.
     """
     b = function_matrix(basis, space)
-    gap = float(np.max(np.abs(numerics.weighted_gram(b, space.weights) - np.eye(b.shape[1]))))
+    gap = float(np.max(np.abs(numerics.weighted_gram(b, space.weights, b) - np.eye(b.shape[1]))))
     if gap > ORTHO_TOL:
         raise NotOrthonormalError(f"orthonormality defect {gap:.3e} exceeds {ORTHO_TOL:.0e}")
     return KernelTable(space=space, left=b, right=b)
@@ -255,7 +255,7 @@ def _span_pair_data(first, second, space: DiscretizedSpace):
         )
     joint = np.hstack([f1, f2])
     q = mu_orthonormal_basis(joint, space)
-    c1, c2 = np.hsplit(q.conj().T @ (space.weights[:, None] * joint), 2)
+    c1, c2 = np.hsplit(numerics.weighted_gram(q, space.weights, joint), 2)
     return q, f1, f2, c1, c2, c1 @ c2.conj().T
 
 
@@ -362,7 +362,7 @@ def point_evaluation_bounds(functions, space: DiscretizedSpace) -> PointEvalBoun
     """
     b = function_matrix(functions, space)
     q = mu_orthonormal_basis(b, space)
-    coords = q.conj().T @ (space.weights[:, None] * b)
+    coords = numerics.weighted_gram(q, space.weights, b)
     upper = numerics.require_frame(coords @ coords.conj().T).upper
     sums = np.sum(np.abs(b) ** 2, axis=1)
     return PointEvalBound(constants=np.sqrt(sums * upper), pointwise_sums=sums, upper_bound=upper)

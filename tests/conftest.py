@@ -33,6 +33,16 @@ def random_family(rng, rows, cols, weighted=False):
     return VectorFamily(space=space, members=complex_rng_matrix(rng, rows, cols))
 
 
+def conditioned_family(rng, rows, dim, ratio):
+    """Weighted family whose weighted analysis singular values run from 1 to ``ratio``."""
+    space = cell_space(rng.uniform(0.25, 2.5, rows))
+    u, _ = np.linalg.qr(complex_rng_matrix(rng, rows, dim))
+    v, _ = np.linalg.qr(complex_rng_matrix(rng, dim, dim))
+    weighted_analysis = (u * np.logspace(0.0, np.log10(ratio), dim)) @ v.conj().T
+    members = weighted_analysis.conj() / np.sqrt(space.weights)[:, None]
+    return VectorFamily(space=space, members=members)
+
+
 def onb_family(dim):
     return VectorFamily(space=unit_weight_space(dim), members=np.eye(dim, dtype=complex))
 

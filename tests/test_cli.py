@@ -1,19 +1,25 @@
 import builtins
 import csv
 import errno
+import io
 import json
 import math
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from framelab import cli
+from framelab import cli, gallery
 from framelab.cli import EXIT_IO, EXIT_OK, EXIT_REFUSED, EXIT_VALIDATION, main
 from framelab.frames import VectorFamily
 
@@ -805,3 +811,210 @@ def test_pair_check_refuses_mixed_dimensions(tmp_path, capsys):
         "framelab: invalid input: families have different ambient dimensions 1 and 2\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("bounds", "--gallery", "random", "--rows", str(2**63), "--dim", "2", "--seed", "1"),
+         f"--rows {2**63}"),
+        (("inspect", "--gallery", "torus", "--dim", "2", "--grid", str(2**63)), f"--grid {2**63}"),
+        (("experiment", "blowup", "--sizes", str(2**63)), f"size {2**63}"),
+        (("experiment", "trend", "--gallery", "random", "--dim", "2", "--seed", "1",
+          "--sizes", f"1,{cli.MAX_SIZE + 1}"), f"size {cli.MAX_SIZE + 1}"),
+    ],
+    ids=[
+        "random-rows-past-int64-raised-a-traceback",
+        "torus-grid-past-int64-built-one-node",
+        "blowup-size-past-int64-raised-a-traceback",
+        "trend-size-past-the-largest",
+    ],
+)
+def test_size_past_the_largest_refused(tmp_path, capsys, argv, name):
+    out = tmp_path / "report.json"
+    assert run(*argv, "--out", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"framelab: invalid input: {name} exceeds the largest size {cli.MAX_SIZE}\n"
+    )
+    assert not out.exists()
+
+
+def test_bounds_of_a_frame_operator_near_the_float_limit(tmp_path, capsys):
+    # a fuzzed doubled-onb file with node weight 1e308: symmetrizing its frame
+    # operator overflowed, and bounds wrote NaN bounds after two numpy warnings
+    payload = {
+        "space": {"nodes": [
+            {"point": "p0", "weight": 1e308, "provenance": "atom"},
+            {"point": "p1", "weight": 1.0, "provenance": "atom"},
+        ]},
+        "dim": 2,
+        "members": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [math.sqrt(2.0), 0.0]],
+    }
+    family_path = tmp_path / "family.json"
+    family_path.write_text(json.dumps(payload))
+    out = tmp_path / "report.json"
+    assert run("bounds", "--in", str(family_path), "--out", str(out)) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["upper"] == 1e308
+    assert report["lower"] == pytest.approx(2.0, rel=1e-12)
+    assert report["classification"] == "bessel-only"
+
+
+# CLI fuzzing: mutated family files and gallery flags go through main in process
+
+_FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.floats(),
+    st.sampled_from([10**400, 2**63, 1e308, -1e308, 5e-324, "atom", "cell", "", [], {}]),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=3),
+)
+# past MAX_SIZE by one, not by far: were the refusal lost, a size such as 2**63
+# would make a space build node rows until memory ran out
+_GALLERY_VALUES = st.one_of(
+    st.integers(-2, 12), st.sampled_from([102, 103, cli.MAX_SIZE + 1, "x", "1.5", ""])
+)
+_FAMILY_COMMANDS = (
+    ("inspect",), ("inspect", "--format", "csv"), ("bounds",), ("dual",), ("kernel",),
+    ("kernel", "--format", "csv"), ("redundancy",), ("split",), ("partner",),
+)
+
+
+# family file texts of small gallery families, which the mutations start from
+_FUZZ_BASES = [
+    cli._json_bytes(family.to_json()).decode()
+    for family in (
+        gallery.build_random(4, 2, seed=1),
+        gallery.build_delta(2),
+        gallery.build_doubled_onb(2),
+        gallery.build_torus(2, 4),
+    )
+]
+
+
+def _json_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _json_paths(item, (*path, key))
+
+
+_FUZZ_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 8))
+
+
+@st.composite
+def mutated_family_text(draw) -> str:
+    """A gallery family file with a few values replaced or removed, then maybe cut short."""
+    data = json.loads(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_json_paths(data))))
+        action = draw(st.sampled_from(["number", "value", "delete"]))
+        value = draw(_FUZZ_NUMBERS if action == "number" else _FUZZ_VALUES)
+        if not path:
+            data = value
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    text = json.dumps(data)
+    if draw(st.integers(0, 7)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _mostly(common, rare, ratio=3):
+    """``common`` drawn ``ratio`` times as often as ``rare``; shrinks toward ``common``."""
+    return st.sampled_from([True] * ratio + [False]).flatmap(lambda c: common if c else rare)
+
+
+@st.composite
+def mutated_gallery_argv(draw) -> list[str]:
+    """A command on a gallery kind with mostly the flags it reads, in or out of range."""
+    kind = draw(st.sampled_from(list(gallery.GalleryKind)))
+    reads = gallery._READS[kind]
+    read = reads.needs + reads.takes
+    gallery_flag = st.just(["--gallery", kind.value])
+    no_or_bad_kind = st.sampled_from([[], ["--gallery", "bogus"]])
+    experiment = st.sampled_from(["blowup", "trend", "redundancy"])
+    argv = draw(_mostly(st.sampled_from(_FAMILY_COMMANDS).map(list), experiment.map(
+        lambda name: ["experiment", name]
+    )))
+    if argv[0] == "experiment":
+        sizes = draw(_mostly(
+            st.sets(st.integers(1, 6), min_size=2, max_size=3).map(sorted),
+            st.lists(st.integers(-1, 8), max_size=3),
+        ))
+        argv += ["--sizes", ",".join(map(str, sizes))]
+        # a truncation size sets the sized fields, and blowup reads no gallery flag
+        read = () if argv[1] == "blowup" else [f for f in read if f not in (reads.sized or ())]
+    if argv[1:2] == ["blowup"]:
+        argv += draw(_mostly(st.just([]), gallery_flag))
+    else:
+        argv += draw(_mostly(gallery_flag, no_or_bad_kind))
+    for flag in cli._SPEC_FLAGS:
+        if draw(_mostly(st.just(flag in read), st.just(flag not in read), ratio=5)):
+            value = draw(_mostly(st.integers(1, 6), _GALLERY_VALUES))
+            argv += [f"--{flag}", str(value)]
+    return argv
+
+
+def _run_fuzzed(directory: Path, argv) -> None:
+    """Run ``main`` on ``argv`` plus an ``--out`` in ``directory``; check what a run may leave.
+
+    Success writes the report and nothing on stderr; a failure writes one
+    ``framelab:`` line and leaves neither the report nor a temporary file.
+    """
+    out = directory / "report.out"
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(out)])
+    assert [str(warning.message) for warning in caught] == []
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_REFUSED, EXIT_IO)
+    message = stderr.getvalue()
+    if code == EXIT_OK:
+        assert message == "" and out.is_file()
+    else:
+        assert message.startswith("framelab: ") and message.count("\n") == 1
+        assert message.endswith("\n") and "Traceback" not in message
+        assert not out.exists()
+    assert [name for name in os.listdir(directory) if name.endswith(".tmp")] == []
+    out.unlink(missing_ok=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from([*_FAMILY_COMMANDS, ("pair-check",)]),
+    text=mutated_family_text(),
+    partner=st.sampled_from(_FUZZ_BASES),
+)
+def test_fuzzed_family_file(command, text, partner):
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch)
+        (directory / "family.json").write_text(text, encoding="utf-8")
+        (directory / "partner.json").write_text(partner, encoding="utf-8")
+        if command == ("pair-check",):
+            argv = [*command, "--psi", str(directory / "family.json"),
+                    "--phi", str(directory / "partner.json")]
+        else:
+            argv = [*command, "--in", str(directory / "family.json")]
+        _run_fuzzed(directory, argv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=mutated_gallery_argv())
+def test_fuzzed_gallery_flags(argv):
+    with tempfile.TemporaryDirectory() as scratch:
+        _run_fuzzed(Path(scratch), argv)

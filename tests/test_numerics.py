@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from framelab import numerics
 from framelab.errors import NonSquareError, NotAFrameError, NotHermitianError, ValidationError
-from framelab.frames import VectorFamily
-from framelab.pairs import resolution_operator
+from framelab.frames import VectorFamily, frame_operator
+from framelab.pairs import lower_semiframe_dual, resolution_operator
 
-from conftest import SvdCalled, complex_rng_matrix, no_svd, onb_family, unit_weight_space
+from conftest import (
+    SvdCalled, complex_rng_matrix, conditioned_family, no_svd, onb_family, unit_weight_space,
+)
 
 
 class TestHermitianEig:
@@ -48,6 +50,13 @@ class TestHermitianEig:
         with pytest.raises(ValidationError):
             numerics.hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_entries_near_the_float_limit(self):
+        # twice 1e308 overflows, so the symmetrization halves before it adds
+        a = np.array([[1e308, 1e307j], [-1e307j, 2.0]])
+        values, vectors = numerics.hermitian_eig(a)
+        np.testing.assert_allclose(values, np.linalg.eigvalsh(a / 1e308) * 1e308, rtol=1e-12)
+        np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(2), atol=1e-14)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12))
     def test_reconstruction(self, seed, dim):
@@ -79,40 +88,87 @@ class TestSvd:
         np.testing.assert_allclose(s[1:], 0.0, atol=1e-12)
 
 
-class TestPinv:
+class TestWeightedSvd:
     def test_identity(self):
-        p, rank = numerics.pinv(np.eye(4))
-        np.testing.assert_allclose(p, np.eye(4), atol=1e-14)
-        assert rank == 4
+        basis, s, vh = numerics.weighted_svd(np.eye(4), np.ones(4))
+        np.testing.assert_allclose(s, 1.0, atol=1e-14)
+        np.testing.assert_allclose(basis @ vh, np.eye(4), atol=1e-14)
 
     def test_singular_diagonal(self):
-        p, rank = numerics.pinv(np.diag([2.0, 0.0]))
-        np.testing.assert_allclose(p, np.diag([0.5, 0.0]), atol=1e-14)
-        assert rank == 1
+        basis, s, vh = numerics.weighted_svd(np.diag([2.0, 0.0]), np.ones(2))
+        assert basis.shape == (2, 1)
+        np.testing.assert_allclose(s, [2.0], atol=1e-14)
+        np.testing.assert_allclose(basis @ (s[:, None] * vh), np.diag([2.0, 0.0]), atol=1e-14)
 
     def test_tall_isometry(self, rng):
-        m = complex_rng_matrix(rng, 7, 3)
-        q, _ = np.linalg.qr(m)
-        p, rank = numerics.pinv(q)
-        np.testing.assert_allclose(p, q.conj().T, atol=1e-12)
-        assert rank == 3
+        # an isometry in the weighted pairing has unit singular values
+        w = rng.uniform(0.25, 2.5, 7)
+        q, _ = np.linalg.qr(complex_rng_matrix(rng, 7, 3))
+        table = q / np.sqrt(w)[:, None]
+        basis, s, vh = numerics.weighted_svd(table, w)
+        np.testing.assert_allclose(s, 1.0, atol=1e-12)
+        np.testing.assert_allclose(basis @ vh, table, atol=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_penrose_identities(self, seed):
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9), cols=st.integers(1, 6))
+    def test_basis_orthonormal_in_weights(self, seed, rows, cols):
         rng = np.random.default_rng(seed)
-        a = complex_rng_matrix(rng, 6, 4)
-        p, _ = numerics.pinv(a)
-        scale = max(np.max(np.abs(p)), 1.0)
-        assert np.max(np.abs(a @ p @ a - a)) <= 1e-9 * scale
-        assert np.max(np.abs(p @ a @ p - p)) <= 1e-9 * scale
-        assert np.max(np.abs((a @ p).conj().T - a @ p)) <= 1e-9 * scale
-        assert np.max(np.abs((p @ a).conj().T - p @ a)) <= 1e-9 * scale
+        inner = int(rng.integers(0, min(rows, cols) + 1))
+        w = rng.uniform(0.25, 2.5, rows)
+        table = complex_rng_matrix(rng, rows, inner) @ complex_rng_matrix(rng, inner, cols)
+        basis, s, vh = numerics.weighted_svd(table, w)
+        assert basis.shape == (rows, inner) and s.shape == (inner,) and vh.shape == (inner, cols)
+        gram = basis.conj().T @ (w[:, None] * basis)
+        np.testing.assert_allclose(gram, np.eye(inner), atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9), cols=st.integers(1, 6))
+    def test_weighted_reconstruction(self, seed, rows, cols):
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.25, 2.5, rows)
+        table = complex_rng_matrix(rng, rows, cols)
+        basis, s, vh = numerics.weighted_svd(table, w)
+        root = np.sqrt(w)[:, None]
+        scale = float(np.max(np.abs(root * table)))
+        rebuilt = root * (basis @ (s[:, None] * vh))
+        np.testing.assert_allclose(rebuilt, root * table, rtol=0, atol=1e-13 * scale)
+
+    def test_cut_follows_rank_tolerance(self, monkeypatch):
+        table = np.diag([1.0, 1e-6])
+        assert numerics.weighted_svd(table, np.ones(2))[1].size == 2
+        monkeypatch.setenv(numerics.RANK_TOL_ENV, "1e-3")
+        basis, s, vh = numerics.weighted_svd(table, np.ones(2))
+        assert basis.shape == (2, 1) and s.tolist() == [1.0] and vh.shape == (1, 2)
+
+    def test_zero_table_has_an_empty_basis(self):
+        basis, s, vh = numerics.weighted_svd(np.zeros((5, 3), dtype=complex), np.ones(5))
+        assert basis.shape == (5, 0) and s.shape == (0,) and vh.shape == (0, 3)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(6, 24), dim=st.integers(2, 6))
+    def test_penrose_identities(self, seed, rows, dim):
+        # cond(S) = 1e10: the left-inverse dual of this injective non-frame comes from
+        # the SVD route, and its weighted rows are the pseudoinverse of the weighted
+        # analysis table
+        psi = conditioned_family(np.random.default_rng(seed), rows, dim, 1e-5)
+        assert not numerics.frame_spectrum(frame_operator(psi)).is_frame()
+        dual = lower_semiframe_dual(psi)
+        root = np.sqrt(psi.space.weights)[:, None]
+        a = root * psi.members.conj()
+        p = (root * dual.members).T
+        scale = float(np.max(np.abs(p)))
+        np.testing.assert_allclose(p, np.linalg.pinv(a), rtol=0, atol=1e-10 * scale)
+        assert np.max(np.abs(a @ p @ a - a)) <= 1e-10
+        assert np.max(np.abs(p @ a @ p - p)) <= 1e-10 * scale
+        assert np.max(np.abs((a @ p).conj().T - a @ p)) <= 1e-10
+        assert np.max(np.abs((p @ a).conj().T - p @ a)) <= 1e-10
 
     def test_involution_on_full_rank(self, rng):
-        a = complex_rng_matrix(rng, 5, 5) + 2 * np.eye(5)
-        back, _ = numerics.pinv(numerics.pinv(a)[0])
-        assert np.max(np.abs(back - a)) <= 1e-8 * np.max(np.abs(a))
+        # the left-inverse dual of the left-inverse dual is the family again
+        psi = conditioned_family(rng, 16, 4, 1e-5)
+        again = lower_semiframe_dual(lower_semiframe_dual(psi))
+        scale = float(np.max(np.abs(psi.members)))
+        np.testing.assert_allclose(again.members, psi.members, rtol=0, atol=1e-8 * scale)
 
 
 class TestRank:
@@ -218,7 +274,7 @@ class TestRankPolicy:
         assert numerics.rank(a) == 2
         monkeypatch.setenv(numerics.RANK_TOL_ENV, "1e-3")
         assert numerics.rank(a) == 1
-        assert numerics.pinv(a)[1] == 1
+        assert numerics.weighted_svd(a, np.ones(2))[1].size == 1
 
     def test_environment_override(self, monkeypatch):
         monkeypatch.setenv(numerics.RANK_TOL_ENV, "1e-3")

@@ -40,6 +40,7 @@ from framelab.pairs import (
 from conftest import (
     cell_space,
     complex_rng_matrix,
+    conditioned_family,
     no_svd,
     onb_family,
     random_family,
@@ -56,16 +57,6 @@ def random_pair(rng, rows=10, dim=4):
     psi = VectorFamily(space=space, members=complex_rng_matrix(rng, rows, dim))
     phi = VectorFamily(space=space, members=complex_rng_matrix(rng, rows, dim))
     return psi, phi
-
-
-def conditioned_family(rng, rows, dim, ratio):
-    """Weighted family whose weighted analysis singular values run from 1 to ``ratio``."""
-    space = cell_space(rng.uniform(0.25, 2.5, rows))
-    u, _ = np.linalg.qr(complex_rng_matrix(rng, rows, dim))
-    v, _ = np.linalg.qr(complex_rng_matrix(rng, dim, dim))
-    weighted_analysis = (u * np.logspace(0.0, np.log10(ratio), dim)) @ v.conj().T
-    members = weighted_analysis.conj() / np.sqrt(space.weights)[:, None]
-    return VectorFamily(space=space, members=members)
 
 
 def pinv_dual(family):

@@ -3,13 +3,14 @@ import io
 import json
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import cli, rkhs
+from framelab import cli, numerics, rkhs
 from framelab.errors import (
     DimensionMismatchError,
     NotAFrameError,
@@ -19,7 +20,7 @@ from framelab.errors import (
 )
 from framelab.frames import VectorFamily, analysis_matrix, analysis_rank, kernel_matrix
 from framelab.gallery import build_torus
-from framelab.measure import unit_segment_space
+from framelab.measure import counting_space, unit_segment_space
 from framelab.rkhs import (
     KernelTable,
     bessel_pointwise_check,
@@ -214,6 +215,17 @@ class TestMuOrthonormalBasis:
         stacked = np.hstack([base, base[:, :1]])
         q = mu_orthonormal_basis(stacked, space)
         assert q.shape[1] == 2
+
+    def test_overflowing_gram_takes_the_svd(self):
+        # 1e200 squared leaves the float range; the SVD of sqrt(w) F does not
+        space = counting_space(2)
+        functions = np.array([[1e200], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = mu_orthonormal_basis(functions, space)
+            basis, _, _ = numerics.weighted_svd(functions, space.weights)
+        np.testing.assert_array_equal(q, basis)
+        assert q.shape == (2, 1)
 
 
 class TestKernelFromOnb:

@@ -42,3 +42,35 @@ def test_every_module_constant_is_read_by_code():
                 read.add(node.attr)
     assert defined, "no module constants found"
     assert [name for name in defined if name.split(".")[1] not in read] == []
+
+
+def _weights_by_hand(node: ast.AST) -> bool:
+    """Whether ``node`` is ``np.linalg.svd(...)``, ``np.linalg.pinv(...)`` or a weight column.
+
+    A weight column is ``[:, None]`` applied to a bare ``w`` or ``weights`` or
+    to a ``.weights`` attribute.
+    """
+    if isinstance(node, ast.Call):
+        return ast.unparse(node.func) in ("np.linalg.svd", "np.linalg.pinv")
+    if not (isinstance(node, ast.Subscript) and ast.unparse(node).endswith("[:, None]")):
+        return False
+    value = node.value
+    return (isinstance(value, ast.Name) and value.id in ("w", "weights")) or (
+        isinstance(value, ast.Attribute) and value.attr == "weights"
+    )
+
+
+def test_node_weights_meet_tables_only_in_numerics():
+    # every X^H W Y is numerics.weighted_gram and every weighted SVD is
+    # numerics.weighted_svd, so no other module weights a table by hand
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _weights_by_hand(node)
+        ]
+    assert found == []
