@@ -47,9 +47,7 @@ EXIT_IO = 3
 CSV_BLOCK_ENTRIES = 1 << 10
 # rows of an [re, im] table per block of a JSON report, likewise
 PAIR_BLOCK = 1 << 10
-# largest --dim, --grid, --rows or --sizes entry: past the int64 range numpy
-# misreads a count, and well before it the node rows of one space fill memory
-MAX_SIZE = 1 << 20
+MAX_SIZE = 1 << 20  # largest --dim, --grid, --rows or --sizes entry; rows past it fill memory
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,14 +62,9 @@ def _parse_sizes(raw: str) -> list[int]:
         raise ValidationError(f"bad size list {raw!r}") from exc
     if not sizes:
         raise ValidationError("size list is empty")
-    _refuse_large(("size", size) for size in sizes)
+    if max(sizes) > MAX_SIZE:
+        raise ValidationError(f"size {max(sizes)} exceeds the largest size {MAX_SIZE}")
     return sizes
-
-
-def _refuse_large(named_sizes) -> None:
-    for name, size in named_sizes:
-        if size is not None and size > MAX_SIZE:
-            raise ValidationError(f"{name} {size} exceeds the largest size {MAX_SIZE}")
 
 
 # gallery flags besides --gallery itself, named as the GallerySpec fields; each
@@ -93,7 +86,9 @@ def _gallery_spec(args: argparse.Namespace) -> gallery.GallerySpec:
         kind = gallery.GalleryKind(args.gallery)
     except ValueError as exc:
         raise ValidationError(f"unknown gallery kind {args.gallery!r}") from exc
-    _refuse_large((f"--{name}", getattr(args, name)) for name in ("dim", "grid", "rows"))
+    for name in ("dim", "grid", "rows"):
+        if (size := getattr(args, name) or 0) > MAX_SIZE:
+            raise ValidationError(f"--{name} {size} exceeds the largest size {MAX_SIZE}")
     return gallery.GallerySpec(kind=kind, **{name: getattr(args, name) for name in _SPEC_FLAGS})
 
 

@@ -190,20 +190,13 @@ def analysis_matrix(family: VectorFamily) -> np.ndarray:
     return family.members.conj()
 
 
-def weighted_analysis(family: VectorFamily) -> np.ndarray:
-    """Analysis in orthonormal coordinates: ``sqrt(w) * conj(members)``, whose Gram is ``S``."""
-    table = analysis_matrix(family)
-    table *= np.sqrt(family.space.weights)[:, None]
-    return table
-
-
 def frame_operator(family: VectorFamily) -> np.ndarray:
     """Weighted sum of rank-one member projectors, ``members^T W conj(members)``."""
     return np.conj(numerics.weighted_gram(family.members, family.space.weights, family.members))
 
 
 def analysis_rank(family: VectorFamily, operator=None, values=None) -> int:
-    """Numerical rank of :func:`weighted_analysis`: every rank verdict on a family.
+    """Numerical rank of ``sqrt(w) * conj(members)``: every rank verdict on a family.
 
     A caller holding the frame operator, that table's Gram, passes it with its
     ascending eigenvalues ``values`` when known.  With at least as many nodes
@@ -215,7 +208,7 @@ def analysis_rank(family: VectorFamily, operator=None, values=None) -> int:
     if operator is not None and family.size >= family.dim:
         if numerics.certifies_full_rank(operator, (family.size, family.dim), values):
             return family.dim
-    return numerics.rank(weighted_analysis(family))
+    return numerics.rank(numerics.weighted_analysis(family.members, family.space.weights))
 
 
 def redundancy(family: VectorFamily) -> int:
@@ -359,7 +352,7 @@ def split(
     discrete = [np.sqrt(w[j]) * family.members[j] for j in atoms]
     keep = ~family.space.is_atom
     for group in _equal_row_groups(family, row_tolerance):
-        mean = np.sum(w[group][:, None] * family.members[group], axis=0)
+        mean = numerics.weighted_gram(np.ones((len(group), 1)), w[group], family.members[group])[0]
         discrete.append(mean / np.sqrt(float(np.sum(w[group]))))
         keep[group] = False
     continuous = DiscretizedSpace(nodes=itertools.compress(family.space.nodes, keep))

@@ -4,9 +4,11 @@ Operators on the ambient space (frame operators, resolution operators,
 coordinate Gram matrices) are dense ``complex128`` numpy arrays of size at
 most ``d x d`` or ``n x d``; node-indexed ``n x n`` kernels are kept by
 :mod:`framelab.rkhs` as two ``n x r`` factors instead.  There is no sparse or
-iterative machinery.  Every product ``X^H W Y`` over the nodes is
-:func:`weighted_gram` and every SVD of a weighted table ``sqrt(w) * X`` is
-:func:`weighted_svd`.  Every rank decision and SVD cutoff comes from
+iterative machinery.  Node weights meet a table only here: every product
+``X^H W Y`` over the nodes is :func:`weighted_gram`, the analysis table
+``sqrt(w) * conj(X)`` is :func:`weighted_analysis` and every SVD of a
+weighted table ``sqrt(w) * X`` is :func:`weighted_svd`.  Every rank
+decision and SVD cutoff comes from
 :func:`rank_cutoff`.  :func:`rank` first tries to certify full rank from a
 Gram spectrum (:func:`certifies_full_rank`) and otherwise counts
 singular values from an SVD, so a rank verdict is the SVD count; every rank
@@ -102,6 +104,12 @@ def weighted_gram(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> n
     return np.conj(left.T @ weighted)
 
 
+def weighted_analysis(members: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Analysis in orthonormal coordinates: ``sqrt(w) * conj(members)``, whose Gram is ``S``."""
+    table = members.conj()
+    return np.multiply(table, np.sqrt(weights)[:, None], out=table)
+
+
 def weighted_svd(table: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
     """Thin SVD ``(B, s, vh)`` of ``sqrt(w) * table`` cut at :func:`rank_cutoff`.
 
@@ -131,10 +139,8 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
         raise NotHermitianError(
             f"asymmetry {asymmetry:.3e} exceeds {HERMITIAN_RTOL:.0e} * scale {scale:.3e}"
         )
-    with np.errstate(all="ignore"):
-        sym = (m + m.conj().T) / 2.0
-    if not np.all(np.isfinite(sym)):  # entries near the float limit: halve before the sum
-        sym = m / 2.0 + m.conj().T / 2.0
+    sym = m / 2.0  # halved before the sum, which overflows near the float limit
+    sym += sym.conj().T
     return np.linalg.eigh(sym)
 
 

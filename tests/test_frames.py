@@ -28,7 +28,6 @@ from framelab.frames import (
     _equal_row_groups,
     split,
     synthesis,
-    weighted_analysis,
 )
 from framelab.gallery import build_torus
 from framelab.measure import DiscretizedSpace, Node, Provenance
@@ -230,7 +229,7 @@ def no_rank(*args, **kwargs):
 class TestAnalysisRank:
     def test_weighted_analysis_is_the_scaled_conjugate(self, rng):
         family = random_family(rng, 7, 3, weighted=True)
-        table = weighted_analysis(family)
+        table = numerics.weighted_analysis(family.members, family.space.weights)
         expected = np.sqrt(family.space.weights)[:, None] * family.members.conj()
         np.testing.assert_array_equal(table, expected)
         # its Gram is the frame operator

@@ -47,16 +47,18 @@ def test_every_module_constant_is_read_by_code():
 def _weights_by_hand(node: ast.AST) -> bool:
     """Whether ``node`` is ``np.linalg.svd(...)``, ``np.linalg.pinv(...)`` or a weight column.
 
-    A weight column is ``[:, None]`` applied to a bare ``w`` or ``weights`` or
-    to a ``.weights`` attribute.
+    A weight column is ``[:, None]`` applied to any expression that reads a
+    ``w`` or ``weights`` name or a ``.weights`` attribute, such as
+    ``w[group][:, None]`` or ``np.sqrt(space.weights)[:, None]``.
     """
     if isinstance(node, ast.Call):
         return ast.unparse(node.func) in ("np.linalg.svd", "np.linalg.pinv")
     if not (isinstance(node, ast.Subscript) and ast.unparse(node).endswith("[:, None]")):
         return False
-    value = node.value
-    return (isinstance(value, ast.Name) and value.id in ("w", "weights")) or (
-        isinstance(value, ast.Attribute) and value.attr == "weights"
+    return any(
+        (isinstance(inner, ast.Name) and inner.id in ("w", "weights"))
+        or (isinstance(inner, ast.Attribute) and inner.attr == "weights")
+        for inner in ast.walk(node.value)
     )
 
 
