@@ -257,10 +257,8 @@ def _kernel_csv_bytes(table: rkhs.KernelTable) -> bytearray:
     The writer renders the header and each node point once; a ``(point, "")``
     row comes out as ``<cell>,\\n``, so every cell is quoted as the writer
     quotes it.  Entries are formed from the factors in blocks of about
-    ``CSV_BLOCK_ENTRIES`` and written as ``float.__repr__``, as the writer
-    writes floats.  A block holds at least two rows, or the whole table: BLAS
-    may hand a one-row product to its matrix-vector kernel (OpenBLAS does),
-    which can round differently from the full product.
+    ``CSV_BLOCK_ENTRIES`` (:meth:`~framelab.rkhs.KernelTable.row_blocks`) and
+    written as ``float.__repr__``, as the writer writes floats.
     """
     lines: list[str] = []
     writer = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\n")
@@ -268,12 +266,7 @@ def _kernel_csv_bytes(table: rkhs.KernelTable) -> bytearray:
     writer.writerows(zip(table.space.points, itertools.repeat("")))
     header, cells = lines[0], [line[:-1] for line in lines[1:]]
     text = bytearray(header[:-1].encode("utf-8"))
-    n = table.size
-    count = max(1, n // max(2, CSV_BLOCK_ENTRIES // max(n, 1)))
-    edges = [n * i // count for i in range(count + 1)]
-    right_h = table.right.conj().T
-    for start, stop in zip(edges, edges[1:]):
-        block = table.left[start:stop] @ right_h
+    for start, stop, block in table.row_blocks(CSV_BLOCK_ENTRIES):
         # each entry opens with the line break and "x,y," of its own row
         heads: list[str] = []
         for cell in cells[start:stop]:

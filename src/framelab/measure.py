@@ -26,6 +26,9 @@ import numpy as np
 
 from .errors import OutOfRangeError, ValidationError
 
+# most cells whose float64 edges fit in one array; np.arange(1, 2**63) is empty
+MAX_CELLS = np.iinfo(np.intp).max // 8 - 1
+
 
 def _require_finite(value: float, name: str) -> float:
     v = float(value)
@@ -295,6 +298,8 @@ def discretize(space: MeasureSpace, cells_per_segment: int) -> DiscretizedSpace:
     """
     if cells_per_segment < 1:
         raise ValidationError("cells_per_segment must be at least 1")
+    if cells_per_segment > MAX_CELLS:
+        raise ValidationError(f"cells_per_segment must be at most {MAX_CELLS}")
     nodes = [(atom.label, atom.weight, Provenance.ATOM) for atom in space.atoms]
     for segment in space.segments:
         step = segment.measure / cells_per_segment

@@ -7,18 +7,19 @@ O(n r) unless a caller asks for the dense table.  The kernel of a span is
 ``B B^H`` for one factor with ``B^H W B = I`` (:func:`mu_orthonormal_basis`),
 taken from the eigenpairs of the span's Gram when they certify full rank and
 from one SVD otherwise; the span rank follows
-:func:`~framelab.numerics.rank_cutoff` like every other rank verdict.  A pair
-of function systems expands the kernel of its joint span through the inverse
-of the pair's resolution operator and reports how far its two summation
-orders disagree rather than refusing on it.  The refinement blow-up needs no
-table: the step basis has a diagonal kernel, read from its ``n`` values.
+:func:`~framelab.numerics.rank_cutoff` like every other rank verdict.  Only
+:meth:`KernelTable.row_blocks` forms dense rows.  A pair of function systems
+expands the kernel of its joint span through the inverse of the pair's
+resolution operator and reports how far its two summation orders disagree,
+on ``r x r`` span coordinates.  The refinement blow-up needs no table: the
+step basis has a diagonal kernel, read from its ``n`` values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +47,8 @@ class KernelTable:
     ``apply`` realizes the induced integral operator
     ``(K F)(x) = sum_y w_y K[x, y] F(y)``.  ``apply``, ``diagonal`` and
     ``section`` work on the factors in O(n r); :attr:`entries` and ``to_json``
-    build the dense table on each call and keep nothing.
+    build the dense table on each call and keep nothing, and
+    :meth:`row_blocks` builds it a block of rows at a time.
     Reproducing-kernel constructors guarantee Hermitian symmetry of their
     tables; tables of oblique projections (mixed analysis/synthesis kernels)
     are in general not Hermitian, so symmetry is checked by the builders, not
@@ -112,9 +114,29 @@ class KernelTable:
         # right^H (w f), conjugating vectors instead of copying the factor
         return self.left @ np.conj(np.conj(self.space.weights * f) @ self.right)
 
+    def row_blocks(self, entries: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        """``(start, stop, K[start:stop])`` over the table, about ``entries`` entries a block.
+
+        The blocks tile the rows in order, and a table with no nodes has none.
+        A block holds at least two rows, or the whole table: BLAS may hand a
+        one-row product to its matrix-vector kernel (OpenBLAS does), which can
+        round differently from the full product.
+        """
+        n = self.size
+        count = max(1, n // max(2, entries // max(n, 1)))
+        edges = [n * i // count for i in range(count + 1)] if n else []
+        right_h = self.right.conj().T
+        for start, stop in zip(edges, edges[1:]):
+            yield start, stop, self.left[start:stop] @ right_h
+
     def is_hermitian(self) -> bool:
         """Whether ``max |K - K^H| <= HERMITIAN_RTOL * max(max |K|, 1)``, in row blocks."""
-        scale, gap = _blockwise_max(self.left, self.right, self.right, self.left)
+        scale = gap = 0.0
+        left_h = self.left.conj().T
+        for start, stop, rows in self.row_blocks(BLOCK_ENTRIES):
+            scale = max(scale, float(np.max(np.abs(rows))))
+            rows -= self.right[start:stop] @ left_h
+            gap = max(gap, float(np.max(np.abs(rows))))
         return gap <= numerics.HERMITIAN_RTOL * max(scale, 1.0)
 
     def to_json(self) -> dict:
@@ -138,28 +160,6 @@ def _largest_row_norm(a: np.ndarray) -> float:
         return math.sqrt(largest)
     # the squares overflowed; hypot accumulates the norms without squaring
     return float(np.max(np.hypot.reduce(np.abs(a), axis=1)))
-
-
-def _blockwise_max(left, right, other_left, other_right) -> tuple[float, float]:
-    """``(max |A|, max |A - B|)`` for ``A = left right^H`` and ``B = other_left other_right^H``.
-
-    Both products are formed ``BLOCK_ENTRIES`` entries at a time, so the
-    check needs O(n r) memory beyond one block.
-    """
-    n = left.shape[0]
-    if n == 0:
-        return 0.0, 0.0
-    right_h = right.conj().T
-    other_right_h = other_right.conj().T
-    step = max(1, BLOCK_ENTRIES // n)
-    scale = gap = 0.0
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        block = left[rows] @ right_h
-        scale = max(scale, float(np.max(np.abs(block))))
-        block -= other_left[rows] @ other_right_h
-        gap = max(gap, float(np.max(np.abs(block))))
-    return scale, gap
 
 
 def function_matrix(functions, space: DiscretizedSpace) -> np.ndarray:
@@ -239,26 +239,6 @@ def kernel_of_span(functions, space: DiscretizedSpace) -> KernelTable:
     return KernelTable(space=space, left=q, right=q)
 
 
-def _span_pair_data(first, second, space: DiscretizedSpace):
-    """``(q, f1, f2, c1, c2, s_hat)`` of a pair of function systems.
-
-    ``q`` is an orthonormal basis of the joint span, ``f1`` and ``f2`` hold the
-    two systems as columns, ``c1`` and ``c2`` their coordinates in ``q``, and
-    ``s_hat = c1 c2^H`` represents the mixed resolution operator
-    ``f -> sum_i <f, second_i> first_i`` in those coordinates.
-    """
-    f1 = function_matrix(first, space)
-    f2 = function_matrix(second, space)
-    if f1.shape[1] != f2.shape[1]:
-        raise DimensionMismatchError(
-            f"paired systems need equal length, got {f1.shape[1]} and {f2.shape[1]}"
-        )
-    joint = np.hstack([f1, f2])
-    q = mu_orthonormal_basis(joint, space)
-    c1, c2 = np.hsplit(numerics.weighted_gram(q, space.weights, joint), 2)
-    return q, f1, f2, c1, c2, c1 @ c2.conj().T
-
-
 @dataclass(frozen=True, eq=False)
 class PairKernelReport:
     """Diagnostics of a pair-expanded kernel."""
@@ -275,14 +255,26 @@ def kernel_from_pair_report(first, second, space: DiscretizedSpace) -> PairKerne
 
     The table is ``K(x, y) = sum_i (A first_i)(x) conj(second_i(y))`` where A
     is the inverse, on the joint span, of the mixed resolution operator
-    ``f -> sum_i <f, second_i> first_i``.  The second expansion order
-    ``sum_i (A* second_i)(x) conj(first_i(y))`` produces the same table and
-    ``A`` composed with the resolution operator is the identity; the report
-    carries both residuals.  The pair is refused as degenerate when the
-    smallest singular value of the resolution operator is at most the pair's
-    scale divided by ``SPAN_CONDITION_LIMIT``.
+    ``f -> sum_i <f, second_i> first_i``.  In an orthonormal basis ``q`` of the
+    span, with coordinates ``c1`` and ``c2`` of the systems, that operator is
+    ``S = c1 c2^H``, the table is ``q (A S) q^H`` and the second order
+    ``sum_i (A* second_i)(x) conj(first_i(y))`` is ``q (S A)^H q^H``.  So
+    ``order_disagreement = max |A S - (S A)^H|`` and ``inverse_residual =
+    max |A S - I|`` measure the rounding of the ``r x r`` inverse, not of the
+    dense tables.  The pair is refused as degenerate when the smallest
+    singular value of the resolution operator is at most the pair's scale
+    divided by ``SPAN_CONDITION_LIMIT``.
     """
-    q, f1, f2, c1, c2, s_hat = _span_pair_data(first, second, space)
+    f1 = function_matrix(first, space)
+    f2 = function_matrix(second, space)
+    if f1.shape[1] != f2.shape[1]:
+        raise DimensionMismatchError(
+            f"paired systems need equal length, got {f1.shape[1]} and {f2.shape[1]}"
+        )
+    joint = np.hstack([f1, f2])
+    q = mu_orthonormal_basis(joint, space)
+    c1, c2 = np.hsplit(numerics.weighted_gram(q, space.weights, joint), 2)
+    s_hat = c1 @ c2.conj().T
     dim = q.shape[1]
     # the joint span is never empty, so s_hat has at least one singular value
     sing = numerics.singular_values(s_hat)
@@ -298,16 +290,12 @@ def kernel_from_pair_report(first, second, space: DiscretizedSpace) -> PairKerne
             f"(smallest singular value {smallest:.3e} against scale {scale:.3e})"
         )
     a_hat = np.linalg.inv(s_hat)
-    first_left = q @ (a_hat @ c1)
-    second_left = q @ (a_hat.conj().T @ c2)
-    _, disagreement = _blockwise_max(first_left, f2, second_left, f1)
-    residual = float(np.max(np.abs(a_hat @ s_hat - np.eye(dim))))
-    table = KernelTable(space=space, left=first_left, right=f2)
+    product = a_hat @ s_hat
     return PairKernelReport(
-        table=table,
+        table=KernelTable(space=space, left=q @ (a_hat @ c1), right=f2),
         span_dim=dim,
-        order_disagreement=disagreement,
-        inverse_residual=residual,
+        order_disagreement=float(np.max(np.abs(product - (s_hat @ a_hat).conj().T))),
+        inverse_residual=float(np.max(np.abs(product - np.eye(dim)))),
         condition=condition,
     )
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from framelab.errors import InvalidSpecError
+from framelab.errors import InvalidSpecError, ValidationError
 from framelab.frames import (
     Classification,
     analysis,
@@ -69,6 +69,10 @@ class TestTorus:
     def test_grid_too_coarse(self):
         with pytest.raises(InvalidSpecError):
             build_torus(9, 8)
+
+    def test_grid_beyond_any_array_refused(self):
+        with pytest.raises(ValidationError, match="^cells_per_segment must be at most"):
+            build_torus(2, 2**63)
 
 
 class TestAffine:

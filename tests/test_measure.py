@@ -197,6 +197,14 @@ class TestDiscretize:
         with pytest.raises(ValidationError):
             discretize(MeasureSpace(segments=(UNIT,)), 0)
 
+    @pytest.mark.parametrize("cells", [measure.MAX_CELLS + 1, 2**63 - 1, 2**63])
+    def test_cell_count_beyond_any_array_refused(self, cells):
+        # np.arange(1, cells) is silently empty from about 2**63 on, which
+        # used to give one node of weight 1 / cells
+        message = f"^cells_per_segment must be at most {measure.MAX_CELLS}$"
+        with pytest.raises(ValidationError, match=message):
+            discretize(MeasureSpace(segments=(UNIT,)), cells)
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
         cells=st.integers(1, 40),

@@ -20,7 +20,7 @@ from framelab.errors import (
 )
 from framelab.frames import VectorFamily, analysis_matrix, analysis_rank, kernel_matrix
 from framelab.gallery import build_torus
-from framelab.measure import counting_space, unit_segment_space
+from framelab.measure import DiscretizedSpace, counting_space, unit_segment_space
 from framelab.rkhs import (
     KernelTable,
     bessel_pointwise_check,
@@ -343,11 +343,16 @@ class TestKernelFromPair:
             kernel_from_pair_report(q, q[:, :2], space)
 
     def test_span_pair_operator_shape(self, rng):
+        # an orthonormal basis paired with itself resolves its span by the identity
         space = unit_weight_space(6)
         q = random_span_basis(rng, space, 2)
-        basis, *_, operator = rkhs._span_pair_data(q, q, space)
-        assert basis.shape == (6, 2)
-        np.testing.assert_allclose(operator, np.eye(2), atol=1e-12)
+        report = kernel_from_pair_report(q, q, space)
+        assert report.span_dim == 2
+        assert report.inverse_residual <= 1e-12
+        assert report.condition == pytest.approx(1.0)
+        np.testing.assert_allclose(
+            report.table.entries, kernel_of_span(q, space).entries, atol=1e-12
+        )
 
 
 class TestBesselPointwise:
@@ -432,6 +437,10 @@ class TestBlowup:
     def test_requires_positive(self, sizes):
         with pytest.raises(ValidationError, match="^refinement counts must be positive$"):
             blowup_experiment(sizes)
+
+    def test_refinement_beyond_any_array_refused(self):
+        with pytest.raises(ValidationError, match="^cells_per_segment must be at most"):
+            blowup_experiment([2**63])
 
     def test_diagonal_flat_across_nodes(self):
         # the O(n) maxima against the dense kernel of the step basis, bit for bit
@@ -583,6 +592,27 @@ class TestFactoredKernelTable:
         dense[5, 4] = 1e-6
         assert not KernelTable(space=space, left=dense, right=np.eye(6)).is_hermitian()
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 10])
+    @pytest.mark.parametrize("entries", [1, 6, 20, 1 << 10])
+    def test_row_blocks_tile_the_table(self, rng, rows, entries):
+        left, right = random_factors(rng, rows, 2, hermitian=False)
+        table = KernelTable(space=unit_weight_space(rows), left=left, right=right)
+        blocks = list(table.row_blocks(entries))
+        starts = [start for start, _, _ in blocks]
+        stops = [stop for _, stop, _ in blocks]
+        assert starts == [0] + stops[:-1] and stops[-1] == rows
+        for start, stop, block in blocks:
+            assert stop - start >= 2 or (start, stop) == (0, rows)
+            assert block.shape == (stop - start, rows)
+        np.testing.assert_array_equal(np.vstack([block for *_, block in blocks]), table.entries)
+
+    def test_empty_table_has_no_row_blocks(self):
+        empty = np.zeros((0, 2), dtype=complex)
+        table = KernelTable(space=DiscretizedSpace(nodes=()), left=empty, right=empty)
+        assert list(table.row_blocks(rkhs.BLOCK_ENTRIES)) == []
+        assert table.is_hermitian()
+        assert cli._kernel_csv_bytes(table) == b"x,y,re,im\n"
+
     def test_frame_kernel_scales_with_rank_not_nodes(self):
         # n = 16384 nodes at rank 64: the dense table alone would take 4 GiB
         family = build_torus(64, 16384)
@@ -623,6 +653,29 @@ class TestFactoredKernelTable:
         assert elapsed < 10.0
         assert float(np.sum(family.space.weights * diagonal)) == pytest.approx(d, rel=1e-9)
         np.testing.assert_allclose(table.apply(once), once, atol=1e-9)
+
+    def test_pair_kernel_scales_with_rank_not_nodes(self):
+        # a pair on n = 32768 nodes spanning r = 8 exponentials is checked on
+        # its r x r span coordinates, never on an n x n table
+        space = unit_segment_space(32768)
+        n, r = space.size, 8
+        span = np.exp(2j * np.pi * np.outer(space.points, np.arange(r)))
+        rng = np.random.default_rng(8)
+        first = span @ (complex_rng_matrix(rng, r, r) + 0.5 * np.eye(r))
+        second = span @ (complex_rng_matrix(rng, r, r) + 0.5 * np.eye(r))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            report = kernel_from_pair_report(first, second, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - start
+        assert peak < 8 * n * r * 16
+        assert elapsed < 10.0
+        assert report.span_dim == r
+        assert report.order_disagreement <= 1e-10
+        assert report.inverse_residual <= 1e-10
 
 
 class TestRefusedTolerances:

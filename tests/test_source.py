@@ -76,3 +76,19 @@ def test_node_weights_meet_tables_only_in_numerics():
             if _weights_by_hand(node)
         ]
     assert found == []
+
+
+def test_only_rkhs_reads_kernel_factors():
+    # KernelTable.row_blocks is the one place that forms dense kernel rows, so
+    # no other module reads a table's .left or .right factor
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "rkhs.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("left", "right")
+        ]
+    assert found == []
