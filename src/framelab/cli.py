@@ -47,7 +47,6 @@ EXIT_IO = 3
 CSV_BLOCK_ENTRIES = 1 << 10
 # rows of an [re, im] table per block of a JSON report, likewise
 PAIR_BLOCK = 1 << 10
-MAX_SIZE = 1 << 20  # largest --dim, --grid, --rows or --sizes entry; rows past it fill memory
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,8 +61,8 @@ def _parse_sizes(raw: str) -> list[int]:
         raise ValidationError(f"bad size list {raw!r}") from exc
     if not sizes:
         raise ValidationError("size list is empty")
-    if max(sizes) > MAX_SIZE:
-        raise ValidationError(f"size {max(sizes)} exceeds the largest size {MAX_SIZE}")
+    if max(sizes) > gallery.MAX_SIZE:
+        raise ValidationError(f"size {max(sizes)} exceeds the largest size {gallery.MAX_SIZE}")
     return sizes
 
 
@@ -87,8 +86,8 @@ def _gallery_spec(args: argparse.Namespace) -> gallery.GallerySpec:
     except ValueError as exc:
         raise ValidationError(f"unknown gallery kind {args.gallery!r}") from exc
     for name in ("dim", "grid", "rows"):
-        if (size := getattr(args, name) or 0) > MAX_SIZE:
-            raise ValidationError(f"--{name} {size} exceeds the largest size {MAX_SIZE}")
+        if (size := getattr(args, name) or 0) > gallery.MAX_SIZE:
+            raise ValidationError(f"--{name} {size} exceeds the largest size {gallery.MAX_SIZE}")
     return gallery.GallerySpec(kind=kind, **{name: getattr(args, name) for name in _SPEC_FLAGS})
 
 

@@ -192,7 +192,8 @@ def analysis_matrix(family: VectorFamily) -> np.ndarray:
 
 def frame_operator(family: VectorFamily) -> np.ndarray:
     """Weighted sum of rank-one member projectors, ``members^T W conj(members)``."""
-    return np.conj(numerics.weighted_gram(family.members, family.space.weights, family.members))
+    operator = numerics.gram(family.members, family.space.weights)
+    return np.conj(operator, out=operator)
 
 
 def analysis_rank(family: VectorFamily, operator=None, values=None) -> int:
@@ -230,7 +231,7 @@ def frame_bounds(family: VectorFamily) -> FrameReport:
     ``ROW_MATCH_TOL``.
     """
     operator = frame_operator(family)
-    spectrum = numerics.frame_spectrum(operator)
+    spectrum = numerics.frame_spectrum(operator, vectors=False)
     lower, upper = spectrum.lower, spectrum.upper
     excess = family.size - analysis_rank(family, operator, spectrum.values)
     condition = upper / lower if lower > 0 else float("inf")
@@ -371,7 +372,7 @@ def semiframe_trend(
     """
     results = []
     for size in sizes:
-        spectrum = numerics.frame_spectrum(frame_operator(builder(size)))
+        spectrum = numerics.frame_spectrum(frame_operator(builder(size)), vectors=False)
         results.append((int(size), spectrum.lower, spectrum.upper))
     return results
 

@@ -24,6 +24,7 @@ from .measure import (
 )
 
 AFFINE_TAIL_FRACTION = 1e-8
+MAX_SIZE = 1 << 20  # largest count a builder takes; rows past it fill memory
 
 
 class GalleryKind(Enum):
@@ -55,6 +56,13 @@ class GallerySpec:
     power: int | None = None
 
 
+def _check_counts(**counts: int | None) -> None:
+    """Refuse any count above ``MAX_SIZE``; ``None`` stands for a default."""
+    for name, count in counts.items():
+        if count is not None and count > MAX_SIZE:
+            raise InvalidSpecError(f"{name} {count} exceeds the largest size {MAX_SIZE}")
+
+
 def frequency_enumeration(count: int) -> list[int]:
     """Integer frequencies ordered 0, 1, -1, 2, -2, ... truncated to ``count``."""
     out = [0]
@@ -75,8 +83,11 @@ def build_torus(dim: int, grid: int) -> VectorFamily:
     twice the largest frequency the grid exponentials stay exactly
     orthonormal, so the frame operator is diagonal with entries
     ``1, 1/4, 1/9, ...``: the upper bound is 1 and the lower bound ``1/dim**2``
-    drains to zero under truncation growth.
+    drains to zero under truncation growth.  Only the exponentials of the
+    frequencies ``k >= 0`` are computed; each ``-k`` column is the conjugate of
+    its ``k`` column.
     """
+    _check_counts(dim=dim, grid=grid)
     if dim < 1:
         raise InvalidSpecError("torus family needs dim >= 1")
     freqs = np.array(frequency_enumeration(dim))
@@ -86,7 +97,10 @@ def build_torus(dim: int, grid: int) -> VectorFamily:
         )
     space = unit_segment_space(grid)
     coefficients = 1.0 / (np.arange(dim) + 1.0)
-    members = coefficients[None, :] * np.exp(2j * np.pi * np.outer(space.points, freqs))
+    half = np.exp(2j * np.pi * np.outer(space.points, np.arange(dim // 2 + 1)))
+    members = half[:, np.abs(freqs)]
+    np.conj(members, out=members, where=freqs < 0)
+    members *= coefficients
     return VectorFamily(space=space, members=members)
 
 
@@ -127,6 +141,7 @@ def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorF
     operator approaches multiplication by ``r**(power-1) exp(-2r)``; for
     ``power == 1`` the match is exact up to roundoff.
     """
+    _check_counts(cells=cells, grid=grid)
     if cells < 1:
         raise InvalidSpecError("affine family needs cells >= 1")
     if power < 1:
@@ -185,6 +200,7 @@ def build_delta(count: int) -> VectorFamily:
     1/k: every pointwise sum is finite while the spectral bounds run apart
     linearly under truncation growth.
     """
+    _check_counts(count=count)
     if count < 1:
         raise InvalidSpecError("delta family needs count >= 1")
     space = counting_space(count)
@@ -197,6 +213,7 @@ def build_delta(count: int) -> VectorFamily:
 
 def build_doubled_onb(dim: int) -> VectorFamily:
     """Each canonical basis vector listed twice, adjacent duplicates."""
+    _check_counts(dim=dim)
     if dim < 1:
         raise InvalidSpecError("doubled basis needs dim >= 1")
     space = counting_space(2 * dim)
@@ -207,6 +224,7 @@ def build_doubled_onb(dim: int) -> VectorFamily:
 
 def build_augmented_onb(dim: int) -> VectorFamily:
     """Canonical basis with the first vector repeated once."""
+    _check_counts(dim=dim)
     if dim < 1:
         raise InvalidSpecError("augmented basis needs dim >= 1")
     space = counting_space(dim + 1)
@@ -231,6 +249,7 @@ def build_mercedes() -> VectorFamily:
 
 def build_random(rows: int, dim: int, seed=None) -> VectorFamily:
     """Standard complex Gaussian members over a counting space; seeded."""
+    _check_counts(rows=rows, dim=dim)
     if rows < 1 or dim < 1:
         raise InvalidSpecError("random family needs rows >= 1 and dim >= 1")
     if seed is None:

@@ -4,7 +4,11 @@ Operators on the ambient space (frame operators, resolution operators,
 coordinate Gram matrices) are dense ``complex128`` numpy arrays of size at
 most ``d x d`` or ``n x d``; node-indexed ``n x n`` kernels are kept by
 :mod:`framelab.rkhs` as two ``n x r`` factors instead.  There is no sparse or
-iterative machinery.  Node weights meet a table only here: every product
+iterative machinery.  Every Hermitian Gram ``X^H W X`` (frame operators,
+span Grams, the Gram behind a rank certificate) is :func:`gram`, one real
+symmetric product of the float view of ``sqrt(w) * X``, and a verdict that
+reads only a spectrum takes eigenvalues without eigenvectors
+(``vectors=False``).  Node weights meet a table only here: every mixed product
 ``X^H W Y`` over the nodes is :func:`weighted_gram`, the analysis table
 ``sqrt(w) * conj(X)`` is :func:`weighted_analysis` and every SVD of a
 weighted table ``sqrt(w) * X`` is :func:`weighted_svd`.  Every rank
@@ -97,8 +101,38 @@ def rank_cutoff(singular_values: np.ndarray, shape: tuple[int, int]) -> float:
     return threshold * float(singular_values[0]) * max(shape)
 
 
+def gram(table, weights=None) -> np.ndarray:
+    """``table^H W table`` (``W = I`` without ``weights``) from one real symmetric product.
+
+    The ``(n, 2d)`` float64 view ``R`` of ``sqrt(w) * table`` holds the real
+    and imaginary part of each column side by side, so ``P = R^T R`` carries
+    ``Re G = P[re, re] + P[im, im]`` and ``Im G = P[re, im] - P[im, re]``.
+    numpy runs ``R^T R`` as one SYRK, about half the work of the complex
+    product, and mirrors its triangle, so ``G`` is exactly Hermitian.  The
+    scaled table is released before ``G`` is assembled from ``P``.
+    """
+    if weights is None:
+        scaled = np.ascontiguousarray(table, dtype=np.complex128)
+    else:
+        scaled = np.multiply(table, np.sqrt(weights)[:, None], dtype=np.complex128, order="C")
+    real = scaled.view(np.float64)
+    del scaled
+    product = real.T @ real
+    del real
+    dim = product.shape[0] // 2
+    blocks = product.reshape(dim, 2, dim, 2)
+    out = np.empty((dim, dim), dtype=np.complex128)
+    parts = out.view(np.float64).reshape(dim, dim, 2)
+    np.add(blocks[:, 0, :, 0], blocks[:, 1, :, 1], out=parts[..., 0])
+    np.subtract(blocks[:, 0, :, 1], blocks[:, 1, :, 0], out=parts[..., 1])
+    return out
+
+
 def weighted_gram(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left^H W right``, conjugating the weighted temporary in place instead of a table."""
+    """Mixed product ``left^H W right``, conjugating the weighted temporary in place.
+
+    A table's product with itself is :func:`gram`.
+    """
     weighted = weights[:, None] * right
     np.conj(weighted, out=weighted)
     return np.conj(left.T @ weighted)
@@ -122,13 +156,15 @@ def weighted_svd(table: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ..
     return u[:, :kept] / root, s[:kept], vh[:kept]
 
 
-def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as unitary columns, so ``a = V @ diag(vals) @ V.conj().T``.
-    The input is symmetrized to absorb roundoff; asymmetry beyond
-    ``HERMITIAN_RTOL`` times the matrix scale is an error.
+    eigenvectors as unitary columns, so ``a = V @ diag(vals) @ V.conj().T``;
+    with ``vectors=False`` the eigenvalues alone come from ``eigvalsh`` and
+    the eigenvectors are ``None``.  The input is symmetrized to absorb
+    roundoff; asymmetry beyond ``HERMITIAN_RTOL`` times the matrix scale is an
+    error.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -141,7 +177,9 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
         )
     sym = m / 2.0  # halved before the sum, which overflows near the float limit
     sym += sym.conj().T
-    return np.linalg.eigh(sym)
+    if vectors:
+        return np.linalg.eigh(sym)
+    return np.linalg.eigvalsh(sym), None
 
 
 class FrameSpectrum(NamedTuple):
@@ -150,12 +188,13 @@ class FrameSpectrum(NamedTuple):
     ``lower`` is the smallest eigenvalue clamped at 0 and ``upper`` the largest;
     ``values`` ascend and ``vectors`` holds the matching unitary columns, so
     inverses and square roots of the operator need no further factorization.
+    A spectrum taken for its bounds alone has no ``vectors``.
     """
 
     lower: float
     upper: float
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
 
     def is_frame(self) -> bool:
         """Whether the lower bound clears ``FRAME_RTOL`` times a nonzero upper bound."""
@@ -171,20 +210,24 @@ class FrameSpectrum(NamedTuple):
         return members @ ((self.vectors.conj() / self.values) @ self.vectors.T)
 
 
-def frame_spectrum(operator) -> FrameSpectrum:
-    """Spectral frame bounds of a Hermitian positive semidefinite operator."""
-    values, vectors = hermitian_eig(operator)
+def frame_spectrum(operator, vectors: bool = True) -> FrameSpectrum:
+    """Spectral frame bounds of a Hermitian positive semidefinite operator.
+
+    A caller that reads only the spectrum passes ``vectors=False``, which
+    takes the eigenvalues alone.
+    """
+    values, vectors = hermitian_eig(operator, vectors)
     return FrameSpectrum(float(max(values[0], 0.0)), float(values[-1]), values, vectors)
 
 
-def require_frame(operator) -> FrameSpectrum:
-    """:func:`frame_spectrum` of an operator that is about to be inverted.
+def require_frame(operator, vectors: bool = True) -> FrameSpectrum:
+    """:func:`frame_spectrum` of an operator that must be a frame's.
 
     Refuses with ``NotAFrameError`` when the spectrum fails
-    :meth:`FrameSpectrum.is_frame`, since the inverse would amplify noise
-    unboundedly.
+    :meth:`FrameSpectrum.is_frame`, since an inverse would amplify noise
+    unboundedly.  ``vectors`` is passed on to :func:`frame_spectrum`.
     """
-    spectrum = frame_spectrum(operator)
+    spectrum = frame_spectrum(operator, vectors)
     if not spectrum.is_frame():
         raise NotAFrameError(
             f"lower bound {spectrum.lower:.3e} below tolerance {FRAME_RTOL:.0e} "
@@ -218,12 +261,22 @@ def certifies_full_rank(gram, shape: tuple[int, int], values=None) -> bool:
     The slack also covers a frame operator ``S = members^T (w * conj(members))``
     over ``n`` nodes in ``d`` dimensions, taken as the Gram of the weighted
     analysis table ``A = sqrt(w) * conj(members)`` of shape ``(n, d)``
-    although ``A`` is never formed.  Each entry of the computed ``S`` is a
-    length-``n`` complex inner product of weighted terms, so to first order it
-    is off by at most ``(n + 3) * eps`` times the same entry of ``|A|^H |A|``;
-    that error matrix has norm at most ``(n + 3) * eps * trace(S)``, since
-    ``|| |A|^H |A| || <= ||A||_F**2``.  It fits inside the slack together with
-    the symmetrization and the eigensolver's own backward error.
+    although ``A`` is never formed.  :func:`gram` forms ``conj(S)`` from the
+    real view ``R`` of ``sqrt(w) * members``, whose two columns per dimension
+    hold ``Re`` and ``Im``.  With unit roundoff ``u = eps / 2``, each entry of
+    ``R`` is off by at most ``2u`` relative (the rounded ``sqrt(w)`` and the
+    product), so each product of two entries by ``4u``; each entry of ``R^T R``
+    is a length-``n`` real sum, off by ``n * u`` times the sum of the
+    magnitudes, and one more rounding forms ``Re S`` or ``Im S`` from two of
+    them.  By Cauchy-Schwarz, both ``|a_j a_k| + |b_j b_k|`` and
+    ``|a_j b_k| + |b_j a_k|`` are at most ``|A_j| |A_k|``.  So to first order
+    the real and the imaginary part of each entry of ``S`` are off by at most
+    ``(n + 5) * u`` times the same entry of ``|A|^H |A|``, and the entry by
+    ``(n + 5) * eps / sqrt(2)`` times it.  That error matrix has norm at most
+    ``(n + 5) * eps * trace(S) / sqrt(2)``, since
+    ``|| |A|^H |A| || <= ||A||_F**2``.  That leaves at least
+    ``3 * n * eps * trace(S)`` of the slack ``4 * (n + d) * eps * trace(S)``
+    to the symmetrization and the eigensolver's own backward error.
     """
     rows, cols = shape
     with np.errstate(all="ignore"):
@@ -246,9 +299,11 @@ def rank(a) -> int:
     """
     m = as_matrix(a)
     rows, cols = m.shape
+    # for a wide table, the Gram of m^T is the conjugate of m m^H: the same
+    # spectrum and trace, with no conjugate formed
     with np.errstate(all="ignore"):
-        gram = m.conj().T @ m if rows >= cols else m @ m.conj().T
-    if certifies_full_rank(gram, m.shape):
+        shorter = gram(m if rows >= cols else m.T)
+    if certifies_full_rank(shorter, m.shape):
         return min(rows, cols)
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s > rank_cutoff(s, m.shape)))

@@ -167,11 +167,13 @@ def frame_transfer(psi: VectorFamily, phi: VectorFamily, frame_vectors) -> Frame
         raise DimensionMismatchError(
             f"frame vectors must form a (count, {psi.dim}) table, got {g.shape}"
         )
-    g_lower, g_upper, _, _ = numerics.require_frame(g.T @ g.conj())
+    # each frame operator below, sum_i v_i v_i^H over the rows v_i, is the
+    # conjugate of the rows' Gram: the same spectrum
+    g_lower, g_upper, _, _ = numerics.require_frame(numerics.gram(g), vectors=False)
     report = _invertible_resolution(psi, phi)
     functions = g @ psi.members.conj().T
-    transported = report.operator @ g.T
-    lower, upper, _, _ = numerics.frame_spectrum(transported @ transported.conj().T)
+    transported = g @ report.operator.T
+    lower, upper, _, _ = numerics.frame_spectrum(numerics.gram(transported), vectors=False)
     return FrameTransferReport(
         functions=functions,
         lower=lower,
@@ -244,7 +246,7 @@ def partner_pointwise_sums(partner: VectorFamily) -> np.ndarray:
 
 def bessel_bound(family: VectorFamily) -> float:
     """Largest eigenvalue of the frame operator: the optimal Bessel constant."""
-    return numerics.frame_spectrum(frame_operator(family)).upper
+    return numerics.frame_spectrum(frame_operator(family), vectors=False).upper
 
 
 def pair_verdict(psi: VectorFamily, phi: VectorFamily) -> dict:

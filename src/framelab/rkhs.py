@@ -190,7 +190,7 @@ def orthonormal_factor(table, weights, spectrum: numerics.FrameSpectrum) -> np.n
     one Newton step ``B -= B (B^H W B - I) / 2`` takes down to rounding.
     """
     factor = table @ (spectrum.vectors / np.sqrt(spectrum.values))
-    defect = numerics.weighted_gram(factor, weights, factor) - np.eye(spectrum.values.size)
+    defect = numerics.gram(factor, weights) - np.eye(spectrum.values.size)
     factor -= factor @ (0.5 * defect)
     return factor
 
@@ -209,7 +209,7 @@ def mu_orthonormal_basis(functions, space: DiscretizedSpace) -> np.ndarray:
     w = space.weights
     if f.shape[0] >= f.shape[1] > 0:
         with np.errstate(all="ignore"):  # an overflowing Gram takes the SVD
-            gram = numerics.weighted_gram(f, w, f)
+            gram = numerics.gram(f, w)
         if np.all(np.isfinite(gram)):
             spectrum = numerics.frame_spectrum(gram)
             if spectrum.is_frame() and numerics.certifies_full_rank(gram, f.shape, spectrum.values):
@@ -227,7 +227,7 @@ def kernel_from_onb(basis, space: DiscretizedSpace) -> KernelTable:
     from the identity by more than ``ORTHO_TOL``.
     """
     b = function_matrix(basis, space)
-    gap = float(np.max(np.abs(numerics.weighted_gram(b, space.weights, b) - np.eye(b.shape[1]))))
+    gap = float(np.max(np.abs(numerics.gram(b, space.weights) - np.eye(b.shape[1]))))
     if gap > ORTHO_TOL:
         raise NotOrthonormalError(f"orthonormality defect {gap:.3e} exceeds {ORTHO_TOL:.0e}")
     return KernelTable(space=space, left=b, right=b)
@@ -350,8 +350,9 @@ def point_evaluation_bounds(functions, space: DiscretizedSpace) -> PointEvalBoun
     """
     b = function_matrix(functions, space)
     q = mu_orthonormal_basis(b, space)
-    coords = numerics.weighted_gram(q, space.weights, b)
-    upper = numerics.require_frame(coords @ coords.conj().T).upper
+    # the system's coordinates c = q^H W b, taken as c^H so that c c^H is its Gram
+    coords_h = numerics.weighted_gram(b, space.weights, q)
+    upper = numerics.require_frame(numerics.gram(coords_h), vectors=False).upper
     sums = np.sum(np.abs(b) ** 2, axis=1)
     return PointEvalBound(constants=np.sqrt(sums * upper), pointwise_sums=sums, upper_bound=upper)
 

@@ -821,7 +821,7 @@ def test_pair_check_refuses_mixed_dimensions(tmp_path, capsys):
         (("inspect", "--gallery", "torus", "--dim", "2", "--grid", str(2**63)), f"--grid {2**63}"),
         (("experiment", "blowup", "--sizes", str(2**63)), f"size {2**63}"),
         (("experiment", "trend", "--gallery", "random", "--dim", "2", "--seed", "1",
-          "--sizes", f"1,{cli.MAX_SIZE + 1}"), f"size {cli.MAX_SIZE + 1}"),
+          "--sizes", f"1,{gallery.MAX_SIZE + 1}"), f"size {gallery.MAX_SIZE + 1}"),
     ],
     ids=[
         "random-rows-past-int64-raised-a-traceback",
@@ -834,7 +834,7 @@ def test_size_past_the_largest_refused(tmp_path, capsys, argv, name):
     out = tmp_path / "report.json"
     assert run(*argv, "--out", str(out)) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
-        f"framelab: invalid input: {name} exceeds the largest size {cli.MAX_SIZE}\n"
+        f"framelab: invalid input: {name} exceeds the largest size {gallery.MAX_SIZE}\n"
     )
     assert not out.exists()
 
@@ -875,7 +875,7 @@ _FUZZ_VALUES = st.one_of(
 # past MAX_SIZE by one, not by far: were the refusal lost, a size such as 2**63
 # would make a space build node rows until memory ran out
 _GALLERY_VALUES = st.one_of(
-    st.integers(-2, 12), st.sampled_from([102, 103, cli.MAX_SIZE + 1, "x", "1.5", ""])
+    st.integers(-2, 12), st.sampled_from([102, 103, gallery.MAX_SIZE + 1, "x", "1.5", ""])
 )
 _FAMILY_COMMANDS = (
     ("inspect",), ("inspect", "--format", "csv"), ("bounds",), ("dual",), ("kernel",),

@@ -13,6 +13,7 @@ from framelab.frames import (
     semiframe_trend,
 )
 from framelab.gallery import (
+    MAX_SIZE,
     GalleryKind,
     GallerySpec,
     affine_symbol,
@@ -71,8 +72,19 @@ class TestTorus:
             build_torus(9, 8)
 
     def test_grid_beyond_any_array_refused(self):
-        with pytest.raises(ValidationError, match="^cells_per_segment must be at most"):
+        with pytest.raises(InvalidSpecError, match=f"^grid {2**63} exceeds the largest size"):
             build_torus(2, 2**63)
+
+    @pytest.mark.parametrize("dim, grid", [(1, 2), (2, 3), (5, 16), (8, 17), (33, 97), (128, 512)])
+    def test_conjugate_columns_match_the_full_exponential_table(self, dim, grid):
+        # the -k columns are conjugates of the +k ones, bit for bit what
+        # exp(2 pi i x k) gives for every enumerated frequency
+        family = build_torus(dim, grid)
+        freqs = np.array(frequency_enumeration(dim))
+        points = np.array(family.space.points)
+        coefficients = 1.0 / (np.arange(dim) + 1.0)
+        full = coefficients[None, :] * np.exp(2j * np.pi * np.outer(points, freqs))
+        assert family.members.tobytes() == full.tobytes()
 
 
 class TestAffine:
@@ -199,6 +211,34 @@ class TestTorusTrend:
             assert lower == pytest.approx(1.0 / size**2, abs=1e-12)
             assert upper <= PI_SQ_SIXTH + 1e-12
         assert classify_trend(trend) is Classification.BESSEL_ONLY
+
+
+def _random(rows, dim):
+    return build_random(rows, dim, seed=1)
+
+
+@pytest.mark.parametrize(
+    "builder, counts, refused",
+    [
+        (build_torus, (MAX_SIZE + 1, 16), "dim"),
+        (build_torus, (2, MAX_SIZE + 1), "grid"),
+        (build_affine, (MAX_SIZE + 1,), "cells"),
+        (build_affine, (2, MAX_SIZE + 1), "grid"),
+        (build_delta, (10**9,), "count"),
+        (build_doubled_onb, (MAX_SIZE + 1,), "dim"),
+        (build_augmented_onb, (MAX_SIZE + 1,), "dim"),
+        (_random, (2**63, 2), "rows"),
+        (_random, (2, MAX_SIZE + 1), "dim"),
+    ],
+    ids=["torus-dim", "torus-grid", "affine-cells", "affine-grid", "delta-count",
+         "doubled-dim", "augmented-dim", "random-rows", "random-dim"],
+)
+def test_count_past_the_largest_refused(builder, counts, refused):
+    # refused before any array is built: random rows of 2**63 raised numpy's
+    # ValueError and a delta family of 10**9 nodes filled memory
+    count = max(counts[:2])
+    with pytest.raises(InvalidSpecError, match=f"^{refused} {count} exceeds the largest size"):
+        builder(*counts)
 
 
 class TestSpec:

@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 
 from framelab import numerics
 from framelab.errors import NonSquareError, NotAFrameError, NotHermitianError, ValidationError
-from framelab.frames import VectorFamily, frame_operator
-from framelab.pairs import lower_semiframe_dual, resolution_operator
+from framelab.frames import (
+    Classification, VectorFamily, frame_bounds, frame_operator, semiframe_trend,
+)
+from framelab.gallery import GalleryKind, GallerySpec, truncation_sequence
+from framelab.pairs import bessel_bound, frame_transfer, lower_semiframe_dual, resolution_operator
+from framelab.rkhs import point_evaluation_bounds
 
 from conftest import (
-    SvdCalled, complex_rng_matrix, conditioned_family, no_svd, onb_family, unit_weight_space,
+    SvdCalled, cell_space, complex_rng_matrix, conditioned_family, no_svd, onb_family,
+    random_family, unit_weight_space,
 )
 
 
@@ -67,6 +72,84 @@ class TestHermitianEig:
         rebuilt = vectors @ np.diag(values) @ vectors.conj().T
         scale = max(np.max(np.abs(a)), 1.0)
         assert np.max(np.abs(rebuilt - a)) <= 1e-10 * scale
+
+
+_LAYOUTS = {
+    "c-order": lambda a: a,
+    "fortran-order": np.asfortranarray,
+    "strided": lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+    "transposed": lambda a: np.ascontiguousarray(a.T).T,
+}
+
+
+class TestGram:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 9),
+        cols=st.integers(1, 8),
+        layout=st.sampled_from(sorted(_LAYOUTS)),
+        decades=st.integers(0, 12),
+    )
+    def test_matches_the_complex_product(self, seed, rows, cols, layout, decades):
+        # one real SYRK of the float view gives the complex Gram: Hermitian
+        # exactly, and within (n + 5) * eps * trace of table^H W table, the
+        # first-order bound of certifies_full_rank (the complex product is
+        # itself off by about eps * trace: it leaves an imaginary part on the
+        # diagonal of a one-node Gram)
+        rng = np.random.default_rng(seed)
+        table = _LAYOUTS[layout](complex_rng_matrix(rng, rows, cols))
+        weights = 10.0 ** rng.uniform(-decades / 2, decades / 2, rows)
+        g = numerics.gram(table, weights)
+        reference = numerics.weighted_gram(table, weights, table)
+        assert np.array_equal(g, g.conj().T)
+        trace = float(np.trace(reference).real)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(g - reference)) <= (rows + 5) * eps * trace
+
+    def test_unit_weights_by_default(self, rng):
+        table = complex_rng_matrix(rng, 6, 3)
+        assert np.array_equal(numerics.gram(table), numerics.gram(table, np.ones(6)))
+
+    def test_real_table(self):
+        g = numerics.gram(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 4.0]))
+        assert g.dtype == np.complex128
+        assert g.tolist() == [[37.0, 50.0], [50.0, 68.0]]
+
+
+class TestEigenvaluesAlone:
+    """Bounds-only verdicts take eigenvalues, never eigenvectors."""
+
+    @pytest.fixture(autouse=True)
+    def _no_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenvectors taken for a bounds-only verdict")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+    def test_frame_bounds(self, rng):
+        report = frame_bounds(random_family(rng, 12, 4, weighted=True))
+        assert report.classification is Classification.FRAME
+
+    def test_semiframe_trend(self):
+        builder = truncation_sequence(GallerySpec(kind=GalleryKind.TORUS), [2, 4])
+        assert [size for size, _, _ in semiframe_trend(builder, [2, 4])] == [2, 4]
+
+    def test_bessel_bound(self, rng):
+        assert bessel_bound(random_family(rng, 12, 4, weighted=True)) > 0.0
+
+    def test_frame_transfer(self, rng):
+        psi = random_family(rng, 12, 3, weighted=True)
+        phi = VectorFamily(space=psi.space, members=complex_rng_matrix(rng, 12, 3))
+        report = frame_transfer(psi, phi, complex_rng_matrix(rng, 5, 3))
+        assert report.predicted_lower <= report.lower * (1 + 1e-10)
+
+    def test_point_evaluation_bounds(self, rng):
+        # more functions than nodes take the span basis from an SVD, so the
+        # only spectrum left is the coordinate frame operator's
+        space = cell_space(rng.uniform(0.25, 2.5, 3))
+        bound = point_evaluation_bounds(complex_rng_matrix(rng, 3, 5), space)
+        assert bound.upper_bound > 0.0
 
 
 class TestSvd:

@@ -92,3 +92,68 @@ def test_only_rkhs_reads_kernel_factors():
             if isinstance(node, ast.Attribute) and node.attr in ("left", "right")
         ]
     assert found == []
+
+
+def _conjugated(node: ast.AST) -> tuple[str, bool]:
+    """``node`` with transposes and conjugations stripped, and whether it was conjugated.
+
+    ``x.T``, ``x.conj()``, ``x.conjugate()``, ``np.conj(x)`` and
+    ``np.conjugate(x)`` all strip to ``x``; an odd number of conjugations
+    marks it conjugated.
+    """
+    conjugated = False
+    while True:
+        if isinstance(node, ast.Attribute) and node.attr in ("T", "mT"):
+            node = node.value
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("conj", "conjugate")
+        ):
+            if ast.unparse(node.func.value) == "np":
+                if len(node.args) != 1:
+                    break
+                node = node.args[0]
+            else:
+                node = node.func.value
+            conjugated = not conjugated
+        else:
+            break
+    return ast.unparse(node), conjugated
+
+
+def _hermitian_by_hand(node: ast.AST) -> bool:
+    """Whether ``node`` calls ``np.linalg.eigh``/``eigvalsh`` or multiplies a name by its conjugate."""
+    if isinstance(node, ast.Call):
+        return ast.unparse(node.func) in ("np.linalg.eigh", "np.linalg.eigvalsh")
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.MatMult, ast.Mult))):
+        return False
+    (left, left_conj), (right, right_conj) = _conjugated(node.left), _conjugated(node.right)
+    return left == right and left_conj != right_conj
+
+
+def test_hermitian_products_and_spectra_only_in_numerics():
+    # every Hermitian Gram is numerics.gram and every spectrum goes through
+    # numerics.hermitian_eig, so no other module forms x^H x or calls eigh
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _hermitian_by_hand(node)
+        ]
+    assert found == []
+
+
+def test_hermitian_products_are_recognized():
+    # the pattern catches the forms the modules used to write
+    for source in (
+        "g.T @ g.conj()", "t @ t.conj().T", "c @ np.conj(c).T", "m.conj().T @ m",
+        "np.conj(x) * x", "np.linalg.eigh(s)", "np.linalg.eigvalsh(s)",
+    ):
+        assert any(_hermitian_by_hand(node) for node in ast.walk(ast.parse(source))), source
+    for source in ("a @ b.conj().T", "g.T @ g", "x.conj() @ x.conj()", "np.linalg.svd(a)"):
+        assert not any(_hermitian_by_hand(node) for node in ast.walk(ast.parse(source))), source
