@@ -8,11 +8,13 @@ renamed over it, so a failing command never leaves a partial output file behind.
 
 JSON reports are byte for byte ``json.dumps(report, indent=2, sort_keys=True)``
 plus a newline, but rendered here: CPython 3.11's ``json`` takes its C encoder
-only without ``indent``.  Lists of finite ``[float, float]`` pairs, the bulk of every
-report, cost one ``float.__repr__`` per float and one join; the rest follows
-the stdlib rules value by value.  The kernel CSV is byte for byte what
-``csv.writer`` gives row by row: the writer renders the header and each node
-point once, and the table is formed and rendered a block of rows at a time.
+only without ``indent``.  The ``[re, im]`` tables, the bulk of every report,
+are rendered a block of rows at a time: each distinct float of a block is
+formatted once, or taken from the previous block's texts, and each block is
+joined once; the rest follows the stdlib rules value by value.  The kernel
+CSV is byte for byte what ``csv.writer`` gives row by row: the writer renders
+the header and each node point once, and the table is formed and rendered a
+block of rows at a time, its floats as in a report.
 The argument parser is built once per process.
 """
 
@@ -196,14 +198,47 @@ def _float_text(value: float) -> str:
     return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
+# the ``kept`` of a writer's first block: no patterns and no texts
+_NOTHING_KEPT = (np.empty(0, np.int64), [])
+
+
+def _block_texts(values: np.ndarray, text, kept: tuple) -> tuple[list[str], tuple]:
+    """``list(map(text, values.tolist()))``, calling ``text`` once per distinct bit pattern.
+
+    ``values`` is 1-D float64; patterns are compared as int64 bits, so ``0.0``
+    and ``-0.0``, or two NaNs, are told apart as ``text`` tells them apart.  A
+    pattern that ``kept``, the previous block's return, also held takes that
+    block's text.  A block with no repeated pattern and none from the previous
+    block is formatted in place.  Returns the texts and what the next block
+    keeps: the block's distinct patterns and the text of each.
+    """
+    bits = values.view(np.int64)
+    known, known_texts = kept
+    # known holds each pattern once, so equal neighbours are a repeat or a known pattern
+    merged = np.sort(np.concatenate((known, bits)))
+    if not np.any(merged[1:] == merged[:-1]):
+        texts = list(map(text, values.tolist()))
+        return texts, (bits, texts)
+    patterns, inverse = np.unique(bits, return_inverse=True)
+    seen = np.zeros(len(patterns), dtype=bool)
+    distinct = np.empty(len(patterns), dtype=object)
+    if len(known):
+        by_pattern = np.argsort(known)
+        at = by_pattern.take(np.searchsorted(known, patterns, sorter=by_pattern), mode="clip")
+        seen = known[at] == patterns
+        distinct[seen] = np.asarray(known_texts, dtype=object)[at[seen]]
+    distinct[~seen] = list(map(text, patterns[~seen].view(np.float64).tolist()))
+    return distinct[inverse].tolist(), (patterns, distinct)
+
+
 def _render_pairs(table: np.ndarray, newline: str, out: list[str], buffer: bytearray) -> None:
     """Render an ``(m, 2)`` float64 ``table`` as the stdlib renders ``table.tolist()``.
 
     The text in ``out`` moves to ``buffer`` first.  Each block of
-    ``PAIR_BLOCK`` rows then becomes one list: its floats as
-    ``float.__repr__`` (or :func:`_float_text` in a block with a non-finite
-    value) fill every other slot and the separators go in by slice
-    assignment; the block is joined and encoded onto ``buffer``.
+    ``PAIR_BLOCK`` rows then becomes one list: the texts of its floats, from
+    :func:`_block_texts` by ``float.__repr__`` (or :func:`_float_text` in a
+    block with a non-finite value), fill every other slot and the separators
+    go in by slice assignment; the block is joined and encoded onto ``buffer``.
     """
     if table.ndim != 2 or table.shape[1] != 2 or table.dtype != np.float64:
         raise TypeError(
@@ -219,12 +254,13 @@ def _render_pairs(table: np.ndarray, newline: str, out: list[str], buffer: bytea
     buffer += "".join(out).encode("utf-8")
     out.clear()
     between = inner + "]," + inner + "[" + innermost
+    kept = _NOTHING_KEPT
     for start in range(0, count, PAIR_BLOCK):
         block = table[start : start + PAIR_BLOCK]
         rows = len(block)
         text = float.__repr__ if np.isfinite(block).all() else _float_text
         parts = [between] * (4 * rows)
-        parts[0::2] = map(text, block.ravel().tolist())
+        parts[0::2], kept = _block_texts(block.ravel(), text, kept)
         parts[1::4] = ["," + innermost] * rows
         if start + rows == count:
             parts[-1] = inner + "]" + newline + "]"
@@ -257,7 +293,8 @@ def _kernel_csv_bytes(table: rkhs.KernelTable) -> bytearray:
     row comes out as ``<cell>,\\n``, so every cell is quoted as the writer
     quotes it.  Entries are formed from the factors in blocks of about
     ``CSV_BLOCK_ENTRIES`` (:meth:`~framelab.rkhs.KernelTable.row_blocks`) and
-    written as ``float.__repr__``, as the writer writes floats.
+    written as ``float.__repr__``, as the writer writes floats, through
+    :func:`_block_texts`.
     """
     lines: list[str] = []
     writer = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\n")
@@ -265,6 +302,7 @@ def _kernel_csv_bytes(table: rkhs.KernelTable) -> bytearray:
     writer.writerows(zip(table.space.points, itertools.repeat("")))
     header, cells = lines[0], [line[:-1] for line in lines[1:]]
     text = bytearray(header[:-1].encode("utf-8"))
+    kept = _NOTHING_KEPT
     for start, stop, block in table.row_blocks(CSV_BLOCK_ENTRIES):
         # each entry opens with the line break and "x,y," of its own row
         heads: list[str] = []
@@ -272,7 +310,7 @@ def _kernel_csv_bytes(table: rkhs.KernelTable) -> bytearray:
             heads += map(("\n" + cell).__add__, cells)
         parts = [","] * (4 * len(heads))
         parts[0::4] = heads
-        parts[1::2] = map(float.__repr__, block.view(np.float64).ravel().tolist())
+        parts[1::2], kept = _block_texts(block.view(np.float64).ravel(), float.__repr__, kept)
         text += "".join(parts).encode("utf-8")
     text += b"\n"
     return text

@@ -9,6 +9,7 @@ family; everything hinges on the resolution operator being invertible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,11 @@ class ResolutionReport:
     singular_values: np.ndarray
     condition: float
     invertible: bool
-    inverse: np.ndarray | None
+
+    @cached_property
+    def inverse(self) -> np.ndarray | None:
+        """The operator's inverse when it is invertible, formed on first use."""
+        return np.linalg.inv(self.operator) if self.invertible else None
 
     def to_json(self) -> dict:
         return {
@@ -70,13 +75,8 @@ def resolution_operator(psi: VectorFamily, phi: VectorFamily) -> ResolutionRepor
     # a family has dim >= 1, so there is always a smallest singular value
     condition = float(sing[0] / sing[-1]) if sing[-1] > 0.0 else float("inf")
     invertible = bool(np.isfinite(condition) and condition <= CONDITION_THRESHOLD)
-    inverse = np.linalg.inv(operator) if invertible else None
     return ResolutionReport(
-        operator=operator,
-        singular_values=sing,
-        condition=condition,
-        invertible=invertible,
-        inverse=inverse,
+        operator=operator, singular_values=sing, condition=condition, invertible=invertible
     )
 
 

@@ -355,6 +355,17 @@ class TestFrameTransfer:
         with pytest.raises(NotAFrameError):
             frame_transfer(psi, phi, g)
 
+    def test_forms_no_inverse_and_refuses_a_singular_pair(self, rng):
+        # the transfer reads the resolution operator and its singular values only
+        psi, phi = random_pair(rng)
+        with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
+            frame_transfer(psi, phi, complex_rng_matrix(rng, 5, 4))
+            assert inv.call_count == 0
+            singular = VectorFamily(space=phi.space, members=np.zeros_like(phi.members))
+            with pytest.raises(NotInvertibleError):
+                frame_transfer(psi, singular, complex_rng_matrix(rng, 5, 4))
+            assert inv.call_count == 0
+
 
 class TestLowerSemiframeDual:
     def test_onb_self_dual(self):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import cli, numerics
+from framelab import cli, frames, gallery, numerics
 from framelab.frames import VectorFamily
 from framelab.measure import DiscretizedSpace, Node, Provenance
 from framelab.rkhs import KernelTable
@@ -138,9 +138,19 @@ LAYOUTS = {
 }
 
 
+# entries a table repeats: 0.0 beside -0.0, and NaN and the infinities
+REPEATED_ENTRIES = st.sampled_from(
+    [complex(0.0, -0.0), complex(-0.0, 0.0), complex(math.nan, math.inf), complex(-math.inf, 0.0)]
+)
+
+
 @st.composite
 def pair_tables(draw):
-    """The ``complex_pairs`` view of a complex source with special values planted in it."""
+    """The ``complex_pairs`` view of a complex source with special and repeated values planted.
+
+    Row ``j`` of the view is entry ``j`` of the source in C order, so a planted
+    copy lands in the block of its first entry, the next one or a later one.
+    """
     count = draw(st.sampled_from(TABLE_ROWS))
     cols = draw(st.sampled_from([c for c in (1, 2, 3, 5, 11, 31) if count % c == 0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -148,9 +158,13 @@ def pair_tables(draw):
     a = LAYOUTS[source](rng, count // cols, cols)
     # spread the magnitudes over most of the float range
     a *= np.exp2(rng.integers(-1000, 1000, size=a.shape))
+    positions = st.integers(0, count - 1).map(lambda j: np.unravel_index(j, a.shape))
     for _ in range(draw(st.integers(0, 4)) if count else 0):
-        j = draw(st.integers(0, count - 1))
-        a[np.unravel_index(j, a.shape)] = complex(draw(SPECIAL_FLOATS), draw(SPECIAL_FLOATS))
+        a[draw(positions)] = complex(draw(SPECIAL_FLOATS), draw(SPECIAL_FLOATS))
+    for _ in range(draw(st.integers(0, 8)) if count else 0):
+        entry = draw(st.one_of(REPEATED_ENTRIES, positions.map(lambda j: a[j])))
+        for _ in range(draw(st.integers(1, 3))):
+            a[draw(positions)] = entry
     return numerics.complex_pairs(a)
 
 
@@ -173,16 +187,57 @@ def test_json_refuses_arrays_other_than_pair_tables(array):
         cli._json_bytes({"a": array})
 
 
+def zeros_across_blocks():
+    """A block of ``[-0.0, 1.5]`` rows, then two rows of ``[0.0, 1.5]``."""
+    table = np.tile([-0.0, 1.5], (cli.PAIR_BLOCK + 2, 1))
+    table[cli.PAIR_BLOCK :, 0] = 0.0
+    return table
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.tile([[0.0, -0.0], [-0.0, 0.0]], (3, 1)),
+        zeros_across_blocks(),
+        np.tile([[math.nan, math.inf], [-math.inf, math.nan], [0.5, -0.0]], (cli.PAIR_BLOCK, 1)),
+        np.array([[math.nan, -math.nan], [math.nan, 0.0]]),
+    ],
+    ids=["signed-zeros", "signed-zeros-across-blocks", "non-finite-repeats", "nan-payloads"],
+)
+def test_repeated_patterns_keep_their_own_texts(table):
+    assert cli._json_bytes({"t": table}) == oracle_json({"t": table.tolist()})
+
+
+def test_each_pattern_formatted_once_per_block(monkeypatch):
+    # blocks of 4 distinct patterns; the last block adds 0.0 to those of the one before it
+    table = np.tile([[math.nan, 1.0], [0.5, -0.0]], (cli.PAIR_BLOCK + 2, 1))[:-1]
+    table[-1] = [0.0, math.nan]
+    calls = []
+    real = cli._float_text
+    monkeypatch.setattr(cli, "_float_text", lambda value: calls.append(value) or real(value))
+    assert cli._json_bytes({"t": table}) == oracle_json({"t": table.tolist()})
+    assert len(calls) == 5
+
+
+def repeat_heavy_family(rng, rows, cols):
+    """A family whose entries are drawn from 64 values, so every block repeats them."""
+    family = random_family(rng, rows, cols)
+    values = complex_rng_matrix(rng, 1, 64).ravel()
+    return VectorFamily(space=family.space, members=rng.choice(values, size=(rows, cols)))
+
+
 def test_pair_table_render_peak_stays_near_the_output(rng):
-    # the 2048 x 128 family report: about 18 MiB of text
-    payload = random_family(rng, 2048, 128).to_json()
-    tracemalloc.start()
-    try:
-        text = cli._json_bytes(payload)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * len(text)
+    # 2048 x 128 family reports, about 18 MiB of text each: one of random entries, and
+    # one whose blocks all repeat the same few, so the texts kept between blocks count
+    for make in (random_family, repeat_heavy_family):
+        payload = make(rng, 2048, 128).to_json()
+        tracemalloc.start()
+        try:
+            text = cli._json_bytes(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(text)
 
 
 def table_over(points, rng, rank=2, provenance=Provenance.CELL) -> KernelTable:
@@ -209,9 +264,20 @@ def test_kernel_csv_matches_csv_writer(points, provenance, rng):
     assert cli._kernel_csv_bytes(table) == oracle_csv(table)
 
 
+def test_kernel_csv_of_a_shift_invariant_kernel():
+    # K(x, y) = k(x - y): 5,020 distinct patterns among the 32,768 floats
+    table = frames.kernel_matrix(gallery.build_torus(16, 128))
+    assert cli._kernel_csv_bytes(table) == oracle_csv(table)
+
+
 @pytest.mark.parametrize("block_entries", [1, 14, 21, 1 << 10])
 def test_kernel_csv_row_blocks(block_entries, rng, monkeypatch):
-    # the two-row floor, blocks of two and three rows, of three and four, and one block
+    # the two-row floor, blocks of two and three rows, of three and four, and one block,
+    # over seven nodes, for random factors and for a shift-invariant kernel
     monkeypatch.setattr(cli, "CSV_BLOCK_ENTRIES", block_entries)
-    table = table_over([0.5 * j for j in range(7)], rng, rank=3)
-    assert cli._kernel_csv_bytes(table) == oracle_csv(table)
+    tables = [
+        table_over([0.5 * j for j in range(7)], rng, rank=3),
+        frames.kernel_matrix(gallery.build_torus(3, 7)),
+    ]
+    for table in tables:
+        assert cli._kernel_csv_bytes(table) == oracle_csv(table)
