@@ -29,13 +29,20 @@ TREND_GROWTH_RATIO = 2.0
 
 @dataclass(frozen=True, eq=False)
 class VectorFamily:
-    """A measurable vector map restricted to the nodes of a space."""
+    """A measurable vector map restricted to the nodes of a space.
+
+    ``members`` is kept read-only.  A read-only, C-contiguous ``complex128``
+    array that owns its data is adopted as is, so a producer that freezes a
+    fresh table (:func:`~framelab.numerics.freeze`) hands it over without a
+    copy; anything else is copied (:func:`~framelab.numerics.adopt`), so
+    writes to the caller's array never reach the family.
+    """
 
     space: DiscretizedSpace
     members: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.members, dtype=np.complex128)
+        m = numerics.adopt(self.members)
         if m.ndim != 2:
             raise ValidationError(f"members must be a 2-d table, got ndim={m.ndim}")
         if m.shape[0] != self.space.size:
@@ -44,7 +51,6 @@ class VectorFamily:
             )
         if m.shape[1] < 1:
             raise ValidationError("ambient dimension must be at least 1")
-        m = m.copy()
         # the weighted sum of squared row norms is the trace of the frame
         # operator and bounds its entries; weights are positive, so it is
         # finite only when every entry, squared row norm and weighted one is
@@ -55,7 +61,6 @@ class VectorFamily:
             if not np.all(np.isfinite(m)):
                 raise ValidationError("member entries must be finite")
             raise ValidationError("squared norms of the members overflow")
-        m.setflags(write=False)
         object.__setattr__(self, "members", m)
 
     @property
@@ -199,17 +204,25 @@ def frame_operator(family: VectorFamily) -> np.ndarray:
 def analysis_rank(family: VectorFamily, operator=None, values=None) -> int:
     """Numerical rank of ``sqrt(w) * conj(members)``: every rank verdict on a family.
 
-    A caller holding the frame operator, that table's Gram, passes it with its
-    ascending eigenvalues ``values`` when known.  With at least as many nodes
-    as dimensions, full rank is then certified from them
-    (:func:`~framelab.numerics.certifies_full_rank`) without forming the
-    table; otherwise :func:`~framelab.numerics.rank` counts the table.  Either
-    way the verdict is the SVD count.
+    With at least as many nodes as dimensions, full rank is first certified
+    (:func:`~framelab.numerics.certifies_full_rank`) from the frame operator,
+    which is that table's Gram exactly as :func:`~framelab.numerics.gram`
+    forms it from the table, so the verdict is the one the table gives
+    without forming the table.  A caller holding the operator passes it, with
+    its ascending eigenvalues ``values`` when known; otherwise it is formed
+    here.  When nothing is certified, :func:`~framelab.numerics.rank` counts
+    the table and reads the operator as its Gram.  Either way the verdict is
+    the SVD count.
     """
-    if operator is not None and family.size >= family.dim:
+    if family.size < family.dim:
+        operator = None  # the Gram of the shorter side is then n x n
+    else:
+        if operator is None:
+            operator = frame_operator(family)
         if numerics.certifies_full_rank(operator, (family.size, family.dim), values):
             return family.dim
-    return numerics.rank(numerics.weighted_analysis(family.members, family.space.weights))
+    table = numerics.weighted_analysis(family.members, family.space.weights)
+    return numerics.rank(table, operator)
 
 
 def redundancy(family: VectorFamily) -> int:
@@ -265,9 +278,12 @@ def canonical_dual(family: VectorFamily) -> VectorFamily:
 
 
 def dual_family(space: DiscretizedSpace, members: np.ndarray) -> VectorFamily:
-    """Family of dual ``members``, refused (``NumericalRefusal``) if they left the float range."""
+    """Family of fresh dual ``members``, handed over frozen.
+
+    Refused (``NumericalRefusal``) if they left the float range.
+    """
     try:
-        return VectorFamily(space=space, members=members)
+        return VectorFamily(space=space, members=numerics.freeze(members))
     except ValidationError as exc:
         raise NumericalRefusal("the inverse overflows the float range") from exc
 
@@ -279,13 +295,15 @@ def kernel_matrix(family: VectorFamily) -> KernelTable:
     orthogonal projection, in the weighted node pairing, onto the space of
     analysis images.  The table is stored as ``B B^H`` with ``B`` the
     :func:`~framelab.rkhs.orthonormal_factor` of ``conj(members)``, so it is
-    Hermitian by construction and costs O(n d) memory.  A factor whose dense
-    entries would leave the float range is refused (``NumericalRefusal``).
+    Hermitian by construction and costs O(n d) memory: the factor is the one
+    table formed, with no conjugate copy of the members, and the table
+    adopts it.  A factor whose dense entries would leave the float range is
+    refused (``NumericalRefusal``).
     """
     spectrum = numerics.require_frame(frame_operator(family))
-    factor = orthonormal_factor(analysis_matrix(family), family.space.weights, spectrum)
+    factor = orthonormal_factor(family.members, family.space.weights, spectrum, conjugate=True)
     try:
-        return KernelTable(space=family.space, left=factor, right=factor)
+        return KernelTable(space=family.space, left=numerics.freeze(factor), right=factor)
     except ValidationError as exc:
         raise NumericalRefusal("the inverse overflows the float range") from exc
 
@@ -357,7 +375,7 @@ def split(
         discrete.append(mean / np.sqrt(float(np.sum(w[group]))))
         keep[group] = False
     continuous = DiscretizedSpace(nodes=itertools.compress(family.space.nodes, keep))
-    return discrete, VectorFamily(space=continuous, members=family.members[keep])
+    return discrete, VectorFamily(space=continuous, members=numerics.freeze(family.members[keep]))
 
 
 def semiframe_trend(

@@ -10,6 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import numerics
 from .errors import InvalidSpecError
 from .frames import VectorFamily
 from .measure import (
@@ -63,6 +64,11 @@ def _check_counts(**counts: int | None) -> None:
             raise InvalidSpecError(f"{name} {count} exceeds the largest size {MAX_SIZE}")
 
 
+def _family(space: DiscretizedSpace, members: np.ndarray) -> VectorFamily:
+    """Family handed its freshly built member table, frozen so that it is kept without a copy."""
+    return VectorFamily(space=space, members=numerics.freeze(members))
+
+
 def frequency_enumeration(count: int) -> list[int]:
     """Integer frequencies ordered 0, 1, -1, 2, -2, ... truncated to ``count``."""
     out = [0]
@@ -98,10 +104,13 @@ def build_torus(dim: int, grid: int) -> VectorFamily:
     space = unit_segment_space(grid)
     coefficients = 1.0 / (np.arange(dim) + 1.0)
     half = np.exp(2j * np.pi * np.outer(space.points, np.arange(dim // 2 + 1)))
-    members = half[:, np.abs(freqs)]
+    # take, not half[:, idx]: fancy column indexing returns a non-owning
+    # array in transposed layout, which the family would copy
+    members = np.take(half, np.abs(freqs), axis=1)
+    del half
     np.conj(members, out=members, where=freqs < 0)
     members *= coefficients
-    return VectorFamily(space=space, members=members)
+    return _family(space, members)
 
 
 def _exp_tail_cut(power: int) -> float:
@@ -163,7 +172,7 @@ def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorF
         * np.exp(-radii)[None, :]
         * np.exp(-2j * np.pi * np.outer(frequency_space.points, radii))
     )
-    return VectorFamily(space=frequency_space, members=members)
+    return _family(frequency_space, members)
 
 
 def affine_radial_space(cells: int, power: int, upper_limit: float) -> DiscretizedSpace:
@@ -208,7 +217,7 @@ def build_delta(count: int) -> VectorFamily:
     for k in range(1, count + 1):
         amplitude = math.sqrt(k) if k % 2 == 0 else 1.0 / math.sqrt(k)
         members[k - 1, k - 1] = amplitude
-    return VectorFamily(space=space, members=members)
+    return _family(space, members)
 
 
 def build_doubled_onb(dim: int) -> VectorFamily:
@@ -219,7 +228,7 @@ def build_doubled_onb(dim: int) -> VectorFamily:
     space = counting_space(2 * dim)
     eye = np.eye(dim, dtype=np.complex128)
     members = np.repeat(eye, 2, axis=0)
-    return VectorFamily(space=space, members=members)
+    return _family(space, members)
 
 
 def build_augmented_onb(dim: int) -> VectorFamily:
@@ -230,7 +239,7 @@ def build_augmented_onb(dim: int) -> VectorFamily:
     space = counting_space(dim + 1)
     eye = np.eye(dim, dtype=np.complex128)
     members = np.vstack([eye[:1], eye])
-    return VectorFamily(space=space, members=members)
+    return _family(space, members)
 
 
 def build_mercedes() -> VectorFamily:
@@ -244,7 +253,7 @@ def build_mercedes() -> VectorFamily:
         ],
         dtype=np.complex128,
     )
-    return VectorFamily(space=space, members=members)
+    return _family(space, members)
 
 
 def build_random(rows: int, dim: int, seed=None) -> VectorFamily:
@@ -258,11 +267,14 @@ def build_random(rows: int, dim: int, seed=None) -> VectorFamily:
         rng = np.random.default_rng(seed)
     except ValueError as exc:
         raise InvalidSpecError(f"random family seed {seed!r} refused: {exc}") from exc
-    members = (
-        rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
-    ) / math.sqrt(2.0)
+    # the draws land in the table's real and imaginary parts, with the bits of
+    # (re + 1j * im) / sqrt(2) and no complex temporaries
+    members = np.empty((rows, dim), dtype=np.complex128)
+    members.real = rng.standard_normal((rows, dim))
+    members.imag = rng.standard_normal((rows, dim))
+    members /= math.sqrt(2.0)
     space = counting_space(rows)
-    return VectorFamily(space=space, members=members)
+    return _family(space, members)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,22 @@ coordinate Gram matrices) are dense ``complex128`` numpy arrays of size at
 most ``d x d`` or ``n x d``; node-indexed ``n x n`` kernels are kept by
 :mod:`framelab.rkhs` as two ``n x r`` factors instead.  There is no sparse or
 iterative machinery.  Every Hermitian Gram ``X^H W X`` (frame operators,
-span Grams, the Gram behind a rank certificate) is :func:`gram`, one real
-symmetric product of the float view of ``sqrt(w) * X``, and a verdict that
-reads only a spectrum takes eigenvalues without eigenvectors
-(``vectors=False``).  Node weights meet a table only here: every mixed product
-``X^H W Y`` over the nodes is :func:`weighted_gram`, the analysis table
-``sqrt(w) * conj(X)`` is :func:`weighted_analysis` and every SVD of a
-weighted table ``sqrt(w) * X`` is :func:`weighted_svd`.  Every rank
-decision and SVD cutoff comes from
-:func:`rank_cutoff`.  :func:`rank` first tries to certify full rank from a
+span Grams, the Gram behind a rank certificate) is :func:`gram`, a sum of one
+real symmetric product per row block of the float view of ``sqrt(w) * X``,
+and a verdict that reads only a spectrum takes eigenvalues without
+eigenvectors (``vectors=False``).  Node weights meet a table only here: every
+mixed product ``X^H W Y`` over the nodes is :func:`weighted_gram`, the
+analysis table ``sqrt(w) * conj(X)`` is :func:`weighted_analysis` and every
+SVD of a weighted table ``sqrt(w) * X`` is :func:`weighted_svd`.  A sum over
+the nodes never holds more than one member table plus a block of about
+``BLOCK_ENTRIES`` entries: :func:`gram` and :func:`weighted_gram` walk the
+node axis in row blocks, and :func:`newton_update` corrects a table in place
+a row block at a time.  A table that fits in one block takes the single
+product with no block bookkeeping.  Tables are frozen and shared: a family or
+kernel keeps the array :func:`adopt` returns, which is its argument itself
+when that is a read-only, C-contiguous ``complex128`` array owning its data.
+Every rank decision and SVD cutoff comes from :func:`rank_cutoff`.
+:func:`rank` first tries to certify full rank from a
 Gram spectrum (:func:`certifies_full_rank`) and otherwise counts
 singular values from an SVD, so a rank verdict is the SVD count; every rank
 verdict on a family is :func:`framelab.frames.analysis_rank`, which asks the
@@ -45,6 +52,8 @@ from .errors import NonSquareError, NotAFrameError, NotHermitianError, Validatio
 DEFAULT_RANK_RTOL = 1e-10
 HERMITIAN_RTOL = 1e-12
 FRAME_RTOL = 1e-8
+# entries per row block of a sum over the nodes, and per dense kernel block
+BLOCK_ENTRIES = 1 << 16
 
 RANK_TOL_ENV = "FRAMELAB_RANK_TOL"
 
@@ -101,16 +110,52 @@ def rank_cutoff(singular_values: np.ndarray, shape: tuple[int, int]) -> float:
     return threshold * float(singular_values[0]) * max(shape)
 
 
-def gram(table, weights=None) -> np.ndarray:
-    """``table^H W table`` (``W = I`` without ``weights``) from one real symmetric product.
+def adopt(table) -> np.ndarray:
+    """``table`` itself if it is a read-only, C-contiguous ``complex128`` array owning its data.
 
-    The ``(n, 2d)`` float64 view ``R`` of ``sqrt(w) * table`` holds the real
-    and imaginary part of each column side by side, so ``P = R^T R`` carries
-    ``Re G = P[re, re] + P[im, im]`` and ``Im G = P[re, im] - P[im, re]``.
-    numpy runs ``R^T R`` as one SYRK, about half the work of the complex
-    product, and mirrors its triangle, so ``G`` is exactly Hermitian.  The
-    scaled table is released before ``G`` is assembled from ``P``.
+    Anything else (a writable array, a view of another array, a
+    non-contiguous or a non-complex one, a list) is copied into a fresh
+    read-only ``complex128`` array, so later writes to the caller's array never
+    reach the copy.  A producer hands a fresh table over by freezing it first
+    (:func:`freeze`).
     """
+    if type(table) is np.ndarray and table.dtype == np.complex128:
+        flags = table.flags
+        if flags.owndata and flags.c_contiguous and not flags.writeable:
+            return table
+    table = np.array(table, dtype=np.complex128, order="C")
+    table.setflags(write=False)
+    return table
+
+
+def freeze(table: np.ndarray) -> np.ndarray:
+    """Mark a fresh table read-only and return it, so :func:`adopt` keeps it without a copy."""
+    table.setflags(write=False)
+    return table
+
+
+def _block_rows(cols: int) -> int:
+    """Rows per node block of a ``cols``-wide table: about ``BLOCK_ENTRIES`` entries."""
+    return max(1, BLOCK_ENTRIES // max(cols, 1))
+
+
+def _node_sum(term, tables: tuple, step: int):
+    """``term(*tables)`` summed over blocks of ``step`` rows of every table.
+
+    The sum starts from the first block's value.  Tables of at most one block
+    take ``term(*tables)`` alone, with no slicing.
+    """
+    rows = len(tables[0])
+    if rows <= step:
+        return term(*tables)
+    total = term(*(t[:step] for t in tables))
+    for start in range(step, rows, step):
+        total += term(*(t[start : start + step] for t in tables))
+    return total
+
+
+def _gram_part(table, weights=None) -> np.ndarray:
+    """:func:`gram` of one block, with the scaled block released before the Gram is assembled."""
     if weights is None:
         scaled = np.ascontiguousarray(table, dtype=np.complex128)
     else:
@@ -128,14 +173,58 @@ def gram(table, weights=None) -> np.ndarray:
     return out
 
 
-def weighted_gram(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Mixed product ``left^H W right``, conjugating the weighted temporary in place.
+def gram(table, weights=None) -> np.ndarray:
+    """``table^H W table`` (``W = I`` without ``weights``), one real symmetric product per block.
 
-    A table's product with itself is :func:`gram`.
+    The ``(m, 2d)`` float64 view ``R`` of a row block of ``sqrt(w) * table``
+    holds the real and imaginary part of each column side by side, so
+    ``P = R^T R`` carries ``Re G = P[re, re] + P[im, im]`` and
+    ``Im G = P[re, im] - P[im, re]``.  numpy runs ``R^T R`` as one SYRK, about
+    half the work of the complex product, and mirrors its triangle, so ``G``
+    is exactly Hermitian.  ``G`` is the sum of the blocks' parts.  A block
+    holds at least ``8 * d`` rows, since a SYRK over fewer rows loses speed
+    against the one product, and each scaled block is released before its
+    part is assembled from ``P``.
     """
+    cols = np.shape(table)[1]
+    tables = (table,) if weights is None else (table, weights)
+    return _node_sum(_gram_part, tables, max(8 * cols, _block_rows(cols)))
+
+
+def _conj_weighted_product(left, weights, right) -> np.ndarray:
+    """``conj(left^H W right)`` as ``left^T conj(W right)``, conjugating ``W right`` in place."""
     weighted = weights[:, None] * right
     np.conj(weighted, out=weighted)
-    return np.conj(left.T @ weighted)
+    return left.T @ weighted
+
+
+def weighted_gram(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Mixed product ``left^H W right``, summed over row blocks of the nodes.
+
+    The only temporary over the nodes is one block of ``W right``; a
+    ``right`` of at most ``BLOCK_ENTRIES`` entries is one block, taken with no
+    block bookkeeping, since small products such as the group means of
+    :func:`~framelab.frames.split` come by the hundred.  A table's product
+    with itself is :func:`gram`.
+    """
+    if right.size <= BLOCK_ENTRIES:
+        product = _conj_weighted_product(left, weights, right)
+    else:
+        step = _block_rows(right.shape[1])
+        product = _node_sum(_conj_weighted_product, (left, weights, right), step)
+    return np.conj(product, out=product)
+
+
+def newton_update(table: np.ndarray, correction: np.ndarray) -> None:
+    """``table -= table @ correction`` in place, one row block at a time.
+
+    Each row's update reads only that row, so the product never holds more
+    than one block of rows.
+    """
+    step = _block_rows(table.shape[1])
+    for start in range(0, table.shape[0], step):
+        rows = table[start : start + step]
+        rows -= rows @ correction
 
 
 def weighted_analysis(members: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -268,7 +357,11 @@ def certifies_full_rank(gram, shape: tuple[int, int], values=None) -> bool:
     product), so each product of two entries by ``4u``; each entry of ``R^T R``
     is a length-``n`` real sum, off by ``n * u`` times the sum of the
     magnitudes, and one more rounding forms ``Re S`` or ``Im S`` from two of
-    them.  By Cauchy-Schwarz, both ``|a_j a_k| + |b_j b_k|`` and
+    them, so each of their ``2n`` products meets at most ``n`` roundings.
+    That count holds for any summation order :func:`gram` takes: over ``B``
+    row blocks of at most ``m`` rows it forms both parts per block and adds
+    the blocks' parts, and ``(m - 1) + 1 + (B - 1) <= n``.  By
+    Cauchy-Schwarz, both ``|a_j a_k| + |b_j b_k|`` and
     ``|a_j b_k| + |b_j a_k|`` are at most ``|A_j| |A_k|``.  So to first order
     the real and the imaginary part of each entry of ``S`` are off by at most
     ``(n + 5) * u`` times the same entry of ``|A|^H |A|``, and the entry by
@@ -290,19 +383,22 @@ def certifies_full_rank(gram, shape: tuple[int, int], values=None) -> bool:
     return bool(values[0] - slack > bound * bound)
 
 
-def rank(a) -> int:
+def rank(a, shorter=None) -> int:
     """Number of singular values above :func:`rank_cutoff`.
 
     Full rank is first certified by :func:`certifies_full_rank` from the
-    Gram matrix of the shorter side; otherwise the singular values are
-    counted from an SVD.  Either way the verdict is the SVD count.
+    Gram matrix of the shorter side, which a caller holding it passes as
+    ``shorter`` (exactly as :func:`gram` forms it), so it is not formed
+    again; otherwise the singular values are counted from an SVD.  Either
+    way the verdict is the SVD count.
     """
     m = as_matrix(a)
     rows, cols = m.shape
     # for a wide table, the Gram of m^T is the conjugate of m m^H: the same
     # spectrum and trace, with no conjugate formed
-    with np.errstate(all="ignore"):
-        shorter = gram(m if rows >= cols else m.T)
+    if shorter is None:
+        with np.errstate(all="ignore"):
+            shorter = gram(m if rows >= cols else m.T)
     if certifies_full_rank(shorter, m.shape):
         return min(rows, cols)
     s = np.linalg.svd(m, compute_uv=False)

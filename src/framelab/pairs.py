@@ -117,9 +117,8 @@ def range_kernel(psi: VectorFamily, phi: VectorFamily) -> KernelTable:
     """
     report = _invertible_resolution(psi, phi)
     # entries conj(psi) S^-1 phi^T, stored as the factors conj(psi) S^-1 and conj(phi)
-    return KernelTable(
-        space=psi.space, left=psi.members.conj() @ report.inverse, right=phi.members.conj()
-    )
+    left = numerics.freeze(psi.members.conj() @ report.inverse)
+    return KernelTable(space=psi.space, left=left, right=numerics.freeze(phi.members.conj()))
 
 
 def induced_kernel(psi: VectorFamily, phi: VectorFamily) -> KernelTable:
@@ -135,7 +134,7 @@ def induced_kernel(psi: VectorFamily, phi: VectorFamily) -> KernelTable:
     # row x is the member psi_x transported by the inverse of the adjoint-side
     # resolution operator (analysis against phi, synthesis onto psi), which is
     # the adjoint of the inverse
-    transported = psi.members @ report.inverse.conj()
+    transported = numerics.freeze(psi.members @ report.inverse.conj())
     return KernelTable(space=psi.space, left=transported, right=transported, geometry=phi)
 
 
@@ -143,16 +142,23 @@ def induced_kernel(psi: VectorFamily, phi: VectorFamily) -> KernelTable:
 class FrameTransferReport:
     """Transfer of an ambient frame into the induced coefficient geometry.
 
-    ``functions[i]`` is the analysis image of the i-th frame vector; the
-    computed bounds are its frame bounds in the induced geometry, guaranteed
-    to land inside ``[predicted_lower, predicted_upper]``.
+    The computed bounds are the frame bounds of the analysis images of the
+    ``frame_vectors`` under ``psi`` in the induced geometry, guaranteed to
+    land inside ``[predicted_lower, predicted_upper]``; the bounds are read
+    without forming those images.
     """
 
-    functions: np.ndarray
+    frame_vectors: np.ndarray
+    psi: VectorFamily
     lower: float
     upper: float
     predicted_lower: float
     predicted_upper: float
+
+    @cached_property
+    def functions(self) -> np.ndarray:
+        """``functions[i]``: the analysis image of the i-th frame vector, formed on first use."""
+        return self.frame_vectors @ self.psi.members.conj().T
 
 
 def frame_transfer(psi: VectorFamily, phi: VectorFamily, frame_vectors) -> FrameTransferReport:
@@ -162,7 +168,7 @@ def frame_transfer(psi: VectorFamily, phi: VectorFamily, frame_vectors) -> Frame
     ambient bounds scaled by the extreme squared singular values of the
     resolution operator.
     """
-    g = np.asarray(frame_vectors, dtype=np.complex128)
+    g = numerics.adopt(frame_vectors)
     if g.ndim != 2 or g.shape[1] != psi.dim:
         raise DimensionMismatchError(
             f"frame vectors must form a (count, {psi.dim}) table, got {g.shape}"
@@ -171,11 +177,11 @@ def frame_transfer(psi: VectorFamily, phi: VectorFamily, frame_vectors) -> Frame
     # conjugate of the rows' Gram: the same spectrum
     g_lower, g_upper, _, _ = numerics.require_frame(numerics.gram(g), vectors=False)
     report = _invertible_resolution(psi, phi)
-    functions = g @ psi.members.conj().T
     transported = g @ report.operator.T
     lower, upper, _, _ = numerics.frame_spectrum(numerics.gram(transported), vectors=False)
     return FrameTransferReport(
-        functions=functions,
+        frame_vectors=g,
+        psi=psi,
         lower=lower,
         upper=upper,
         predicted_lower=g_lower * float(report.singular_values[-1]) ** 2,
@@ -212,7 +218,7 @@ def lower_semiframe_dual(psi: VectorFamily) -> VectorFamily:
             dual_members = spectrum.inverse_rows(psi.members)
             residual = np.conj(numerics.weighted_gram(dual_members, psi.space.weights, psi.members))
             residual -= np.eye(psi.dim)
-            dual_members -= dual_members @ residual.T
+            numerics.newton_update(dual_members, residual.T)
             return dual_family(psi.space, dual_members)
         basis, s, vh = numerics.weighted_svd(psi.members.conj(), psi.space.weights)
         return dual_family(psi.space, np.conj((basis / s) @ vh))

@@ -36,8 +36,6 @@ ORTHO_TOL = 1e-10
 SPAN_CONDITION_LIMIT = 1e10
 # absolute room the pointwise square-sum bound leaves for roundoff
 POINTWISE_SLACK = 1e-9
-# entries per dense block when a check needs every entry of a factored kernel
-BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +52,12 @@ class KernelTable:
     are in general not Hermitian, so symmetry is checked by the builders, not
     here.  ``geometry`` is the family whose synthesis map induces the pairing
     the table reproduces in, or ``None`` for the plain node pairing.
+
+    The factors are kept read-only, and one array passed as both factors is
+    kept once.  A read-only, C-contiguous ``complex128`` factor that owns its
+    data is adopted as is, so a producer that freezes a fresh factor
+    (:func:`~framelab.numerics.freeze`) hands it over without a copy; anything
+    else is copied (:func:`~framelab.numerics.adopt`).
     """
 
     space: DiscretizedSpace
@@ -63,8 +67,8 @@ class KernelTable:
 
     def __post_init__(self) -> None:
         n = self.space.size
-        shared = self.left is self.right
-        left, right = numerics.as_matrix(self.left), numerics.as_matrix(self.right)
+        left = numerics.as_matrix(numerics.adopt(self.left))
+        right = left if self.left is self.right else numerics.as_matrix(numerics.adopt(self.right))
         if left.shape[0] != n or left.shape != right.shape:
             raise ValidationError(
                 f"kernel factors must both be {n}xr, got {left.shape} and {right.shape}"
@@ -73,10 +77,6 @@ class KernelTable:
         # product of the largest row norms keeps every dense entry finite
         if not math.isfinite(_largest_row_norm(left) * _largest_row_norm(right)):
             raise ValidationError("kernel factor row norms overflow the dense entries")
-        left = left.copy()
-        left.setflags(write=False)
-        right = left if shared else right.copy()
-        right.setflags(write=False)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
@@ -133,7 +133,7 @@ class KernelTable:
         """Whether ``max |K - K^H| <= HERMITIAN_RTOL * max(max |K|, 1)``, in row blocks."""
         scale = gap = 0.0
         left_h = self.left.conj().T
-        for start, stop, rows in self.row_blocks(BLOCK_ENTRIES):
+        for start, stop, rows in self.row_blocks(numerics.BLOCK_ENTRIES):
             scale = max(scale, float(np.max(np.abs(rows))))
             rows -= self.right[start:stop] @ left_h
             gap = max(gap, float(np.max(np.abs(rows))))
@@ -183,15 +183,27 @@ def function_matrix(functions, space: DiscretizedSpace) -> np.ndarray:
     return arr
 
 
-def orthonormal_factor(table, weights, spectrum: numerics.FrameSpectrum) -> np.ndarray:
+def orthonormal_factor(
+    table, weights, spectrum: numerics.FrameSpectrum, conjugate: bool = False
+) -> np.ndarray:
     """``B = table V diag(values)**-1/2``, from the frame ``spectrum`` of ``table^H W table``.
 
     ``B^H W B = I`` up to a defect of ``eps`` times the Gram's condition, which
-    one Newton step ``B -= B (B^H W B - I) / 2`` takes down to rounding.
+    one Newton step ``B -= B (B^H W B - I) / 2`` takes down to rounding; the
+    step runs in place, a row block at a time
+    (:func:`~framelab.numerics.newton_update`).  With ``conjugate``, ``table``
+    holds the conjugate rows and ``B = conj(table) V diag(values)**-1/2`` is
+    formed as ``conj(table conj(V diag(values)**-1/2))``, conjugated in place,
+    so no conjugate copy of ``table`` is made.
     """
-    factor = table @ (spectrum.vectors / np.sqrt(spectrum.values))
+    scale = spectrum.vectors / np.sqrt(spectrum.values)
+    if conjugate:
+        factor = table @ np.conj(scale, out=scale)
+        np.conj(factor, out=factor)
+    else:
+        factor = table @ scale
     defect = numerics.gram(factor, weights) - np.eye(spectrum.values.size)
-    factor -= factor @ (0.5 * defect)
+    numerics.newton_update(factor, 0.5 * defect)
     return factor
 
 
@@ -235,7 +247,7 @@ def kernel_from_onb(basis, space: DiscretizedSpace) -> KernelTable:
 
 def kernel_of_span(functions, space: DiscretizedSpace) -> KernelTable:
     """Kernel of the span of an arbitrary function system."""
-    q = mu_orthonormal_basis(functions, space)
+    q = numerics.freeze(mu_orthonormal_basis(functions, space))
     return KernelTable(space=space, left=q, right=q)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from framelab import numerics
 from framelab.frames import VectorFamily
 from framelab.measure import DiscretizedSpace, Node, Provenance
 
@@ -22,6 +23,16 @@ def cell_space(weights):
         for i, w in enumerate(weights)
     )
     return DiscretizedSpace(nodes=nodes)
+
+
+# tables a family or kernel must copy rather than adopt: each could change
+# under the caller's hands, or is not a C-contiguous complex128 table
+COPIED_TABLES = {
+    "writable": lambda a: a,
+    "read-only-view-of-writable": lambda a: numerics.freeze(a[:]),
+    "non-contiguous": lambda a: numerics.freeze(np.asfortranarray(a)),
+    "non-complex": lambda a: numerics.freeze(a.real.copy()),
+}
 
 
 def random_family(rng, rows, cols, weighted=False):

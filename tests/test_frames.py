@@ -34,6 +34,7 @@ from framelab.measure import DiscretizedSpace, Node, Provenance
 from framelab.numerics import FRAME_RTOL
 
 from conftest import (
+    COPIED_TABLES,
     cell_space,
     complex_rng_matrix,
     onb_family,
@@ -58,6 +59,25 @@ class TestVectorFamily:
         family = onb_family(2)
         with pytest.raises(ValueError):
             family.members[0, 0] = 5.0
+
+    def test_frozen_owning_table_is_adopted(self, rng):
+        members = numerics.freeze(complex_rng_matrix(rng, 3, 2))
+        assert VectorFamily(space=unit_weight_space(3), members=members).members is members
+
+    @pytest.mark.parametrize("make", COPIED_TABLES.values(), ids=COPIED_TABLES.keys())
+    def test_other_tables_are_copied(self, rng, make):
+        members = make(complex_rng_matrix(rng, 3, 2))
+        family = VectorFamily(space=unit_weight_space(3), members=members)
+        assert not np.shares_memory(family.members, members)
+        assert not family.members.flags.writeable
+        np.testing.assert_array_equal(family.members, members)
+
+    def test_writes_to_the_callers_table_never_reach_the_family(self, rng):
+        members = complex_rng_matrix(rng, 3, 2)
+        kept = members.copy()
+        family = VectorFamily(space=unit_weight_space(3), members=members)
+        members[:] = 0.0
+        np.testing.assert_array_equal(family.members, kept)
 
     def test_json_round_trip(self, rng):
         family = random_family(rng, 5, 3, weighted=True)
@@ -261,6 +281,40 @@ class TestAnalysisRank:
         assert numerics.rank(members) == 3 - rank
         assert analysis_rank(family) == rank
         assert redundancy(family) == frame_bounds(family).redundancy == 2 - rank
+
+    def test_certified_rank_forms_no_analysis_table(self, rng, monkeypatch):
+        # redundancy certifies full rank from the frame operator first
+        family = random_family(rng, 64, 8, weighted=True)
+        monkeypatch.setattr(numerics, "weighted_analysis", no_rank)
+        assert redundancy(family) == 56
+
+    def test_uncertified_rank_forms_one_gram(self, rng, monkeypatch):
+        # the count reads the frame operator frame_bounds holds as the table's Gram
+        members = complex_rng_matrix(rng, 6, 3)
+        members[:, 2] = members[:, 0]
+        family = VectorFamily(space=unit_weight_space(6), members=members)
+        calls = []
+        gram = numerics.gram
+        monkeypatch.setattr(numerics, "gram", lambda *a, **k: calls.append(1) or gram(*a, **k))
+        assert frame_bounds(family).redundancy == 4
+        assert len(calls) == 1
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 6),
+        deficit=st.integers(0, 3),
+        decades=st.integers(0, 12),
+    )
+    def test_verdict_is_the_count_of_the_table(self, seed, rows, cols, deficit, decades):
+        rng = np.random.default_rng(seed)
+        members = complex_rng_matrix(rng, rows, cols)
+        members[:, : min(deficit, cols - 1)] = members[:, -1:]
+        weights = 10.0 ** rng.uniform(-decades / 2, decades / 2, rows)
+        family = VectorFamily(space=cell_space(weights), members=members)
+        table = numerics.weighted_analysis(family.members, family.space.weights)
+        assert analysis_rank(family) == numerics.rank(table)
 
     def test_fewer_nodes_than_dimensions(self, rng):
         family = random_family(rng, 2, 5, weighted=True)

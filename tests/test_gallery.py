@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from framelab import numerics
 from framelab.errors import InvalidSpecError, ValidationError
 from framelab.frames import (
     Classification,
@@ -196,6 +197,16 @@ class TestRandom:
         with pytest.raises(InvalidSpecError, match=r"random family seed \[-5, 2\] refused"):
             builder(2)
 
+    @pytest.mark.parametrize("rows, dim, seed", [(7, 3, 5), (300, 17, 9)])
+    def test_members_are_the_complex_gaussian_draws(self, rows, dim, seed):
+        # the draws written into the table's parts keep the bits of the complex formula
+        rng = np.random.default_rng(seed)
+        expected = (
+            rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+        ) / math.sqrt(2.0)
+        members = build_random(rows, dim, seed).members
+        assert np.array_equal(members.view(np.uint64), expected.view(np.uint64))
+
     def test_trend_builder_deterministic(self):
         spec = GallerySpec(kind=GalleryKind.RANDOM, dim=3, seed=5)
         builder = truncation_sequence(spec, [4, 8])
@@ -340,3 +351,25 @@ class TestUnreadFields:
                 family, expected = builder(size), direct(size)
                 assert np.array_equal(family.members, expected.members)
                 assert family.space == expected.space
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_torus(5, 24),
+        lambda: build_affine(4, 6),
+        lambda: build_delta(4),
+        lambda: build_doubled_onb(3),
+        lambda: build_augmented_onb(3),
+        build_mercedes,
+        lambda: build_random(6, 2, seed=3),
+    ],
+    ids=["torus", "affine", "delta", "doubled-onb", "augmented-onb", "mercedes", "random"],
+)
+def test_builders_hand_over_their_tables(make):
+    # each builder freezes the table it built, so its family keeps that one
+    # array: C-contiguous, owning its data, and adopted again as is
+    members = make().members
+    assert members.flags.owndata and members.flags.c_contiguous
+    assert not members.flags.writeable
+    assert numerics.adopt(members) is members

@@ -16,8 +16,8 @@ from framelab.pairs import bessel_bound, frame_transfer, lower_semiframe_dual, r
 from framelab.rkhs import point_evaluation_bounds
 
 from conftest import (
-    SvdCalled, cell_space, complex_rng_matrix, conditioned_family, no_svd, onb_family,
-    random_family, unit_weight_space,
+    COPIED_TABLES, SvdCalled, cell_space, complex_rng_matrix, conditioned_family, no_svd,
+    onb_family, random_family, unit_weight_space,
 )
 
 
@@ -115,6 +115,92 @@ class TestGram:
         g = numerics.gram(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 4.0]))
         assert g.dtype == np.complex128
         assert g.tolist() == [[37.0, 50.0], [50.0, 68.0]]
+
+
+# at BLOCK_ENTRIES = 256 a 4-column table has blocks of 64 rows, for the
+# Gram (at least 8 * 4 rows) and the mixed product (256 // 4 rows) alike
+_NODE_BLOCKS = {
+    "no-nodes": (0, 4),
+    "one-node": (1, 4),
+    "under-one-block": (40, 4),
+    "two-blocks": (128, 4),
+    "one-row-past": (129, 4),
+    "wide": (20, 40),  # the mixed product takes 6-row blocks of a 40-column table
+}
+
+
+class TestNodeBlocks:
+    """Sums over the nodes, walked in row blocks, against the one-product forms."""
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BLOCK_ENTRIES", 256)
+
+    @pytest.mark.parametrize("shape", _NODE_BLOCKS.values(), ids=_NODE_BLOCKS.keys())
+    def test_gram_matches_the_one_product(self, rng, shape):
+        rows, cols = shape
+        table = complex_rng_matrix(rng, rows, cols)
+        weights = rng.uniform(0.25, 2.5, rows)
+        scaled = np.sqrt(weights)[:, None] * table
+        for g, reference in (
+            (numerics.gram(table, weights), scaled.conj().T @ scaled),
+            (numerics.gram(table), table.conj().T @ table),
+        ):
+            assert g.shape == (cols, cols)
+            assert np.array_equal(g, g.conj().T)
+            scale = np.max(np.abs(reference), initial=0.0)
+            assert np.max(np.abs(g - reference), initial=0.0) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("shape", _NODE_BLOCKS.values(), ids=_NODE_BLOCKS.keys())
+    def test_weighted_gram_matches_the_one_product(self, rng, shape):
+        rows, cols = shape
+        left = complex_rng_matrix(rng, rows, 3)
+        right = complex_rng_matrix(rng, rows, cols)
+        weights = rng.uniform(0.25, 2.5, rows)
+        product = numerics.weighted_gram(left, weights, right)
+        reference = left.conj().T @ (weights[:, None] * right)
+        assert product.shape == (3, cols)
+        scale = np.max(np.abs(reference), initial=0.0)
+        assert np.max(np.abs(product - reference), initial=0.0) <= 1e-13 * scale
+
+    def test_no_nodes_give_zeros(self):
+        assert np.array_equal(numerics.gram(np.zeros((0, 3), dtype=complex)), np.zeros((3, 3)))
+        empty = np.zeros((0, 2), dtype=complex)
+        assert np.array_equal(numerics.weighted_gram(empty, np.ones(0), empty), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 200])
+    def test_newton_update_in_place(self, rng, rows):
+        table = complex_rng_matrix(rng, rows, 4)
+        correction = 1e-3 * complex_rng_matrix(rng, 4, 4)
+        expected = table - table @ correction
+        before = table
+        numerics.newton_update(table, correction)
+        assert table is before
+        assert np.max(np.abs(table - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+class TestAdopt:
+    def test_frozen_owning_table_is_adopted(self, rng):
+        table = numerics.freeze(complex_rng_matrix(rng, 5, 3))
+        assert numerics.adopt(table) is table
+
+    @pytest.mark.parametrize("make", COPIED_TABLES.values(), ids=COPIED_TABLES.keys())
+    def test_anything_else_is_copied(self, rng, make):
+        table = make(complex_rng_matrix(rng, 5, 3))
+        kept = numerics.adopt(table)
+        assert kept is not table and not np.shares_memory(kept, table)
+        assert kept.dtype == np.complex128 and kept.flags.c_contiguous and kept.flags.owndata
+        assert not kept.flags.writeable
+        np.testing.assert_array_equal(kept, table)
+
+    def test_list_is_copied(self):
+        kept = numerics.adopt([[1, 2j]])
+        assert kept.dtype == np.complex128 and not kept.flags.writeable
+
+    def test_freeze_hands_over(self, rng):
+        table = complex_rng_matrix(rng, 4, 2)
+        assert numerics.freeze(table) is table and not table.flags.writeable
+        assert numerics.adopt(table) is table
 
 
 class TestEigenvaluesAlone:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import cli, numerics, pairs
+from framelab import cli, frames, numerics, pairs
 from framelab.errors import (
     DimensionMismatchError,
     NotAFrameError,
@@ -288,6 +289,16 @@ class TestFrameTransfer:
         assert report.upper == pytest.approx(1.0)
         np.testing.assert_allclose(report.functions, np.eye(3), atol=1e-13)
 
+    def test_functions_formed_on_first_use(self, rng):
+        psi, phi = random_pair(rng)
+        g = complex_rng_matrix(rng, 5, 4)
+        report = frame_transfer(psi, phi, g)
+        assert "functions" not in vars(report)
+        expected = g @ psi.members.conj().T
+        g[:] = 0.0  # the report keeps its own frame vectors
+        np.testing.assert_array_equal(report.functions, expected)
+        assert report.functions is report.functions
+
     def test_quadratic_homogeneity(self, rng):
         psi, phi = random_pair(rng)
         g = complex_rng_matrix(rng, 5, 4)
@@ -509,6 +520,45 @@ class TestReproducingPartner:
             ):
                 reproducing_partner(family)
         assert svd.called
+
+
+class TestOneMemberTable:
+    """Each spectral op holds at most one n x d member table beyond its inputs."""
+
+    N, D = 2048, 128
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        rng = np.random.default_rng(2048)
+        psi, phi = random_pair(rng, rows=self.N, dim=self.D)
+        return psi, phi, complex_rng_matrix(rng, 2 * self.D, self.D)
+
+    @pytest.mark.parametrize(
+        "op, tables",
+        [
+            # a node sum holds one row block of about BLOCK_ENTRIES entries,
+            # a Gram block at least 8 * d rows: half the table at this size
+            (lambda psi, phi, g: frames.frame_bounds(psi), 1.0),
+            (lambda psi, phi, g: redundancy(psi), 1.0),
+            (lambda psi, phi, g: pair_verdict(psi, phi), 1.0),
+            (lambda psi, phi, g: frame_transfer(psi, phi, g), 1.0),
+            # the dual is the one new table, corrected in place
+            (lambda psi, phi, g: frames.canonical_dual(psi), 1.6),
+            (lambda psi, phi, g: lower_semiframe_dual(psi), 1.6),
+        ],
+        ids=[
+            "frame_bounds", "redundancy", "pair_verdict", "frame_transfer",
+            "canonical_dual", "lower_semiframe_dual",
+        ],
+    )
+    def test_peak_beyond_the_inputs(self, inputs, op, tables):
+        tracemalloc.start()
+        try:
+            op(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tables * self.N * self.D * 16
 
 
 class TestScalingCovariance:
