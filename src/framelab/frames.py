@@ -83,46 +83,60 @@ class VectorFamily:
         if type(data) is not dict:
             raise ValidationError(f"a family must be an object, got {type(data).__name__}")
         space = DiscretizedSpace.from_json(data.get("space"))
-        flat = _decode_pairs(data.get("members"))
-        dim = data.get("dim")
+        pairs, dim = data.get("members"), data.get("dim")
+        # decoded in the family's shape where dim and the pair count agree with
+        # the space, so the family adopts the table; else a fault follows
+        fits = type(dim) is int and dim >= 1 and type(pairs) is list
+        fits = fits and len(pairs) == space.size * dim
+        table = _decode_pairs(pairs, (space.size, dim) if fits else None)
         if type(dim) is not int or dim < 1:
             raise ValidationError(f"dim must be a positive integer, got {dim!r}")
-        if space.size * dim != flat.size:
+        if space.size * dim != table.size:
             raise ValidationError(
-                f"member count {flat.size} does not factor as {space.size} x {dim}"
+                f"member count {table.size} does not factor as {space.size} x {dim}"
             )
-        return cls(space=space, members=flat.reshape(space.size, dim))
+        return cls(space=space, members=numerics.freeze(table))
 
     def profile_rows(self):
         """Yield ``(point, weight, squared_norm)`` rows for tabular export."""
         norms = np.sum(np.abs(self.members) ** 2, axis=1)
-        for node, sq in zip(self.space.nodes, norms):
-            yield node.point, node.weight, float(sq)
+        yield from zip(self.space.points, self.space.weight_values(), norms.tolist())
 
 
-def _decode_pairs(pairs) -> np.ndarray:
-    """Complex array from JSON ``[re, im]`` pairs; only a failed decode seeks the entry at fault."""
+def _decode_pairs(pairs, shape) -> np.ndarray:
+    """Complex table of JSON ``[re, im]`` pairs; only a failed decode seeks the entry at fault.
+
+    The table has ``shape``, or is 1-d when ``shape`` is None, and owns its data.
+    """
     if type(pairs) is not list:
         raise ValidationError(f"members must be a list of [re, im] pairs, got {pairs!r}")
-    flat = _pair_floats(pairs)
-    if flat is None:
-        k = next(k for k, pair in enumerate(pairs) if _pair_floats([pair]) is None)
+    table = np.empty(shape or len(pairs), dtype=np.complex128)
+    if not _pair_floats(pairs, table.reshape(-1).view(np.float64)):
+        k = next(k for k, pair in enumerate(pairs) if not _pair_floats([pair], np.empty(2)))
         raise ValidationError(
             f"members[{k}] must be an [re, im] pair of numbers in the float range, got {pairs[k]!r}"
         )
-    return flat.view(np.complex128)
+    return table
 
 
-def _pair_floats(pairs) -> np.ndarray | None:
-    """Exact floats of ``[re, im]`` number pairs, by C-level length and type passes; else None."""
+def _pair_floats(pairs, out: np.ndarray) -> bool:
+    """Write the exact floats of ``[re, im]`` number pairs to ``out``; whether they all were.
+
+    Length and type passes run at C level, a block of ``numerics.BLOCK_ENTRIES``
+    values at a time, so no list of every value is formed.
+    """
     try:
-        if set(map(len, pairs)) <= {2}:
-            flat = list(itertools.chain.from_iterable(pairs))
-            if set(map(type, flat)) <= {int, float}:
-                return np.fromiter(flat, dtype=np.float64, count=len(flat))
+        if not set(map(len, pairs)) <= {2}:
+            return False
+        values = itertools.chain.from_iterable(pairs)
+        for start in range(0, len(out), numerics.BLOCK_ENTRIES):
+            block = list(itertools.islice(values, numerics.BLOCK_ENTRIES))
+            if not set(map(type, block)) <= {int, float}:
+                return False
+            out[start : start + len(block)] = np.fromiter(block, dtype=np.float64, count=len(block))
     except (OverflowError, TypeError):  # an entry without a length; an int past the float range
-        pass
-    return None
+        return False
+    return True
 
 
 class Classification(Enum):
@@ -367,14 +381,14 @@ def split(
     """
     numerics.check_tolerance(row_tolerance, "row_tolerance")
     w = family.space.weights
-    atoms = np.flatnonzero(family.space.is_atom).tolist()
-    discrete = [np.sqrt(w[j]) * family.members[j] for j in atoms]
-    keep = ~family.space.is_atom
+    atoms = family.space.is_atom
+    discrete = list(numerics.root_weighted(family.members[atoms], w[atoms]))
+    keep = ~atoms
     for group in _equal_row_groups(family, row_tolerance):
         mean = numerics.weighted_gram(np.ones((len(group), 1)), w[group], family.members[group])[0]
         discrete.append(mean / np.sqrt(float(np.sum(w[group]))))
         keep[group] = False
-    continuous = DiscretizedSpace(nodes=itertools.compress(family.space.nodes, keep))
+    continuous = family.space.restrict(keep)
     return discrete, VectorFamily(space=continuous, members=numerics.freeze(family.members[keep]))
 
 

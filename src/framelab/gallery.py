@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -17,7 +17,6 @@ from .measure import (
     Density,
     DiscretizedSpace,
     MeasureSpace,
-    Provenance,
     Segment,
     counting_space,
     discretize,
@@ -90,8 +89,8 @@ def build_torus(dim: int, grid: int) -> VectorFamily:
     orthonormal, so the frame operator is diagonal with entries
     ``1, 1/4, 1/9, ...``: the upper bound is 1 and the lower bound ``1/dim**2``
     drains to zero under truncation growth.  Only the exponentials of the
-    frequencies ``k >= 0`` are computed; each ``-k`` column is the conjugate of
-    its ``k`` column.
+    frequencies ``k >= 1`` are computed, in their own columns; each ``-k``
+    column is the conjugate of its ``k`` column.
     """
     _check_counts(dim=dim, grid=grid)
     if dim < 1:
@@ -103,22 +102,27 @@ def build_torus(dim: int, grid: int) -> VectorFamily:
         )
     space = unit_segment_space(grid)
     coefficients = 1.0 / (np.arange(dim) + 1.0)
-    half = np.exp(2j * np.pi * np.outer(space.points, np.arange(dim // 2 + 1)))
-    # take, not half[:, idx]: fancy column indexing returns a non-owning
-    # array in transposed layout, which the family would copy
-    members = np.take(half, np.abs(freqs), axis=1)
-    del half
-    np.conj(members, out=members, where=freqs < 0)
+    # frequencies run 0, 1, -1, 2, -2, ...: column 0 holds exp(0) = 1, the
+    # odd columns k = 1, 2, ... are formed in place and the even ones are
+    # their conjugates
+    members = np.empty((grid, dim), dtype=np.complex128)
+    positive = members[:, 1::2]
+    np.multiply(2j * np.pi, np.outer(space.coordinates, np.arange(1, dim // 2 + 1)), out=positive)
+    np.exp(positive, out=positive)
+    members[:, 0] = 1.0
+    np.conj(positive[:, : (dim - 1) // 2], out=members[:, 2::2])
     members *= coefficients
     return _family(space, members)
 
 
+@functools.cache
 def _exp_tail_cut(power: int) -> float:
     """Radius beyond which the squared-exponential radial mass is below ``AFFINE_TAIL_FRACTION``.
 
     For integer ``power`` the normalized upper tail of ``r**(power-1) e^{-2r}``
     has the closed form ``e^{-2R} sum_{m<power} (2R)^m / m!``; the cut is found
-    by bisection.  A power whose tail overflows a float on the way is refused.
+    by bisection, once per power.  A power whose tail overflows a float on the
+    way is refused.
     """
     def tail(radius: float) -> float:
         x = 2.0 * radius
@@ -161,7 +165,7 @@ def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorF
         raise InvalidSpecError("frequency grid must be at least as fine as the radial grid")
     upper_limit = _exp_tail_cut(power)
     radial_space = affine_radial_space(cells, power, upper_limit)
-    radii = np.array(radial_space.points)
+    radii = radial_space.coordinates
     spacing = upper_limit / cells
     extent = 1.0 / spacing
     frequency_space = discretize(
@@ -170,7 +174,7 @@ def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorF
     members = (
         np.sqrt(radial_space.weights)[None, :]
         * np.exp(-radii)[None, :]
-        * np.exp(-2j * np.pi * np.outer(frequency_space.points, radii))
+        * np.exp(-2j * np.pi * np.outer(frequency_space.coordinates, radii))
     )
     return _family(frequency_space, members)
 
@@ -184,9 +188,9 @@ def affine_radial_space(cells: int, power: int, upper_limit: float) -> Discretiz
     into a multiplier; each node still carries the exact mass of its cell.
     """
     edges = np.append(np.arange(cells) * (upper_limit / cells), upper_limit)
-    midpoints = ((edges[:-1] + edges[1:]) / 2.0).tolist()
-    masses = Density("power", 1.0, float(power)).mass(edges[:-1], edges[1:]).tolist()
-    return DiscretizedSpace(nodes=zip(midpoints, masses, itertools.repeat(Provenance.CELL)))
+    midpoints = (edges[:-1] + edges[1:]) / 2.0
+    masses = Density("power", 1.0, float(power)).mass(edges[:-1], edges[1:])
+    return DiscretizedSpace.from_columns(masses, np.zeros(cells, dtype=bool), midpoints)
 
 
 def affine_symbol(cells: int, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +200,7 @@ def affine_symbol(cells: int, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
     ``power == 1`` exactly) diagonal with this symbol on the diagonal.
     """
     radial_space = affine_radial_space(cells, power, _exp_tail_cut(power))
-    radii = np.array(radial_space.points)
+    radii = np.array(radial_space.coordinates)
     symbol = radii ** (power - 1) * np.exp(-radii) ** 2
     return radii, symbol
 

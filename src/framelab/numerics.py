@@ -159,7 +159,7 @@ def _gram_part(table, weights=None) -> np.ndarray:
     if weights is None:
         scaled = np.ascontiguousarray(table, dtype=np.complex128)
     else:
-        scaled = np.multiply(table, np.sqrt(weights)[:, None], dtype=np.complex128, order="C")
+        scaled = root_weighted(table, weights)
     real = scaled.view(np.float64)
     del scaled
     product = real.T @ real
@@ -225,6 +225,11 @@ def newton_update(table: np.ndarray, correction: np.ndarray) -> None:
     for start in range(0, table.shape[0], step):
         rows = table[start : start + step]
         rows -= rows @ correction
+
+
+def root_weighted(table, weights) -> np.ndarray:
+    """``sqrt(w) * table``: each node's row scaled by the root of its weight, in a fresh table."""
+    return np.multiply(table, np.sqrt(weights)[:, None], dtype=np.complex128, order="C")
 
 
 def weighted_analysis(members: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,35 @@ class TestVectorFamily:
     def test_malformed_member_table_refused(self, members, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             VectorFamily(space=unit_weight_space(3), members=members)
+
+    def test_decoded_table_is_exact_and_adopted(self):
+        pairs = [[1, -0.0], [-0.0, 2.5], [10**30, -3], [0.1, 1e-300], [-7, 0], [2**53 + 1, 0.5]]
+        data = {"space": unit_weight_space(3).to_json(), "dim": 2, "members": pairs}
+        family = VectorFamily.from_json(data)
+        expected = np.array([float(x) for pair in pairs for x in pair]).view(complex).reshape(3, 2)
+        assert family.members.tobytes() == expected.tobytes()
+        # decoded in the family's shape, so the family keeps the decoded array
+        assert family.members.flags.owndata and family.members.base is None
+
+    def test_from_json_holds_one_member_table(self, rng):
+        # the table is decoded a block of numerics.BLOCK_ENTRIES values at a
+        # time into the array the family adopts: one table plus about a
+        # block; the parent's decoder held a float copy beside it (2.2 tables)
+        rows, dim = 2048, 64
+        members = complex_rng_matrix(rng, rows, dim)
+        data = json.loads(json.dumps({
+            "space": unit_weight_space(rows).to_json(),
+            "dim": dim,
+            "members": numerics.complex_pairs(members).tolist(),
+        }))
+        tracemalloc.start()
+        try:
+            family = VectorFamily.from_json(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(family.members, members)
+        assert peak < 1.7 * members.nbytes
 
     def test_profile_rows(self):
         family = mercedes_family()
@@ -489,6 +519,19 @@ class TestSpectralProperties:
 
 
 class TestSplit:
+    def test_atom_vectors_are_the_scaled_rows_bit_for_bit(self, rng):
+        # the vectorized atoms give sqrt(w_j) * members[j] as the loop over
+        # atoms gave it, signed zeros included
+        weights = rng.uniform(0.25, 2.5, size=6)
+        kinds = [Provenance.ATOM, Provenance.CELL] * 3
+        space = DiscretizedSpace(nodes=zip(map(float, range(6)), weights, kinds))
+        members = complex_rng_matrix(rng, 6, 3)
+        members[0, :2] = [complex(-0.0, -1.0), complex(0.0, -0.0)]
+        members[4, 1:] = [complex(-0.0, 0.0), complex(-2.0, -0.0)]
+        discrete, _ = split(VectorFamily(space=space, members=members))
+        expected = [np.sqrt(space.weights[j]) * members[j] for j in (0, 2, 4)]
+        assert [v.tobytes() for v in discrete[:3]] == [e.tobytes() for e in expected]
+
     def test_all_atoms(self, rng):
         family = random_family(rng, 4, 3)  # atom provenance, unit weights
         discrete, continuous = split(family)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from framelab import numerics
+from framelab import gallery, numerics
 from framelab.errors import InvalidSpecError, ValidationError
 from framelab.frames import (
     Classification,
@@ -128,6 +128,22 @@ class TestAffine:
             build_affine(4, power=103)
         with pytest.raises(InvalidSpecError, match="affine power 103 is too large"):
             affine_symbol(4, power=103)
+
+
+    def test_tail_cut_is_bisected_once_per_power(self):
+        # a trend over many sizes, or a symbol beside its family, reuses the
+        # cut of its power; a refused power is not kept
+        gallery._exp_tail_cut.cache_clear()
+        family = truncation_sequence(GallerySpec(kind=GalleryKind.AFFINE, power=2), [4, 8, 16])
+        for size in (4, 8, 16):
+            family(size)
+        affine_symbol(16, power=2)
+        with pytest.raises(InvalidSpecError):
+            build_affine(4, power=103)
+        info = gallery._exp_tail_cut.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 2, 1)
+        # the kept cut is the one a fresh bisection gives
+        assert gallery._exp_tail_cut(2) == gallery._exp_tail_cut.__wrapped__(2)
 
 
 class TestDelta:

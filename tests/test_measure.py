@@ -1,11 +1,18 @@
+import argparse
+import csv
+import io
 import json
+import math
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import measure
+from framelab import cli, frames, gallery, measure, rkhs
 from framelab.errors import OutOfRangeError, ValidationError
 from framelab.measure import (
     Atom,
@@ -283,3 +290,191 @@ def test_counting_space_weights():
     grid = measure.counting_space(4)
     np.testing.assert_allclose(grid.weights, 1.0)
     assert all(node.provenance is Provenance.ATOM for node in grid.nodes)
+
+
+# node values as a JSON family file may give them: every point and weight
+# type, atoms and cells mixed
+_POINTS = st.one_of(
+    st.text(max_size=4),
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_WEIGHTS = st.one_of(st.floats(1e-300, 1e300), st.integers(1, 10**30))
+_TRIPLES = st.lists(st.tuples(_POINTS, _WEIGHTS, st.sampled_from(list(Provenance))), max_size=8)
+
+
+def _members(count: int) -> np.ndarray:
+    return np.arange(1.0, 2 * count + 1).reshape(count, 2) + 0.5j
+
+
+def _inspect_bytes(space: DiscretizedSpace, fmt: str) -> bytes:
+    members = _members(space.size)
+    family = frames.VectorFamily(space=space, members=members)
+    with mock.patch.object(cli, "_load_family", return_value=family):
+        return cli._cmd_inspect(argparse.Namespace(format=fmt))
+
+
+def _profile_csv(triples) -> bytes:
+    """The inspect CSV of ``triples`` under ``_inspect_bytes``' members, by ``csv.writer``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("point", "weight", "squared_norm"))
+    norms = np.sum(np.abs(_members(len(triples))) ** 2, axis=1)
+    for (point, weight, _), norm in zip(triples, norms):
+        writer.writerow((point, weight, float(norm)))
+    return buffer.getvalue().encode("utf-8")
+
+
+def _columns_of(triples) -> tuple:
+    """``from_columns`` arguments of ``triples``: float cell points as coordinates."""
+    cell = [kind is Provenance.CELL and type(p) is float for p, _, kind in triples]
+    coordinates = [p if c else math.nan for (p, _, _), c in zip(triples, cell)]
+    labels = [p for (p, _, _), c in zip(triples, cell) if not c]
+    weights = [float(w) for _, w, _ in triples]
+    is_atom = [kind is Provenance.ATOM for _, _, kind in triples]
+    return weights, is_atom, coordinates, labels
+
+
+class TestColumns:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_TRIPLES)
+    def test_rows_and_columns_agree(self, triples):
+        rows = DiscretizedSpace(nodes=triples)
+        text = json.dumps(rows.to_json())
+        decoded = DiscretizedSpace.from_json(json.loads(text))
+        built = DiscretizedSpace.from_columns(*_columns_of(triples))
+        assert rows == decoded == built and built == rows
+        # points and weights are written as given, so an int stays an int
+        given = [{"point": p, "weight": w, "provenance": k.value} for p, w, k in triples]
+        assert text == json.dumps({"nodes": given}) == json.dumps(decoded.to_json())
+        assert rows.nodes == decoded.nodes == tuple(Node(*triple) for triple in triples)
+        for fmt in ("csv", "json"):
+            assert _inspect_bytes(rows, fmt) == _inspect_bytes(decoded, fmt)
+        assert _inspect_bytes(decoded, "csv") == _profile_csv(triples)
+        if all(type(w) is float for _, w, _ in triples):
+            assert json.dumps(built.to_json()) == text
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        _TRIPLES.filter(bool),
+        st.data(),
+        st.sampled_from([0, -1, 0.0, -2.5, math.nan, math.inf, -math.inf, 10**400]),
+    )
+    def test_weight_faults_name_the_value_as_given(self, triples, data, bad):
+        j = data.draw(st.integers(0, len(triples) - 1))
+        point, _, kind = triples[j]
+        triples[j] = (point, bad, kind)
+        message = f"^{re.escape(f'nodes[{j}].weight must be finite and positive, got {bad!r}')}$"
+        with pytest.raises(ValidationError, match=message):
+            DiscretizedSpace(nodes=triples)
+        rows = [{"point": p, "weight": w, "provenance": k.value} for p, w, k in triples]
+        with pytest.raises(ValidationError, match=message):
+            DiscretizedSpace.from_json(json.loads(json.dumps({"nodes": rows})))
+
+    def test_columns_are_read_only_copies(self):
+        weights, is_atom, coordinates = np.ones(3), np.zeros(3, bool), np.array([0.1, 0.2, 0.3])
+        space = DiscretizedSpace.from_columns(weights, is_atom, coordinates)
+        weights[0] = coordinates[0] = 7.0
+        assert space.weights.tolist() == [1.0] * 3 and space.points == (0.1, 0.2, 0.3)
+        for column in (space.weights, space.is_atom, space.coordinates):
+            assert column.dtype != object and not column.flags.writeable
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([1.0, 2.0], [False], [0.5, 0.6]), "node columns must be 1-d of one length"),
+            (([1.0], [True], [math.nan], ()), "0 labels for 1 nodes without a coordinate"),
+            (([1.0], [True], [0.5], ()), "an atom's point is a label"),
+            (([1.0], [False], [0.5], ("a",)), "1 labels for 0 nodes without a coordinate"),
+            (([1.0, -1.0], [False] * 2, [0.5, 0.6]),
+             r"nodes\[1\]\.weight must be finite and positive, got -1\.0"),
+            (([1.0, 1.0], [False] * 2, [0.5, math.inf]), r"nodes\[1\]\.point must be finite, got inf"),
+            (([1.0], [True], [math.nan], (math.nan,)), r"nodes\[0\]\.point must be finite, got nan"),
+        ],
+    )
+    def test_column_faults(self, columns, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            DiscretizedSpace.from_columns(*columns)
+
+    def test_restrict_keeps_labels_and_given_weights(self):
+        triples = [("a", 2, Provenance.ATOM), (0.5, 1.5, Provenance.CELL), (3, 1, Provenance.CELL)]
+        space = DiscretizedSpace(nodes=triples)
+        kept = space.restrict([False, True, True])
+        assert kept == DiscretizedSpace(nodes=triples[1:])
+        assert kept.to_json() == DiscretizedSpace(nodes=triples[1:]).to_json()
+        assert space.restrict([True, False, False]).nodes == (Node(*triples[0]),)
+        assert space.restrict([False] * 3).size == 0
+
+    def test_equality_and_hash(self):
+        space = measure.counting_space(3)
+        assert space == measure.counting_space(3) and hash(space) == hash(measure.counting_space(3))
+        assert space != measure.counting_space(4)
+        assert space != DiscretizedSpace(nodes=[(f"p{j}", 1.0, Provenance.CELL) for j in range(3)])
+        assert space != DiscretizedSpace(nodes=[(f"p{j}", 2.0, Provenance.ATOM) for j in range(3)])
+        assert space.__eq__(space.nodes) is NotImplemented
+
+    def test_unit_segment_space_peak_per_node(self):
+        # the columns keep 17 bytes a node; the cell edges come and go
+        n = 2**20
+        tracemalloc.start()
+        try:
+            space = measure.unit_segment_space(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert space.size == n
+        assert peak <= 64 * n
+
+
+@pytest.fixture
+def node_rows(monkeypatch):
+    """The :class:`Node` rows constructed while the fixture is active."""
+    made = []
+    original = Node.__new__
+
+    def counted(cls, *args, **kwargs):
+        row = original(cls, *args, **kwargs)
+        made.append(row)
+        return row
+
+    monkeypatch.setattr(Node, "__new__", counted)
+    return made
+
+
+def test_columns_paths_construct_no_node(node_rows, tmp_path):
+    spaces = [
+        discretize(MeasureSpace(atoms=(Atom("p", 2.0),), segments=(UNIT,)), 5),
+        measure.counting_space(4),
+        measure.unit_segment_space(6),
+        gallery.affine_radial_space(5, 2, 3.0),
+    ]
+    families = [
+        gallery.build(gallery.GallerySpec(kind=kind, **spec))
+        for kind, spec in (
+            (gallery.GalleryKind.TORUS, {"dim": 3, "grid": 8}),
+            (gallery.GalleryKind.AFFINE, {"dim": 4, "power": 2}),
+            (gallery.GalleryKind.DELTA, {"dim": 3}),
+            (gallery.GalleryKind.DOUBLED_ONB, {"dim": 2}),
+            (gallery.GalleryKind.AUGMENTED_ONB, {"dim": 2}),
+            (gallery.GalleryKind.MERCEDES, {}),
+            (gallery.GalleryKind.RANDOM, {"rows": 4, "dim": 2, "seed": 3}),
+        )
+    ]
+    space = discretize(MeasureSpace(atoms=(Atom("a", 1.0),), segments=(UNIT,)), 4)
+    members = np.array([[1, 0], [0, 1], [0, 1], [1, 1], [2, 0]], dtype=complex)
+    mixed = frames.VectorFamily(space=space, members=members)
+    data = json.loads(json.dumps({**mixed.to_json(), "members": mixed.to_json()["members"].tolist()}))
+    decoded = frames.VectorFamily.from_json(data)
+    discrete, continuous = frames.split(decoded)
+    assert len(discrete) == 2 and continuous.size == 2
+    for family in families + [decoded, continuous]:
+        family.space.to_json()
+        list(family.profile_rows())
+    DiscretizedSpace.from_json(spaces[0].to_json())
+    cli._kernel_csv_bytes(frames.kernel_matrix(families[0]))
+    rkhs.blowup_experiment([2, 8])
+    assert node_rows == []
+    # the counter sees the rows where they are still made
+    assert len(spaces[0].nodes) == 6 and len(node_rows) == 6
+    DiscretizedSpace(nodes=[(0.5, 1.0, Provenance.CELL)])
+    assert len(node_rows) == 7

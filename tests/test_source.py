@@ -157,3 +157,51 @@ def test_hermitian_products_are_recognized():
         assert any(_hermitian_by_hand(node) for node in ast.walk(ast.parse(source))), source
     for source in ("a @ b.conj().T", "g.T @ g", "x.conj() @ x.conj()", "np.linalg.svd(a)"):
         assert not any(_hermitian_by_hand(node) for node in ast.walk(ast.parse(source))), source
+
+
+def _makes_node_rows(node: ast.AST) -> bool:
+    """Whether ``node`` names or imports ``Node``, or calls ``DiscretizedSpace`` itself.
+
+    The constructor's only argument is a sequence of node rows; columns go
+    through ``DiscretizedSpace.from_columns``, ``from_json`` or ``restrict``.
+    """
+    if isinstance(node, ast.Name) and node.id == "Node":
+        return True
+    if isinstance(node, ast.Attribute) and node.attr == "Node":
+        return True
+    if isinstance(node, ast.alias) and node.name == "Node":
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    return ast.unparse(node.func).rsplit(".", 1)[-1] == "DiscretizedSpace"
+
+
+def test_node_rows_are_made_only_in_measure():
+    # spaces are columns: builders, decoders and split hand over arrays, so no
+    # module but measure constructs a Node or passes nodes to DiscretizedSpace
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "measure.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _makes_node_rows(node)
+        ]
+    assert found == []
+
+
+def test_node_rows_are_recognized():
+    # the pattern catches the forms the modules used to write
+    for source in (
+        "DiscretizedSpace(nodes=zip(p, w, k))", "measure.DiscretizedSpace(nodes=rows)",
+        "DiscretizedSpace(rows)", "Node(0.5, 1.0, kind)", "measure.Node(p, w, k)",
+        "tuple(map(Node, p, w, k))", "from .measure import Node",
+    ):
+        assert any(_makes_node_rows(node) for node in ast.walk(ast.parse(source))), source
+    for source in (
+        "DiscretizedSpace.from_columns(w, a, c)", "DiscretizedSpace.from_json(data)",
+        "space.restrict(keep)", "space.nodes", "Nodes(x)",
+    ):
+        assert not any(_makes_node_rows(node) for node in ast.walk(ast.parse(source))), source
