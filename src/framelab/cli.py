@@ -63,8 +63,8 @@ def _parse_sizes(raw: str) -> list[int]:
         raise ValidationError(f"bad size list {raw!r}") from exc
     if not sizes:
         raise ValidationError("size list is empty")
-    if max(sizes) > gallery.MAX_SIZE:
-        raise ValidationError(f"size {max(sizes)} exceeds the largest size {gallery.MAX_SIZE}")
+    if max(sizes) > numerics.MAX_SIZE:
+        raise ValidationError(f"size {max(sizes)} exceeds the largest size {numerics.MAX_SIZE}")
     return sizes
 
 
@@ -88,8 +88,8 @@ def _gallery_spec(args: argparse.Namespace) -> gallery.GallerySpec:
     except ValueError as exc:
         raise ValidationError(f"unknown gallery kind {args.gallery!r}") from exc
     for name in ("dim", "grid", "rows"):
-        if (size := getattr(args, name) or 0) > gallery.MAX_SIZE:
-            raise ValidationError(f"--{name} {size} exceeds the largest size {gallery.MAX_SIZE}")
+        if (size := getattr(args, name) or 0) > numerics.MAX_SIZE:
+            raise ValidationError(f"--{name} {size} exceeds the largest size {numerics.MAX_SIZE}")
     return gallery.GallerySpec(kind=kind, **{name: getattr(args, name) for name in _SPEC_FLAGS})
 
 
@@ -299,7 +299,7 @@ def _kernel_csv_bytes(table: rkhs.KernelTable) -> bytearray:
     lines: list[str] = []
     writer = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(("x", "y", "re", "im"))
-    writer.writerows(zip(table.space.points, itertools.repeat("")))
+    writer.writerows(zip(table.space.points.tolist(), itertools.repeat("")))
     header, cells = lines[0], [line[:-1] for line in lines[1:]]
     text = bytearray(header[:-1].encode("utf-8"))
     kept = _NOTHING_KEPT

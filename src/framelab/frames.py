@@ -86,11 +86,13 @@ class VectorFamily:
         pairs, dim = data.get("members"), data.get("dim")
         # decoded in the family's shape where dim and the pair count agree with
         # the space, so the family adopts the table; else a fault follows
-        fits = type(dim) is int and dim >= 1 and type(pairs) is list
+        fits = type(dim) is int and 1 <= dim <= numerics.MAX_SIZE and type(pairs) is list
         fits = fits and len(pairs) == space.size * dim
         table = _decode_pairs(pairs, (space.size, dim) if fits else None)
         if type(dim) is not int or dim < 1:
             raise ValidationError(f"dim must be a positive integer, got {dim!r}")
+        if dim > numerics.MAX_SIZE:
+            raise ValidationError(f"dim {dim} exceeds the largest size {numerics.MAX_SIZE}")
         if space.size * dim != table.size:
             raise ValidationError(
                 f"member count {table.size} does not factor as {space.size} x {dim}"
@@ -100,7 +102,7 @@ class VectorFamily:
     def profile_rows(self):
         """Yield ``(point, weight, squared_norm)`` rows for tabular export."""
         norms = np.sum(np.abs(self.members) ** 2, axis=1)
-        yield from zip(self.space.points, self.space.weight_values(), norms.tolist())
+        yield from zip(self.space.points.tolist(), self.space.weight_values(), norms.tolist())
 
 
 def _decode_pairs(pairs, shape) -> np.ndarray:

@@ -24,7 +24,6 @@ from .measure import (
 )
 
 AFFINE_TAIL_FRACTION = 1e-8
-MAX_SIZE = 1 << 20  # largest count a builder takes; rows past it fill memory
 
 
 class GalleryKind(Enum):
@@ -57,10 +56,10 @@ class GallerySpec:
 
 
 def _check_counts(**counts: int | None) -> None:
-    """Refuse any count above ``MAX_SIZE``; ``None`` stands for a default."""
+    """Refuse any count above ``numerics.MAX_SIZE``; ``None`` stands for a default."""
     for name, count in counts.items():
-        if count is not None and count > MAX_SIZE:
-            raise InvalidSpecError(f"{name} {count} exceeds the largest size {MAX_SIZE}")
+        if count is not None and count > numerics.MAX_SIZE:
+            raise InvalidSpecError(f"{name} {count} exceeds the largest size {numerics.MAX_SIZE}")
 
 
 def _family(space: DiscretizedSpace, members: np.ndarray) -> VectorFamily:
@@ -107,7 +106,7 @@ def build_torus(dim: int, grid: int) -> VectorFamily:
     # their conjugates
     members = np.empty((grid, dim), dtype=np.complex128)
     positive = members[:, 1::2]
-    np.multiply(2j * np.pi, np.outer(space.coordinates, np.arange(1, dim // 2 + 1)), out=positive)
+    np.multiply(2j * np.pi, np.outer(space.points, np.arange(1, dim // 2 + 1)), out=positive)
     np.exp(positive, out=positive)
     members[:, 0] = 1.0
     np.conj(positive[:, : (dim - 1) // 2], out=members[:, 2::2])
@@ -165,7 +164,7 @@ def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorF
         raise InvalidSpecError("frequency grid must be at least as fine as the radial grid")
     upper_limit = _exp_tail_cut(power)
     radial_space = affine_radial_space(cells, power, upper_limit)
-    radii = radial_space.coordinates
+    radii = radial_space.points
     spacing = upper_limit / cells
     extent = 1.0 / spacing
     frequency_space = discretize(
@@ -174,7 +173,7 @@ def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorF
     members = (
         np.sqrt(radial_space.weights)[None, :]
         * np.exp(-radii)[None, :]
-        * np.exp(-2j * np.pi * np.outer(frequency_space.coordinates, radii))
+        * np.exp(-2j * np.pi * np.outer(frequency_space.points, radii))
     )
     return _family(frequency_space, members)
 
@@ -200,7 +199,7 @@ def affine_symbol(cells: int, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
     ``power == 1`` exactly) diagonal with this symbol on the diagonal.
     """
     radial_space = affine_radial_space(cells, power, _exp_tail_cut(power))
-    radii = np.array(radial_space.coordinates)
+    radii = np.array(radial_space.points)
     symbol = radii ** (power - 1) * np.exp(-radii) ** 2
     return radii, symbol
 

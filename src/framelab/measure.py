@@ -8,8 +8,8 @@ subdivision exact.  After :func:`discretize`, every integral against the
 measure becomes a weighted sum over nodes, and each node remembers whether it
 came from a true atom or from a quadrature cell.
 
-A :class:`DiscretizedSpace` holds its nodes as columns (weights, atom flags,
-float coordinates and one tuple of labels) and the node rules, checks them a
+A :class:`DiscretizedSpace` holds its nodes as three columns (weights, atom
+flags and points, each point as given) and the node rules, checks them a
 column at a time and names a faulty node as ``nodes[j].field``.  The builders
 and the JSON decoder compute columns and create no per-node object; the
 :class:`Node` rows of a space are a view derived on first use.
@@ -171,39 +171,14 @@ def _check_nodes(ok, name: str, rule: str, column) -> None:
         raise ValidationError(f"nodes[{j}].{name} must be {rule}, got {got!r}")
 
 
-def _point_values(coordinates: np.ndarray, labels: tuple) -> list:
-    """Each node's point as a Python value: its coordinate, or its label where that is NaN."""
-    labelled = np.isnan(coordinates)
-    if labelled.all():
-        return list(labels)
-    values = coordinates.tolist()
-    for j, label in zip(np.flatnonzero(labelled).tolist(), labels):
-        values[j] = label
-    return values
-
-
-def _given_columns(points, weights, is_atom: np.ndarray) -> tuple:
-    """``(weights, is_atom, coordinates, labels, given weights)`` of node values as given.
-
-    A cell point that is a finite Python float becomes a coordinate and every
-    other point a label, so each point is written back as it was given.  The
-    given weights are kept only when one of them is not a float, such as an
-    int read from JSON.
-    """
-    try:
-        column = np.array(weights, dtype=float)
-    except OverflowError:  # an int past the float range reads as NaN, which the rule refuses
-        column = np.array([w if abs(w) <= sys.float_info.max else math.nan for w in weights])
-    floats = map(operator.is_, map(type, points), itertools.repeat(float))
-    cell = np.fromiter(floats, bool, len(points)) & ~is_atom
-    coordinates = np.full(len(points), math.nan)
-    coordinates[cell] = np.fromiter(itertools.compress(points, cell.tolist()), float)
-    # a NaN or infinite float stays a label, which the point rule refuses
-    cell &= np.isfinite(coordinates)
-    coordinates[~cell] = math.nan
-    labels = tuple(itertools.compress(points, (~cell).tolist()))
-    given = None if set(map(type, weights)) <= {float} else tuple(weights)
-    return column, is_atom, coordinates, labels, given
+def _point_column(points) -> np.ndarray:
+    """The points as one array: float64 when each is a float, else dtype object, each as given."""
+    if isinstance(points, np.ndarray) and points.dtype == np.float64:
+        return np.array(points)
+    points = points.tolist() if isinstance(points, np.ndarray) else list(points)
+    if set(map(type, points)) <= {float}:
+        return np.array(points, dtype=np.float64)
+    return np.fromiter(points, dtype=object, count=len(points))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -214,96 +189,87 @@ class DiscretizedSpace:
     discrete stand-in for the weighted L2 inner product; it is linear in the
     first slot, matching the convention used throughout the package.
 
-    A space holds its nodes as columns: the read-only ``weights`` (float64)
-    and ``is_atom`` arrays, the read-only float64 ``coordinates``, which hold
-    the point of each cell whose point is a float and NaN at every other node,
-    and the ``labels`` tuple, the points of those other nodes (every atom's
-    label, and a cell point given as an int or a string) in node order.
+    A space holds its nodes as three read-only columns: ``weights``
+    (float64), ``is_atom`` and ``points``, which is float64 when every point
+    is a Python float, atom or cell, and otherwise a dtype ``object`` array
+    of each point as given (an atom label, an int, a string).
     ``DiscretizedSpace(nodes)`` takes ``(point, weight, provenance)`` triples
     and :meth:`from_columns` takes columns; both check the node rules a column
-    at a time.  ``points`` and the :class:`Node` rows ``nodes`` are views
-    derived on first use.  Equality compares the columns.
+    at a time.  The :class:`Node` rows ``nodes`` are a view derived on first
+    use.  Equality compares the values of the columns, so a point ``3``
+    equals a point ``3.0``.
     """
 
     weights: np.ndarray
     is_atom: np.ndarray
-    coordinates: np.ndarray
-    labels: tuple
+    points: np.ndarray
 
     def __init__(self, nodes) -> None:
         rows = tuple(itertools.starmap(Node, nodes))
         points, weights, kinds = tuple(zip(*rows)) or ((), (), ())
         is_atom = map(operator.is_, kinds, itertools.repeat(Provenance.ATOM))
-        self._assign(*_given_columns(points, weights, np.fromiter(is_atom, bool, len(kinds))))
+        self._assign(weights, np.fromiter(is_atom, bool, len(kinds)), points)
 
     @classmethod
-    def from_columns(cls, weights, is_atom, coordinates, labels=()) -> "DiscretizedSpace":
-        """Space of node columns, each copied into a read-only array.
-
-        ``coordinates`` holds the point of each cell whose point is a float
-        and NaN at every other node, atoms included; ``labels`` holds the
-        points of those other nodes in node order.
-        """
+    def from_columns(cls, weights, is_atom, points) -> "DiscretizedSpace":
+        """Space of node columns, each copied into a read-only array."""
         space = object.__new__(cls)
-        space._assign(weights, is_atom, coordinates, labels, None)
+        space._assign(weights, is_atom, points)
         return space
 
-    def _assign(self, weights, is_atom, coordinates, labels, given) -> None:
-        """Check the node rules on the columns and keep them, read-only."""
-        weights = np.array(weights, dtype=np.float64)
+    def _assign(self, weights, is_atom, points) -> None:
+        """Check the node rules on the columns and keep them, read-only.
+
+        Python weights of which one is not a float, such as an int read from
+        JSON, are kept as given too, so each is written back as it was given.
+        """
+        floats = isinstance(weights, np.ndarray) or set(map(type, weights)) <= {float}
+        given = None if floats else tuple(weights)
+        try:
+            column = np.array(weights, dtype=np.float64)
+        except OverflowError:  # an int past the float range reads as NaN, which the rule refuses
+            column = np.array([w if abs(w) <= sys.float_info.max else math.nan for w in weights])
         is_atom = np.array(is_atom, dtype=bool)
-        coordinates = np.array(coordinates, dtype=np.float64)
-        labels = tuple(labels)
-        if weights.ndim != 1 or not weights.shape == is_atom.shape == coordinates.shape:
+        points = _point_column(points)
+        if column.ndim != 1 or not column.shape == is_atom.shape == points.shape:
             raise ValidationError(
                 "node columns must be 1-d of one length, got shapes "
-                f"{weights.shape}, {is_atom.shape} and {coordinates.shape}"
+                f"{column.shape}, {is_atom.shape} and {points.shape}"
             )
-        named = weights if given is None else given
-        _check_nodes((weights > 0) & (weights < math.inf), "weight", "finite and positive", named)
-        labelled = np.isnan(coordinates)
-        if np.any(is_atom & ~labelled):
-            raise ValidationError("an atom's point is a label: coordinates must be NaN at atoms")
-        if np.count_nonzero(labelled) != len(labels):
-            raise ValidationError(
-                f"{len(labels)} labels for {np.count_nonzero(labelled)} nodes without a coordinate"
-            )
-        finite = ~np.isinf(coordinates)
-        if any(issubclass(kind, float) for kind in set(map(type, labels))):
-            finite[labelled] = [not isinstance(p, float) or math.isfinite(p) for p in labels]
-        if not finite.all():
-            _check_nodes(finite, "point", "finite", _point_values(coordinates, labels))
-        for column in (weights, is_atom, coordinates):
-            column.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
+        named = column if given is None else given
+        _check_nodes((column > 0) & (column < math.inf), "weight", "finite and positive", named)
+        if points.dtype != object:
+            finite = np.isfinite(points)
+        elif any(issubclass(kind, float) for kind in set(map(type, points))):
+            finite = [not isinstance(p, float) or math.isfinite(p) for p in points]
+        else:
+            finite = True
+        _check_nodes(finite, "point", "finite", points)
+        for array in (column, is_atom, points):
+            array.setflags(write=False)
+        object.__setattr__(self, "weights", column)
         object.__setattr__(self, "is_atom", is_atom)
-        object.__setattr__(self, "coordinates", coordinates)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "_given_weights", given)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscretizedSpace):
             return NotImplemented
         return self is other or (
-            self.labels == other.labels
-            and np.array_equal(self.is_atom, other.is_atom)
+            np.array_equal(self.is_atom, other.is_atom)
             and np.array_equal(self.weights, other.weights)
-            and np.array_equal(self.coordinates, other.coordinates, equal_nan=True)
+            and np.array_equal(self.points, other.points)
         )
 
     def __hash__(self) -> int:
-        return hash((self.size, self.labels))
-
-    @cached_property
-    def points(self) -> tuple:
-        """Each node's point as given, in node order."""
-        return tuple(_point_values(self.coordinates, self.labels))
+        # the points are left out: equal values of two dtypes, such as 3 and 3.0, compare equal
+        return hash((self.size, self.is_atom.tobytes()))
 
     @cached_property
     def nodes(self) -> tuple[Node, ...]:
         """The ``(point, weight, provenance)`` rows of the space."""
         kinds = map(_KINDS.__getitem__, self.is_atom.tolist())
-        return tuple(map(Node, self.points, self.weight_values(), kinds))
+        return tuple(map(Node, self.points.tolist(), self.weight_values(), kinds))
 
     def weight_values(self):
         """Each node's weight as a Python number, as given: an int read from JSON stays an int."""
@@ -312,13 +278,10 @@ class DiscretizedSpace:
     def restrict(self, keep) -> "DiscretizedSpace":
         """The space of the nodes where the bool column ``keep`` is true, in node order."""
         keep = np.asarray(keep, dtype=bool)
-        labels = itertools.compress(self.labels, keep[np.isnan(self.coordinates)].tolist())
-        given = self._given_weights
-        if given is not None:
-            given = tuple(itertools.compress(given, keep.tolist()))
-        space = object.__new__(DiscretizedSpace)
-        space._assign(self.weights[keep], self.is_atom[keep], self.coordinates[keep], labels, given)
-        return space
+        weights = self.weights[keep]
+        if self._given_weights is not None:
+            weights = tuple(itertools.compress(self._given_weights, keep.tolist()))
+        return DiscretizedSpace.from_columns(weights, self.is_atom[keep], self.points[keep])
 
     @property
     def size(self) -> int:
@@ -346,7 +309,7 @@ class DiscretizedSpace:
         return float(np.sqrt(np.sum(self.weights * np.abs(fa) ** 2)))
 
     def to_json(self) -> dict:
-        points = _point_values(self.coordinates, self.labels)
+        points = self.points.tolist()
         kinds = (_KINDS[atom].value for atom in self.is_atom.tolist())
         rows = [
             {"point": p, "weight": w, "provenance": k}
@@ -381,9 +344,7 @@ class DiscretizedSpace:
         flags = {kind.value: kind is Provenance.ATOM for kind in Provenance}
         is_atom = list(map(flags.get, map(str, labels)))
         _check_nodes([a is not None for a in is_atom], "provenance", "'atom' or 'cell'", labels)
-        space = object.__new__(cls)
-        space._assign(*_given_columns(points, weights, np.array(is_atom, dtype=bool)))
-        return space
+        return cls.from_columns(weights, is_atom, points)
 
 
 def classify(space: MeasureSpace) -> SpaceKind:
@@ -441,14 +402,15 @@ def discretize(space: MeasureSpace, cells_per_segment: int) -> DiscretizedSpace:
     count = atoms + len(space.segments) * cells_per_segment
     weights = np.empty(count)
     weights[:atoms] = [atom.weight for atom in space.atoms]
-    coordinates = np.full(count, math.nan)
+    points = np.empty(count)
     for i, segment in enumerate(space.segments):
         cells = slice(atoms + i * cells_per_segment, atoms + (i + 1) * cells_per_segment)
-        weights[cells] = _cell_midpoints(segment, coordinates[cells])
+        weights[cells] = _cell_midpoints(segment, points[cells])
     is_atom = np.zeros(count, dtype=bool)
     is_atom[:atoms] = True
-    labels = [atom.label for atom in space.atoms]
-    return DiscretizedSpace.from_columns(weights, is_atom, coordinates, labels)
+    if atoms:  # the atom labels and the cells' float points share one column
+        points = [atom.label for atom in space.atoms] + points[atoms:].tolist()
+    return DiscretizedSpace.from_columns(weights, is_atom, points)
 
 
 def _cell_midpoints(segment: Segment, out: np.ndarray) -> float:
@@ -468,9 +430,7 @@ def counting_space(count: int) -> DiscretizedSpace:
     if count < 1:
         raise ValidationError("count must be at least 1")
     labels = map("p{}".format, range(count))
-    return DiscretizedSpace.from_columns(
-        np.ones(count), np.ones(count, dtype=bool), np.full(count, math.nan), labels
-    )
+    return DiscretizedSpace.from_columns(np.ones(count), np.ones(count, dtype=bool), labels)
 
 
 def unit_segment_space(cells: int) -> DiscretizedSpace:

@@ -15,7 +15,7 @@ SVD of a weighted table ``sqrt(w) * X`` is :func:`weighted_svd`.  A sum over
 the nodes never holds more than one member table plus a block of about
 ``BLOCK_ENTRIES`` entries: :func:`gram` and :func:`weighted_gram` walk the
 node axis in row blocks, and :func:`newton_update` corrects a table in place
-a row block at a time.  A table that fits in one block takes the single
+a row block at a time.  A table of one block or no columns takes the single
 product with no block bookkeeping.  Tables are frozen and shared: a family or
 kernel keeps the array :func:`adopt` returns, which is its argument itself
 when that is a read-only, C-contiguous ``complex128`` array owning its data.
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +55,7 @@ HERMITIAN_RTOL = 1e-12
 FRAME_RTOL = 1e-8
 # entries per row block of a sum over the nodes, and per dense kernel block
 BLOCK_ENTRIES = 1 << 16
+MAX_SIZE = 1 << 20  # largest count a builder or a family's dim takes; tables past it fill memory
 
 RANK_TOL_ENV = "FRAMELAB_RANK_TOL"
 
@@ -135,8 +137,8 @@ def freeze(table: np.ndarray) -> np.ndarray:
 
 
 def _block_rows(cols: int) -> int:
-    """Rows per node block of a ``cols``-wide table: about ``BLOCK_ENTRIES`` entries."""
-    return max(1, BLOCK_ENTRIES // max(cols, 1))
+    """Rows per node block: about ``BLOCK_ENTRIES`` entries, or all of a table with no columns."""
+    return max(1, BLOCK_ENTRIES // cols) if cols else sys.maxsize
 
 
 def _node_sum(term, tables: tuple, step: int):
@@ -202,16 +204,13 @@ def weighted_gram(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> n
     """Mixed product ``left^H W right``, summed over row blocks of the nodes.
 
     The only temporary over the nodes is one block of ``W right``; a
-    ``right`` of at most ``BLOCK_ENTRIES`` entries is one block, taken with no
-    block bookkeeping, since small products such as the group means of
-    :func:`~framelab.frames.split` come by the hundred.  A table's product
-    with itself is :func:`gram`.
+    ``right`` of at most ``BLOCK_ENTRIES`` entries is one block, which
+    :func:`_node_sum` takes with no slicing, since small products such as the
+    group means of :func:`~framelab.frames.split` come by the hundred.  A
+    table's product with itself is :func:`gram`.
     """
-    if right.size <= BLOCK_ENTRIES:
-        product = _conj_weighted_product(left, weights, right)
-    else:
-        step = _block_rows(right.shape[1])
-        product = _node_sum(_conj_weighted_product, (left, weights, right), step)
+    step = _block_rows(right.shape[1])
+    product = _node_sum(_conj_weighted_product, (left, weights, right), step)
     return np.conj(product, out=product)
 
 

@@ -239,10 +239,15 @@ def kernel_from_onb(basis, space: DiscretizedSpace) -> KernelTable:
     from the identity by more than ``ORTHO_TOL``.
     """
     b = function_matrix(basis, space)
-    gap = float(np.max(np.abs(numerics.gram(b, space.weights) - np.eye(b.shape[1]))))
+    _require_orthonormal(numerics.gram(b, space.weights) - np.eye(b.shape[1]))
+    return KernelTable(space=space, left=b, right=b)
+
+
+def _require_orthonormal(defect: np.ndarray) -> None:
+    """Refuse a system whose Gram minus the identity, ``defect``, exceeds ``ORTHO_TOL``."""
+    gap = float(np.max(np.abs(defect)))
     if gap > ORTHO_TOL:
         raise NotOrthonormalError(f"orthonormality defect {gap:.3e} exceeds {ORTHO_TOL:.0e}")
-    return KernelTable(space=space, left=b, right=b)
 
 
 def kernel_of_span(functions, space: DiscretizedSpace) -> KernelTable:
@@ -391,8 +396,6 @@ def blowup_experiment(refinements: Sequence[int]) -> list[tuple[int, float]]:
         space = unit_segment_space(n)
         values = np.full(n, math.sqrt(n))
         diagonal = values * values
-        gap = float(np.max(np.abs(space.weights * diagonal - 1.0)))
-        if gap > ORTHO_TOL:
-            raise NotOrthonormalError(f"orthonormality defect {gap:.3e} exceeds {ORTHO_TOL:.0e}")
+        _require_orthonormal(space.weights * diagonal - 1.0)
         out.append((n, float(np.max(diagonal))))
     return out

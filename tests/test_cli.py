@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import cli, gallery
+from framelab import cli, gallery, numerics
 from framelab.cli import EXIT_IO, EXIT_OK, EXIT_REFUSED, EXIT_VALIDATION, main
 from framelab.frames import VectorFamily
 
@@ -542,6 +542,14 @@ def _one_node(**fields) -> dict:
             _third_node(weight=10**400),
             f"nodes[2].weight must be finite and positive, got {10**400}",
         ),
+        (
+            {"space": {"nodes": []}, "dim": 10**30, "members": []},
+            f"dim {10**30} exceeds the largest size {numerics.MAX_SIZE}",
+        ),
+        (
+            {"space": {"nodes": []}, "dim": 2**40, "members": []},
+            f"dim {2**40} exceeds the largest size {numerics.MAX_SIZE}",
+        ),
     ],
     ids=[
         "top-level-list", "node-without-weight", "node-not-an-object", "short-member-entry",
@@ -551,7 +559,8 @@ def _one_node(**fields) -> dict:
         "null-weight", "zero-weight", "negative-weight", "nan-weight", "unknown-provenance",
         "null-provenance", "missing-dim", "missing-members", "member-count-does-not-factor",
         "missing-space", "space-without-nodes", "members-not-a-list", "second-member-entry",
-        "overflowing-node-weight",
+        "overflowing-node-weight", "nodeless-dim-past-numpy",
+        "nodeless-dim-past-max-size",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -821,7 +830,7 @@ def test_pair_check_refuses_mixed_dimensions(tmp_path, capsys):
         (("inspect", "--gallery", "torus", "--dim", "2", "--grid", str(2**63)), f"--grid {2**63}"),
         (("experiment", "blowup", "--sizes", str(2**63)), f"size {2**63}"),
         (("experiment", "trend", "--gallery", "random", "--dim", "2", "--seed", "1",
-          "--sizes", f"1,{gallery.MAX_SIZE + 1}"), f"size {gallery.MAX_SIZE + 1}"),
+          "--sizes", f"1,{numerics.MAX_SIZE + 1}"), f"size {numerics.MAX_SIZE + 1}"),
     ],
     ids=[
         "random-rows-past-int64-raised-a-traceback",
@@ -834,7 +843,7 @@ def test_size_past_the_largest_refused(tmp_path, capsys, argv, name):
     out = tmp_path / "report.json"
     assert run(*argv, "--out", str(out)) == EXIT_VALIDATION
     assert capsys.readouterr().err == (
-        f"framelab: invalid input: {name} exceeds the largest size {gallery.MAX_SIZE}\n"
+        f"framelab: invalid input: {name} exceeds the largest size {numerics.MAX_SIZE}\n"
     )
     assert not out.exists()
 
@@ -875,7 +884,7 @@ _FUZZ_VALUES = st.one_of(
 # past MAX_SIZE by one, not by far: were the refusal lost, a size such as 2**63
 # would make a space build node rows until memory ran out
 _GALLERY_VALUES = st.one_of(
-    st.integers(-2, 12), st.sampled_from([102, 103, gallery.MAX_SIZE + 1, "x", "1.5", ""])
+    st.integers(-2, 12), st.sampled_from([102, 103, numerics.MAX_SIZE + 1, "x", "1.5", ""])
 )
 _FAMILY_COMMANDS = (
     ("inspect",), ("inspect", "--format", "csv"), ("bounds",), ("dual",), ("kernel",),

@@ -14,7 +14,6 @@ from framelab.frames import (
     semiframe_trend,
 )
 from framelab.gallery import (
-    MAX_SIZE,
     GalleryKind,
     GallerySpec,
     affine_symbol,
@@ -29,6 +28,7 @@ from framelab.gallery import (
     frequency_enumeration,
     truncation_sequence,
 )
+from framelab.numerics import MAX_SIZE
 
 from conftest import random_unit_vector
 

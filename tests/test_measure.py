@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelab import cli, frames, gallery, measure, rkhs
@@ -274,7 +274,7 @@ class TestJsonRoundTrip:
         assert json.dumps(again.to_json()) == text
         assert space.nodes == tuple(Node(*triple) for triple in triples)
         assert all(type(node) is Node for node in space.nodes)
-        assert space.points == tuple(point for point, _, _ in triples)
+        assert space.points.tolist() == [point for point, _, _ in triples]
         np.testing.assert_array_equal(space.weights, [float(w) for _, w, _ in triples])
         assert space.weights.dtype == np.float64 and not space.weights.flags.writeable
         assert space.is_atom.tolist() == [kind is Provenance.ATOM for _, _, kind in triples]
@@ -326,24 +326,28 @@ def _profile_csv(triples) -> bytes:
 
 
 def _columns_of(triples) -> tuple:
-    """``from_columns`` arguments of ``triples``: float cell points as coordinates."""
-    cell = [kind is Provenance.CELL and type(p) is float for p, _, kind in triples]
-    coordinates = [p if c else math.nan for (p, _, _), c in zip(triples, cell)]
-    labels = [p for (p, _, _), c in zip(triples, cell) if not c]
+    """``from_columns`` arguments of ``triples``: the points as given, of atoms and cells alike."""
     weights = [float(w) for _, w, _ in triples]
     is_atom = [kind is Provenance.ATOM for _, _, kind in triples]
-    return weights, is_atom, coordinates, labels
+    return weights, is_atom, [p for p, _, _ in triples]
 
 
 class TestColumns:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(_TRIPLES)
+    # atoms at float points beside cells, and a cell point 3 beside 3.0
+    @example([(0.1, 1.0, Provenance.ATOM), (0.4, 2, Provenance.ATOM), (0.5, 0.5, Provenance.CELL)])
+    @example([("a", 1.0, Provenance.ATOM), (3, 1.0, Provenance.CELL), (3.0, 1.0, Provenance.CELL)])
     def test_rows_and_columns_agree(self, triples):
         rows = DiscretizedSpace(nodes=triples)
         text = json.dumps(rows.to_json())
         decoded = DiscretizedSpace.from_json(json.loads(text))
         built = DiscretizedSpace.from_columns(*_columns_of(triples))
         assert rows == decoded == built and built == rows
+        # one column of points: float64 when each is a float, whether atom or cell
+        floats = all(type(p) is float for p, _, _ in triples)
+        for space in (rows, decoded, built):
+            assert space.points.dtype == (np.float64 if floats else object)
         # points and weights are written as given, so an int stays an int
         given = [{"point": p, "weight": w, "provenance": k.value} for p, w, k in triples]
         assert text == json.dumps({"nodes": given}) == json.dumps(decoded.to_json())
@@ -372,24 +376,26 @@ class TestColumns:
             DiscretizedSpace.from_json(json.loads(json.dumps({"nodes": rows})))
 
     def test_columns_are_read_only_copies(self):
-        weights, is_atom, coordinates = np.ones(3), np.zeros(3, bool), np.array([0.1, 0.2, 0.3])
-        space = DiscretizedSpace.from_columns(weights, is_atom, coordinates)
-        weights[0] = coordinates[0] = 7.0
-        assert space.weights.tolist() == [1.0] * 3 and space.points == (0.1, 0.2, 0.3)
-        for column in (space.weights, space.is_atom, space.coordinates):
+        weights, is_atom, points = np.ones(3), np.zeros(3, bool), np.array([0.1, 0.2, 0.3])
+        space = DiscretizedSpace.from_columns(weights, is_atom, points)
+        weights[0] = points[0] = 7.0
+        assert space.weights.tolist() == [1.0] * 3 and space.points.tolist() == [0.1, 0.2, 0.3]
+        for column in (space.weights, space.is_atom, space.points):
             assert column.dtype != object and not column.flags.writeable
 
     @pytest.mark.parametrize(
         "columns, message",
         [
             (([1.0, 2.0], [False], [0.5, 0.6]), "node columns must be 1-d of one length"),
-            (([1.0], [True], [math.nan], ()), "0 labels for 1 nodes without a coordinate"),
-            (([1.0], [True], [0.5], ()), "an atom's point is a label"),
-            (([1.0], [False], [0.5], ("a",)), "1 labels for 0 nodes without a coordinate"),
+            # an object column of points: its length, and its float points only are checked
+            (([1.0], [True], ["a", "b"]), "node columns must be 1-d of one length"),
+            (([1.0] * 2, [True] * 2, ["a", -math.inf]),
+             r"nodes\[1\]\.point must be finite, got -inf"),
+            (([1.0] * 2, [False] * 2, [3, math.nan]), r"nodes\[1\]\.point must be finite, got nan"),
             (([1.0, -1.0], [False] * 2, [0.5, 0.6]),
              r"nodes\[1\]\.weight must be finite and positive, got -1\.0"),
             (([1.0, 1.0], [False] * 2, [0.5, math.inf]), r"nodes\[1\]\.point must be finite, got inf"),
-            (([1.0], [True], [math.nan], (math.nan,)), r"nodes\[0\]\.point must be finite, got nan"),
+            (([1.0], [True], [math.nan]), r"nodes\[0\]\.point must be finite, got nan"),
         ],
     )
     def test_column_faults(self, columns, message):
@@ -412,6 +418,11 @@ class TestColumns:
         assert space != DiscretizedSpace(nodes=[(f"p{j}", 1.0, Provenance.CELL) for j in range(3)])
         assert space != DiscretizedSpace(nodes=[(f"p{j}", 2.0, Provenance.ATOM) for j in range(3)])
         assert space.__eq__(space.nodes) is NotImplemented
+        # points compare by value, as rows do: 3 == 3.0 in an object or a float64 column
+        for rest in ([], [("a", 1.0, Provenance.ATOM)]):
+            ints = DiscretizedSpace(nodes=[(3, 1.0, Provenance.CELL)] + rest)
+            floats = DiscretizedSpace(nodes=[(3.0, 1.0, Provenance.CELL)] + rest)
+            assert ints == floats and hash(ints) == hash(floats)
 
     def test_unit_segment_space_peak_per_node(self):
         # the columns keep 17 bytes a node; the cell edges come and go

@@ -168,6 +168,18 @@ class TestNodeBlocks:
         empty = np.zeros((0, 2), dtype=complex)
         assert np.array_equal(numerics.weighted_gram(empty, np.ones(0), empty), np.zeros((2, 2)))
 
+    def test_a_table_with_no_columns_is_one_block(self, rng, monkeypatch):
+        # past BLOCK_ENTRIES rows, blocks of no entries would only cost calls
+        rows = []
+        for name in ("_gram_part", "_conj_weighted_product"):
+            term = getattr(numerics, name)
+            counted = lambda *t, term=term: rows.append(len(t[0])) or term(*t)
+            monkeypatch.setattr(numerics, name, counted)
+        empty, w = np.zeros((300, 0), dtype=complex), np.ones(300)
+        assert numerics.gram(empty, w).shape == (0, 0)
+        assert numerics.weighted_gram(complex_rng_matrix(rng, 300, 3), w, empty).shape == (3, 0)
+        assert rows == [300, 300]
+
     @pytest.mark.parametrize("rows", [1, 63, 64, 65, 200])
     def test_newton_update_in_place(self, rng, rows):
         table = complex_rng_matrix(rng, rows, 4)
