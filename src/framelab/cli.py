@@ -105,14 +105,12 @@ def _load_family(args: argparse.Namespace) -> VectorFamily:
 def _family_from_file(path: Path) -> VectorFamily:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            return VectorFamily.from_text(handle.read())
         # ValueError: malformed text, bytes that are not UTF-8, an int past the digit limit
         except (RecursionError, ValueError) as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        return VectorFamily.from_json(data)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _json_bytes(payload) -> bytearray:

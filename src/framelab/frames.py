@@ -9,7 +9,9 @@ conjugate-linear in the second, so ``analysis(family, f)[j] = <f, row_j>``.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -83,12 +85,34 @@ class VectorFamily:
         if type(data) is not dict:
             raise ValidationError(f"a family must be an object, got {type(data).__name__}")
         space = DiscretizedSpace.from_json(data.get("space"))
-        pairs, dim = data.get("members"), data.get("dim")
-        # decoded in the family's shape where dim and the pair count agree with
-        # the space, so the family adopts the table; else a fault follows
-        fits = type(dim) is int and 1 <= dim <= numerics.MAX_SIZE and type(pairs) is list
-        fits = fits and len(pairs) == space.size * dim
-        table = _decode_pairs(pairs, (space.size, dim) if fits else None)
+        dim = data.get("dim")
+        return cls._from_table(space, dim, _decode_pairs(data.get("members"), dim))
+
+    @classmethod
+    def from_text(cls, text: str) -> "VectorFamily":
+        """``from_json(json.loads(text))``, with no Python float per member value.
+
+        The top-level object is walked with the stdlib's own scanner
+        (:func:`_family_fields`), and its ``members`` array goes into the
+        table the family adopts a piece at a time (:func:`_text_table`).  Any
+        other text (not an object, no or two ``members`` arrays, a member
+        that is not a pair of numbers in the float range, malformed JSON)
+        takes ``from_json(json.loads(text))`` itself, so every fault keeps
+        its exception and message.
+        """
+        try:
+            fields, start, stop = _family_fields(text)
+            table = _text_table(text, start, stop, fields.get("dim"))
+        except (RecursionError, ValueError):
+            table = None
+        if table is None:
+            return cls.from_json(json.loads(text))
+        space = DiscretizedSpace.from_json(fields.get("space"))
+        return cls._from_table(space, fields.get("dim"), table)
+
+    @classmethod
+    def _from_table(cls, space: DiscretizedSpace, dim, table: np.ndarray) -> "VectorFamily":
+        """The family of a decoded space, its ``dim`` field and its :func:`_member_table`."""
         if type(dim) is not int or dim < 1:
             raise ValidationError(f"dim must be a positive integer, got {dim!r}")
         if dim > numerics.MAX_SIZE:
@@ -105,19 +129,98 @@ class VectorFamily:
         yield from zip(self.space.points.tolist(), self.space.weight_values(), norms.tolist())
 
 
-def _decode_pairs(pairs, shape) -> np.ndarray:
-    """Complex table of JSON ``[re, im]`` pairs; only a failed decode seeks the entry at fault.
+def _member_table(count: int, dim) -> np.ndarray:
+    """An owning complex table for ``count`` member values, in rows of ``dim`` where they fit.
 
-    The table has ``shape``, or is 1-d when ``shape`` is None, and owns its data.
+    ``dim`` columns when ``dim`` is a size that divides ``count``, else flat;
+    so a family adopts the table of a file whose counts agree with its space,
+    and :meth:`VectorFamily._from_table` refuses any other.
     """
+    fits = type(dim) is int and 1 <= dim <= numerics.MAX_SIZE and count % dim == 0
+    return np.empty((count // dim, dim) if fits else count, dtype=np.complex128)
+
+
+def _decode_pairs(pairs, dim) -> np.ndarray:
+    """:func:`_member_table` of ``[re, im]`` pairs; only a failed decode seeks the entry at fault."""
     if type(pairs) is not list:
         raise ValidationError(f"members must be a list of [re, im] pairs, got {pairs!r}")
-    table = np.empty(shape or len(pairs), dtype=np.complex128)
+    table = _member_table(len(pairs), dim)
     if not _pair_floats(pairs, table.reshape(-1).view(np.float64)):
         k = next(k for k, pair in enumerate(pairs) if not _pair_floats([pair], np.empty(2)))
         raise ValidationError(
             f"members[{k}] must be an [re, im] pair of numbers in the float range, got {pairs[k]!r}"
         )
+    return table
+
+
+def _family_fields(text: str) -> tuple[dict, int, int]:
+    """The top-level fields of a JSON object text, and where its ``members`` array starts and stops.
+
+    Keys and values go through the stdlib's scanner as in ``json.loads``,
+    repeated keys included, except the ``members`` array: it is delimited,
+    not decoded, and stops at its first ``]``-whitespace-``]``, which is its
+    end when it holds number pairs and nothing else.  Raises ``ValueError``
+    (or ``RecursionError``, as ``json.loads`` does) for any text that is not
+    one object with exactly one ``members`` array.
+    """
+    skip = json.decoder.WHITESPACE.match
+    value_at = json.JSONDecoder().raw_decode
+    fields, span = {}, None
+    at = skip(text, 0).end()
+    if not text.startswith("{", at):
+        raise ValueError("not an object")
+    at = skip(text, at + 1).end()
+    closed = text.startswith("}", at)
+    while not closed:
+        if not text.startswith('"', at):
+            raise ValueError("no key")
+        key, at = json.decoder.scanstring(text, at + 1, True)
+        at = skip(text, at).end()
+        if not text.startswith(":", at):
+            raise ValueError("no colon")
+        at = skip(text, at + 1).end()
+        if key != "members":
+            fields[key], at = value_at(text, at)
+        elif span is None and text.startswith("[", at):
+            end = re.compile(r"\][ \t\n\r]*\]").search(text, at)
+            if end is None:
+                raise ValueError("members not closed")
+            span, at = (at, end.end()), end.end()
+        else:
+            raise ValueError("members twice or not an array")
+        at = skip(text, at).end()
+        closed = text.startswith("}", at)
+        if not (closed or text.startswith(",", at)):
+            raise ValueError("no delimiter")
+        at = skip(text, at + 1).end()
+    if span is None or at != len(text):
+        raise ValueError("no members, or text past the object")
+    return fields, *span
+
+
+def _text_table(text: str, start: int, stop: int, dim) -> np.ndarray | None:
+    """:func:`_member_table` of the ``[re, im]`` pairs of the array ``text[start:stop]``.
+
+    ``json.loads`` decodes the array in pieces of about
+    ``numerics.BLOCK_ENTRIES`` characters, each cut just after a ``],``, and
+    :func:`_pair_floats` writes each piece's values to the table, so no
+    Python object of the whole array is formed.  None when a piece holds
+    anything but pairs of numbers in the float range.  Pieces of such pairs
+    hold no string, so every ``[`` but the array's own opens a pair, and the
+    table sized from them is filled.
+    """
+    count = text.count("[", start, stop) - 1
+    table = _member_table(count, dim)
+    out = table.reshape(-1).view(np.float64)
+    cut = re.compile(r"\][ \t\n\r]*,")
+    done, at, last = 0, start + 1, stop - 1
+    while at < last:
+        end = cut.search(text, at + numerics.BLOCK_ENTRIES, last)
+        pairs = json.loads("[" + text[at : end.start() + 1 if end else last] + "]")
+        if not _pair_floats(pairs, out[2 * done :][: 2 * len(pairs)]):
+            return None
+        done += len(pairs)
+        at = end.end() if end else last
     return table
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,16 @@ def onb_family(dim):
 def random_unit_vector(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def traced_peak(call):
+    """``call()`` and the ``tracemalloc`` peak, in bytes, of what it allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class SvdCalled(Exception):

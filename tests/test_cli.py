@@ -13,17 +13,18 @@ import threading
 import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelab import cli, gallery, numerics
 from framelab.cli import EXIT_IO, EXIT_OK, EXIT_REFUSED, EXIT_VALIDATION, main
 from framelab.frames import VectorFamily
 
-from conftest import complex_rng_matrix, unit_weight_space
+from conftest import complex_rng_matrix, traced_peak, unit_weight_space
 
 
 def run(*argv):
@@ -1020,6 +1021,159 @@ def test_fuzzed_family_file(command, text, partner):
         else:
             argv = [*command, "--in", str(directory / "family.json")]
         _run_fuzzed(directory, argv)
+
+
+# number literals json.dumps never writes, set in place of member values
+_MEMBER_LITERALS = [
+    "-0", "0", "7", "-0.0", "NaN", "-Infinity", "1e400", "-2e999", "9" * 400, "2e-400",
+]
+# layouts of other writers: no indent, indents 0 to 2, a space before each comma
+_LAYOUTS = [{}, {"indent": 0}, {"indent": 1}, {"indent": 2}, {"separators": (" , ", " : ")}]
+
+
+@st.composite
+def family_text_layouts(draw) -> str:
+    """A :func:`mutated_family_text` as other writers might lay it out, then maybe cut short.
+
+    Besides the layout: any key order, so ``members`` comes before or after
+    ``space``; member values written as other number literals; a node point
+    that reads ``"members": [[``; a second top-level ``members`` key; text
+    past the object; and one character dropped.
+    """
+    text = draw(mutated_family_text())
+    try:
+        data = json.loads(text)
+    except ValueError:
+        return text
+    literals = {}
+    if type(data) is dict:
+        members = data.get("members")
+        listed = members if type(members) is list else []
+        pairs = [pair for pair in listed if type(pair) is list and pair]
+        for k in range(draw(st.integers(0, 2)) if pairs else 0):
+            pair = draw(st.sampled_from(pairs))
+            sentinel = f"@literal{k}@"
+            pair[draw(st.integers(0, len(pair) - 1))] = sentinel
+            literals[json.dumps(sentinel)] = draw(st.sampled_from(_MEMBER_LITERALS))
+        space = data.get("space")
+        nodes = space.get("nodes") if type(space) is dict else None
+        if type(nodes) is list and nodes and type(nodes[0]) is dict and draw(st.booleans()):
+            nodes[0]["point"] = '"members": [[1, 2], '
+        data = dict(draw(st.permutations(list(data.items()))))
+    text = json.dumps(data, **draw(st.sampled_from(_LAYOUTS)))
+    for sentinel, literal in literals.items():
+        text = text.replace(sentinel, literal)
+    if text.startswith("{") and draw(st.integers(0, 3)) == 0:
+        repeated = draw(st.sampled_from(["[[1, 2]]", "[]", "5", "[[1, -]]"]))
+        text = "{" + f'"members": {repeated}, ' + text[1:]
+    text += draw(st.sampled_from(["", "", "", "\n", " }", " 1", "[]"]))
+    if text and draw(st.integers(0, 7)) == 0:
+        dropped = draw(st.integers(0, len(text) - 1))
+        text = text[:dropped] + text[dropped + 1 :]
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _decoded(decode, text):
+    """The member bits, space and dim of ``decode(text)``, or the type and message of its fault."""
+    try:
+        family = decode(text)
+    except Exception as exc:  # every fault must match, whatever its type
+        return type(exc), str(exc)
+    return family.members.tobytes(), family.members.shape, repr(family.space.to_json())
+
+
+def _assert_decodes_as_its_json(text: str, block: int) -> None:
+    # pieces of a few characters, so every member table spans many of them
+    with mock.patch.object(numerics, "BLOCK_ENTRIES", block):
+        want = _decoded(lambda t: VectorFamily.from_json(json.loads(t)), text)
+        assert _decoded(VectorFamily.from_text, text) == want
+
+
+def _golden_input(name: str) -> str:
+    path = Path(__file__).parent / "golden" / "inputs" / f"{name}.json"
+    return path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=family_text_layouts(), block=st.integers(1, 24))
+@example(text=_golden_input("affine"), block=7)
+@example(text=_golden_input("mixed"), block=7)
+@example(text=_golden_input("phi"), block=7)
+@example(text=_golden_input("phi_singular"), block=7)
+@example(text=_golden_input("psi"), block=7)
+def test_family_text_decodes_as_its_json(text, block):
+    _assert_decodes_as_its_json(text, block)
+
+
+_SMALL_FAMILY = (
+    '{"dim": 1, "members": [[1, 2], [3.5, -0]], "space": {"nodes": ['
+    '{"point": 0, "weight": 1, "provenance": "atom"}, '
+    '{"point": 1, "weight": 2, "provenance": "atom"}]}}'
+)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("", ""),
+        ('{"dim"', '{"members": [[1, -]], "dim"'),
+        ('{"dim"', '{"members": [[1, 2]], "dim"'),
+        ('"dim":', '"dim";'),
+        ('"dim": 1,', '"dim": 1;'),
+        ('"dim"', "dim"),
+        ("]}}", "]},}"),
+        ("]}}", "]}} 1"),
+        ("{", "\ufeff{"),
+        ("[[1, 2], [3.5, -0]]", "[[[1, 2]], [3.5, -0]]"),
+        ("[[1, 2], [3.5, -0]]", '[["]]", 2], [3.5, -0]]'),
+        ("[[1, 2], [3.5, -0]]", "[[1, 2], [3.5, -0]"),
+        ("[[1, 2], [3.5, -0]]", "[[1, 2] , [3.5, -0] ]"),
+        ('"point": 0', '"point": "\\"members\\": [[1, 2]]"'),
+        ('"members": [[1, 2], [3.5, -0]], ', ""),
+    ],
+    ids=[
+        "as-written", "members-twice-first-malformed", "members-twice", "no-colon", "no-comma",
+        "bare-key", "trailing-comma", "text-past-the-object", "byte-order-mark", "nested-deeper",
+        "string-holding-the-close", "members-not-closed", "space-before-comma",
+        "point-holding-a-members-key", "no-members",
+    ],
+)
+def test_hand_laid_family_text_decodes_as_its_json(old, new):
+    text = _SMALL_FAMILY.replace(old, new, 1)
+    assert text != _SMALL_FAMILY or not old
+    _assert_decodes_as_its_json(text, 3)
+
+
+@pytest.mark.parametrize("name", ["affine", "mixed", "phi", "phi_singular", "psi"])
+def test_family_text_is_decoded_in_pieces(name):
+    # a well-formed file never takes the whole-text route
+    text = _golden_input(name)
+    texts = []
+    loads = json.loads
+
+    def recorded(piece, *args, **kwargs):
+        texts.append(piece)
+        return loads(piece, *args, **kwargs)
+
+    with mock.patch.object(numerics, "BLOCK_ENTRIES", 64), mock.patch("json.loads", recorded):
+        family = VectorFamily.from_text(text)
+    assert family.members.flags.owndata and family.members.base is None
+    assert len(texts) > 1 and max(map(len, texts)) < 200
+
+
+def test_family_file_read_holds_about_twice_its_size(tmp_path, rng):
+    # the read holds the file's bytes and its text; the members never become
+    # Python floats, so the table and a piece come and go within that
+    rows, dim = 1024, 64
+    family = VectorFamily(space=unit_weight_space(rows), members=complex_rng_matrix(rng, rows, dim))
+    data = family.to_json()
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({**data, "members": data["members"].tolist()}), encoding="utf-8")
+    decoded, peak = traced_peak(lambda: cli._family_from_file(path))
+    assert decoded.members.tobytes() == family.members.tobytes()
+    assert peak < 2.5 * path.stat().st_size
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

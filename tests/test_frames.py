@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +39,7 @@ from conftest import (
     complex_rng_matrix,
     onb_family,
     random_family,
+    traced_peak,
     unit_weight_space,
 )
 
@@ -119,12 +119,7 @@ class TestVectorFamily:
             "dim": dim,
             "members": numerics.complex_pairs(members).tolist(),
         }))
-        tracemalloc.start()
-        try:
-            family = VectorFamily.from_json(data)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        family, peak = traced_peak(lambda: VectorFamily.from_json(data))
         np.testing.assert_array_equal(family.members, members)
         assert peak < 1.7 * members.nbytes
 

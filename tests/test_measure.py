@@ -4,7 +4,6 @@ import io
 import json
 import math
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,6 +27,8 @@ from framelab.measure import (
     discretize,
     sierpinski_subset,
 )
+
+from conftest import traced_peak
 
 UNIT = Segment(0.0, 1.0, Density("const", 1.0))
 
@@ -427,12 +428,7 @@ class TestColumns:
     def test_unit_segment_space_peak_per_node(self):
         # the columns keep 17 bytes a node; the cell edges come and go
         n = 2**20
-        tracemalloc.start()
-        try:
-            space = measure.unit_segment_space(n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        space, peak = traced_peak(lambda: measure.unit_segment_space(n))
         assert space.size == n
         assert peak <= 64 * n
 

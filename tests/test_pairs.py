@@ -1,7 +1,6 @@
 import json
 import os
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -45,6 +44,7 @@ from conftest import (
     no_svd,
     onb_family,
     random_family,
+    traced_peak,
     unit_weight_space,
 )
 
@@ -552,12 +552,7 @@ class TestOneMemberTable:
         ],
     )
     def test_peak_beyond_the_inputs(self, inputs, op, tables):
-        tracemalloc.start()
-        try:
-            op(*inputs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: op(*inputs))
         assert peak < tables * self.N * self.D * 16
 
 

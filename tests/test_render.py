@@ -8,7 +8,6 @@ import csv
 import io
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ from framelab.frames import VectorFamily
 from framelab.measure import DiscretizedSpace, Node, Provenance
 from framelab.rkhs import KernelTable
 
-from conftest import complex_rng_matrix, random_family
+from conftest import complex_rng_matrix, random_family, traced_peak
 
 REPORTS = Path(__file__).parent / "golden" / "reports"
 
@@ -231,12 +230,7 @@ def test_pair_table_render_peak_stays_near_the_output(rng):
     # one whose blocks all repeat the same few, so the texts kept between blocks count
     for make in (random_family, repeat_heavy_family):
         payload = make(rng, 2048, 128).to_json()
-        tracemalloc.start()
-        try:
-            text = cli._json_bytes(payload)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        text, peak = traced_peak(lambda: cli._json_bytes(payload))
         assert peak < 1.5 * len(text)
 
 

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,7 +33,8 @@ from framelab.rkhs import (
 )
 
 from conftest import (
-    COPIED_TABLES, cell_space, complex_rng_matrix, no_svd, random_family, unit_weight_space,
+    COPIED_TABLES, cell_space, complex_rng_matrix, no_svd, random_family, traced_peak,
+    unit_weight_space,
 )
 
 
@@ -640,15 +640,12 @@ class TestFactoredKernelTable:
         family = build_torus(64, 16384)
         n, d = family.members.shape
         start = time.perf_counter()
-        tracemalloc.start()
-        try:
+
+        def use_kernel():
             table = kernel_matrix(family)
-            once = table.apply(np.ones(n))
-            diagonal = table.diagonal
-            section = table.section(n // 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return table, table.apply(np.ones(n)), table.diagonal, table.section(n // 2)
+
+        (table, once, diagonal, section), peak = traced_peak(use_kernel)
         elapsed = time.perf_counter() - start
         # the factor is the one n x d table the kernel holds
         assert peak < 1.5 * n * d * 16
@@ -663,14 +660,12 @@ class TestFactoredKernelTable:
         family = build_torus(64, 16384)
         n, d = family.members.shape
         start = time.perf_counter()
-        tracemalloc.start()
-        try:
+
+        def use_kernel():
             table = kernel_of_span(family.members, family.space)
-            once = table.apply(np.ones(n))
-            diagonal = table.diagonal
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return table, table.apply(np.ones(n)), table.diagonal
+
+        (table, once, diagonal), peak = traced_peak(use_kernel)
         elapsed = time.perf_counter() - start
         assert peak < 4 * n * d * 16
         assert elapsed < 10.0
@@ -687,12 +682,7 @@ class TestFactoredKernelTable:
         first = span @ (complex_rng_matrix(rng, r, r) + 0.5 * np.eye(r))
         second = span @ (complex_rng_matrix(rng, r, r) + 0.5 * np.eye(r))
         start = time.perf_counter()
-        tracemalloc.start()
-        try:
-            report = kernel_from_pair_report(first, second, space)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(lambda: kernel_from_pair_report(first, second, space))
         elapsed = time.perf_counter() - start
         assert peak < 8 * n * r * 16
         assert elapsed < 10.0

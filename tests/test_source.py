@@ -205,3 +205,36 @@ def test_node_rows_are_recognized():
         "space.restrict(keep)", "space.nodes", "Nodes(x)",
     ):
         assert not any(_makes_node_rows(node) for node in ast.walk(ast.parse(source))), source
+
+
+def _decodes_json(node: ast.AST) -> bool:
+    """Whether ``node`` reads ``json.load``, ``json.loads`` or a ``raw_decode``, or imports one."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "raw_decode" or ast.unparse(node) in ("json.load", "json.loads")
+    if isinstance(node, ast.ImportFrom) and node.module in ("json", "json.decoder"):
+        return any(alias.name in ("load", "loads", "JSONDecoder") for alias in node.names)
+    return False
+
+
+def test_json_is_decoded_only_in_frames():
+    # the family file is the one JSON input, so its decoder is the one home of
+    # json.load, json.loads and the scanner's raw_decode
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "frames.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _decodes_json(node)]
+    assert found == []
+
+
+def test_json_decoding_is_recognized():
+    # the pattern catches the forms a decoder would write
+    for source in (
+        "json.load(handle)", "json.loads(text)", "json.JSONDecoder().raw_decode(text, 0)",
+        "scan = decoder.raw_decode", "from json import loads", "from json import load as read",
+        "from json.decoder import JSONDecoder",
+    ):
+        assert any(_decodes_json(node) for node in ast.walk(ast.parse(source))), source
+    for source in ("json.dumps(value)", "json.dump(value, handle)", "from json import dumps"):
+        assert not any(_decodes_json(node) for node in ast.walk(ast.parse(source))), source
