@@ -21,6 +21,7 @@ The argument parser is built once per process.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import functools
 import io
@@ -32,6 +33,7 @@ import secrets
 import sys
 import types
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -103,14 +105,37 @@ def _load_family(args: argparse.Namespace) -> VectorFamily:
 
 
 def _family_from_file(path: Path) -> VectorFamily:
-    with open(path, "r", encoding="utf-8") as handle:
+    """The family a file holds, decoded from its bytes a block at a time.
+
+    A file that cannot be read twice (a pipe, ``/dev/stdin``) is read whole
+    first; any other is read again, as text, only for a fault.
+    """
+    with open(path, "rb") as handle:
         try:
-            return VectorFamily.from_text(handle.read())
+            if handle.seekable():
+                return VectorFamily.from_blocks(_text_blocks(handle), lambda: _text(handle))
+            return VectorFamily.from_text(_text(handle))
         # ValueError: malformed text, bytes that are not UTF-8, an int past the digit limit
         except (RecursionError, ValueError) as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _text_blocks(handle) -> Iterator[str]:
+    """The UTF-8 text of a binary file, ``numerics.BLOCK_ENTRIES`` bytes at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    while block := handle.read(numerics.BLOCK_ENTRIES):
+        yield decoder.decode(block)
+    yield decoder.decode(b"", final=True)
+
+
+def _text(handle) -> str:
+    """The text of a binary file from its first byte, as a text-mode read gives it."""
+    if handle.seekable():
+        handle.seek(0)
+    with io.TextIOWrapper(handle, encoding="utf-8") as text:
+        return text.read()
 
 
 def _json_bytes(payload) -> bytearray:

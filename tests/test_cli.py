@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from framelab import cli, gallery, numerics
 from framelab.cli import EXIT_IO, EXIT_OK, EXIT_REFUSED, EXIT_VALIDATION, main
+from framelab.errors import ValidationError
 from framelab.frames import VectorFamily
 
 from conftest import complex_rng_matrix, traced_peak, unit_weight_space
@@ -466,6 +468,47 @@ def test_write_into_fifo_in_place(tmp_path):
     assert received == [expected.read_bytes()]
     assert stat.S_ISFIFO(fifo.lstat().st_mode)
     assert sorted(tmp_path.iterdir()) == [expected, fifo]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_from_fifo(tmp_path, capsys):
+    # a pipe cannot be read twice, so its text is read whole before decoding
+    source = Path(__file__).parent / "golden" / "inputs" / "psi.json"
+    malformed = tmp_path / "malformed.json"
+    malformed.write_bytes(source.read_bytes().replace(b"]", b"", 1))
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    for path in (source, malformed):
+        expected = tmp_path / f"{path.stem}-expected.json"
+        code = run("bounds", "--in", str(path), "--out", str(expected))
+        message = capsys.readouterr().err
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        out = tmp_path / f"{path.stem}-report.json"
+        assert run("bounds", "--in", str(fifo), "--out", str(out)) == code
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert capsys.readouterr().err == message.replace(str(path), str(fifo))
+        if code == EXIT_OK:
+            assert out.read_bytes() == expected.read_bytes()
+        else:
+            assert message.count("\n") == 1 and not out.exists()
+    assert code == EXIT_VALIDATION
+
+
+def test_out_of_memory_reading_a_family_is_a_refusal(tmp_path, monkeypatch, capsys):
+    # stands in for a member table too large for memory
+    def exhausted(count, dim):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(cli.frames, "_member_table", exhausted)
+    source = Path(__file__).parent / "golden" / "inputs" / "psi.json"
+    out = tmp_path / "report.json"
+    assert run("bounds", "--in", str(source), "--out", str(out)) == EXIT_REFUSED
+    assert capsys.readouterr().err == (
+        "framelab: refused: out of memory: Unable to allocate 14.6 TiB for an array\n"
+    )
+    assert not out.exists()
 
 
 _NODE = {"point": 0.0, "weight": 1.0, "provenance": "atom"}
@@ -1107,6 +1150,71 @@ def test_family_text_decodes_as_its_json(text, block):
     _assert_decodes_as_its_json(text, block)
 
 
+# a point label of two-, three- and four-byte UTF-8 characters
+_WIDE_LABEL = "é€\U0001f600"
+_POINT_VALUE = re.compile(r'("point"\s*:\s*)(-?[0-9][-+.0-9Ee]*|"(?:[^"\\]|\\.)*")')
+
+
+@st.composite
+def family_file_bytes(draw) -> bytes:
+    r"""A :func:`family_text_layouts` text as a file on disk may hold it.
+
+    Maybe with a point spelled in multi-byte UTF-8, ``\r\n`` or lone ``\r``
+    line ends, a UTF-8 byte-order mark, an invalid byte in the last quarter,
+    or the bytes cut short, perhaps inside a character.
+    """
+    text = draw(family_text_layouts())
+    if draw(st.booleans()):
+        text = _POINT_VALUE.sub(lambda m: f'{m[1]}"{_WIDE_LABEL}"', text, count=1)
+    text = text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 7)) == 0:
+        data = b"\xef\xbb\xbf" + data
+    if data and draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(3 * len(data) // 4, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    if draw(st.integers(0, 7)) == 0:
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
+
+
+def _golden_bytes(name: str, newline: str = "\n") -> bytes:
+    return _golden_input(name).replace("\n", newline).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=family_file_bytes(), block=st.integers(1, 24))
+@example(data=_golden_bytes("psi", "\r\n"), block=5)
+@example(data=_golden_bytes("mixed", "\r"), block=5)
+@example(data=b"\xef\xbb\xbf" + _golden_bytes("phi"), block=5)
+@example(data=_golden_bytes("affine")[:-40] + b"\xff" + _golden_bytes("affine")[-40:], block=5)
+@example(data=_golden_bytes("phi_singular").replace(b'"point": 0.0', '"point": "€"'.encode()),
+         block=2)
+@example(data=_golden_bytes("psi") + "€".encode()[:2], block=3)
+def test_family_file_decodes_as_its_text(data, block):
+    # blocks of a few bytes, so keys, spaces, numbers and characters straddle their edges
+    with tempfile.TemporaryDirectory() as scratch, \
+            mock.patch.object(numerics, "BLOCK_ENTRIES", block):
+        path = Path(scratch) / "family.json"
+        path.write_bytes(data)
+        try:
+            want = VectorFamily.from_json(json.loads(path.read_text(encoding="utf-8")))
+        except ValidationError as exc:
+            fault = f"{path}: {exc}"
+        except (RecursionError, ValueError) as exc:
+            fault = f"{path}: not valid JSON ({exc})"
+        else:
+            family = cli._family_from_file(path)
+            assert family.members.tobytes() == want.members.tobytes()
+            assert family.members.shape == want.members.shape
+            assert repr(family.space.to_json()) == repr(want.space.to_json())
+            return
+        stderr = io.StringIO()
+        with redirect_stderr(stderr):
+            code = run("redundancy", "--in", str(path), "--out", str(Path(scratch) / "out.json"))
+        assert (code, stderr.getvalue()) == (EXIT_VALIDATION, f"framelab: invalid input: {fault}\n")
+
+
 _SMALL_FAMILY = (
     '{"dim": 1, "members": [[1, 2], [3.5, -0]], "space": {"nodes": ['
     '{"point": 0, "weight": 1, "provenance": "atom"}, '
@@ -1163,17 +1271,44 @@ def test_family_text_is_decoded_in_pieces(name):
     assert len(texts) > 1 and max(map(len, texts)) < 200
 
 
-def test_family_file_read_holds_about_twice_its_size(tmp_path, rng):
-    # the read holds the file's bytes and its text; the members never become
-    # Python floats, so the table and a piece come and go within that
-    rows, dim = 1024, 64
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("order", [("dim", "members", "space"), ("space", "dim", "members")],
+                         ids=["members-first", "members-last"])
+def test_family_file_is_decoded_in_blocks(tmp_path, order, newline):
+    # a well-formed file is never read as one text, whatever its line ends and
+    # wherever a block edge cuts its keys, its dim, its space, a wide label or
+    # a float in a field the family does not read
+    data = json.loads(cli._json_bytes(gallery.build_random(8, 12, seed=1).to_json()))
+    data["space"]["nodes"][0]["point"] = _WIDE_LABEL
+    data["tolerance"] = 1.25e-12
+    order = ("tolerance", *order)
+    text = json.dumps({key: data[key] for key in order}, indent=1, ensure_ascii=False)
+    path = tmp_path / "family.json"
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    want = VectorFamily.from_json(json.loads(path.read_text(encoding="utf-8")))
+    for block in range(1, 17):
+        with mock.patch.object(numerics, "BLOCK_ENTRIES", block), \
+                mock.patch.object(cli, "_text", side_effect=AssertionError("read whole")):
+            family = cli._family_from_file(path)
+        assert family.members.tobytes() == want.members.tobytes()
+        assert repr(family.space.to_json()) == repr(want.space.to_json())
+
+
+@pytest.mark.parametrize("rows", [1024, 4096])
+def test_family_file_load_peaks_below_its_size(tmp_path, rng, rows):
+    # the text is read a block or two at a time, the space's nodes are gone
+    # before the table comes, and the members never become Python floats:
+    # they come in float64 blocks that are copied once into the table, so
+    # the peak follows the table (16 bytes an entry), not the text
+    dim = 64
     family = VectorFamily(space=unit_weight_space(rows), members=complex_rng_matrix(rng, rows, dim))
     data = family.to_json()
     path = tmp_path / "family.json"
     path.write_text(json.dumps({**data, "members": data["members"].tolist()}), encoding="utf-8")
     decoded, peak = traced_peak(lambda: cli._family_from_file(path))
     assert decoded.members.tobytes() == family.members.tobytes()
-    assert peak < 2.5 * path.stat().st_size
+    assert peak < 1.0 * path.stat().st_size
+    assert peak < 2.25 * family.members.nbytes
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
