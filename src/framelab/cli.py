@@ -6,51 +6,27 @@ computation that runs out of memory), 3 I/O error.  Reports are fully
 serialized in memory, then written to a temporary file beside the target and
 renamed over it, so a failing command never leaves a partial output file behind.
 
-JSON reports are byte for byte ``json.dumps(report, indent=2, sort_keys=True)``
-plus a newline, but rendered here: CPython 3.11's ``json`` takes its C encoder
-only without ``indent``.  The ``[re, im]`` tables, the bulk of every report,
-are rendered a block of rows at a time: each distinct float of a block is
-formatted once, or taken from the previous block's texts, and each block is
-joined once; the rest follows the stdlib rules value by value.  The kernel
-CSV is byte for byte what ``csv.writer`` gives row by row: the writer renders
-the header and each node point once, and the table is formed and rendered a
-block of rows at a time, its floats as in a report.
-The argument parser is built once per process.
+Files are read and written by :mod:`framelab.codec`; the parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
-import codecs
-import csv
 import functools
-import io
-import itertools
-import json
-import math
 import os
 import secrets
 import sys
-import types
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-from . import frames, gallery, numerics, pairs, rkhs
+from . import codec, frames, gallery, numerics, pairs, rkhs
 from .errors import NumericalRefusal, ValidationError
-from .frames import VectorFamily
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_REFUSED = 2
 EXIT_IO = 3
-
-# kernel entries per row block of the CSV export: each block's transient lists
-# stay a fraction of the output text
-CSV_BLOCK_ENTRIES = 1 << 10
-# rows of an [re, im] table per block of a JSON report, likewise
-PAIR_BLOCK = 1 << 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,248 +71,13 @@ def _gallery_spec(args: argparse.Namespace) -> gallery.GallerySpec:
     return gallery.GallerySpec(kind=kind, **{name: getattr(args, name) for name in _SPEC_FLAGS})
 
 
-def _load_family(args: argparse.Namespace) -> VectorFamily:
+def _load_family(args: argparse.Namespace) -> frames.VectorFamily:
     sources = [args.in_path is not None, args.gallery is not None]
     if sum(sources) != 1:
         raise ValidationError("exactly one of --in or --gallery is required")
     if args.in_path is not None:
-        return _family_from_file(args.in_path)
+        return codec.read_family(args.in_path)
     return gallery.build(_gallery_spec(args))
-
-
-def _family_from_file(path: Path) -> VectorFamily:
-    """The family a file holds, decoded from its bytes a block at a time.
-
-    A file that cannot be read twice (a pipe, ``/dev/stdin``) is read whole
-    first; any other is read again, as text, only for a fault.
-    """
-    with open(path, "rb") as handle:
-        try:
-            if handle.seekable():
-                return VectorFamily.from_blocks(_text_blocks(handle), lambda: _text(handle))
-            return VectorFamily.from_text(_text(handle))
-        # ValueError: malformed text, bytes that are not UTF-8, an int past the digit limit
-        except (RecursionError, ValueError) as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _text_blocks(handle) -> Iterator[str]:
-    """The UTF-8 text of a binary file, ``numerics.BLOCK_ENTRIES`` bytes at a time."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    while block := handle.read(numerics.BLOCK_ENTRIES):
-        yield decoder.decode(block)
-    yield decoder.decode(b"", final=True)
-
-
-def _text(handle) -> str:
-    """The text of a binary file from its first byte, as a text-mode read gives it."""
-    if handle.seekable():
-        handle.seek(0)
-    with io.TextIOWrapper(handle, encoding="utf-8") as text:
-        return text.read()
-
-
-def _json_bytes(payload) -> bytearray:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` as UTF-8 bytes.
-
-    An ndarray renders as ``json.dumps`` renders its ``.tolist()`` when it is
-    a 2-D float64 table of two columns, the ``[re, im]`` view that
-    :func:`framelab.numerics.complex_pairs` gives; any other ndarray raises
-    ``TypeError``, as the stdlib does for every ndarray.  Such a table goes
-    into the one output buffer ``PAIR_BLOCK`` rows at a time, and the rest of
-    the report goes in as text between the tables.
-    """
-    buffer = bytearray()
-    out: list[str] = []
-    _render_json(payload, "\n", out, buffer, {})
-    out.append("\n")
-    buffer += "".join(out).encode("utf-8")
-    return buffer
-
-
-def _render_json(
-    value, newline: str, out: list[str], buffer: bytearray, strings: dict[str, str]
-) -> None:
-    """Append the ``indent=2`` text of ``value``; ``newline`` carries its indent.
-
-    Exact ``str``, finite ``float`` and ``int`` values render as the stdlib
-    renders them (``strings`` keeps each string's text for the rest of the
-    report) and ndarrays through :func:`_render_pairs`, which moves the text
-    in ``out`` to ``buffer``; empty containers, ``None``, booleans,
-    non-finite floats, number subclasses and unsupported types go to
-    ``json.dumps`` one value at a time.
-    """
-    kind = type(value)
-    if kind is str:
-        out.append(_json_string(value, strings))
-    elif kind is float and math.isfinite(value):
-        out.append(float.__repr__(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif isinstance(value, np.ndarray):
-        _render_pairs(value, newline, out, buffer)
-    elif isinstance(value, (list, tuple)) and value:
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            out.append(separator)
-            _render_json(item, inner, out, buffer, strings)
-            separator = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict) and value:
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in sorted(value.items()):
-            out.append(separator)
-            out.append(_json_string(key, strings))
-            out.append(": ")
-            _render_json(item, inner, out, buffer, strings)
-            separator = "," + inner
-        out.append(newline + "}")
-    else:
-        out.append(json.dumps(value))
-
-
-def _json_string(value, strings: dict[str, str]) -> str:
-    """A string, or an object key, as the stdlib writes it; ``strings`` keeps each text.
-
-    A key that is not a string is written as the string of its own JSON text.
-    """
-    if not isinstance(value, str):
-        if value is not None and not isinstance(value, (int, float)):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {type(value).__name__}"
-            )
-        value = json.dumps(value)
-    text = strings.get(value)
-    if text is None:
-        text = strings[value] = json.dumps(value)
-    return text
-
-
-def _float_text(value: float) -> str:
-    """A float as the stdlib writes it, ``NaN`` and ``Infinity`` included."""
-    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-
-
-# the ``kept`` of a writer's first block: no patterns and no texts
-_NOTHING_KEPT = (np.empty(0, np.int64), [])
-
-
-def _block_texts(values: np.ndarray, text, kept: tuple) -> tuple[list[str], tuple]:
-    """``list(map(text, values.tolist()))``, calling ``text`` once per distinct bit pattern.
-
-    ``values`` is 1-D float64; patterns are compared as int64 bits, so ``0.0``
-    and ``-0.0``, or two NaNs, are told apart as ``text`` tells them apart.  A
-    pattern that ``kept``, the previous block's return, also held takes that
-    block's text.  A block with no repeated pattern and none from the previous
-    block is formatted in place.  Returns the texts and what the next block
-    keeps: the block's distinct patterns and the text of each.
-    """
-    bits = values.view(np.int64)
-    known, known_texts = kept
-    # known holds each pattern once, so equal neighbours are a repeat or a known pattern
-    merged = np.sort(np.concatenate((known, bits)))
-    if not np.any(merged[1:] == merged[:-1]):
-        texts = list(map(text, values.tolist()))
-        return texts, (bits, texts)
-    patterns, inverse = np.unique(bits, return_inverse=True)
-    seen = np.zeros(len(patterns), dtype=bool)
-    distinct = np.empty(len(patterns), dtype=object)
-    if len(known):
-        by_pattern = np.argsort(known)
-        at = by_pattern.take(np.searchsorted(known, patterns, sorter=by_pattern), mode="clip")
-        seen = known[at] == patterns
-        distinct[seen] = np.asarray(known_texts, dtype=object)[at[seen]]
-    distinct[~seen] = list(map(text, patterns[~seen].view(np.float64).tolist()))
-    return distinct[inverse].tolist(), (patterns, distinct)
-
-
-def _render_pairs(table: np.ndarray, newline: str, out: list[str], buffer: bytearray) -> None:
-    """Render an ``(m, 2)`` float64 ``table`` as the stdlib renders ``table.tolist()``.
-
-    The text in ``out`` moves to ``buffer`` first.  Each block of
-    ``PAIR_BLOCK`` rows then becomes one list: the texts of its floats, from
-    :func:`_block_texts` by ``float.__repr__`` (or :func:`_float_text` in a
-    block with a non-finite value), fill every other slot and the separators
-    go in by slice assignment; the block is joined and encoded onto ``buffer``.
-    """
-    if table.ndim != 2 or table.shape[1] != 2 or table.dtype != np.float64:
-        raise TypeError(
-            f"only (m, 2) float64 arrays are JSON serializable, not {table.dtype} {table.shape}"
-        )
-    count = len(table)
-    if not count:
-        out.append("[]")
-        return
-    inner = newline + "  "
-    innermost = inner + "  "
-    out.append("[" + inner + "[" + innermost)
-    buffer += "".join(out).encode("utf-8")
-    out.clear()
-    between = inner + "]," + inner + "[" + innermost
-    kept = _NOTHING_KEPT
-    for start in range(0, count, PAIR_BLOCK):
-        block = table[start : start + PAIR_BLOCK]
-        rows = len(block)
-        text = float.__repr__ if np.isfinite(block).all() else _float_text
-        parts = [between] * (4 * rows)
-        parts[0::2], kept = _block_texts(block.ravel(), text, kept)
-        parts[1::4] = ["," + innermost] * rows
-        if start + rows == count:
-            parts[-1] = inner + "]" + newline + "]"
-        buffer += "".join(parts).encode("utf-8")
-
-
-def _csv_bytes(rows, header) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue().encode("utf-8")
-
-
-def _table_bytes(args: argparse.Namespace, key: str, header, rows, **summary) -> bytes:
-    """CSV rows under ``header``, or JSON with one object per row under ``key``.
-
-    Each object is keyed by ``header``; the ``summary`` fields sit beside ``key``.
-    """
-    if args.format == "csv":
-        return _csv_bytes(rows, header)
-    return _json_bytes({key: [dict(zip(header, row)) for row in rows], **summary})
-
-
-def _kernel_csv_bytes(table: rkhs.KernelTable) -> bytearray:
-    """``x,y,re,im`` rows of ``table``: the bytes ``csv.writer`` gives row by row.
-
-    The writer renders the header and each node point once; a ``(point, "")``
-    row comes out as ``<cell>,\\n``, so every cell is quoted as the writer
-    quotes it.  Entries are formed from the factors in blocks of about
-    ``CSV_BLOCK_ENTRIES`` (:meth:`~framelab.rkhs.KernelTable.row_blocks`) and
-    written as ``float.__repr__``, as the writer writes floats, through
-    :func:`_block_texts`.
-    """
-    lines: list[str] = []
-    writer = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\n")
-    writer.writerow(("x", "y", "re", "im"))
-    writer.writerows(zip(table.space.points.tolist(), itertools.repeat("")))
-    header, cells = lines[0], [line[:-1] for line in lines[1:]]
-    text = bytearray(header[:-1].encode("utf-8"))
-    kept = _NOTHING_KEPT
-    for start, stop, block in table.row_blocks(CSV_BLOCK_ENTRIES):
-        # each entry opens with the line break and "x,y," of its own row
-        heads: list[str] = []
-        for cell in cells[start:stop]:
-            heads += map(("\n" + cell).__add__, cells)
-        parts = [","] * (4 * len(heads))
-        parts[0::4] = heads
-        parts[1::2], kept = _block_texts(block.view(np.float64).ravel(), float.__repr__, kept)
-        text += "".join(parts).encode("utf-8")
-    text += b"\n"
-    return text
 
 
 def _write(path: Path, data: bytes) -> None:
@@ -368,8 +109,8 @@ def _write(path: Path, data: bytes) -> None:
 def _cmd_inspect(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
     atoms = int(np.count_nonzero(family.space.is_atom))
-    return _table_bytes(
-        args,
+    return codec.table_bytes(
+        args.format,
         "profile",
         ("point", "weight", "squared_norm"),
         family.profile_rows(),
@@ -384,28 +125,28 @@ def _cmd_inspect(args: argparse.Namespace) -> bytes:
 def _cmd_bounds(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
     report = frames.frame_bounds(family)
-    return _json_bytes(report.to_json())
+    return codec.json_bytes(report.to_json())
 
 
 def _cmd_dual(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
     dual = frames.canonical_dual(family)
-    return _json_bytes(dual.to_json())
+    return codec.json_bytes(dual.to_json())
 
 
 def _cmd_kernel(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
     table = frames.kernel_matrix(family)
     if args.format == "csv":
-        return _kernel_csv_bytes(table)
-    return _json_bytes(table.to_json())
+        return codec.kernel_csv_bytes(table)
+    return codec.json_bytes(table.to_json())
 
 
 def _cmd_redundancy(args: argparse.Namespace) -> bytes:
     family = _load_family(args)
     excess = frames.redundancy(family)
     payload = {"rows": family.size, "dim": family.dim, "redundancy": excess, "index": -excess}
-    return _json_bytes(payload)
+    return codec.json_bytes(payload)
 
 
 def _cmd_split(args: argparse.Namespace) -> bytes:
@@ -415,13 +156,13 @@ def _cmd_split(args: argparse.Namespace) -> bytes:
         "discrete": [numerics.complex_pairs(vector) for vector in discrete],
         "continuous": continuous.to_json(),
     }
-    return _json_bytes(payload)
+    return codec.json_bytes(payload)
 
 
 def _cmd_pair_check(args: argparse.Namespace) -> bytes:
-    psi = _family_from_file(args.psi)
-    phi = _family_from_file(args.phi)
-    return _json_bytes(pairs.pair_verdict(psi, phi))
+    psi = codec.read_family(args.psi)
+    phi = codec.read_family(args.phi)
+    return codec.json_bytes(pairs.pair_verdict(psi, phi))
 
 
 def _cmd_partner(args: argparse.Namespace) -> bytes:
@@ -433,7 +174,7 @@ def _cmd_partner(args: argparse.Namespace) -> bytes:
         "pointwise_sums": [float(v) for v in pairs.partner_pointwise_sums(partner)],
         "identity_residual": float(np.max(np.abs(residual))),
     }
-    return _json_bytes(payload)
+    return codec.json_bytes(payload)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> bytes:
@@ -444,7 +185,7 @@ def _cmd_experiment(args: argparse.Namespace) -> bytes:
         if given:
             raise ValidationError(f"experiment blowup reads no gallery flags: {' '.join(given)}")
         points = rkhs.blowup_experiment(sizes)
-        return _table_bytes(args, "points", ("cells", "max_diagonal"), points)
+        return codec.table_bytes(args.format, "points", ("cells", "max_diagonal"), points)
     if args.gallery is None:
         raise ValidationError(f"experiment {args.experiment} needs --gallery")
     spec = _gallery_spec(args)
@@ -452,20 +193,20 @@ def _cmd_experiment(args: argparse.Namespace) -> bytes:
     if args.experiment == "trend":
         trend = frames.semiframe_trend(builder, sizes)
         verdict = frames.classify_trend(trend)
-        return _table_bytes(
-            args, "trend", ("size", "lower", "upper"), trend, classification=verdict.value
+        return codec.table_bytes(
+            args.format, "trend", ("size", "lower", "upper"), trend, classification=verdict.value
         )
     rows = []
     for size in sizes:
         family = builder(size)
         rows.append((size, family.size, family.dim, frames.redundancy(family)))
-    return _table_bytes(args, "redundancy", ("size", "rows", "dim", "redundancy"), rows)
+    return codec.table_bytes(args.format, "redundancy", ("size", "rows", "dim", "redundancy"), rows)
 
 
 @functools.cache
 def build_parser() -> _Parser:
     """The ``framelab`` parser, built once per process; parsing leaves it unchanged."""
-    # the exit codes and the atomic write; the renderer notes stay in the module docstring
+    # the exit codes and the atomic write: the first two paragraphs of the module docstring
     parser = _Parser(prog="framelab", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,12 +9,10 @@ conjugate-linear in the second, so ``analysis(family, f)[j] = <f, row_j>``.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,38 +87,6 @@ class VectorFamily:
         return cls._from_table(space, dim, _decode_pairs(data.get("members"), dim))
 
     @classmethod
-    def from_text(cls, text: str) -> "VectorFamily":
-        """:meth:`from_blocks` of ``text``, ``numerics.BLOCK_ENTRIES`` characters at a time."""
-        step = numerics.BLOCK_ENTRIES
-        blocks = (text[k : k + step] for k in range(0, len(text), step))
-        return cls.from_blocks(blocks, lambda: text)
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[str], whole: Callable[[], str]) -> "VectorFamily":
-        """``from_json(json.loads(whole()))``, where ``whole()`` is the text ``blocks`` spell.
-
-        The blocks are decoded as they come (:func:`_family_fields`), with no
-        Python float per member value and no text of the whole: the decoder
-        holds the unread text of a block or two, and the ``members`` array
-        as float64 blocks that are copied once into the table the family
-        adopts.  Any other text (not an object, no or two ``members`` arrays,
-        a member that is not a pair of numbers in the float range, malformed
-        JSON or UTF-8) takes ``from_json(json.loads(whole()))`` itself, so
-        every fault keeps its exception and message.
-        """
-        try:
-            fields, pieces = _family_fields(_Window(blocks))
-        except (RecursionError, ValueError):
-            fields = None
-        if fields is None:
-            return cls.from_json(json.loads(whole()))
-        # the space's nodes go before the table comes: the two never peak together
-        space = DiscretizedSpace.from_json(fields.pop("space", None))
-        table = _member_table(sum(map(len, pieces)) // 2, fields.get("dim"))
-        np.concatenate(pieces, out=table.reshape(-1).view(np.float64))
-        return cls._from_table(space, fields.get("dim"), table)
-
-    @classmethod
     def _from_table(cls, space: DiscretizedSpace, dim, table: np.ndarray) -> "VectorFamily":
         """The family of a decoded space, its ``dim`` field and its :func:`_member_table`."""
         if type(dim) is not int or dim < 1:
@@ -161,136 +127,6 @@ def _decode_pairs(pairs, dim) -> np.ndarray:
             f"members[{k}] must be an [re, im] pair of numbers in the float range, got {pairs[k]!r}"
         )
     return table
-
-
-# characters that may continue a number literal that a window's edge cut short
-_NUMBER_TAIL = "+-.0123456789Ee"
-_PAIR_CLOSE = re.compile(r"\][ \t\n\r]*\]")
-_PAIR_CUT = re.compile(r"\][ \t\n\r]*,")
-
-
-class _Window:
-    """The unread text ``text[at:]`` of a stream of text blocks.
-
-    A read drops the text before ``at`` and appends about as much text as is
-    unread, at least ``numerics.BLOCK_ENTRIES`` characters: the window holds
-    a block or two, and doubles only while one value spans its edge.
-    """
-
-    def __init__(self, blocks: Iterable[str]) -> None:
-        self.blocks = iter(blocks)
-        self.text, self.at, self.ended = "", 0, False
-
-    def grow(self) -> bool:
-        """Read more text; whether there was any."""
-        if self.ended:
-            return False
-        parts, size = [self.text[self.at :]], 0
-        wanted = max(len(parts[0]), numerics.BLOCK_ENTRIES)
-        for block in self.blocks:
-            parts.append(block)
-            size += len(block)
-            if size >= wanted:
-                break
-        else:
-            self.ended = True
-        self.text, self.at = "".join(parts), 0
-        return size > 0
-
-    def peek(self) -> str:
-        """The next character past whitespace, moving ``at`` to it; "" at the end of the text."""
-        while True:
-            self.at = json.decoder.WHITESPACE.match(self.text, self.at).end()
-            if self.at < len(self.text) or not self.grow():
-                return self.text[self.at : self.at + 1]
-
-    def take(self, decode: Callable):
-        """The value ``decode(text, at)`` reads past whitespace, once the window holds all of it.
-
-        A value cut short by the edge fails to decode, or ends at the edge or
-        before a character that may continue a number; the window then grows.
-        """
-        self.peek()
-        while True:
-            try:
-                value, end = decode(self.text, self.at)
-            except ValueError:
-                if self.grow():
-                    continue
-                raise
-            if self.ended or self.text[end : end + 1] not in _NUMBER_TAIL:
-                self.at = end
-                return value
-            self.grow()
-
-
-def _family_fields(window: _Window) -> tuple[dict, list[np.ndarray]]:
-    """The top-level fields of a JSON object text, and the blocks of its ``members`` array.
-
-    Keys and values go through the stdlib's scanner as in ``json.loads``,
-    repeated keys included, except the ``members`` array, which
-    :func:`_member_blocks` reads.  Raises ``ValueError`` (or
-    ``RecursionError``, as ``json.loads`` does) for any text that is not one
-    object with exactly one ``members`` array of number pairs.
-    """
-    value_at = json.JSONDecoder().raw_decode
-    fields, pieces = {}, None
-    if window.peek() != "{":
-        raise ValueError("not an object")
-    window.at += 1
-    delimiter = ","
-    while delimiter == ",":
-        if window.peek() != '"':
-            raise ValueError("no key")
-        key = window.take(lambda text, at: json.decoder.scanstring(text, at + 1))
-        if window.peek() != ":":
-            raise ValueError("no colon")
-        window.at += 1
-        if key != "members":
-            fields[key] = window.take(value_at)
-        elif pieces is None and window.peek() == "[":
-            pieces = _member_blocks(window)
-        else:
-            raise ValueError("members twice or not an array")
-        delimiter = window.peek()
-        if delimiter not in ("}", ","):
-            raise ValueError("no delimiter")
-        window.at += 1
-    if pieces is None or window.peek():
-        raise ValueError("no members, or text past the object")
-    return fields, pieces
-
-
-def _member_blocks(window: _Window) -> list[np.ndarray]:
-    """The values of the ``[re, im]`` pairs of the array at ``window.at``, in float64 blocks.
-
-    ``json.loads`` decodes the array in pieces of about
-    ``numerics.BLOCK_ENTRIES`` characters, each cut just after a ``],``, and
-    :func:`_pair_floats` writes each piece's values to a block, so no
-    Python object of the whole array is formed.  The array stops at its
-    first ``]``-whitespace-``]``, its end when it holds number pairs and
-    nothing else.  Raises ``ValueError`` when a piece holds anything else.
-    """
-    window.at += 1
-    pieces, step = [], numerics.BLOCK_ENTRIES
-    while True:
-        while len(window.text) - window.at < 2 * step and window.grow():
-            pass
-        text, at = window.text, window.at
-        cut = _PAIR_CUT.search(text, at + step)
-        close = _PAIR_CLOSE.search(text, at, cut.end() if cut else len(text))
-        stop = close or cut
-        if stop is None:
-            if window.grow():
-                continue
-            raise ValueError("members not closed")
-        pairs = json.loads("[" + text[at : stop.start() + 1] + "]")
-        pieces.append(np.empty(2 * len(pairs)))
-        if not _pair_floats(pairs, pieces[-1]):
-            raise ValueError("a member is not a pair of numbers")
-        window.at = stop.end()
-        if close:
-            return pieces
 
 
 def _pair_floats(pairs, out: np.ndarray) -> bool:

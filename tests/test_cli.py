@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framelab import cli, gallery, numerics
+from framelab import cli, codec, gallery, numerics
 from framelab.cli import EXIT_IO, EXIT_OK, EXIT_REFUSED, EXIT_VALIDATION, main
 from framelab.errors import ValidationError
 from framelab.frames import VectorFamily
@@ -35,7 +35,7 @@ def run(*argv):
 
 def write_family(path, members):
     family = VectorFamily(space=unit_weight_space(members.shape[0]), members=members)
-    path.write_bytes(cli._json_bytes(family.to_json()))
+    path.write_bytes(codec.json_bytes(family.to_json()))
     return family
 
 
@@ -472,7 +472,8 @@ def test_write_into_fifo_in_place(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_read_from_fifo(tmp_path, capsys):
-    # a pipe cannot be read twice, so its text is read whole before decoding
+    # a pipe is read into memory and decoded in blocks, as a file is: only the
+    # malformed input is read again as one text
     source = Path(__file__).parent / "golden" / "inputs" / "psi.json"
     malformed = tmp_path / "malformed.json"
     malformed.write_bytes(source.read_bytes().replace(b"]", b"", 1))
@@ -485,7 +486,9 @@ def test_read_from_fifo(tmp_path, capsys):
         writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
         writer.start()
         out = tmp_path / f"{path.stem}-report.json"
-        assert run("bounds", "--in", str(fifo), "--out", str(out)) == code
+        with mock.patch.object(codec, "_text", wraps=codec._text) as whole:
+            assert run("bounds", "--in", str(fifo), "--out", str(out)) == code
+        assert whole.called == (code != EXIT_OK)
         writer.join(timeout=10)
         assert not writer.is_alive()
         assert capsys.readouterr().err == message.replace(str(path), str(fifo))
@@ -501,7 +504,7 @@ def test_out_of_memory_reading_a_family_is_a_refusal(tmp_path, monkeypatch, caps
     def exhausted(count, dim):
         raise MemoryError("Unable to allocate 14.6 TiB for an array")
 
-    monkeypatch.setattr(cli.frames, "_member_table", exhausted)
+    monkeypatch.setattr(codec, "_member_table", exhausted)
     source = Path(__file__).parent / "golden" / "inputs" / "psi.json"
     out = tmp_path / "report.json"
     assert run("bounds", "--in", str(source), "--out", str(out)) == EXIT_REFUSED
@@ -938,7 +941,7 @@ _FAMILY_COMMANDS = (
 
 # family file texts of small gallery families, which the mutations start from
 _FUZZ_BASES = [
-    cli._json_bytes(family.to_json()).decode()
+    codec.json_bytes(family.to_json()).decode()
     for family in (
         gallery.build_random(4, 2, seed=1),
         gallery.build_delta(2),
@@ -1127,11 +1130,16 @@ def _decoded(decode, text):
     return family.members.tobytes(), family.members.shape, repr(family.space.to_json())
 
 
+def _decode_text(text: str):
+    """The codec's decode of a file that holds ``text`` as UTF-8."""
+    return codec._decode_family(io.BytesIO(text.encode("utf-8")))
+
+
 def _assert_decodes_as_its_json(text: str, block: int) -> None:
     # pieces of a few characters, so every member table spans many of them
     with mock.patch.object(numerics, "BLOCK_ENTRIES", block):
         want = _decoded(lambda t: VectorFamily.from_json(json.loads(t)), text)
-        assert _decoded(VectorFamily.from_text, text) == want
+        assert _decoded(_decode_text, text) == want
 
 
 def _golden_input(name: str) -> str:
@@ -1204,7 +1212,7 @@ def test_family_file_decodes_as_its_text(data, block):
         except (RecursionError, ValueError) as exc:
             fault = f"{path}: not valid JSON ({exc})"
         else:
-            family = cli._family_from_file(path)
+            family = codec.read_family(path)
             assert family.members.tobytes() == want.members.tobytes()
             assert family.members.shape == want.members.shape
             assert repr(family.space.to_json()) == repr(want.space.to_json())
@@ -1266,7 +1274,7 @@ def test_family_text_is_decoded_in_pieces(name):
         return loads(piece, *args, **kwargs)
 
     with mock.patch.object(numerics, "BLOCK_ENTRIES", 64), mock.patch("json.loads", recorded):
-        family = VectorFamily.from_text(text)
+        family = _decode_text(text)
     assert family.members.flags.owndata and family.members.base is None
     assert len(texts) > 1 and max(map(len, texts)) < 200
 
@@ -1278,7 +1286,7 @@ def test_family_file_is_decoded_in_blocks(tmp_path, order, newline):
     # a well-formed file is never read as one text, whatever its line ends and
     # wherever a block edge cuts its keys, its dim, its space, a wide label or
     # a float in a field the family does not read
-    data = json.loads(cli._json_bytes(gallery.build_random(8, 12, seed=1).to_json()))
+    data = json.loads(codec.json_bytes(gallery.build_random(8, 12, seed=1).to_json()))
     data["space"]["nodes"][0]["point"] = _WIDE_LABEL
     data["tolerance"] = 1.25e-12
     order = ("tolerance", *order)
@@ -1288,8 +1296,8 @@ def test_family_file_is_decoded_in_blocks(tmp_path, order, newline):
     want = VectorFamily.from_json(json.loads(path.read_text(encoding="utf-8")))
     for block in range(1, 17):
         with mock.patch.object(numerics, "BLOCK_ENTRIES", block), \
-                mock.patch.object(cli, "_text", side_effect=AssertionError("read whole")):
-            family = cli._family_from_file(path)
+                mock.patch.object(codec, "_text", side_effect=AssertionError("read whole")):
+            family = codec.read_family(path)
         assert family.members.tobytes() == want.members.tobytes()
         assert repr(family.space.to_json()) == repr(want.space.to_json())
 
@@ -1305,7 +1313,7 @@ def test_family_file_load_peaks_below_its_size(tmp_path, rng, rows):
     data = family.to_json()
     path = tmp_path / "family.json"
     path.write_text(json.dumps({**data, "members": data["members"].tolist()}), encoding="utf-8")
-    decoded, peak = traced_peak(lambda: cli._family_from_file(path))
+    decoded, peak = traced_peak(lambda: codec.read_family(path))
     assert decoded.members.tobytes() == family.members.tobytes()
     assert peak < 1.0 * path.stat().st_size
     assert peak < 2.25 * family.members.nbytes

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import cli, numerics
+from framelab import codec, numerics
 from framelab.errors import (
     DimensionMismatchError,
     NotAFrameError,
@@ -82,7 +82,7 @@ class TestVectorFamily:
 
     def test_json_round_trip(self, rng):
         family = random_family(rng, 5, 3, weighted=True)
-        data = json.loads(cli._json_bytes(family.to_json()))
+        data = json.loads(codec.json_bytes(family.to_json()))
         back = VectorFamily.from_json(data)
         assert back.space == family.space
         np.testing.assert_allclose(back.members, family.members, atol=1e-15)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framelab import cli, frames, gallery, measure, rkhs
+from framelab import cli, codec, frames, gallery, measure, rkhs
 from framelab.errors import OutOfRangeError, ValidationError
 from framelab.measure import (
     Atom,
@@ -478,7 +478,7 @@ def test_columns_paths_construct_no_node(node_rows, tmp_path):
         family.space.to_json()
         list(family.profile_rows())
     DiscretizedSpace.from_json(spaces[0].to_json())
-    cli._kernel_csv_bytes(frames.kernel_matrix(families[0]))
+    codec.kernel_csv_bytes(frames.kernel_matrix(families[0]))
     rkhs.blowup_experiment([2, 8])
     assert node_rows == []
     # the counter sees the rows where they are still made

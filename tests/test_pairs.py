@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import cli, frames, numerics, pairs
+from framelab import codec, frames, numerics, pairs
 from framelab.errors import (
     DimensionMismatchError,
     NotAFrameError,
@@ -117,7 +117,7 @@ class TestResolutionOperator:
 
     def test_json_shape(self, rng):
         psi, phi = random_pair(rng)
-        payload = json.loads(cli._json_bytes(resolution_operator(psi, phi).to_json()))
+        payload = json.loads(codec.json_bytes(resolution_operator(psi, phi).to_json()))
         assert payload["invertible"]
         assert len(payload["operator"]) == psi.dim * psi.dim
 

@@ -1,6 +1,6 @@
-"""The CLI's report renderers against the stdlib writers they replace.
+"""The codec's report renderers against the stdlib writers they replace.
 
-``cli._json_bytes`` must give ``json.dumps(payload, indent=2, sort_keys=True)``
+``codec.json_bytes`` must give ``json.dumps(payload, indent=2, sort_keys=True)``
 plus a newline, and the kernel CSV what ``csv.writer`` gives row by row.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import cli, frames, gallery, numerics
+from framelab import codec, frames, gallery, numerics
 from framelab.frames import VectorFamily
 from framelab.measure import DiscretizedSpace, Node, Provenance
 from framelab.rkhs import KernelTable
@@ -44,7 +44,7 @@ def oracle_csv(table: KernelTable) -> bytes:
 @pytest.mark.parametrize("path", sorted(REPORTS.glob("*.json")), ids=lambda p: p.stem)
 def test_golden_reports_rerender_byte_for_byte(path):
     frozen = path.read_bytes()
-    assert cli._json_bytes(json.loads(frozen)) == frozen
+    assert codec.json_bytes(json.loads(frozen)) == frozen
 
 
 FLOATS = st.one_of(
@@ -81,7 +81,7 @@ PAYLOADS = st.recursive(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(PAYLOADS)
 def test_json_matches_the_stdlib(payload):
-    assert cli._json_bytes(payload) == oracle_json(payload)
+    assert codec.json_bytes(payload) == oracle_json(payload)
 
 
 @pytest.mark.parametrize(
@@ -100,7 +100,7 @@ def test_json_matches_the_stdlib(payload):
     ],
 )
 def test_json_edge_cases_match_the_stdlib(payload):
-    assert cli._json_bytes(payload) == oracle_json(payload)
+    assert codec.json_bytes(payload) == oracle_json(payload)
 
 
 def test_json_refuses_what_the_stdlib_refuses():
@@ -108,7 +108,7 @@ def test_json_refuses_what_the_stdlib_refuses():
         with pytest.raises(TypeError):
             json.dumps(payload, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
-            cli._json_bytes(payload)
+            codec.json_bytes(payload)
 
 
 def plain(payload):
@@ -122,7 +122,7 @@ def plain(payload):
     return payload
 
 
-TABLE_ROWS = [0, 1, cli.PAIR_BLOCK - 1, cli.PAIR_BLOCK, cli.PAIR_BLOCK + 1]
+TABLE_ROWS = [0, 1, codec.RENDER_BLOCK - 1, codec.RENDER_BLOCK, codec.RENDER_BLOCK + 1]
 SPECIAL_FLOATS = st.one_of(
     st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf]),
     st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300),
@@ -171,7 +171,7 @@ def pair_tables(draw):
 @given(pair_tables(), pair_tables())
 def test_pair_tables_match_the_stdlib(table, other):
     payload = {"entries": table, "nested": [{"x": other}, table[:1], 0.5], "rows": len(table)}
-    assert cli._json_bytes(payload) == oracle_json(plain(payload))
+    assert codec.json_bytes(payload) == oracle_json(plain(payload))
 
 
 @pytest.mark.parametrize(
@@ -183,13 +183,13 @@ def test_json_refuses_arrays_other_than_pair_tables(array):
     with pytest.raises(TypeError):
         json.dumps({"a": array}, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
-        cli._json_bytes({"a": array})
+        codec.json_bytes({"a": array})
 
 
 def zeros_across_blocks():
     """A block of ``[-0.0, 1.5]`` rows, then two rows of ``[0.0, 1.5]``."""
-    table = np.tile([-0.0, 1.5], (cli.PAIR_BLOCK + 2, 1))
-    table[cli.PAIR_BLOCK :, 0] = 0.0
+    table = np.tile([-0.0, 1.5], (codec.RENDER_BLOCK + 2, 1))
+    table[codec.RENDER_BLOCK :, 0] = 0.0
     return table
 
 
@@ -198,23 +198,23 @@ def zeros_across_blocks():
     [
         np.tile([[0.0, -0.0], [-0.0, 0.0]], (3, 1)),
         zeros_across_blocks(),
-        np.tile([[math.nan, math.inf], [-math.inf, math.nan], [0.5, -0.0]], (cli.PAIR_BLOCK, 1)),
+        np.tile([[math.nan, math.inf], [-math.inf, math.nan], [0.5, -0.0]], (codec.RENDER_BLOCK, 1)),
         np.array([[math.nan, -math.nan], [math.nan, 0.0]]),
     ],
     ids=["signed-zeros", "signed-zeros-across-blocks", "non-finite-repeats", "nan-payloads"],
 )
 def test_repeated_patterns_keep_their_own_texts(table):
-    assert cli._json_bytes({"t": table}) == oracle_json({"t": table.tolist()})
+    assert codec.json_bytes({"t": table}) == oracle_json({"t": table.tolist()})
 
 
 def test_each_pattern_formatted_once_per_block(monkeypatch):
     # blocks of 4 distinct patterns; the last block adds 0.0 to those of the one before it
-    table = np.tile([[math.nan, 1.0], [0.5, -0.0]], (cli.PAIR_BLOCK + 2, 1))[:-1]
+    table = np.tile([[math.nan, 1.0], [0.5, -0.0]], (codec.RENDER_BLOCK + 2, 1))[:-1]
     table[-1] = [0.0, math.nan]
     calls = []
-    real = cli._float_text
-    monkeypatch.setattr(cli, "_float_text", lambda value: calls.append(value) or real(value))
-    assert cli._json_bytes({"t": table}) == oracle_json({"t": table.tolist()})
+    real = codec._float_text
+    monkeypatch.setattr(codec, "_float_text", lambda value: calls.append(value) or real(value))
+    assert codec.json_bytes({"t": table}) == oracle_json({"t": table.tolist()})
     assert len(calls) == 5
 
 
@@ -230,7 +230,7 @@ def test_pair_table_render_peak_stays_near_the_output(rng):
     # one whose blocks all repeat the same few, so the texts kept between blocks count
     for make in (random_family, repeat_heavy_family):
         payload = make(rng, 2048, 128).to_json()
-        text, peak = traced_peak(lambda: cli._json_bytes(payload))
+        text, peak = traced_peak(lambda: codec.json_bytes(payload))
         assert peak < 1.5 * len(text)
 
 
@@ -255,23 +255,23 @@ def table_over(points, rng, rank=2, provenance=Provenance.CELL) -> KernelTable:
 )
 def test_kernel_csv_matches_csv_writer(points, provenance, rng):
     table = table_over(points, rng, provenance=provenance)
-    assert cli._kernel_csv_bytes(table) == oracle_csv(table)
+    assert codec.kernel_csv_bytes(table) == oracle_csv(table)
 
 
 def test_kernel_csv_of_a_shift_invariant_kernel():
     # K(x, y) = k(x - y): 5,020 distinct patterns among the 32,768 floats
     table = frames.kernel_matrix(gallery.build_torus(16, 128))
-    assert cli._kernel_csv_bytes(table) == oracle_csv(table)
+    assert codec.kernel_csv_bytes(table) == oracle_csv(table)
 
 
 @pytest.mark.parametrize("block_entries", [1, 14, 21, 1 << 10])
 def test_kernel_csv_row_blocks(block_entries, rng, monkeypatch):
     # the two-row floor, blocks of two and three rows, of three and four, and one block,
     # over seven nodes, for random factors and for a shift-invariant kernel
-    monkeypatch.setattr(cli, "CSV_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(codec, "RENDER_BLOCK", block_entries)
     tables = [
         table_over([0.5 * j for j in range(7)], rng, rank=3),
         frames.kernel_matrix(gallery.build_torus(3, 7)),
     ]
     for table in tables:
-        assert cli._kernel_csv_bytes(table) == oracle_csv(table)
+        assert codec.kernel_csv_bytes(table) == oracle_csv(table)

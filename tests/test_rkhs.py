@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import cli, numerics, rkhs
+from framelab import codec, numerics, rkhs
 from framelab.errors import (
     DimensionMismatchError,
     NotAFrameError,
@@ -474,9 +474,9 @@ class TestKernelTable:
     def test_csv_and_json_exports(self, rng):
         family = random_family(rng, 3, 2)
         table = kernel_matrix(family)
-        rows = list(csv.reader(io.StringIO(cli._kernel_csv_bytes(table).decode())))
+        rows = list(csv.reader(io.StringIO(codec.kernel_csv_bytes(table).decode())))
         assert rows[0] == ["x", "y", "re", "im"] and len(rows) == 10
-        payload = json.loads(cli._json_bytes(table.to_json()))
+        payload = json.loads(codec.json_bytes(table.to_json()))
         assert payload["geometry"] == "plain"
         assert len(payload["entries"]) == 9
 
@@ -576,7 +576,7 @@ class TestFactoredKernelTable:
         rows = [(points[j], points[k], *pairs[j * n + k]) for j in range(n) for k in range(n)]
         expected = io.StringIO()
         csv.writer(expected, lineterminator="\n").writerows([("x", "y", "re", "im"), *rows])
-        assert cli._kernel_csv_bytes(table) == expected.getvalue().encode()
+        assert codec.kernel_csv_bytes(table) == expected.getvalue().encode()
 
     def test_frozen_owning_factors_are_adopted(self, rng):
         left, right = (numerics.freeze(complex_rng_matrix(rng, 4, 2)) for _ in range(2))
@@ -633,7 +633,7 @@ class TestFactoredKernelTable:
         table = KernelTable(space=DiscretizedSpace(nodes=()), left=empty, right=empty)
         assert list(table.row_blocks(numerics.BLOCK_ENTRIES)) == []
         assert table.is_hermitian()
-        assert cli._kernel_csv_bytes(table) == b"x,y,re,im\n"
+        assert codec.kernel_csv_bytes(table) == b"x,y,re,im\n"
 
     def test_frame_kernel_scales_with_rank_not_nodes(self):
         # n = 16384 nodes at rank 64: the dense table alone would take 4 GiB

@@ -216,16 +216,86 @@ def _decodes_json(node: ast.AST) -> bool:
     return False
 
 
-def test_json_is_decoded_only_in_frames():
-    # the family file is the one JSON input, so its decoder is the one home of
-    # json.load, json.loads and the scanner's raw_decode
+_FORMAT_MODULES = ("json", "csv", "codecs")
+
+
+def _imports_a_format(node: ast.AST) -> bool:
+    """Whether ``node`` imports the stdlib's ``json``, ``csv`` or ``codecs``, or a name from one."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] in _FORMAT_MODULES for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return node.module.split(".")[0] in _FORMAT_MODULES
+    return False
+
+
+def test_formats_are_read_and_written_only_in_codec():
+    # the family file is the one input and the reports the outputs, so codec
+    # is the one home of their formats: of json.load, json.loads and the
+    # scanner's raw_decode, and of any import of json, csv or codecs
     found = []
     for path in sorted(SOURCE.glob("*.py")):
-        if path.name == "frames.py":
+        if path.name == "codec.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _decodes_json(node)]
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _decodes_json(node) or _imports_a_format(node)
+        ]
     assert found == []
+
+
+def test_format_imports_are_recognized():
+    # the pattern catches every import form of the three modules, and no relative import
+    for source in (
+        "import json", "import csv", "import codecs", "import json.decoder",
+        "import csv as table", "import os, json", "from json import dumps",
+        "from json.decoder import scanstring", "from csv import writer",
+        "from codecs import getincrementaldecoder",
+    ):
+        assert any(_imports_a_format(node) for node in ast.walk(ast.parse(source))), source
+    for source in (
+        "import jsonschema", "import numpy as np", "from . import codec",
+        "from .codec import json_bytes", "from .json import loads", "json.dumps(value)",
+    ):
+        assert not any(_imports_a_format(node) for node in ast.walk(ast.parse(source))), source
+
+
+def _imports_codec(node: ast.AST) -> bool:
+    """Whether ``node``, in a ``framelab`` module, imports ``framelab.codec`` or a name from it."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "framelab.codec" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom) or node.level > 1:
+        return False
+    module = ".".join(filter(None, ("framelab" if node.level else "", node.module)))
+    names = {alias.name for alias in node.names}
+    return module == "framelab.codec" or (module == "framelab" and "codec" in names)
+
+
+def test_only_cli_imports_codec():
+    # the library computes on arrays and never reads or writes a file: only
+    # the command line hands files to codec
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name in ("cli.py", "codec.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _imports_codec(node)]
+    assert found == []
+
+
+def test_codec_imports_are_recognized():
+    for source in (
+        "from . import codec", "from . import frames, codec", "from .codec import read_family",
+        "from framelab import codec", "from framelab.codec import json_bytes",
+        "import framelab.codec",
+    ):
+        assert any(_imports_codec(node) for node in ast.walk(ast.parse(source))), source
+    for source in (
+        "from . import frames", "from .frames import VectorFamily", "import codecs",
+        "from codecs import getincrementaldecoder", "from .. import codec", "codec.json_bytes(x)",
+    ):
+        assert not any(_imports_codec(node) for node in ast.walk(ast.parse(source))), source
 
 
 def test_json_decoding_is_recognized():
