@@ -79,6 +79,73 @@ def frequency_enumeration(count: int) -> list[int]:
     return out[:count]
 
 
+def _unit_roots(order: int) -> np.ndarray:
+    """The roots of unity ``exp(2 pi i m / order)``, ``m = 0, ..., order - 1``, for an even ``order``.
+
+    Only the first quarter turn is evaluated, or the first half turn when
+    four does not divide ``order``; the rest follows from exact symmetries.
+    So ``roots[order - m]`` is ``conj(roots[m])`` exactly, for a multiple of
+    four ``roots[order/2 - m]`` is ``-conj(roots[m])`` exactly, and 1, -1 and
+    (for a multiple of four) i are exact.
+    """
+    roots = np.empty(order, dtype=np.complex128)
+    half = order // 2
+    evaluated = half // 2 if half % 2 == 0 else half
+    head = roots[: evaluated + 1]
+    head.real = 0.0
+    np.multiply(np.arange(evaluated + 1.0), 2.0 * np.pi / order, out=head.imag)
+    np.exp(head, out=head)
+    roots[half] = -1.0
+    if evaluated < half:
+        roots[evaluated] = 1j
+        mirrored = roots[half - 1 : evaluated : -1]
+        np.conj(roots[1:evaluated], out=mirrored)
+        np.negative(mirrored, out=mirrored)
+    np.conj(roots[1:half], out=roots[order - 1 : half : -1])
+    return roots
+
+
+def _phase_blocks(factors, order: int, start: int, stop: int, step: int):
+    """Yield ``(lo, hi, index)`` for the row blocks of ``[start, stop)``, ``step`` rows each.
+
+    ``index[r, c]`` is ``(2 (lo + r) + 1) * factors[c]`` modulo ``order``, as
+    an int64 in ``[0, 2 * order)`` (``np.take`` with ``mode="wrap"`` takes it
+    modulo ``order``).  The products modulo ``order`` are formed once, for
+    the first block's rows; each block adds its rows' offset to them.
+    """
+    factors = np.remainder(np.asarray(factors, dtype=np.int64), order)
+    rows = min(step, stop - start)
+    first = np.multiply.outer(np.arange(1, 2 * rows, 2, dtype=np.int64), factors)
+    np.remainder(first, order, out=first)
+    index = np.empty_like(first)
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        offset = np.remainder(np.int64(2 * lo) * factors, order)
+        yield lo, hi, np.add(first[: hi - lo], offset, out=index[: hi - lo])
+
+
+def _root_table(rows: int, factors, order: int, scale: np.ndarray) -> np.ndarray:
+    """The ``(rows, len(factors))`` table ``roots[(2j + 1) * factors[c] mod order] * scale[c]``.
+
+    ``roots`` is :func:`_unit_roots` of ``order``.  Each row block of the
+    table takes its roots with ``np.take`` straight into its rows and is then
+    scaled in place, so no full-size phase or index table is formed: a
+    block's phase indices and the first block's products each hold about
+    ``numerics.BLOCK_ENTRIES / 4`` int64 entries.
+    """
+    cols = len(scale)
+    table = np.empty((rows, cols), dtype=np.complex128)
+    parts = table.view(np.float64).reshape(rows, 2 * cols)
+    # each component's real and imaginary part takes its column's scale
+    scale = np.repeat(scale, 2)
+    roots = _unit_roots(order)
+    step = max(1, numerics.BLOCK_ENTRIES // (4 * cols))
+    for lo, hi, index in _phase_blocks(factors, order, 0, rows, step):
+        np.take(roots, index, out=table[lo:hi], mode="wrap")
+        parts[lo:hi] *= scale
+    return table
+
+
 def build_torus(dim: int, grid: int) -> VectorFamily:
     """Exponential family on the unit circle with harmonically decaying weights.
 
@@ -87,30 +154,20 @@ def build_torus(dim: int, grid: int) -> VectorFamily:
     twice the largest frequency the grid exponentials stay exactly
     orthonormal, so the frame operator is diagonal with entries
     ``1, 1/4, 1/9, ...``: the upper bound is 1 and the lower bound ``1/dim**2``
-    drains to zero under truncation growth.  Only the exponentials of the
-    frequencies ``k >= 1`` are computed, in their own columns; each ``-k``
-    column is the conjugate of its ``k`` column.
+    drains to zero under truncation growth.  The grid's nodes are
+    ``x_j = (2j + 1) / (2 grid)``, so each exponential is the exact root of
+    unity of order ``2 * grid`` at index ``n_i (2j + 1)``, gathered a row
+    block at a time from one table of those roots; each ``-k`` column is
+    exactly the conjugate of its ``k`` column.
     """
     _check_counts(dim=dim, grid=grid)
     if dim < 1:
         raise InvalidSpecError("torus family needs dim >= 1")
-    freqs = np.array(frequency_enumeration(dim))
-    if grid <= 2 * int(np.max(np.abs(freqs))):
-        raise InvalidSpecError(
-            f"grid {grid} too coarse for frequencies up to {int(np.max(np.abs(freqs)))}"
-        )
+    if grid <= 2 * (dim // 2):
+        raise InvalidSpecError(f"grid {grid} too coarse for frequencies up to {dim // 2}")
     space = unit_segment_space(grid)
-    coefficients = 1.0 / (np.arange(dim) + 1.0)
-    # frequencies run 0, 1, -1, 2, -2, ...: column 0 holds exp(0) = 1, the
-    # odd columns k = 1, 2, ... are formed in place and the even ones are
-    # their conjugates
-    members = np.empty((grid, dim), dtype=np.complex128)
-    positive = members[:, 1::2]
-    np.multiply(2j * np.pi, np.outer(space.points, np.arange(1, dim // 2 + 1)), out=positive)
-    np.exp(positive, out=positive)
-    members[:, 0] = 1.0
-    np.conj(positive[:, : (dim - 1) // 2], out=members[:, 2::2])
-    members *= coefficients
+    coefficients = 1.0 / np.arange(1.0, dim + 1.0)
+    members = _root_table(grid, frequency_enumeration(dim), 2 * grid, coefficients)
     return _family(space, members)
 
 
@@ -151,7 +208,12 @@ def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorF
     through square-root weights.  Members are pure modulations of the profile
     sampled on a frequency window matched to the radial spacing, so the frame
     operator approaches multiplication by ``r**(power-1) exp(-2r)``; for
-    ``power == 1`` the match is exact up to roundoff.
+    ``power == 1`` the match is exact up to roundoff.  The entry at frequency
+    node ``f_a`` and radial node ``r_b`` is
+    ``sqrt(w_b) exp(-r_b) exp(-2 pi I f_a r_b)``; on these grids
+    ``f_a r_b = (2a + 1)(2b + 1) / (4 grid)``, so its phase factor is the
+    exact conjugate root of unity of order ``4 * grid`` there, gathered a row
+    block at a time from one table of those roots.
     """
     _check_counts(cells=cells, grid=grid)
     if cells < 1:
@@ -164,17 +226,14 @@ def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorF
         raise InvalidSpecError("frequency grid must be at least as fine as the radial grid")
     upper_limit = _exp_tail_cut(power)
     radial_space = affine_radial_space(cells, power, upper_limit)
-    radii = radial_space.points
     spacing = upper_limit / cells
     extent = 1.0 / spacing
     frequency_space = discretize(
         MeasureSpace(segments=(Segment(0.0, extent, Density("const", 1.0)),)), grid
     )
-    members = (
-        np.sqrt(radial_space.weights)[None, :]
-        * np.exp(-radii)[None, :]
-        * np.exp(-2j * np.pi * np.outer(frequency_space.points, radii))
-    )
+    profile = np.sqrt(radial_space.weights) * np.exp(-radial_space.points)
+    # negated factors gather the conjugate roots
+    members = _root_table(grid, -(2 * np.arange(cells) + 1), 4 * grid, profile)
     return _family(frequency_space, members)
 
 

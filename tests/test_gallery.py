@@ -30,9 +30,23 @@ from framelab.gallery import (
 )
 from framelab.numerics import MAX_SIZE
 
-from conftest import random_unit_vector
+from conftest import random_unit_vector, traced_peak
 
 PI_SQ_SIXTH = math.pi**2 / 6.0
+TORUS_CASES = [(1, 2), (2, 3), (5, 16), (8, 17), (33, 97), (128, 512)]
+AFFINE_CASES = [(1, 1), (3, 4), (6, 8), (30, 30), (128, 512)]
+
+
+def _grid_roots(order, rows, factors):
+    """``roots[(2j + 1) * f mod order]`` for rows ``j`` and factors ``f``, indexed with Python ints."""
+    factors = list(factors)
+    index = [[(2 * j + 1) * f % order for f in factors] for j in range(rows)]
+    return gallery._unit_roots(order)[np.array(index, dtype=np.int64).reshape(rows, len(factors))]
+
+
+def _affine_profile(cells, power):
+    radial = gallery.affine_radial_space(cells, power, gallery._exp_tail_cut(power))
+    return radial.points, np.sqrt(radial.weights) * np.exp(-radial.points)
 
 
 def test_frequency_enumeration_order():
@@ -76,16 +90,26 @@ class TestTorus:
         with pytest.raises(InvalidSpecError, match=f"^grid {2**63} exceeds the largest size"):
             build_torus(2, 2**63)
 
-    @pytest.mark.parametrize("dim, grid", [(1, 2), (2, 3), (5, 16), (8, 17), (33, 97), (128, 512)])
-    def test_conjugate_columns_match_the_full_exponential_table(self, dim, grid):
-        # the -k columns are conjugates of the +k ones, bit for bit what
-        # exp(2 pi i x k) gives for every enumerated frequency
+    @pytest.mark.parametrize("dim, grid", TORUS_CASES)
+    def test_members_gather_the_grid_roots_of_unity(self, dim, grid):
+        # component i at node j is the root of order 2 grid at n_i (2j + 1),
+        # over i + 1; np.array_equal is exact (only a zero's sign may differ)
+        expected = _grid_roots(2 * grid, grid, frequency_enumeration(dim)) / (np.arange(dim) + 1.0)
+        assert np.array_equal(build_torus(dim, grid).members, expected)
+
+    @pytest.mark.parametrize("dim, grid", TORUS_CASES)
+    def test_negative_frequency_columns_are_conjugates(self, dim, grid):
+        # the -k columns 2, 4, ... are the conjugated +k roots over 3, 5, ...
+        positive = _grid_roots(2 * grid, grid, range(1, (dim - 1) // 2 + 1))
+        expected = np.conj(positive) / np.arange(3.0, dim + 1.0, 2.0)
+        assert np.array_equal(build_torus(dim, grid).members[:, 2::2], expected)
+
+    @pytest.mark.parametrize("dim, grid", TORUS_CASES)
+    def test_members_agree_with_the_float_phase_exponentials(self, dim, grid):
         family = build_torus(dim, grid)
-        freqs = np.array(frequency_enumeration(dim))
-        points = np.array(family.space.points)
-        coefficients = 1.0 / (np.arange(dim) + 1.0)
-        full = coefficients[None, :] * np.exp(2j * np.pi * np.outer(points, freqs))
-        assert family.members.tobytes() == full.tobytes()
+        phases = 2j * np.pi * np.outer(family.space.points, frequency_enumeration(dim))
+        expected = np.exp(phases) / (np.arange(dim) + 1.0)
+        assert np.max(np.abs(family.members - expected)) <= 1e-14
 
 
 class TestAffine:
@@ -128,6 +152,34 @@ class TestAffine:
             build_affine(4, power=103)
         with pytest.raises(InvalidSpecError, match="affine power 103 is too large"):
             affine_symbol(4, power=103)
+
+    @pytest.mark.parametrize("power", [1, 3])
+    @pytest.mark.parametrize("cells, grid", AFFINE_CASES)
+    def test_members_gather_the_conjugate_grid_roots(self, cells, grid, power):
+        # frequency node a and radial node b meet at the root of order 4 grid
+        # at (2a + 1)(2b + 1); the member is its conjugate times the profile
+        _, profile = _affine_profile(cells, power)
+        expected = np.conj(_grid_roots(4 * grid, grid, range(1, 2 * cells, 2))) * profile
+        assert np.array_equal(build_affine(cells, grid, power).members, expected)
+
+    @pytest.mark.parametrize("power", [1, 3])
+    @pytest.mark.parametrize("cells, grid", AFFINE_CASES)
+    def test_mirrored_frequency_rows_are_negated_conjugates(self, cells, grid, power):
+        # frequency nodes a and grid - 1 - a meet each radial node half a turn
+        # apart, mirrored: the roots' symmetries are exact
+        members = build_affine(cells, grid, power).members
+        assert np.array_equal(members[::-1], -np.conj(members))
+
+    @pytest.mark.parametrize("power", [1, 3])
+    @pytest.mark.parametrize("cells, grid", AFFINE_CASES)
+    def test_members_agree_with_the_float_phase_exponentials(self, cells, grid, power):
+        # a float phase is rounded in proportion to its size
+        family = build_affine(cells, grid, power)
+        radii, profile = _affine_profile(cells, power)
+        phases = 2 * np.pi * np.outer(family.space.points, radii)
+        expected = profile * np.exp(-1j * phases)
+        bound = 8 * np.finfo(float).eps * (1 + phases) * profile
+        assert np.all(np.abs(family.members - expected) <= bound)
 
 
     def test_tail_cut_is_bisected_once_per_power(self):
@@ -238,6 +290,42 @@ class TestTorusTrend:
             assert lower == pytest.approx(1.0 / size**2, abs=1e-12)
             assert upper <= PI_SQ_SIXTH + 1e-12
         assert classify_trend(trend) is Classification.BESSEL_ONLY
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 34, 388, 4096])
+def test_unit_roots_have_exact_symmetries(order):
+    roots = gallery._unit_roots(order)
+    m = np.arange(order)
+    assert np.max(np.abs(roots - np.exp(2j * np.pi * m / order))) <= 2e-15
+    assert roots[0] == 1 and roots[order // 2] == -1
+    assert np.array_equal(roots[-m % order], np.conj(roots))
+    if order % 4 == 0:
+        assert roots[order // 4] == 1j
+        assert np.array_equal(roots[(order // 2 - m) % order], -np.conj(roots))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: build_torus(128, 2048), lambda: build_affine(128, 512)], ids=["torus", "affine"]
+)
+def test_builder_peaks_within_a_block_of_its_table(make):
+    # the roots are gathered into the table a row block at a time: no
+    # full-size phase, index or gather-buffer temporary
+    family, peak = traced_peak(make)
+    assert peak <= family.members.nbytes + 0.75 * 2**20
+
+
+@pytest.mark.parametrize(
+    "factor, order",
+    [(MAX_SIZE // 2 - 1, 2 * MAX_SIZE), (-(2 * MAX_SIZE - 1), 4 * MAX_SIZE)],
+    ids=["torus", "affine"],
+)
+def test_phase_index_of_the_last_row_at_the_largest_size(factor, order):
+    # the largest frequency at the last row: (2j + 1) * factor passes 2**40
+    # (torus) and 2**42 (affine), which a 32-bit integer would wrap
+    last = MAX_SIZE - 1
+    [(lo, hi, index)] = gallery._phase_blocks([factor], order, last, MAX_SIZE, 1)
+    assert (lo, hi, index.shape, index.dtype) == (last, MAX_SIZE, (1, 1), np.int64)
+    assert int(index[0, 0]) % order == (2 * last + 1) * factor % order
 
 
 def _random(rows, dim):

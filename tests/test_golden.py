@@ -16,8 +16,19 @@ or only the reports and manifest entries of some cases with::
     PYTHONPATH=src python tests/test_golden.py NAME...
 
 and review the diff: a regenerated corpus is a behaviour change.  Regenerate
-only named cases (``python tests/test_golden.py NAME...``): a whole-corpus run
-rewrites the ``dual_*`` and ``kernel_*`` floats on any other BLAS build.
+only named cases (``python tests/test_golden.py NAME...``): on a BLAS build
+other than the one that froze the corpus, a whole-corpus run rewrites the
+floats of the reports built from Gram spectra or eigenpairs (``bounds_*``,
+``dual_*``, ``experiment_trend_*``, ``kernel_*`` and ``partner_*``).
+
+A change that moves floats but no verdict (a new formula for the same
+numbers) leaves the committed corpus as it is.  To check such a change,
+export the parent and the change into two scratch directories (``git
+archive``), regenerate the cases it touches in each, on one machine, with
+``PYTHONPATH=src python tests/test_golden.py NAME...``, compare the two
+``tests/golden`` trees (``diff -r``), and state which reports moved and the
+largest relative deviation of their floats; this test bounds it by
+``GOLDEN_RTOL``.
 """
 
 from __future__ import annotations
