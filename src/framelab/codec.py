@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numerics, rkhs
 from .errors import ValidationError
-from .frames import VectorFamily, _member_table, _pair_floats
+from .frames import VectorFamily, _member_shape, _member_table, _pair_floats
 from .measure import DiscretizedSpace
 
 # complex values per rendered block of a report ([re, im] rows of a JSON table,
@@ -57,8 +57,8 @@ def _decode_family(handle) -> VectorFamily:
 
     The file's blocks are decoded as they come (:func:`_family_fields`), with
     no Python float per member value and no text of the whole: the decoder
-    holds the unread text of a block or two, and the ``members`` array as
-    float64 blocks that are copied once into the table the family adopts.
+    holds the unread text of a block or two, and the ``members`` array in the
+    one table the family adopts, grown in place as its pieces come.
     Any other text (not an object, no or two ``members`` arrays, a member
     that is not a pair of numbers in the float range, malformed JSON or
     UTF-8) is read again whole (:func:`_text`) and takes
@@ -66,15 +66,15 @@ def _decode_family(handle) -> VectorFamily:
     exception and message.
     """
     try:
-        fields, pieces = _family_fields(_Window(_text_blocks(handle)))
+        fields, table = _family_fields(_Window(_text_blocks(handle)))
     except (RecursionError, ValueError):
         fields = None
     if fields is None:
         return VectorFamily.from_json(json.loads(_text(handle)))
-    # the space's nodes go before the table comes: the two never peak together
-    space = DiscretizedSpace.from_json(fields.pop("space", None))
-    table = _member_table(sum(map(len, pieces)) // 2, fields.get("dim"))
-    np.concatenate(pieces, out=table.reshape(-1).view(np.float64))
+    space = fields.pop("space", None)
+    if type(space) is not DiscretizedSpace:
+        space = DiscretizedSpace.from_json(space)
+    table.resize(_member_shape(len(table), fields.get("dim")), refcheck=False)
     return VectorFamily._from_table(space, fields.get("dim"), table)
 
 
@@ -154,17 +154,17 @@ class _Window:
             self.grow()
 
 
-def _family_fields(window: _Window) -> tuple[dict, list[np.ndarray]]:
-    """The top-level fields of a JSON object text, and the blocks of its ``members`` array.
+def _family_fields(window: _Window) -> tuple[dict, np.ndarray]:
+    """The top-level fields of a JSON object text, and its ``members`` array as a flat table.
 
     Keys and values go through the stdlib's scanner as in ``json.loads``,
     repeated keys included, except the ``members`` array, which
-    :func:`_member_blocks` reads.  Raises ``ValueError`` (or
+    :func:`_member_values` reads.  Raises ``ValueError`` (or
     ``RecursionError``, as ``json.loads`` does) for any text that is not one
     object with exactly one ``members`` array of number pairs.
     """
     value_at = json.JSONDecoder().raw_decode
-    fields, pieces = {}, None
+    fields, table = {}, None
     if window.peek() != "{":
         raise ValueError("not an object")
     window.at += 1
@@ -176,33 +176,51 @@ def _family_fields(window: _Window) -> tuple[dict, list[np.ndarray]]:
         if window.peek() != ":":
             raise ValueError("no colon")
         window.at += 1
-        if key != "members":
+        if key == "space":
+            fields[key] = _early_space(window.take(value_at))
+        elif key != "members":
             fields[key] = window.take(value_at)
-        elif pieces is None and window.peek() == "[":
-            pieces = _member_blocks(window)
+        elif table is None and window.peek() == "[":
+            table = _member_values(window)
         else:
             raise ValueError("members twice or not an array")
         delimiter = window.peek()
         if delimiter not in ("}", ","):
             raise ValueError("no delimiter")
         window.at += 1
-    if pieces is None or window.peek():
+    if table is None or window.peek():
         raise ValueError("no members, or text past the object")
-    return fields, pieces
+    return fields, table
 
 
-def _member_blocks(window: _Window) -> list[np.ndarray]:
-    """The values of the ``[re, im]`` pairs of the array at ``window.at``, in float64 blocks.
+def _early_space(value):
+    """The space a ``space`` value decodes to, or the value itself when it does not decode.
+
+    A space is decoded as soon as it is read, so its JSON objects are gone
+    before the member table grows.  A value that fails is decoded again once
+    the whole text is read, where ``from_json(json.loads(text))`` meets it.
+    """
+    try:
+        return DiscretizedSpace.from_json(value)
+    except ValidationError:
+        return value
+
+
+def _member_values(window: _Window) -> np.ndarray:
+    """The ``[re, im]`` pairs of the array at ``window.at`` as a flat complex table.
 
     ``json.loads`` decodes the array in pieces of about
-    ``numerics.BLOCK_ENTRIES`` characters, each cut just after a ``],``, and
-    :func:`_pair_floats` writes each piece's values to a block, so no
-    Python object of the whole array is formed.  The array stops at its
-    first ``]``-whitespace-``]``, its end when it holds number pairs and
-    nothing else.  Raises ``ValueError`` when a piece holds anything else.
+    ``numerics.BLOCK_ENTRIES / 4`` characters, each cut just after a ``],``
+    (the Python objects of a piece take about four times its text), and
+    :func:`_pair_floats` writes each piece's values straight into the table,
+    so no Python object of the whole array is formed.  The table is grown in
+    place by an eighth as pieces fill it and cut to its count at the end, so
+    it is the only array of the members.  The array stops at its first
+    ``]``-whitespace-``]``, its end when it holds number pairs and nothing
+    else.  Raises ``ValueError`` when a piece holds anything else.
     """
     window.at += 1
-    pieces, step = [], numerics.BLOCK_ENTRIES
+    table, count, step = None, 0, max(1, numerics.BLOCK_ENTRIES // 4)
     while True:
         while len(window.text) - window.at < 2 * step and window.grow():
             pass
@@ -215,12 +233,17 @@ def _member_blocks(window: _Window) -> list[np.ndarray]:
                 continue
             raise ValueError("members not closed")
         pairs = json.loads("[" + text[at : stop.start() + 1] + "]")
-        pieces.append(np.empty(2 * len(pairs)))
-        if not _pair_floats(pairs, pieces[-1]):
+        if table is None:
+            table = _member_table(len(pairs), None)
+        elif count + len(pairs) > len(table):
+            table.resize(max(count + len(pairs), len(table) + len(table) // 8), refcheck=False)
+        if not _pair_floats(pairs, table[count : count + len(pairs)].view(np.float64)):
             raise ValueError("a member is not a pair of numbers")
+        count += len(pairs)
         window.at = stop.end()
         if close:
-            return pieces
+            table.resize(count, refcheck=False)
+            return table
 
 
 def json_bytes(payload) -> bytearray:

@@ -4,6 +4,10 @@ A family is an ``n x d`` table whose j-th row is the member attached to the
 j-th node, expressed in a fixed orthonormal basis of the ambient space.  The
 inner product convention everywhere is linear in the first slot and
 conjugate-linear in the second, so ``analysis(family, f)[j] = <f, row_j>``.
+The verdicts read from the frame operator alone (:func:`frame_operator`,
+:func:`frame_bounds`, :func:`redundancy`, :func:`semiframe_trend`) take a
+:class:`FamilySource`: a family, or a gallery family that makes its weighted
+row blocks from its formula without its table.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -71,6 +75,14 @@ class VectorFamily:
     def dim(self) -> int:
         return self.members.shape[1]
 
+    def weighted_blocks(self) -> Iterator[np.ndarray]:
+        """Row blocks of ``sqrt(w) * members``: its :func:`~framelab.numerics.weighted_rows`."""
+        return numerics.weighted_rows(self.members, self.space.weights)
+
+    def family(self) -> "VectorFamily":
+        """The family itself: a table is its own :class:`FamilySource`."""
+        return self
+
     def to_json(self) -> dict:
         return {
             "space": self.space.to_json(),
@@ -105,15 +117,20 @@ class VectorFamily:
         yield from zip(self.space.points.tolist(), self.space.weight_values(), norms.tolist())
 
 
-def _member_table(count: int, dim) -> np.ndarray:
-    """An owning complex table for ``count`` member values, in rows of ``dim`` where they fit.
+def _member_shape(count: int, dim) -> tuple[int, ...]:
+    """The shape of ``count`` member values: rows of ``dim`` where they fit.
 
     ``dim`` columns when ``dim`` is a size that divides ``count``, else flat;
     so a family adopts the table of a file whose counts agree with its space,
     and :meth:`VectorFamily._from_table` refuses any other.
     """
     fits = type(dim) is int and 1 <= dim <= numerics.MAX_SIZE and count % dim == 0
-    return np.empty((count // dim, dim) if fits else count, dtype=np.complex128)
+    return (count // dim, dim) if fits else (count,)
+
+
+def _member_table(count: int, dim) -> np.ndarray:
+    """An owning complex table of :func:`_member_shape` for ``count`` member values."""
+    return np.empty(_member_shape(count, dim), dtype=np.complex128)
 
 
 def _decode_pairs(pairs, dim) -> np.ndarray:
@@ -147,6 +164,29 @@ def _pair_floats(pairs, out: np.ndarray) -> bool:
     except (OverflowError, TypeError):  # an entry without a length; an int past the float range
         return False
     return True
+
+
+class FamilySource(Protocol):
+    """A family given by its weighted row blocks, its table built only on demand.
+
+    ``weighted_blocks()`` yields fresh C-contiguous blocks of
+    ``sqrt(w) * members`` over the rows :func:`~framelab.numerics.weighted_rows`
+    cuts, with the same entries, and holds none once yielded; ``family()``
+    is the :class:`VectorFamily`.  A family is its own source, and
+    :class:`framelab.gallery.RootSource` makes each block from its formula.
+    """
+
+    space: DiscretizedSpace
+
+    @property
+    def size(self) -> int: ...
+
+    @property
+    def dim(self) -> int: ...
+
+    def weighted_blocks(self) -> Iterator[np.ndarray]: ...
+
+    def family(self) -> VectorFamily: ...
 
 
 class Classification(Enum):
@@ -219,13 +259,18 @@ def analysis_matrix(family: VectorFamily) -> np.ndarray:
     return family.members.conj()
 
 
-def frame_operator(family: VectorFamily) -> np.ndarray:
-    """Weighted sum of rank-one member projectors, ``members^T W conj(members)``."""
-    operator = numerics.gram(family.members, family.space.weights)
+def frame_operator(source: FamilySource) -> np.ndarray:
+    """Weighted sum of rank-one member projectors, ``members^T W conj(members)``.
+
+    It is the conjugate of the :func:`~framelab.numerics.block_gram` of the
+    source's weighted row blocks, each made, reduced and dropped in turn, so
+    a generated family holds one block and no table.
+    """
+    operator = numerics.block_gram(source.weighted_blocks())
     return np.conj(operator, out=operator)
 
 
-def analysis_rank(family: VectorFamily, operator=None, values=None) -> int:
+def analysis_rank(source: FamilySource, operator=None, values=None) -> int:
     """Numerical rank of ``sqrt(w) * conj(members)``: every rank verdict on a family.
 
     With at least as many nodes as dimensions, full rank is first certified
@@ -234,30 +279,31 @@ def analysis_rank(family: VectorFamily, operator=None, values=None) -> int:
     forms it from the table, so the verdict is the one the table gives
     without forming the table.  A caller holding the operator passes it, with
     its ascending eigenvalues ``values`` when known; otherwise it is formed
-    here.  When nothing is certified, :func:`~framelab.numerics.rank` counts
-    the table and reads the operator as its Gram.  Either way the verdict is
-    the SVD count.
+    here.  When nothing is certified, the source's table is built and
+    :func:`~framelab.numerics.rank` counts it, reading the operator as its
+    Gram.  Either way the verdict is the SVD count.
     """
-    if family.size < family.dim:
+    if source.size < source.dim:
         operator = None  # the Gram of the shorter side is then n x n
     else:
         if operator is None:
-            operator = frame_operator(family)
-        if numerics.certifies_full_rank(operator, (family.size, family.dim), values):
-            return family.dim
+            operator = frame_operator(source)
+        if numerics.certifies_full_rank(operator, (source.size, source.dim), values):
+            return source.dim
+    family = source.family()
     table = numerics.weighted_analysis(family.members, family.space.weights)
     return numerics.rank(table, operator)
 
 
-def redundancy(family: VectorFamily) -> int:
+def redundancy(source: FamilySource) -> int:
     """Node excess over :func:`analysis_rank`.
 
     This is the dimension of the null space of the weighted synthesis map.
     """
-    return family.size - analysis_rank(family)
+    return source.size - analysis_rank(source)
 
 
-def frame_bounds(family: VectorFamily) -> FrameReport:
+def frame_bounds(source: FamilySource) -> FrameReport:
     """Spectral frame bounds and redundancy accounting.
 
     The bounds are the extreme eigenvalues of the frame operator.  The family
@@ -265,18 +311,20 @@ def frame_bounds(family: VectorFamily) -> FrameReport:
     otherwise only the (finite) upper inequality stands; finite truncations of
     unbounded systems need the trend utilities to surface semi-frame
     behavior.  The zero-redundancy check matches member rows within
-    ``ROW_MATCH_TOL``.
+    ``ROW_MATCH_TOL``; it needs the table, which a generated family builds
+    only once its operator is released.
     """
-    operator = frame_operator(family)
+    operator = frame_operator(source)
     spectrum = numerics.frame_spectrum(operator, vectors=False)
     lower, upper = spectrum.lower, spectrum.upper
-    excess = family.size - analysis_rank(family, operator, spectrum.values)
+    excess = source.size - analysis_rank(source, operator, spectrum.values)
+    del operator
     condition = upper / lower if lower > 0 else float("inf")
     classification = Classification.FRAME if spectrum.is_frame() else Classification.BESSEL_ONLY
     degenerate = (
         excess == 0
-        and not family.space.is_atom.any()
-        and not _equal_row_groups(family, ROW_MATCH_TOL)
+        and not source.space.is_atom.any()
+        and not _equal_row_groups(source.family(), ROW_MATCH_TOL)
     )
     return FrameReport(
         lower=lower,
@@ -403,14 +451,16 @@ def split(
 
 
 def semiframe_trend(
-    builder: Callable[[int], VectorFamily], sizes: Sequence[int]
+    builder: Callable[[int], FamilySource], sizes: Sequence[int]
 ) -> list[tuple[int, float, float]]:
     """Frame bounds across a sequence of truncation sizes.
 
-    Finite truncations always carry positive bounds; semi-frame behavior of
-    the underlying unbounded system shows up as the lower bound draining to
-    zero or the upper bound growing without limit along the sequence, which
-    :func:`classify_trend` turns into a verdict.
+    ``builder`` gives the source of each size, as
+    :func:`framelab.gallery.truncation_sequence` does, and only its frame
+    operator is formed.  Finite truncations always carry positive bounds;
+    semi-frame behavior of the underlying unbounded system shows up as the
+    lower bound draining to zero or the upper bound growing without limit
+    along the sequence, which :func:`classify_trend` turns into a verdict.
     """
     results = []
     for size in sizes:

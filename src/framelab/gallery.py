@@ -6,13 +6,13 @@ import functools
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import numerics
 from .errors import InvalidSpecError
-from .frames import VectorFamily
+from .frames import FamilySource, VectorFamily
 from .measure import (
     Density,
     DiscretizedSpace,
@@ -124,26 +124,80 @@ def _phase_blocks(factors, order: int, start: int, stop: int, step: int):
         yield lo, hi, np.add(first[: hi - lo], offset, out=index[: hi - lo])
 
 
-def _root_table(rows: int, factors, order: int, scale: np.ndarray) -> np.ndarray:
-    """The ``(rows, len(factors))`` table ``roots[(2j + 1) * factors[c] mod order] * scale[c]``.
+@dataclass(frozen=True, eq=False)
+class RootSource:
+    """A torus or affine family given by its formula, a source of its row blocks.
 
-    ``roots`` is :func:`_unit_roots` of ``order``.  Each row block of the
-    table takes its roots with ``np.take`` straight into its rows and is then
-    scaled in place, so no full-size phase or index table is formed: a
-    block's phase indices and the first block's products each hold about
-    ``numerics.BLOCK_ENTRIES / 4`` int64 entries.
+    Member ``j`` holds ``roots[(2j + 1) * factors[c] mod order] * scale[c]``
+    in column ``c``, with ``roots`` the :func:`_unit_roots` of ``order``.
+    :meth:`family` builds the member table; :meth:`weighted_blocks` yields the
+    blocks :func:`~framelab.numerics.weighted_rows` would cut from that table
+    and its weights, each made on its own, so no table is held.  Both fill
+    rows the same way: the roots are gathered a phase block of about
+    ``numerics.BLOCK_ENTRIES / 4`` entries at a time with ``np.take``
+    straight into the rows, whose float view is then scaled in place, so
+    every entry takes the same operations on either route and no full-size
+    phase or index table is formed.
     """
-    cols = len(scale)
-    table = np.empty((rows, cols), dtype=np.complex128)
-    parts = table.view(np.float64).reshape(rows, 2 * cols)
-    # each component's real and imaginary part takes its column's scale
-    scale = np.repeat(scale, 2)
-    roots = _unit_roots(order)
-    step = max(1, numerics.BLOCK_ENTRIES // (4 * cols))
-    for lo, hi, index in _phase_blocks(factors, order, 0, rows, step):
-        np.take(roots, index, out=table[lo:hi], mode="wrap")
-        parts[lo:hi] *= scale
-    return table
+
+    space: DiscretizedSpace
+    factors: np.ndarray
+    order: int
+    scale: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.space.size
+
+    @property
+    def dim(self) -> int:
+        return len(self.scale)
+
+    def _rows(self, roots: np.ndarray, lo: int, hi: int, weights=None) -> np.ndarray:
+        """Member rows ``lo`` to ``hi`` in a fresh table, gathered from the ``roots`` of ``order``.
+
+        Given the rows' ``weights``, the table is then multiplied in place by
+        their roots, as :func:`~framelab.numerics.root_weighted` does.  The
+        phase blocks live only while the rows are filled, so a consumer of
+        the table never holds them too.
+        """
+        table = np.empty((hi - lo, self.dim), dtype=np.complex128)
+        parts = table.view(np.float64)
+        # each component's real and imaginary part takes its column's scale
+        scale = np.repeat(self.scale, 2)
+        step = max(1, numerics.BLOCK_ENTRIES // (4 * self.dim))
+        for start, stop, index in _phase_blocks(self.factors, self.order, lo, hi, step):
+            np.take(roots, index, out=table[start - lo : stop - lo], mode="wrap")
+            parts[start - lo : stop - lo] *= scale
+        if weights is not None:
+            numerics.root_weighted(table, weights, out=table)
+        return table
+
+    def family(self) -> VectorFamily:
+        """The family itself, its member table built a phase block at a time."""
+        return _family(self.space, self._rows(_unit_roots(self.order), 0, self.size))
+
+    def weighted_blocks(self) -> Iterator[np.ndarray]:
+        """The blocks :func:`~framelab.numerics.weighted_rows` cuts from ``sqrt(w) * members``."""
+        roots = _unit_roots(self.order)
+        weights = self.space.weights
+        step = numerics.gram_rows(self.dim)
+        for lo in range(0, self.size, step):
+            hi = min(lo + step, self.size)
+            # yielded unnamed, so the consumer alone holds the block
+            yield self._rows(roots, lo, hi, weights[lo:hi])
+
+
+def torus_source(dim: int, grid: int) -> RootSource:
+    """The :class:`RootSource` of :func:`build_torus`, which refuses what it refuses."""
+    _check_counts(dim=dim, grid=grid)
+    if dim < 1:
+        raise InvalidSpecError("torus family needs dim >= 1")
+    if grid <= 2 * (dim // 2):
+        raise InvalidSpecError(f"grid {grid} too coarse for frequencies up to {dim // 2}")
+    factors = np.array(frequency_enumeration(dim), dtype=np.int64)
+    coefficients = 1.0 / np.arange(1.0, dim + 1.0)
+    return RootSource(unit_segment_space(grid), factors, 2 * grid, coefficients)
 
 
 def build_torus(dim: int, grid: int) -> VectorFamily:
@@ -157,18 +211,11 @@ def build_torus(dim: int, grid: int) -> VectorFamily:
     drains to zero under truncation growth.  The grid's nodes are
     ``x_j = (2j + 1) / (2 grid)``, so each exponential is the exact root of
     unity of order ``2 * grid`` at index ``n_i (2j + 1)``, gathered a row
-    block at a time from one table of those roots; each ``-k`` column is
-    exactly the conjugate of its ``k`` column.
+    block at a time from one table of those roots (:class:`RootSource`,
+    which also streams the family's weighted row blocks without its table);
+    each ``-k`` column is exactly the conjugate of its ``k`` column.
     """
-    _check_counts(dim=dim, grid=grid)
-    if dim < 1:
-        raise InvalidSpecError("torus family needs dim >= 1")
-    if grid <= 2 * (dim // 2):
-        raise InvalidSpecError(f"grid {grid} too coarse for frequencies up to {dim // 2}")
-    space = unit_segment_space(grid)
-    coefficients = 1.0 / np.arange(1.0, dim + 1.0)
-    members = _root_table(grid, frequency_enumeration(dim), 2 * grid, coefficients)
-    return _family(space, members)
+    return torus_source(dim, grid).family()
 
 
 @functools.cache
@@ -199,22 +246,8 @@ def _exp_tail_cut(power: int) -> float:
     return hi
 
 
-def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorFamily:
-    """Modulated-profile family over a frequency grid.
-
-    The ambient space is the radial half line with weight ``r**(power-1)``,
-    truncated where the energy tail of the profile ``exp(-r)`` drops below
-    ``AFFINE_TAIL_FRACTION`` of the total and embedded into coordinates
-    through square-root weights.  Members are pure modulations of the profile
-    sampled on a frequency window matched to the radial spacing, so the frame
-    operator approaches multiplication by ``r**(power-1) exp(-2r)``; for
-    ``power == 1`` the match is exact up to roundoff.  The entry at frequency
-    node ``f_a`` and radial node ``r_b`` is
-    ``sqrt(w_b) exp(-r_b) exp(-2 pi I f_a r_b)``; on these grids
-    ``f_a r_b = (2a + 1)(2b + 1) / (4 grid)``, so its phase factor is the
-    exact conjugate root of unity of order ``4 * grid`` there, gathered a row
-    block at a time from one table of those roots.
-    """
+def affine_source(cells: int, grid: int | None = None, power: int = 1) -> RootSource:
+    """The :class:`RootSource` of :func:`build_affine`, which refuses what it refuses."""
     _check_counts(cells=cells, grid=grid)
     if cells < 1:
         raise InvalidSpecError("affine family needs cells >= 1")
@@ -233,8 +266,28 @@ def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorF
     )
     profile = np.sqrt(radial_space.weights) * np.exp(-radial_space.points)
     # negated factors gather the conjugate roots
-    members = _root_table(grid, -(2 * np.arange(cells) + 1), 4 * grid, profile)
-    return _family(frequency_space, members)
+    factors = -(2 * np.arange(cells, dtype=np.int64) + 1)
+    return RootSource(frequency_space, factors, 4 * grid, profile)
+
+
+def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorFamily:
+    """Modulated-profile family over a frequency grid.
+
+    The ambient space is the radial half line with weight ``r**(power-1)``,
+    truncated where the energy tail of the profile ``exp(-r)`` drops below
+    ``AFFINE_TAIL_FRACTION`` of the total and embedded into coordinates
+    through square-root weights.  Members are pure modulations of the profile
+    sampled on a frequency window matched to the radial spacing, so the frame
+    operator approaches multiplication by ``r**(power-1) exp(-2r)``; for
+    ``power == 1`` the match is exact up to roundoff.  The entry at frequency
+    node ``f_a`` and radial node ``r_b`` is
+    ``sqrt(w_b) exp(-r_b) exp(-2 pi I f_a r_b)``; on these grids
+    ``f_a r_b = (2a + 1)(2b + 1) / (4 grid)``, so its phase factor is the
+    exact conjugate root of unity of order ``4 * grid`` there, gathered a row
+    block at a time from one table of those roots (:class:`RootSource`,
+    which also streams the family's weighted row blocks without its table).
+    """
+    return affine_source(cells, grid, power).family()
 
 
 def affine_radial_space(cells: int, power: int, upper_limit: float) -> DiscretizedSpace:
@@ -341,25 +394,29 @@ def build_random(rows: int, dim: int, seed=None) -> VectorFamily:
 
 @dataclass(frozen=True)
 class _Reads:
-    """The spec fields one gallery kind reads.
+    """The spec fields one gallery kind reads, and its row-block source.
 
-    ``build`` passes ``needs`` by position, refusing a spec that leaves one
-    unset, and each set field of ``takes`` by name.  ``sized`` maps each field
-    a truncation size sets to the multiple of the size it takes; it is
-    ``None`` for a kind that is not size-parameterized.  A truncation reads
-    the other fields from its spec.
+    ``source`` makes the kind's source: a :class:`RootSource` for the torus
+    and affine kinds, the family itself (whose blocks are slices of its
+    table) for the rest.  :func:`source` passes it ``needs`` by position,
+    refusing a spec that leaves one unset, and each set field of ``takes`` by
+    name.  ``sized`` maps each field a truncation size sets to the multiple
+    of the size it takes; it is ``None`` for a kind that is not
+    size-parameterized.  A truncation reads the other fields from its spec.
     """
 
-    builder: Callable[..., VectorFamily]
+    source: Callable[..., FamilySource]
     needs: tuple[str, ...]
     takes: tuple[str, ...] = ()
     sized: dict[str, int] | None = None
 
 
 _READS = {
-    GalleryKind.TORUS: _Reads(build_torus, ("dim", "grid"), sized={"dim": 1, "grid": 4}),
+    GalleryKind.TORUS: _Reads(torus_source, ("dim", "grid"), sized={"dim": 1, "grid": 4}),
     # a truncation keeps the default grid, one frequency per radial cell
-    GalleryKind.AFFINE: _Reads(build_affine, ("dim",), ("grid", "power"), {"dim": 1, "grid": 1}),
+    GalleryKind.AFFINE: _Reads(affine_source, ("dim",), ("grid", "power"), {"dim": 1, "grid": 1}),
+    # the random kind draws every real part before any imaginary one, so it
+    # has no row-block formula: its blocks are slices of its table
     GalleryKind.DELTA: _Reads(build_delta, ("dim",), sized={"dim": 1}),
     GalleryKind.DOUBLED_ONB: _Reads(build_doubled_onb, ("dim",), sized={"dim": 1}),
     GalleryKind.AUGMENTED_ONB: _Reads(build_augmented_onb, ("dim",), sized={"dim": 1}),
@@ -375,26 +432,38 @@ def _refuse_unread(spec: GallerySpec, reads, what: str) -> None:
         raise InvalidSpecError(f"{what} does not read {', '.join(unread)}")
 
 
-def build(spec: GallerySpec) -> VectorFamily:
-    """Construct the family described by ``spec``, refusing fields its kind does not read."""
+def source(spec: GallerySpec) -> FamilySource:
+    """The row-block source of the family ``spec`` describes, refusing unread fields.
+
+    A torus or affine family comes as its :class:`RootSource`, which makes
+    each block from the formula; any other kind is built, and its blocks are
+    slices of its table.
+    """
     reads = _READS[spec.kind]
     _refuse_unread(spec, reads.needs + reads.takes, f"{spec.kind.value} gallery")
     missing = [name for name in reads.needs if getattr(spec, name) is None]
     if missing:
         raise InvalidSpecError(f"{spec.kind.value} spec needs {' and '.join(missing)}")
     taken = {name: getattr(spec, name) for name in reads.takes if getattr(spec, name) is not None}
-    return reads.builder(*(getattr(spec, name) for name in reads.needs), **taken)
+    return reads.source(*(getattr(spec, name) for name in reads.needs), **taken)
+
+
+def build(spec: GallerySpec) -> VectorFamily:
+    """The family described by ``spec``: the table of its :func:`source`."""
+    return source(spec).family()
 
 
 def truncation_sequence(
     spec: GallerySpec, sizes: Sequence[int]
-) -> Callable[[int], VectorFamily]:
-    """Size-indexed builder for bound-trend experiments.
+) -> Callable[[int], FamilySource]:
+    """Size-indexed sources for bound-trend and redundancy experiments.
 
-    Each size is built by :func:`build` with the fields its kind's truncation
-    size sets, so identical specs and sizes always produce identical
-    families: the torus keeps four nodes per frequency slot, and a seeded
-    spec gives each size the child seed ``[seed, size]``.
+    Each size is the :func:`source` of its spec with the fields its kind's
+    truncation size sets, so identical specs and sizes always give identical
+    families, and a torus or affine size is streamed without its table: the
+    torus keeps four nodes per frequency slot, and a seeded spec gives each
+    size the child seed ``[seed, size]``.  ``.family()`` of a size is its
+    :func:`build`.
     """
     sizes = list(sizes)
     if sizes != sorted(sizes):
@@ -407,10 +476,10 @@ def truncation_sequence(
     unsized = [name for name in reads.needs + reads.takes if name not in reads.sized]
     _refuse_unread(spec, unsized, f"{spec.kind.value} truncation")
 
-    def family(size: int) -> VectorFamily:
+    def sized_source(size: int) -> FamilySource:
         sized = {name: per_size * size for name, per_size in reads.sized.items()}
         if spec.seed is not None:
             sized["seed"] = [spec.seed, size]
-        return build(replace(spec, **sized))
+        return source(replace(spec, **sized))
 
-    return family
+    return sized_source

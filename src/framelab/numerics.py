@@ -5,20 +5,24 @@ coordinate Gram matrices) are dense ``complex128`` numpy arrays of size at
 most ``d x d`` or ``n x d``; node-indexed ``n x n`` kernels are kept by
 :mod:`framelab.rkhs` as two ``n x r`` factors instead.  There is no sparse or
 iterative machinery.  Every Hermitian Gram ``X^H W X`` (frame operators,
-span Grams, the Gram behind a rank certificate) is :func:`gram`, a sum of one
-real symmetric product per row block of the float view of ``sqrt(w) * X``,
-and a verdict that reads only a spectrum takes eigenvalues without
-eigenvectors (``vectors=False``).  Node weights meet a table only here: every
-mixed product ``X^H W Y`` over the nodes is :func:`weighted_gram`, the
-analysis table ``sqrt(w) * conj(X)`` is :func:`weighted_analysis` and every
-SVD of a weighted table ``sqrt(w) * X`` is :func:`weighted_svd`.  A sum over
-the nodes never holds more than one member table plus a block of about
-``BLOCK_ENTRIES`` entries: :func:`gram` and :func:`weighted_gram` walk the
-node axis in row blocks, and :func:`newton_update` corrects a table in place
-a row block at a time.  A table of one block or no columns takes the single
-product with no block bookkeeping.  Tables are frozen and shared: a family or
-kernel keeps the array :func:`adopt` returns, which is its argument itself
-when that is a read-only, C-contiguous ``complex128`` array owning its data.
+span Grams, the Gram behind a rank certificate) is :func:`block_gram`, a sum
+of one real symmetric product per row block of the float view of
+``sqrt(w) * X``: :func:`gram` hands it the :func:`weighted_rows` of a table,
+and a generated gallery family hands it the same blocks made from its formula
+(:func:`framelab.frames.frame_operator`).  A verdict that reads only a
+spectrum takes eigenvalues without eigenvectors (``vectors=False``).  Node
+weights meet a table only here: every mixed product ``X^H W Y`` over the
+nodes is :func:`weighted_gram`, the analysis table ``sqrt(w) * conj(X)`` is
+:func:`weighted_analysis` and every SVD of a weighted table ``sqrt(w) * X``
+is :func:`weighted_svd`.  A sum over the nodes never holds more than one
+member table plus a block of about ``BLOCK_ENTRIES`` entries, and a
+generated family holds one block and no table: :func:`block_gram` and
+:func:`weighted_gram` walk the node axis in row blocks, and
+:func:`newton_update` corrects a table in place a row block at a time.  A
+table of one block or no columns is a single block.  Tables are frozen and
+shared: a family or kernel keeps the array :func:`adopt` returns, which is
+its argument itself when that is a read-only, C-contiguous ``complex128``
+array owning its data.
 Every rank decision and SVD cutoff comes from :func:`rank_cutoff`.
 :func:`rank` first tries to certify full rank from a
 Gram spectrum (:func:`certifies_full_rank`) and otherwise counts
@@ -156,41 +160,80 @@ def _node_sum(term, tables: tuple, step: int):
     return total
 
 
-def _gram_part(table, weights=None) -> np.ndarray:
-    """:func:`gram` of one block, with the scaled block released before the Gram is assembled."""
-    if weights is None:
-        scaled = np.ascontiguousarray(table, dtype=np.complex128)
-    else:
-        scaled = root_weighted(table, weights)
-    real = scaled.view(np.float64)
-    del scaled
+def gram_rows(cols: int) -> int:
+    """Rows per block of :func:`block_gram` over ``cols`` columns.
+
+    A block holds at least ``8 * cols`` rows, since a SYRK over fewer rows
+    loses speed against the one product, and about ``BLOCK_ENTRIES`` entries
+    beyond that.
+    """
+    return max(8 * cols, _block_rows(cols))
+
+
+def weighted_rows(table, weights=None):
+    """The blocks :func:`block_gram` sums to ``gram(table, weights)``.
+
+    Each is a fresh C-contiguous ``sqrt(w) * table`` (``table`` without
+    ``weights``) over a block of :func:`gram_rows` rows; a table with no rows
+    gives one empty block.
+    """
+    step = gram_rows(np.shape(table)[1])
+    for start in range(0, len(table) or 1, step):
+        stop = start + step
+        if weights is None:
+            yield np.ascontiguousarray(table[start:stop], dtype=np.complex128)
+        else:
+            yield root_weighted(table[start:stop], weights[start:stop])
+
+
+def _gram_part(blocks) -> np.ndarray | None:
+    """The Gram of the next of ``blocks``, or ``None`` past the last.
+
+    The block is taken here, so nothing else holds it, and released before
+    its Gram is assembled from the product.
+    """
+    real = next(blocks, None)
+    if real is None:
+        return None
+    real = real.view(np.float64)
     product = real.T @ real
     del real
     dim = product.shape[0] // 2
-    blocks = product.reshape(dim, 2, dim, 2)
+    parts = product.reshape(dim, 2, dim, 2)
     out = np.empty((dim, dim), dtype=np.complex128)
-    parts = out.view(np.float64).reshape(dim, dim, 2)
-    np.add(blocks[:, 0, :, 0], blocks[:, 1, :, 1], out=parts[..., 0])
-    np.subtract(blocks[:, 0, :, 1], blocks[:, 1, :, 0], out=parts[..., 1])
+    halves = out.view(np.float64).reshape(dim, dim, 2)
+    np.add(parts[:, 0, :, 0], parts[:, 1, :, 1], out=halves[..., 0])
+    np.subtract(parts[:, 0, :, 1], parts[:, 1, :, 0], out=halves[..., 1])
     return out
 
 
-def gram(table, weights=None) -> np.ndarray:
-    """``table^H W table`` (``W = I`` without ``weights``), one real symmetric product per block.
+def block_gram(blocks) -> np.ndarray:
+    """``B^H B`` for the rows ``B`` of ``blocks`` together, one real symmetric product per block.
 
-    The ``(m, 2d)`` float64 view ``R`` of a row block of ``sqrt(w) * table``
-    holds the real and imaginary part of each column side by side, so
-    ``P = R^T R`` carries ``Re G = P[re, re] + P[im, im]`` and
-    ``Im G = P[re, im] - P[im, re]``.  numpy runs ``R^T R`` as one SYRK, about
-    half the work of the complex product, and mirrors its triangle, so ``G``
-    is exactly Hermitian.  ``G`` is the sum of the blocks' parts.  A block
-    holds at least ``8 * d`` rows, since a SYRK over fewer rows loses speed
-    against the one product, and each scaled block is released before its
-    part is assembled from ``P``.
+    ``blocks`` yields C-contiguous ``complex128`` row blocks of one column
+    count, at least one.  The ``(m, 2d)`` float64 view ``R`` of a block holds
+    the real and imaginary part of each column side by side, so ``P = R^T R``
+    carries ``Re G = P[re, re] + P[im, im]`` and ``Im G = P[re, im] -
+    P[im, re]``.  numpy runs ``R^T R`` as one SYRK, about half the work of the
+    complex product, and mirrors its triangle, so ``G`` is exactly Hermitian.
+    ``G`` is the first block's part plus each later one's, and each block is
+    released before its part is assembled from ``P``, so a generator that
+    makes its blocks holds one block at a time.
     """
-    cols = np.shape(table)[1]
-    tables = (table,) if weights is None else (table, weights)
-    return _node_sum(_gram_part, tables, max(8 * cols, _block_rows(cols)))
+    blocks = iter(blocks)
+    total = _gram_part(blocks)
+    while (part := _gram_part(blocks)) is not None:
+        total += part
+        del part
+    return total
+
+
+def gram(table, weights=None) -> np.ndarray:
+    """``table^H W table`` (``W = I`` without ``weights``).
+
+    It is the :func:`block_gram` of the table's :func:`weighted_rows`.
+    """
+    return block_gram(weighted_rows(table, weights))
 
 
 def _conj_weighted_product(left, weights, right) -> np.ndarray:
@@ -226,9 +269,13 @@ def newton_update(table: np.ndarray, correction: np.ndarray) -> None:
         rows -= rows @ correction
 
 
-def root_weighted(table, weights) -> np.ndarray:
-    """``sqrt(w) * table``: each node's row scaled by the root of its weight, in a fresh table."""
-    return np.multiply(table, np.sqrt(weights)[:, None], dtype=np.complex128, order="C")
+def root_weighted(table, weights, out=None) -> np.ndarray:
+    """``sqrt(w) * table``: each node's row scaled by the root of its weight.
+
+    The product goes to a fresh table, or to ``out``, which may be ``table``
+    itself; either way each entry takes the same complex product.
+    """
+    return np.multiply(table, np.sqrt(weights)[:, None], out=out, dtype=np.complex128, order="C")
 
 
 def weighted_analysis(members: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -354,15 +401,18 @@ def certifies_full_rank(gram, shape: tuple[int, int], values=None) -> bool:
     The slack also covers a frame operator ``S = members^T (w * conj(members))``
     over ``n`` nodes in ``d`` dimensions, taken as the Gram of the weighted
     analysis table ``A = sqrt(w) * conj(members)`` of shape ``(n, d)``
-    although ``A`` is never formed.  :func:`gram` forms ``conj(S)`` from the
-    real view ``R`` of ``sqrt(w) * members``, whose two columns per dimension
-    hold ``Re`` and ``Im``.  With unit roundoff ``u = eps / 2``, each entry of
+    although ``A`` is never formed, and neither are the members of a
+    generated gallery family: its blocks are the rows of ``sqrt(w) *
+    members`` with the same roundings, which :func:`block_gram` takes as it
+    takes a table's.  :func:`block_gram` forms ``conj(S)`` from the real view
+    ``R`` of ``sqrt(w) * members``, whose two columns per dimension hold
+    ``Re`` and ``Im``.  With unit roundoff ``u = eps / 2``, each entry of
     ``R`` is off by at most ``2u`` relative (the rounded ``sqrt(w)`` and the
     product), so each product of two entries by ``4u``; each entry of ``R^T R``
     is a length-``n`` real sum, off by ``n * u`` times the sum of the
     magnitudes, and one more rounding forms ``Re S`` or ``Im S`` from two of
     them, so each of their ``2n`` products meets at most ``n`` roundings.
-    That count holds for any summation order :func:`gram` takes: over ``B``
+    That count holds for any summation order :func:`block_gram` takes: over ``B``
     row blocks of at most ``m`` rows it forms both parts per block and adds
     the blocks' parts, and ``(m - 1) + 1 + (B - 1) <= n``.  By
     Cauchy-Schwarz, both ``|a_j a_k| + |b_j b_k|`` and

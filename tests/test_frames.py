@@ -319,8 +319,10 @@ class TestAnalysisRank:
         members[:, 2] = members[:, 0]
         family = VectorFamily(space=unit_weight_space(6), members=members)
         calls = []
-        gram = numerics.gram
-        monkeypatch.setattr(numerics, "gram", lambda *a, **k: calls.append(1) or gram(*a, **k))
+        gram = numerics.block_gram  # every Gram, of a table or of a source's blocks
+        monkeypatch.setattr(
+            numerics, "block_gram", lambda *a, **k: calls.append(1) or gram(*a, **k)
+        )
         assert frame_bounds(family).redundancy == 4
         assert len(calls) == 1
 

@@ -171,10 +171,13 @@ class TestNodeBlocks:
     def test_a_table_with_no_columns_is_one_block(self, rng, monkeypatch):
         # past BLOCK_ENTRIES rows, blocks of no entries would only cost calls
         rows = []
-        for name in ("_gram_part", "_conj_weighted_product"):
-            term = getattr(numerics, name)
-            counted = lambda *t, term=term: rows.append(len(t[0])) or term(*t)
-            monkeypatch.setattr(numerics, name, counted)
+        gram, term = numerics.block_gram, numerics._conj_weighted_product
+        monkeypatch.setattr(
+            numerics, "block_gram", lambda blocks: gram(b for b in blocks if not rows.append(len(b)))
+        )
+        monkeypatch.setattr(
+            numerics, "_conj_weighted_product", lambda *t: rows.append(len(t[0])) or term(*t)
+        )
         empty, w = np.zeros((300, 0), dtype=complex), np.ones(300)
         assert numerics.gram(empty, w).shape == (0, 0)
         assert numerics.weighted_gram(complex_rng_matrix(rng, 300, 3), w, empty).shape == (3, 0)

@@ -1,0 +1,160 @@
+"""The streamed route of torus and affine families against their member tables.
+
+``bounds``, ``redundancy`` and ``experiment trend|redundancy`` read a torus
+or affine family through its :class:`~framelab.gallery.RootSource`, whose
+weighted row blocks are made from the formula and dropped one at a time.
+Every report must be the one the member table gives, byte for byte.
+"""
+
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from framelab import cli, codec, frames, gallery, numerics
+from framelab.gallery import GalleryKind, GallerySpec
+
+from conftest import traced_peak
+
+MIB = 2**20
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _cli_report(argv: list[str]) -> bytes:
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "report.json"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+        return out.read_bytes()
+
+
+def _flags(spec: GallerySpec) -> list[str]:
+    flags = ["--gallery", spec.kind.value]
+    for name in ("dim", "grid", "power"):
+        if getattr(spec, name) is not None:
+            flags += [f"--{name}", str(getattr(spec, name))]
+    return flags
+
+
+def _table_reports(spec: GallerySpec, sizes: list[int]) -> dict[str, bytes]:
+    """Each command's report as the member table gives it."""
+    family = gallery.build(spec)
+    excess = frames.redundancy(family)
+    builder = gallery.truncation_sequence(GallerySpec(kind=spec.kind, power=spec.power), sizes)
+    trend = frames.semiframe_trend(lambda size: builder(size).family(), sizes)
+    rows = []
+    for size in sizes:
+        sized = builder(size).family()
+        rows.append((size, sized.size, sized.dim, frames.redundancy(sized)))
+    return {
+        "bounds": codec.json_bytes(frames.frame_bounds(family).to_json()),
+        "redundancy": codec.json_bytes(
+            {"rows": family.size, "dim": family.dim, "redundancy": excess, "index": -excess}
+        ),
+        "trend": codec.table_bytes(
+            "json", "trend", ("size", "lower", "upper"), trend,
+            classification=frames.classify_trend(trend).value,
+        ),
+        "probe": codec.table_bytes(
+            "json", "redundancy", ("size", "rows", "dim", "redundancy"), rows
+        ),
+    }
+
+
+def _streamed_reports(spec: GallerySpec, sizes: list[int]) -> dict[str, bytes]:
+    """Each command's report from the command line, which streams the family."""
+    truncation = ["--gallery", spec.kind.value, "--sizes", ",".join(map(str, sizes))]
+    if spec.power is not None:
+        truncation += ["--power", str(spec.power)]
+    return {
+        "bounds": _cli_report(["bounds", *_flags(spec)]),
+        "redundancy": _cli_report(["redundancy", *_flags(spec)]),
+        "trend": _cli_report(["experiment", "trend", *truncation]),
+        "probe": _cli_report(["experiment", "redundancy", *truncation]),
+    }
+
+
+@st.composite
+def root_specs(draw) -> GallerySpec:
+    """A torus or affine spec, often square: an odd torus ``dim`` on ``grid = dim``."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 24))
+        coarsest = 2 * (dim // 2) + 1
+        grid = draw(st.sampled_from([coarsest, coarsest + 1, 4 * dim + 3, 40 * dim]))
+        return GallerySpec(kind=GalleryKind.TORUS, dim=dim, grid=grid)
+    cells = draw(st.integers(1, 24))
+    grid = draw(st.sampled_from([cells, cells + 1, 3 * cells, 40 * cells]))
+    power = draw(st.sampled_from([None, 1, 3]))
+    return GallerySpec(kind=GalleryKind.AFFINE, dim=cells, grid=grid, power=power)
+
+
+@pytest.mark.parametrize("rank_tol", [None, "0.5"], ids=["default-tol", "tol-0.5"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    spec=root_specs(),
+    sizes=st.lists(st.integers(1, 12), min_size=2, max_size=3, unique=True).map(sorted),
+    block=st.sampled_from([16, 64, 256, numerics.BLOCK_ENTRIES]),
+)
+@example(spec=GallerySpec(kind=GalleryKind.TORUS, dim=7, grid=7), sizes=[3, 5], block=16)
+@example(spec=GallerySpec(kind=GalleryKind.AFFINE, dim=9, grid=9), sizes=[2, 9], block=16)
+@example(spec=GallerySpec(kind=GalleryKind.TORUS, dim=5, grid=900), sizes=[1, 2], block=64)
+def test_streamed_reports_are_the_table_reports(rank_tol, spec, sizes, block):
+    # small blocks cut a family into many Gram blocks and many phase blocks;
+    # at a rank tolerance of 0.5 no torus certificate decides, so the
+    # redundancy counts go back to the table
+    environ = {} if rank_tol is None else {numerics.RANK_TOL_ENV: rank_tol}
+    with mock.patch.dict(os.environ, environ), \
+            mock.patch.object(numerics, "BLOCK_ENTRIES", block):
+        source, family = gallery.source(spec), gallery.build(spec)
+        for made, cut in zip(source.weighted_blocks(), family.weighted_blocks(), strict=True):
+            assert _bits(made) == _bits(cut)
+        assert _bits(frames.frame_operator(source)) == _bits(frames.frame_operator(family))
+        assert _streamed_reports(spec, sizes) == _table_reports(spec, sizes)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GallerySpec(kind=GalleryKind.TORUS, dim=16, grid=4096),
+        GallerySpec(kind=GalleryKind.AFFINE, dim=8, grid=4096, power=2),
+    ],
+    ids=["torus", "affine"],
+)
+def test_a_certified_family_is_never_built(spec, monkeypatch):
+    # with more nodes than dimensions and a certificate that decides, the
+    # verdicts read the operator alone
+    def refused(self):
+        raise AssertionError("member table built")
+
+    monkeypatch.setattr(gallery.RootSource, "family", refused)
+    source = gallery.source(spec)
+    assert frames.frame_bounds(source).redundancy == spec.grid - spec.dim
+    assert frames.redundancy(source) == spec.grid - spec.dim
+    builder = gallery.truncation_sequence(GallerySpec(kind=spec.kind), [64, 128])
+    assert len(frames.semiframe_trend(builder, [64, 128])) == 2
+    _cli_report(["experiment", "trend", "--gallery", spec.kind.value, "--sizes", "16,32"])
+    _cli_report(["bounds", *_flags(spec)])
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        # the table alone would be 256 MiB; the 2 * grid roots take 8 MiB
+        (["--gallery", "torus", "--dim", "64", "--grid", str(2**18)], 16 * MIB),
+        # one 1 MiB block and its 2 MiB real product; the table is built for
+        # the zero-redundancy row check only once the operator is released
+        (["--gallery", "affine", "--dim", "256", "--grid", "256"], 3.5 * MIB),
+    ],
+    ids=["torus-64x2^18", "affine-256"],
+)
+def test_streamed_bounds_peak_below_the_table_route(argv, bound):
+    report, peak = traced_peak(lambda: _cli_report(["bounds", *argv]))
+    assert b'"classification"' in report
+    assert peak <= bound
