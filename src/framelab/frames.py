@@ -4,10 +4,11 @@ A family is an ``n x d`` table whose j-th row is the member attached to the
 j-th node, expressed in a fixed orthonormal basis of the ambient space.  The
 inner product convention everywhere is linear in the first slot and
 conjugate-linear in the second, so ``analysis(family, f)[j] = <f, row_j>``.
-The verdicts read from the frame operator alone (:func:`frame_operator`,
-:func:`frame_bounds`, :func:`redundancy`, :func:`semiframe_trend`) take a
-:class:`FamilySource`: a family, or a gallery family that makes its weighted
-row blocks from its formula without its table.
+The verdicts read from the weighted row blocks alone, through the frame
+operator or the rank (:func:`frame_operator`, :func:`frame_bounds`,
+:func:`redundancy`, :func:`semiframe_trend`), take a :class:`FamilySource`:
+a family, or a gallery family that makes its weighted row blocks from its
+formula without its table.
 """
 
 from __future__ import annotations
@@ -171,9 +172,12 @@ class FamilySource(Protocol):
 
     ``weighted_blocks()`` yields fresh C-contiguous blocks of
     ``sqrt(w) * members`` over the rows :func:`~framelab.numerics.weighted_rows`
-    cuts, with the same entries, and holds none once yielded; ``family()``
-    is the :class:`VectorFamily`.  A family is its own source, and
-    :class:`framelab.gallery.RootSource` makes each block from its formula.
+    cuts, with the same entries, and holds none once yielded; every frame
+    operator and rank of a source reads them.  ``family()`` is the
+    :class:`VectorFamily`, which only the zero-redundancy row check of
+    :func:`frame_bounds` and the commands that need the whole table ask for.
+    A family is its own source, and :class:`framelab.gallery.RootSource`
+    makes each block from its formula.
     """
 
     space: DiscretizedSpace
@@ -276,23 +280,21 @@ def analysis_rank(source: FamilySource, operator=None, values=None) -> int:
     With at least as many nodes as dimensions, full rank is first certified
     (:func:`~framelab.numerics.certifies_full_rank`) from the frame operator,
     which is that table's Gram exactly as :func:`~framelab.numerics.gram`
-    forms it from the table, so the verdict is the one the table gives
-    without forming the table.  A caller holding the operator passes it, with
+    forms it from the table.  A caller holding the operator passes it, with
     its ascending eigenvalues ``values`` when known; otherwise it is formed
-    here.  When nothing is certified, the source's table is built and
-    :func:`~framelab.numerics.rank` counts it, reading the operator as its
-    Gram.  Either way the verdict is the SVD count.
+    here.  When nothing is certified, :func:`~framelab.numerics.block_rank`
+    counts the singular values of the source's weighted row blocks, the
+    conjugate of that table with the same singular values.  Neither route
+    forms the table, and either way the verdict is the count of singular
+    values above :func:`~framelab.numerics.rank_cutoff`.
     """
-    if source.size < source.dim:
-        operator = None  # the Gram of the shorter side is then n x n
-    else:
+    shape = (source.size, source.dim)
+    if source.size >= source.dim:
         if operator is None:
             operator = frame_operator(source)
-        if numerics.certifies_full_rank(operator, (source.size, source.dim), values):
+        if numerics.certifies_full_rank(operator, shape, values):
             return source.dim
-    family = source.family()
-    table = numerics.weighted_analysis(family.members, family.space.weights)
-    return numerics.rank(table, operator)
+    return numerics.block_rank(source.weighted_blocks(), shape)
 
 
 def redundancy(source: FamilySource) -> int:

@@ -12,35 +12,33 @@ and a generated gallery family hands it the same blocks made from its formula
 (:func:`framelab.frames.frame_operator`).  A verdict that reads only a
 spectrum takes eigenvalues without eigenvectors (``vectors=False``).  Node
 weights meet a table only here: every mixed product ``X^H W Y`` over the
-nodes is :func:`weighted_gram`, the analysis table ``sqrt(w) * conj(X)`` is
-:func:`weighted_analysis` and every SVD of a weighted table ``sqrt(w) * X``
-is :func:`weighted_svd`.  A sum over the nodes never holds more than one
+nodes is :func:`weighted_gram` and every SVD of a weighted table ``sqrt(w) *
+X`` is :func:`weighted_svd`.  A sum over the nodes never holds more than one
 member table plus a block of about ``BLOCK_ENTRIES`` entries, and a
-generated family holds one block and no table: :func:`block_gram` and
-:func:`weighted_gram` walk the node axis in row blocks, and
-:func:`newton_update` corrects a table in place a row block at a time.  A
-table of one block or no columns is a single block.  Tables are frozen and
-shared: a family or kernel keeps the array :func:`adopt` returns, which is
-its argument itself when that is a read-only, C-contiguous ``complex128``
-array owning its data.
-Every rank decision and SVD cutoff comes from :func:`rank_cutoff`.
-:func:`rank` first tries to certify full rank from a
-Gram spectrum (:func:`certifies_full_rank`) and otherwise counts
-singular values from an SVD, so a rank verdict is the SVD count; every rank
-verdict on a family is :func:`framelab.frames.analysis_rank`, which asks the
-certificate of the frame operator first.  The frame bounds of a frame
-operator together with the rule that refuses to invert it live in
-:func:`frame_spectrum` and :func:`require_frame`, and the inverse applied to
-the rows of a member table in :meth:`FrameSpectrum.inverse_rows`, so no other
-module hand-rolls its own thresholds or dual formula.  The
-thresholds are constants: ``DEFAULT_RANK_RTOL`` (overridable only through
-``FRAMELAB_RANK_TOL``, read at each rank decision), ``HERMITIAN_RTOL`` for
-Hermitian symmetry and ``FRAME_RTOL`` for the frame verdict; the few
-tolerances and bounds that callers still pass go through
-:func:`check_tolerance`.  Complex arrays are written out as ``[re, im]``
-pairs through :func:`complex_pairs`, an ``(m, 2)`` float64 view of the
-entries in C order; a report renders that view as ``json.dumps`` renders its
-``.tolist()``.
+generated family holds one block and no table: :func:`block_gram`,
+:func:`block_rank` and :func:`weighted_gram` walk the node axis in row
+blocks, and :func:`newton_update` corrects a table in place a row block at a
+time.  A table of one block or no columns is a single block.  Tables are
+frozen and shared: a family or kernel keeps the array :func:`adopt` returns,
+which is its argument itself when that is a read-only, C-contiguous
+``complex128`` array owning its data.
+Every rank decision and SVD cutoff comes from :func:`rank_cutoff`.  Every
+rank verdict on a family is :func:`framelab.frames.analysis_rank`: full rank
+certified from the frame operator's spectrum (:func:`certifies_full_rank`),
+or else the :func:`block_rank` count of the row blocks :func:`block_gram`
+takes, folded into a triangular factor, so no rank verdict forms a table or
+its SVD.  The frame bounds of a frame operator together with the rule that
+refuses to invert it live in :func:`frame_spectrum` and
+:func:`require_frame`, and the inverse applied to the rows of a member table
+in :meth:`FrameSpectrum.inverse_rows`, so no other module hand-rolls its own
+thresholds or dual formula.  The thresholds are constants:
+``DEFAULT_RANK_RTOL`` (overridable only through ``FRAMELAB_RANK_TOL``, read
+at each rank decision), ``HERMITIAN_RTOL`` for Hermitian symmetry and
+``FRAME_RTOL`` for the frame verdict; the few tolerances and bounds that
+callers still pass go through :func:`check_tolerance`.  Complex arrays are
+written out as ``[re, im]`` pairs through :func:`complex_pairs`, an ``(m,
+2)`` float64 view of the entries in C order; a report renders that view as
+``json.dumps`` renders its ``.tolist()``.
 """
 
 from __future__ import annotations
@@ -228,6 +226,35 @@ def block_gram(blocks) -> np.ndarray:
     return total
 
 
+def block_rank(blocks, shape: tuple[int, int]) -> int:
+    """Number of singular values above :func:`rank_cutoff` of a ``shape`` table, by row blocks.
+
+    ``blocks`` yields the table's C-contiguous ``complex128`` row blocks, as
+    :func:`block_gram` takes them.  Each is folded into a triangular factor,
+    ``R <- qr([R; block])`` (a tall-skinny QR), so a generator of blocks
+    holds one block and ``R`` at a time.  Householder QR is backward stable,
+    so ``R`` has the table's singular values up to ``O(eps * sigma_max)``,
+    as an SVD of the table gives them.  Once an entry reaches magnitude 1,
+    rows are folded scaled by a power of two, which is exact and keeps the
+    count, so no Householder step overflows.
+    """
+    factor = np.empty((0, shape[1]), dtype=np.complex128)
+    exponent = 0  # the rows folded so far are those of factor times 2**exponent
+    for block in blocks:
+        parts = block.view(np.float64)
+        top = max(parts.max(initial=0.0), -parts.min(initial=0.0))
+        shift = max(exponent, math.frexp(top)[1])
+        rows = np.vstack((factor, block))
+        del block, parts
+        if shift:
+            folded, floats = len(factor), rows.view(np.float64)
+            np.ldexp(floats[:folded], exponent - shift, out=floats[:folded])
+            np.ldexp(floats[folded:], -shift, out=floats[folded:])
+        factor, exponent = np.linalg.qr(rows, mode="r"), shift
+    s = np.linalg.svd(factor, compute_uv=False)
+    return int(np.count_nonzero(s > rank_cutoff(s, shape)))
+
+
 def gram(table, weights=None) -> np.ndarray:
     """``table^H W table`` (``W = I`` without ``weights``).
 
@@ -276,12 +303,6 @@ def root_weighted(table, weights, out=None) -> np.ndarray:
     itself; either way each entry takes the same complex product.
     """
     return np.multiply(table, np.sqrt(weights)[:, None], out=out, dtype=np.complex128, order="C")
-
-
-def weighted_analysis(members: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Analysis in orthonormal coordinates: ``sqrt(w) * conj(members)``, whose Gram is ``S``."""
-    table = members.conj()
-    return np.multiply(table, np.sqrt(weights)[:, None], out=table)
 
 
 def weighted_svd(table: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -396,7 +417,8 @@ def certifies_full_rank(gram, shape: tuple[int, int], values=None) -> bool:
     value then clears the cutoff.  The trace must be finite and above
     ``rows * cols * tiny / eps``, and every entry of ``gram`` finite, so that
     neither overflow nor gradual underflow escapes the slack; otherwise
-    nothing is certified.
+    nothing is certified.  An uncertified rank is counted by
+    :func:`block_rank`, which takes no Gram and no eigenvalues.
 
     The slack also covers a frame operator ``S = members^T (w * conj(members))``
     over ``n`` nodes in ``d`` dimensions, taken as the Gram of the weighted
@@ -435,30 +457,3 @@ def certifies_full_rank(gram, shape: tuple[int, int], values=None) -> bool:
     slack = 4 * (rows + cols) * _EPS * trace
     bound = rank_cutoff(np.sqrt([values[-1] + slack]), shape)
     return bool(values[0] - slack > bound * bound)
-
-
-def rank(a, shorter=None) -> int:
-    """Number of singular values above :func:`rank_cutoff`.
-
-    Full rank is first certified by :func:`certifies_full_rank` from the
-    Gram matrix of the shorter side, which a caller holding it passes as
-    ``shorter`` (exactly as :func:`gram` forms it), so it is not formed
-    again; otherwise the singular values are counted from an SVD.  Either
-    way the verdict is the SVD count.
-    """
-    m = as_matrix(a)
-    rows, cols = m.shape
-    # for a wide table, the Gram of m^T is the conjugate of m m^H: the same
-    # spectrum and trace, with no conjugate formed
-    if shorter is None:
-        with np.errstate(all="ignore"):
-            shorter = gram(m if rows >= cols else m.T)
-    if certifies_full_rank(shorter, m.shape):
-        return min(rows, cols)
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > rank_cutoff(s, m.shape)))
-
-
-def operator_norm(a) -> float:
-    s = singular_values(a)
-    return float(s[0]) if s.size else 0.0

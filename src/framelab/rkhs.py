@@ -293,14 +293,14 @@ def kernel_from_pair_report(first, second, space: DiscretizedSpace) -> PairKerne
     c1, c2 = np.hsplit(numerics.weighted_gram(q, space.weights, joint), 2)
     s_hat = c1 @ c2.conj().T
     dim = q.shape[1]
-    # the joint span is never empty, so s_hat has at least one singular value
+    # the joint span is never empty, so s_hat, c1 and c2 each have a singular value
     sing = numerics.singular_values(s_hat)
     smallest = float(sing[-1])
     condition = float(sing[0] / smallest) if smallest > 0.0 else float("inf")
     # invertibility is judged against the natural scale of the pair, the
     # product of the coordinate norms, so a uniformly tiny operator (which may
     # look well conditioned relative to itself) still counts as degenerate
-    scale = numerics.operator_norm(c1) * numerics.operator_norm(c2)
+    scale = float(numerics.singular_values(c1)[0]) * float(numerics.singular_values(c2)[0])
     if scale == 0.0 or smallest * SPAN_CONDITION_LIMIT <= scale:
         raise PairDegenerateError(
             f"span resolution operator is numerically singular "

@@ -75,6 +75,12 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def svd_count(a, threshold):
+    """Reference rank: singular values above ``threshold * sigma_max * max(shape)``."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s > threshold * s[0] * max(a.shape)))
+
+
 class SvdCalled(Exception):
     """Raised by :func:`no_svd` in place of an SVD."""
 

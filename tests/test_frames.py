@@ -30,7 +30,7 @@ from framelab.frames import (
     synthesis,
 )
 from framelab.gallery import build_torus
-from framelab.measure import DiscretizedSpace, Node, Provenance
+from framelab.measure import DiscretizedSpace, Node, Provenance, unit_segment_space
 from framelab.numerics import FRAME_RTOL
 
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     complex_rng_matrix,
     onb_family,
     random_family,
+    svd_count,
     traced_peak,
     unit_weight_space,
 )
@@ -264,17 +265,22 @@ class TestFrameBounds:
 
 
 class RankCalled(Exception):
-    """Raised by a stand-in for ``numerics.rank``."""
+    """Raised by a stand-in for ``numerics.block_rank``."""
 
 
 def no_rank(*args, **kwargs):
     raise RankCalled
 
 
+def refused(self):
+    raise AssertionError("member table asked for")
+
+
 class TestAnalysisRank:
     def test_weighted_analysis_is_the_scaled_conjugate(self, rng):
+        # the weighted blocks the count folds are the conjugate of the analysis table
         family = random_family(rng, 7, 3, weighted=True)
-        table = numerics.weighted_analysis(family.members, family.space.weights)
+        table = np.vstack(list(family.weighted_blocks())).conj()
         expected = np.sqrt(family.space.weights)[:, None] * family.members.conj()
         np.testing.assert_array_equal(table, expected)
         # its Gram is the frame operator
@@ -284,7 +290,7 @@ class TestAnalysisRank:
         # frame_bounds certifies full rank from the frame operator it already holds
         family = random_family(rng, 64, 8, weighted=True)
         assert redundancy(family) == 56
-        monkeypatch.setattr(numerics, "rank", no_rank)
+        monkeypatch.setattr(numerics, "block_rank", no_rank)
         assert frame_bounds(family).redundancy == 56
 
     def test_rank_deficient_family_falls_back_on_the_count(self, rng, monkeypatch):
@@ -292,7 +298,7 @@ class TestAnalysisRank:
         members[:, 2] = members[:, 0]
         family = VectorFamily(space=unit_weight_space(6), members=members)
         assert analysis_rank(family) == 2
-        monkeypatch.setattr(numerics, "rank", no_rank)
+        monkeypatch.setattr(numerics, "block_rank", no_rank)
         with pytest.raises(RankCalled):
             frame_bounds(family)
 
@@ -303,15 +309,22 @@ class TestAnalysisRank:
         # the raw member rows diag(1, entry) have the other rank at the default cutoff
         members = np.diag([1.0, entry]).astype(complex)
         family = VectorFamily(space=cell_space([1.0, weight]), members=members)
-        assert numerics.rank(members) == 3 - rank
+        assert numerics.block_rank(numerics.weighted_rows(members), members.shape) == 3 - rank
         assert analysis_rank(family) == rank
         assert redundancy(family) == frame_bounds(family).redundancy == 2 - rank
 
     def test_certified_rank_forms_no_analysis_table(self, rng, monkeypatch):
-        # redundancy certifies full rank from the frame operator first
+        # redundancy certifies full rank from the frame operator first: one pass
+        # over the weighted rows, and no table
         family = random_family(rng, 64, 8, weighted=True)
-        monkeypatch.setattr(numerics, "weighted_analysis", no_rank)
+        passes = []
+        blocks = VectorFamily.weighted_blocks
+        monkeypatch.setattr(
+            VectorFamily, "weighted_blocks", lambda self: passes.append(1) or blocks(self)
+        )
+        monkeypatch.setattr(VectorFamily, "family", refused)
         assert redundancy(family) == 56
+        assert len(passes) == 1
 
     def test_uncertified_rank_forms_one_gram(self, rng, monkeypatch):
         # the count reads the frame operator frame_bounds holds as the table's Gram
@@ -340,13 +353,23 @@ class TestAnalysisRank:
         members[:, : min(deficit, cols - 1)] = members[:, -1:]
         weights = 10.0 ** rng.uniform(-decades / 2, decades / 2, rows)
         family = VectorFamily(space=cell_space(weights), members=members)
-        table = numerics.weighted_analysis(family.members, family.space.weights)
-        assert analysis_rank(family) == numerics.rank(table)
+        table = np.sqrt(family.space.weights)[:, None] * family.members.conj()
+        assert analysis_rank(family) == svd_count(table, numerics.DEFAULT_RANK_RTOL)
 
     def test_fewer_nodes_than_dimensions(self, rng):
         family = random_family(rng, 2, 5, weighted=True)
         assert analysis_rank(family) == 2
         assert redundancy(family) == 0
+
+    def test_uncertified_redundancy_peaks_at_a_few_blocks(self, rng):
+        # rank 48 of 64 dimensions over 65,536 nodes: the 64 MiB table is the
+        # family's own; the count folds its weighted rows, 1 MiB blocks, into
+        # a 64 x 64 factor and forms no second table
+        members = complex_rng_matrix(rng, 2**16, 48) @ complex_rng_matrix(rng, 48, 64)
+        family = VectorFamily(space=unit_segment_space(2**16), members=numerics.freeze(members))
+        excess, peak = traced_peak(lambda: redundancy(family))
+        assert excess == 2**16 - 48
+        assert peak <= 8 * 2**20
 
 
 class TestCanonicalDual:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from framelab import numerics
 from framelab.errors import NonSquareError, NotAFrameError, NotHermitianError, ValidationError
 from framelab.frames import (
-    Classification, VectorFamily, frame_bounds, frame_operator, semiframe_trend,
+    Classification, VectorFamily, analysis_rank, frame_bounds, frame_operator, semiframe_trend,
 )
 from framelab.gallery import GalleryKind, GallerySpec, truncation_sequence
 from framelab.pairs import bessel_bound, frame_transfer, lower_semiframe_dual, resolution_operator
@@ -17,7 +17,7 @@ from framelab.rkhs import point_evaluation_bounds
 
 from conftest import (
     COPIED_TABLES, SvdCalled, cell_space, complex_rng_matrix, conditioned_family, no_svd,
-    onb_family, random_family, unit_weight_space,
+    onb_family, random_family, svd_count, unit_weight_space,
 )
 
 
@@ -355,29 +355,33 @@ class TestWeightedSvd:
         np.testing.assert_allclose(again.members, psi.members, rtol=0, atol=1e-8 * scale)
 
 
+def _block_rank(a, step=None) -> int:
+    """:func:`numerics.block_rank` of ``a``, cut into blocks of ``step`` rows or its weighted rows."""
+    a = np.asarray(a, dtype=np.complex128)
+    if step is None:
+        return numerics.block_rank(numerics.weighted_rows(a), a.shape)
+    blocks = (a[start : start + step] for start in range(0, len(a) or 1, step))
+    return numerics.block_rank(blocks, a.shape)
+
+
 class TestRank:
     def test_zero(self):
-        assert numerics.rank(np.zeros((4, 4))) == 0
+        assert _block_rank(np.zeros((4, 4))) == 0
 
     def test_identity(self):
-        assert numerics.rank(np.eye(4)) == 4
+        assert _block_rank(np.eye(4)) == 4
 
     def test_generic_full_rank(self, rng):
         a = complex_rng_matrix(rng, 12, 5)
         # oracle: count singular values via an independent svd call
         s = np.linalg.svd(a, compute_uv=False)
         assert int(np.sum(s > 1e-10 * s[0] * 12)) == 5
-        assert numerics.rank(a) == 5
-
-
-def _svd_count(a, threshold):
-    """Reference rank: singular values above ``threshold * sigma_max * max(shape)``."""
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > threshold * s[0] * max(a.shape)))
+        assert _block_rank(a) == 5
+        assert _block_rank(a, step=1) == 5
 
 
 class TestRankCertificate:
-    """The Gram certificate of full rank gives exactly the SVD count."""
+    """The Gram certificate of full rank and the block count give exactly the SVD count."""
 
     @pytest.mark.parametrize("threshold", [None, "1e-3", "0.5"])
     @settings(
@@ -393,9 +397,10 @@ class TestRankCertificate:
         tall=st.booleans(),
         kind=st.sampled_from(["generic", "thin-product", "above-cutoff", "below-cutoff"]),
         exponent=st.sampled_from([0, 600, -600, -530, 510]),
+        step=st.integers(1, 16),
     )
     def test_equals_svd_count(
-        self, monkeypatch, threshold, seed, short, extra, tall, kind, exponent
+        self, monkeypatch, threshold, seed, short, extra, tall, kind, exponent, step
     ):
         if threshold is not None:
             monkeypatch.setenv(numerics.RANK_TOL_ENV, threshold)
@@ -415,24 +420,35 @@ class TestRankCertificate:
             v, _ = np.linalg.qr(complex_rng_matrix(rng, cols, short))
             a = (u * s) @ v.conj().T
         a = a * 2.0**exponent
-        tolerance = float(threshold or numerics.DEFAULT_RANK_RTOL)
-        assert numerics.rank(a) == _svd_count(a, tolerance)
+        count = svd_count(a, float(threshold or numerics.DEFAULT_RANK_RTOL))
+        # the Gram of the shorter side: for a wide table, the Gram of a^T
+        with np.errstate(all="ignore"):
+            shorter = numerics.gram(a if tall else a.T)
+        if numerics.certifies_full_rank(shorter, a.shape):
+            assert count == short
+        assert _block_rank(a) == _block_rank(a, step) == count
 
     def test_well_conditioned_table_needs_no_svd(self, rng, monkeypatch):
-        a = complex_rng_matrix(rng, 512, 32)
+        space = unit_weight_space(512)
+        a = VectorFamily(space=space, members=complex_rng_matrix(rng, 512, 32))
         deficient = complex_rng_matrix(rng, 512, 31) @ complex_rng_matrix(rng, 31, 32)
+        deficient = VectorFamily(space=space, members=deficient)
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        assert numerics.rank(a) == 32
+        assert analysis_rank(a) == 32
         with pytest.raises(SvdCalled):
-            numerics.rank(deficient)
+            analysis_rank(deficient)
 
     @pytest.mark.parametrize(
         "a", [[[1e200]], [[1e308, 1.0], [1.0, 1e-300]]], ids=["square-overflows", "ill-scaled"]
     )
     def test_overflowing_gram_falls_back_silently(self, a):
+        a = np.asarray(a, dtype=np.complex128)
+        with np.errstate(all="ignore"):
+            shorter = numerics.gram(a)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert numerics.rank(a) == _svd_count(np.asarray(a), numerics.DEFAULT_RANK_RTOL)
+            assert not numerics.certifies_full_rank(shorter, a.shape)
+            assert _block_rank(a) == svd_count(a, numerics.DEFAULT_RANK_RTOL)
 
 
 class TestRankPolicy:
@@ -440,24 +456,27 @@ class TestRankPolicy:
 
     def test_threshold_positive(self, monkeypatch):
         monkeypatch.setenv(numerics.RANK_TOL_ENV, "0")
-        with pytest.raises(
-            ValidationError, match="FRAMELAB_RANK_TOL must be a finite positive number, got '0'"
-        ):
-            numerics.rank(np.eye(2))
+        message = "FRAMELAB_RANK_TOL must be a finite positive number, got '0'"
+        with pytest.raises(ValidationError, match=message):
+            analysis_rank(onb_family(2))
+        with pytest.raises(ValidationError, match=message):
+            _block_rank(np.eye(2))
 
     @pytest.mark.parametrize("threshold", [float("inf"), float("-inf"), float("nan")])
     def test_threshold_finite(self, monkeypatch, threshold):
         monkeypatch.setenv(numerics.RANK_TOL_ENV, str(threshold))
-        with pytest.raises(
-            ValidationError, match=f"must be a finite positive number, got '{threshold}'"
-        ):
-            numerics.rank(np.eye(2))
+        message = f"must be a finite positive number, got '{threshold}'"
+        with pytest.raises(ValidationError, match=message):
+            analysis_rank(onb_family(2))
+        with pytest.raises(ValidationError, match=message):
+            _block_rank(np.eye(2))
 
     def test_custom_threshold_changes_rank(self, monkeypatch):
         a = np.diag([1.0, 1e-6])
-        assert numerics.rank(a) == 2
+        family = VectorFamily(space=unit_weight_space(2), members=a)
+        assert _block_rank(a) == analysis_rank(family) == 2
         monkeypatch.setenv(numerics.RANK_TOL_ENV, "1e-3")
-        assert numerics.rank(a) == 1
+        assert _block_rank(a) == analysis_rank(family) == 1
         assert numerics.weighted_svd(a, np.ones(2))[1].size == 1
 
     def test_environment_override(self, monkeypatch):

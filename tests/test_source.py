@@ -45,14 +45,17 @@ def test_every_module_constant_is_read_by_code():
 
 
 def _weights_by_hand(node: ast.AST) -> bool:
-    """Whether ``node`` is ``np.linalg.svd(...)``, ``np.linalg.pinv(...)`` or a weight column.
+    """Whether ``node`` is ``np.linalg.svd``, ``.qr`` or ``.pinv`` called, or a weight column.
 
-    A weight column is ``[:, None]`` applied to any expression that reads a
-    ``w`` or ``weights`` name or a ``.weights`` attribute, such as
-    ``w[group][:, None]`` or ``np.sqrt(space.weights)[:, None]``.
+    A QR of weighted row blocks is the fold of
+    :func:`~framelab.numerics.block_rank`, so it has one home, as the
+    weighted SVD has.  A weight column is ``[:, None]`` applied to any
+    expression that reads a ``w`` or ``weights`` name or a ``.weights``
+    attribute, such as ``w[group][:, None]`` or
+    ``np.sqrt(space.weights)[:, None]``.
     """
     if isinstance(node, ast.Call):
-        return ast.unparse(node.func) in ("np.linalg.svd", "np.linalg.pinv")
+        return ast.unparse(node.func) in ("np.linalg.svd", "np.linalg.qr", "np.linalg.pinv")
     if not (isinstance(node, ast.Subscript) and ast.unparse(node).endswith("[:, None]")):
         return False
     return any(
@@ -63,8 +66,9 @@ def _weights_by_hand(node: ast.AST) -> bool:
 
 
 def test_node_weights_meet_tables_only_in_numerics():
-    # every X^H W Y is numerics.weighted_gram and every weighted SVD is
-    # numerics.weighted_svd, so no other module weights a table by hand
+    # every X^H W Y is numerics.weighted_gram, every weighted SVD is
+    # numerics.weighted_svd and every rank fold numerics.block_rank, so no
+    # other module weights or factors a table by hand
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         if path.name == "numerics.py":

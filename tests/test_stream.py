@@ -6,6 +6,7 @@ weighted row blocks are made from the formula and dropped one at a time.
 Every report must be the one the member table gives, byte for byte.
 """
 
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from framelab import cli, codec, frames, gallery, numerics
 from framelab.gallery import GalleryKind, GallerySpec
 
-from conftest import traced_peak
+from conftest import svd_count, traced_peak
 
 MIB = 2**20
 
@@ -33,6 +34,21 @@ def _cli_report(argv: list[str]) -> bytes:
         out = Path(scratch) / "report.json"
         assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
         return out.read_bytes()
+
+
+# a torus and an affine family of more nodes than dimensions
+_ROOT_SPECS = pytest.mark.parametrize(
+    "spec",
+    [
+        GallerySpec(kind=GalleryKind.TORUS, dim=16, grid=4096),
+        GallerySpec(kind=GalleryKind.AFFINE, dim=8, grid=4096, power=2),
+    ],
+    ids=["torus", "affine"],
+)
+
+
+def _refused(self):
+    raise AssertionError("member table built")
 
 
 def _flags(spec: GallerySpec) -> list[str]:
@@ -108,7 +124,7 @@ def root_specs(draw) -> GallerySpec:
 def test_streamed_reports_are_the_table_reports(rank_tol, spec, sizes, block):
     # small blocks cut a family into many Gram blocks and many phase blocks;
     # at a rank tolerance of 0.5 no torus certificate decides, so the
-    # redundancy counts go back to the table
+    # redundancy counts fold the streamed blocks
     environ = {} if rank_tol is None else {numerics.RANK_TOL_ENV: rank_tol}
     with mock.patch.dict(os.environ, environ), \
             mock.patch.object(numerics, "BLOCK_ENTRIES", block):
@@ -119,21 +135,11 @@ def test_streamed_reports_are_the_table_reports(rank_tol, spec, sizes, block):
         assert _streamed_reports(spec, sizes) == _table_reports(spec, sizes)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        GallerySpec(kind=GalleryKind.TORUS, dim=16, grid=4096),
-        GallerySpec(kind=GalleryKind.AFFINE, dim=8, grid=4096, power=2),
-    ],
-    ids=["torus", "affine"],
-)
+@_ROOT_SPECS
 def test_a_certified_family_is_never_built(spec, monkeypatch):
     # with more nodes than dimensions and a certificate that decides, the
     # verdicts read the operator alone
-    def refused(self):
-        raise AssertionError("member table built")
-
-    monkeypatch.setattr(gallery.RootSource, "family", refused)
+    monkeypatch.setattr(gallery.RootSource, "family", _refused)
     source = gallery.source(spec)
     assert frames.frame_bounds(source).redundancy == spec.grid - spec.dim
     assert frames.redundancy(source) == spec.grid - spec.dim
@@ -141,6 +147,36 @@ def test_a_certified_family_is_never_built(spec, monkeypatch):
     assert len(frames.semiframe_trend(builder, [64, 128])) == 2
     _cli_report(["experiment", "trend", "--gallery", spec.kind.value, "--sizes", "16,32"])
     _cli_report(["bounds", *_flags(spec)])
+
+
+@_ROOT_SPECS
+@pytest.mark.parametrize("rank_tol", ["0.5", "1e-4"])
+def test_an_uncertified_count_builds_no_family(spec, rank_tol, monkeypatch):
+    # at these rank tolerances no certificate decides the family's rank (0 at
+    # 0.5, 2 at 1e-4), so its counts fold the streamed blocks; each count is
+    # the SVD count of the member table
+    monkeypatch.setenv(numerics.RANK_TOL_ENV, rank_tol)
+    sizes = [8, 24]
+    builder = gallery.truncation_sequence(GallerySpec(kind=spec.kind), sizes)
+
+    def table_count(family: frames.VectorFamily) -> int:
+        table = np.sqrt(family.space.weights)[:, None] * family.members
+        return family.size - svd_count(table, float(rank_tol))
+
+    expected = table_count(gallery.build(spec))
+    assert expected > spec.grid - spec.dim
+    expected_rows = []
+    for size in sizes:
+        sized = builder(size).family()
+        expected_rows.append(
+            {"size": size, "rows": sized.size, "dim": sized.dim, "redundancy": table_count(sized)}
+        )
+    monkeypatch.setattr(gallery.RootSource, "family", _refused)
+    assert frames.redundancy(gallery.source(spec)) == expected
+    report = json.loads(_cli_report(["redundancy", *_flags(spec)]))
+    assert report["redundancy"] == expected
+    probe = ["experiment", "redundancy", "--gallery", spec.kind.value, "--sizes", "8,24"]
+    assert json.loads(_cli_report(probe))["redundancy"] == expected_rows
 
 
 @pytest.mark.parametrize(
