@@ -71,18 +71,14 @@ def _gallery_spec(args: argparse.Namespace) -> gallery.GallerySpec:
     return gallery.GallerySpec(kind=kind, **{name: getattr(args, name) for name in _SPEC_FLAGS})
 
 
-def _load_source(args: argparse.Namespace) -> frames.FamilySource:
-    """The family of ``--in``, or the row-block source of ``--gallery``."""
+def _load_family(args: argparse.Namespace) -> frames.VectorFamily:
+    """The family of ``--in`` or of ``--gallery``."""
     sources = [args.in_path is not None, args.gallery is not None]
     if sum(sources) != 1:
         raise ValidationError("exactly one of --in or --gallery is required")
     if args.in_path is not None:
         return codec.read_family(args.in_path)
-    return gallery.source(_gallery_spec(args))
-
-
-def _load_family(args: argparse.Namespace) -> frames.VectorFamily:
-    return _load_source(args).family()
+    return gallery.build(_gallery_spec(args))
 
 
 def _write(path: Path, data: bytes) -> None:
@@ -128,7 +124,7 @@ def _cmd_inspect(args: argparse.Namespace) -> bytes:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> bytes:
-    report = frames.frame_bounds(_load_source(args))
+    report = frames.frame_bounds(_load_family(args))
     return codec.json_bytes(report.to_json())
 
 
@@ -147,9 +143,9 @@ def _cmd_kernel(args: argparse.Namespace) -> bytes:
 
 
 def _cmd_redundancy(args: argparse.Namespace) -> bytes:
-    source = _load_source(args)
-    excess = frames.redundancy(source)
-    payload = {"rows": source.size, "dim": source.dim, "redundancy": excess, "index": -excess}
+    family = _load_family(args)
+    excess = frames.redundancy(family)
+    payload = {"rows": family.size, "dim": family.dim, "redundancy": excess, "index": -excess}
     return codec.json_bytes(payload)
 
 
@@ -202,8 +198,8 @@ def _cmd_experiment(args: argparse.Namespace) -> bytes:
         )
     rows = []
     for size in sizes:
-        source = builder(size)
-        rows.append((size, source.size, source.dim, frames.redundancy(source)))
+        family = builder(size)
+        rows.append((size, family.size, family.dim, frames.redundancy(family)))
     return codec.table_bytes(args.format, "redundancy", ("size", "rows", "dim", "redundancy"), rows)
 
 

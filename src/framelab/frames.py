@@ -4,11 +4,10 @@ A family is an ``n x d`` table whose j-th row is the member attached to the
 j-th node, expressed in a fixed orthonormal basis of the ambient space.  The
 inner product convention everywhere is linear in the first slot and
 conjugate-linear in the second, so ``analysis(family, f)[j] = <f, row_j>``.
-The verdicts read from the weighted row blocks alone, through the frame
-operator or the rank (:func:`frame_operator`, :func:`frame_bounds`,
-:func:`redundancy`, :func:`semiframe_trend`), take a :class:`FamilySource`:
-a family, or a gallery family that makes its weighted row blocks from its
-formula without its table.
+The verdicts of the frame operator or the rank (:func:`frame_operator`,
+:func:`frame_bounds`, :func:`redundancy`, :func:`semiframe_trend`) read
+:meth:`VectorFamily.weighted_blocks`, which a family made from its formula
+(:class:`framelab.gallery.RootSource`) gives without its table.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +39,10 @@ class VectorFamily:
     array that owns its data is adopted as is, so a producer that freezes a
     fresh table (:func:`~framelab.numerics.freeze`) hands it over without a
     copy; anything else is copied (:func:`~framelab.numerics.adopt`), so
-    writes to the caller's array never reach the family.
+    writes to the caller's array never reach the family.  A subclass may
+    make its rows from a formula (:class:`framelab.gallery.RootSource`):
+    ``size``, ``dim`` and ``weighted_blocks()`` (fresh C-contiguous blocks of
+    the table's rows, none held once yielded) build no table; ``members`` does.
     """
 
     space: DiscretizedSpace
@@ -77,12 +79,8 @@ class VectorFamily:
         return self.members.shape[1]
 
     def weighted_blocks(self) -> Iterator[np.ndarray]:
-        """Row blocks of ``sqrt(w) * members``: its :func:`~framelab.numerics.weighted_rows`."""
+        """Row blocks of ``sqrt(w) * members``, which every frame operator and rank reads."""
         return numerics.weighted_rows(self.members, self.space.weights)
-
-    def family(self) -> "VectorFamily":
-        """The family itself: a table is its own :class:`FamilySource`."""
-        return self
 
     def to_json(self) -> dict:
         return {
@@ -167,32 +165,6 @@ def _pair_floats(pairs, out: np.ndarray) -> bool:
     return True
 
 
-class FamilySource(Protocol):
-    """A family given by its weighted row blocks, its table built only on demand.
-
-    ``weighted_blocks()`` yields fresh C-contiguous blocks of
-    ``sqrt(w) * members`` over the rows :func:`~framelab.numerics.weighted_rows`
-    cuts, with the same entries, and holds none once yielded; every frame
-    operator and rank of a source reads them.  ``family()`` is the
-    :class:`VectorFamily`, which only the zero-redundancy row check of
-    :func:`frame_bounds` and the commands that need the whole table ask for.
-    A family is its own source, and :class:`framelab.gallery.RootSource`
-    makes each block from its formula.
-    """
-
-    space: DiscretizedSpace
-
-    @property
-    def size(self) -> int: ...
-
-    @property
-    def dim(self) -> int: ...
-
-    def weighted_blocks(self) -> Iterator[np.ndarray]: ...
-
-    def family(self) -> VectorFamily: ...
-
-
 class Classification(Enum):
     FRAME = "frame"
     BESSEL_ONLY = "bessel-only"
@@ -263,18 +235,18 @@ def analysis_matrix(family: VectorFamily) -> np.ndarray:
     return family.members.conj()
 
 
-def frame_operator(source: FamilySource) -> np.ndarray:
+def frame_operator(family: VectorFamily) -> np.ndarray:
     """Weighted sum of rank-one member projectors, ``members^T W conj(members)``.
 
     It is the conjugate of the :func:`~framelab.numerics.block_gram` of the
-    source's weighted row blocks, each made, reduced and dropped in turn, so
+    family's weighted row blocks, each made, reduced and dropped in turn, so
     a generated family holds one block and no table.
     """
-    operator = numerics.block_gram(source.weighted_blocks())
+    operator = numerics.block_gram(family.weighted_blocks())
     return np.conj(operator, out=operator)
 
 
-def analysis_rank(source: FamilySource, operator=None, values=None) -> int:
+def analysis_rank(family: VectorFamily, operator=None, values=None) -> int:
     """Numerical rank of ``sqrt(w) * conj(members)``: every rank verdict on a family.
 
     With at least as many nodes as dimensions, full rank is first certified
@@ -283,50 +255,51 @@ def analysis_rank(source: FamilySource, operator=None, values=None) -> int:
     forms it from the table.  A caller holding the operator passes it, with
     its ascending eigenvalues ``values`` when known; otherwise it is formed
     here.  When nothing is certified, :func:`~framelab.numerics.block_rank`
-    counts the singular values of the source's weighted row blocks, the
+    counts the singular values of the family's weighted row blocks, the
     conjugate of that table with the same singular values.  Neither route
-    forms the table, and either way the verdict is the count of singular
-    values above :func:`~framelab.numerics.rank_cutoff`.
+    reads ``members``, so a generated family builds no table, and either way
+    the verdict is the count of singular values above
+    :func:`~framelab.numerics.rank_cutoff`.
     """
-    shape = (source.size, source.dim)
-    if source.size >= source.dim:
+    shape = (family.size, family.dim)
+    if family.size >= family.dim:
         if operator is None:
-            operator = frame_operator(source)
+            operator = frame_operator(family)
         if numerics.certifies_full_rank(operator, shape, values):
-            return source.dim
-    return numerics.block_rank(source.weighted_blocks(), shape)
+            return family.dim
+    return numerics.block_rank(family.weighted_blocks(), shape)
 
 
-def redundancy(source: FamilySource) -> int:
+def redundancy(family: VectorFamily) -> int:
     """Node excess over :func:`analysis_rank`.
 
     This is the dimension of the null space of the weighted synthesis map.
     """
-    return source.size - analysis_rank(source)
+    return family.size - analysis_rank(family)
 
 
-def frame_bounds(source: FamilySource) -> FrameReport:
+def frame_bounds(family: VectorFamily) -> FrameReport:
     """Spectral frame bounds and redundancy accounting.
 
     The bounds are the extreme eigenvalues of the frame operator.  The family
     is a frame when the lower bound clears ``FRAME_RTOL`` times the upper one,
     otherwise only the (finite) upper inequality stands; finite truncations of
     unbounded systems need the trend utilities to surface semi-frame
-    behavior.  The zero-redundancy check matches member rows within
-    ``ROW_MATCH_TOL``; it needs the table, which a generated family builds
-    only once its operator is released.
+    behavior.  The zero-redundancy check matches member rows as :func:`split`
+    does at ``ROW_MATCH_TOL``; only it reads ``members`` (n = d), once the
+    operator is released.
     """
-    operator = frame_operator(source)
+    operator = frame_operator(family)
     spectrum = numerics.frame_spectrum(operator, vectors=False)
     lower, upper = spectrum.lower, spectrum.upper
-    excess = source.size - analysis_rank(source, operator, spectrum.values)
+    excess = family.size - analysis_rank(family, operator, spectrum.values)
     del operator
     condition = upper / lower if lower > 0 else float("inf")
     classification = Classification.FRAME if spectrum.is_frame() else Classification.BESSEL_ONLY
     degenerate = (
         excess == 0
-        and not source.space.is_atom.any()
-        and not _equal_row_groups(source.family(), ROW_MATCH_TOL)
+        and not family.space.is_atom.any()
+        and not _equal_row_groups(family, ROW_MATCH_TOL)
     )
     return FrameReport(
         lower=lower,
@@ -386,14 +359,15 @@ def _equal_row_groups(family: VectorFamily, row_tolerance: float) -> list[list[i
     """Greedy grouping of quadrature nodes with entrywise-equal member rows.
 
     Seeds are taken in node order; each unused seed collects every later
-    unused cell row within ``row_tolerance`` of it in every entry.  Only
+    unused cell row within ``tolerance`` of it in every entry, which is
+    ``row_tolerance`` times the largest ``|entry|`` of the cell rows.  Only
     groups of two or more nodes are returned.
 
     Candidates are filtered by a window on one key column, the real or
     imaginary column of the cell rows with the largest spread.  A row within
-    ``row_tolerance`` of the seed in every entry is within it in that column
+    ``tolerance`` of the seed in every entry is within it in that column
     too, since ``|Re z|, |Im z| <= |z|`` holds exactly for ``np.abs``; the
-    window ``key +- 2 * row_tolerance`` absorbs the rounding of its ends.
+    window ``key +- 2 * tolerance`` absorbs the rounding of its ends.
     Sorting costs O(n log n); the exact entrywise test then runs only on the
     rows inside each seed's window.
     """
@@ -401,13 +375,14 @@ def _equal_row_groups(family: VectorFamily, row_tolerance: float) -> list[list[i
     if cells.size < 2:
         return []
     rows = family.members[cells]
+    tolerance = row_tolerance * float(np.max(np.abs(rows)))
     spreads = np.concatenate([np.ptp(rows.real, axis=0), np.ptp(rows.imag, axis=0)])
     column = int(np.argmax(spreads))
     key = (rows.real if column < family.dim else rows.imag)[:, column % family.dim]
     order = np.argsort(key)
     sorted_key = key[order]
-    starts = np.searchsorted(sorted_key, key - 2 * row_tolerance, side="left")
-    stops = np.searchsorted(sorted_key, key + 2 * row_tolerance, side="right")
+    starts = np.searchsorted(sorted_key, key - 2 * tolerance, side="left")
+    stops = np.searchsorted(sorted_key, key + 2 * tolerance, side="right")
     used = np.zeros(cells.size, dtype=bool)
     groups: list[list[int]] = []
     for seed in np.flatnonzero(stops - starts > 1):
@@ -418,7 +393,7 @@ def _equal_row_groups(family: VectorFamily, row_tolerance: float) -> list[list[i
         if candidates.size == 0:
             continue
         gaps = np.max(np.abs(rows[candidates] - rows[seed]), axis=1)
-        matches = candidates[gaps <= row_tolerance]
+        matches = candidates[gaps <= tolerance]
         if matches.size:
             group = np.concatenate(([seed], matches))
             used[group] = True
@@ -433,11 +408,12 @@ def split(
 
     Every atom node collapses to the single vector ``sqrt(w) * member``; any
     group of quadrature nodes sharing one member row (entrywise within
-    ``row_tolerance``) merges into the mass-weighted mean row scaled by the
-    square root of the group weight.  Remaining quadrature nodes form the
-    strictly continuous part.  The weighted coefficient energy of the input
-    splits exactly into the discrete squared pairings plus the energy of the
-    continuous part.
+    ``row_tolerance`` times the largest ``|entry|`` of the quadrature rows,
+    so a scaled family splits as its scale) merges into the mass-weighted
+    mean row scaled by the square root of the group weight.  Remaining
+    quadrature nodes form the strictly continuous part.  The weighted
+    coefficient energy of the input splits exactly into the discrete squared
+    pairings plus the energy of the continuous part.
     """
     numerics.check_tolerance(row_tolerance, "row_tolerance")
     w = family.space.weights
@@ -453,16 +429,17 @@ def split(
 
 
 def semiframe_trend(
-    builder: Callable[[int], FamilySource], sizes: Sequence[int]
+    builder: Callable[[int], VectorFamily], sizes: Sequence[int]
 ) -> list[tuple[int, float, float]]:
     """Frame bounds across a sequence of truncation sizes.
 
-    ``builder`` gives the source of each size, as
+    ``builder`` gives the family of each size, as
     :func:`framelab.gallery.truncation_sequence` does, and only its frame
-    operator is formed.  Finite truncations always carry positive bounds;
-    semi-frame behavior of the underlying unbounded system shows up as the
-    lower bound draining to zero or the upper bound growing without limit
-    along the sequence, which :func:`classify_trend` turns into a verdict.
+    operator is formed, so a generated family builds no table.  Finite
+    truncations always carry positive bounds; semi-frame behavior of the
+    underlying unbounded system shows up as the lower bound draining to zero
+    or the upper bound growing without limit along the sequence, which
+    :func:`classify_trend` turns into a verdict.
     """
     results = []
     for size in sizes:

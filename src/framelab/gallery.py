@@ -1,10 +1,15 @@
-"""Ready-made example families, parameterized for truncation experiments."""
+"""Ready-made example families, parameterized for truncation experiments.
+
+Every builder returns a :class:`~framelab.frames.VectorFamily`; a torus or
+affine family is a :class:`RootSource`, whose table is made on its first
+read and whose weighted row blocks are made without it.
+"""
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, Iterator, Sequence
 
@@ -12,7 +17,7 @@ import numpy as np
 
 from . import numerics
 from .errors import InvalidSpecError
-from .frames import FamilySource, VectorFamily
+from .frames import VectorFamily
 from .measure import (
     Density,
     DiscretizedSpace,
@@ -125,25 +130,34 @@ def _phase_blocks(factors, order: int, start: int, stop: int, step: int):
 
 
 @dataclass(frozen=True, eq=False)
-class RootSource:
-    """A torus or affine family given by its formula, a source of its row blocks.
+class RootSource(VectorFamily):
+    """A torus or affine family given by its formula, which makes its own rows.
 
     Member ``j`` holds ``roots[(2j + 1) * factors[c] mod order] * scale[c]``
     in column ``c``, with ``roots`` the :func:`_unit_roots` of ``order``.
-    :meth:`family` builds the member table; :meth:`weighted_blocks` yields the
-    blocks :func:`~framelab.numerics.weighted_rows` would cut from that table
-    and its weights, each made on its own, so no table is held.  Both fill
-    rows the same way: the roots are gathered a phase block of about
+    ``members`` is built on its first read and kept; ``size``, ``dim``,
+    ``repr`` and :meth:`weighted_blocks` never read it, and each block, one
+    :func:`~framelab.numerics.weighted_rows` would cut from the table and its
+    weights, is made from the formula on its own.  Both fill rows the same
+    way: the roots are gathered a phase block of about
     ``numerics.BLOCK_ENTRIES / 4`` entries at a time with ``np.take``
     straight into the rows, whose float view is then scaled in place, so
     every entry takes the same operations on either route and no full-size
-    phase or index table is formed.
+    phase or index table is formed.  No check of
+    :class:`~framelab.frames.VectorFamily` runs on the table, which is finite
+    by construction (roots of unity times the finite ``scale``).
     """
 
-    space: DiscretizedSpace
+    def _table(self) -> np.ndarray:
+        return numerics.freeze(self._rows(_unit_roots(self.order), 0, self.size))
+
+    members: np.ndarray = field(init=False, repr=False, default=functools.cached_property(_table))
     factors: np.ndarray
     order: int
     scale: np.ndarray
+
+    def __post_init__(self) -> None:
+        """Nothing to check: the class docstring says why."""
 
     @property
     def size(self) -> int:
@@ -173,10 +187,6 @@ class RootSource:
             numerics.root_weighted(table, weights, out=table)
         return table
 
-    def family(self) -> VectorFamily:
-        """The family itself, its member table built a phase block at a time."""
-        return _family(self.space, self._rows(_unit_roots(self.order), 0, self.size))
-
     def weighted_blocks(self) -> Iterator[np.ndarray]:
         """The blocks :func:`~framelab.numerics.weighted_rows` cuts from ``sqrt(w) * members``."""
         roots = _unit_roots(self.order)
@@ -188,19 +198,7 @@ class RootSource:
             yield self._rows(roots, lo, hi, weights[lo:hi])
 
 
-def torus_source(dim: int, grid: int) -> RootSource:
-    """The :class:`RootSource` of :func:`build_torus`, which refuses what it refuses."""
-    _check_counts(dim=dim, grid=grid)
-    if dim < 1:
-        raise InvalidSpecError("torus family needs dim >= 1")
-    if grid <= 2 * (dim // 2):
-        raise InvalidSpecError(f"grid {grid} too coarse for frequencies up to {dim // 2}")
-    factors = np.array(frequency_enumeration(dim), dtype=np.int64)
-    coefficients = 1.0 / np.arange(1.0, dim + 1.0)
-    return RootSource(unit_segment_space(grid), factors, 2 * grid, coefficients)
-
-
-def build_torus(dim: int, grid: int) -> VectorFamily:
+def build_torus(dim: int, grid: int) -> RootSource:
     """Exponential family on the unit circle with harmonically decaying weights.
 
     Member component i at node x is ``exp(2 pi I x n_i) / (i + 1)`` with the
@@ -215,7 +213,14 @@ def build_torus(dim: int, grid: int) -> VectorFamily:
     which also streams the family's weighted row blocks without its table);
     each ``-k`` column is exactly the conjugate of its ``k`` column.
     """
-    return torus_source(dim, grid).family()
+    _check_counts(dim=dim, grid=grid)
+    if dim < 1:
+        raise InvalidSpecError("torus family needs dim >= 1")
+    if grid <= 2 * (dim // 2):
+        raise InvalidSpecError(f"grid {grid} too coarse for frequencies up to {dim // 2}")
+    factors = np.array(frequency_enumeration(dim), dtype=np.int64)
+    coefficients = 1.0 / np.arange(1.0, dim + 1.0)
+    return RootSource(unit_segment_space(grid), factors, 2 * grid, coefficients)
 
 
 @functools.cache
@@ -246,8 +251,23 @@ def _exp_tail_cut(power: int) -> float:
     return hi
 
 
-def affine_source(cells: int, grid: int | None = None, power: int = 1) -> RootSource:
-    """The :class:`RootSource` of :func:`build_affine`, which refuses what it refuses."""
+def build_affine(cells: int, grid: int | None = None, power: int = 1) -> RootSource:
+    """Modulated-profile family over a frequency grid.
+
+    The ambient space is the radial half line with weight ``r**(power-1)``,
+    truncated where the energy tail of the profile ``exp(-r)`` drops below
+    ``AFFINE_TAIL_FRACTION`` of the total and embedded into coordinates
+    through square-root weights.  Members are pure modulations of the profile
+    sampled on a frequency window matched to the radial spacing, so the frame
+    operator approaches multiplication by ``r**(power-1) exp(-2r)``; for
+    ``power == 1`` the match is exact up to roundoff.  The entry at frequency
+    node ``f_a`` and radial node ``r_b`` is
+    ``sqrt(w_b) exp(-r_b) exp(-2 pi I f_a r_b)``; on these grids
+    ``f_a r_b = (2a + 1)(2b + 1) / (4 grid)``, so its phase factor is the
+    exact conjugate root of unity of order ``4 * grid`` there, gathered a row
+    block at a time from one table of those roots (:class:`RootSource`,
+    which also streams the family's weighted row blocks without its table).
+    """
     _check_counts(cells=cells, grid=grid)
     if cells < 1:
         raise InvalidSpecError("affine family needs cells >= 1")
@@ -268,26 +288,6 @@ def affine_source(cells: int, grid: int | None = None, power: int = 1) -> RootSo
     # negated factors gather the conjugate roots
     factors = -(2 * np.arange(cells, dtype=np.int64) + 1)
     return RootSource(frequency_space, factors, 4 * grid, profile)
-
-
-def build_affine(cells: int, grid: int | None = None, power: int = 1) -> VectorFamily:
-    """Modulated-profile family over a frequency grid.
-
-    The ambient space is the radial half line with weight ``r**(power-1)``,
-    truncated where the energy tail of the profile ``exp(-r)`` drops below
-    ``AFFINE_TAIL_FRACTION`` of the total and embedded into coordinates
-    through square-root weights.  Members are pure modulations of the profile
-    sampled on a frequency window matched to the radial spacing, so the frame
-    operator approaches multiplication by ``r**(power-1) exp(-2r)``; for
-    ``power == 1`` the match is exact up to roundoff.  The entry at frequency
-    node ``f_a`` and radial node ``r_b`` is
-    ``sqrt(w_b) exp(-r_b) exp(-2 pi I f_a r_b)``; on these grids
-    ``f_a r_b = (2a + 1)(2b + 1) / (4 grid)``, so its phase factor is the
-    exact conjugate root of unity of order ``4 * grid`` there, gathered a row
-    block at a time from one table of those roots (:class:`RootSource`,
-    which also streams the family's weighted row blocks without its table).
-    """
-    return affine_source(cells, grid, power).family()
 
 
 def affine_radial_space(cells: int, power: int, upper_limit: float) -> DiscretizedSpace:
@@ -394,27 +394,25 @@ def build_random(rows: int, dim: int, seed=None) -> VectorFamily:
 
 @dataclass(frozen=True)
 class _Reads:
-    """The spec fields one gallery kind reads, and its row-block source.
+    """The spec fields one gallery kind reads, and its builder.
 
-    ``source`` makes the kind's source: a :class:`RootSource` for the torus
-    and affine kinds, the family itself (whose blocks are slices of its
-    table) for the rest.  :func:`source` passes it ``needs`` by position,
+    :func:`build` passes ``builder`` the fields of ``needs`` by position,
     refusing a spec that leaves one unset, and each set field of ``takes`` by
     name.  ``sized`` maps each field a truncation size sets to the multiple
     of the size it takes; it is ``None`` for a kind that is not
     size-parameterized.  A truncation reads the other fields from its spec.
     """
 
-    source: Callable[..., FamilySource]
+    builder: Callable[..., VectorFamily]
     needs: tuple[str, ...]
     takes: tuple[str, ...] = ()
     sized: dict[str, int] | None = None
 
 
 _READS = {
-    GalleryKind.TORUS: _Reads(torus_source, ("dim", "grid"), sized={"dim": 1, "grid": 4}),
+    GalleryKind.TORUS: _Reads(build_torus, ("dim", "grid"), sized={"dim": 1, "grid": 4}),
     # a truncation keeps the default grid, one frequency per radial cell
-    GalleryKind.AFFINE: _Reads(affine_source, ("dim",), ("grid", "power"), {"dim": 1, "grid": 1}),
+    GalleryKind.AFFINE: _Reads(build_affine, ("dim",), ("grid", "power"), {"dim": 1, "grid": 1}),
     # the random kind draws every real part before any imaginary one, so it
     # has no row-block formula: its blocks are slices of its table
     GalleryKind.DELTA: _Reads(build_delta, ("dim",), sized={"dim": 1}),
@@ -432,12 +430,13 @@ def _refuse_unread(spec: GallerySpec, reads, what: str) -> None:
         raise InvalidSpecError(f"{what} does not read {', '.join(unread)}")
 
 
-def source(spec: GallerySpec) -> FamilySource:
-    """The row-block source of the family ``spec`` describes, refusing unread fields.
+def build(spec: GallerySpec) -> VectorFamily:
+    """The family ``spec`` describes, refusing unread fields.
 
     A torus or affine family comes as its :class:`RootSource`, which makes
-    each block from the formula; any other kind is built, and its blocks are
-    slices of its table.
+    each weighted row block from the formula and its table only when
+    ``members`` is read; any other kind is built as its table, and its
+    blocks are slices of it.
     """
     reads = _READS[spec.kind]
     _refuse_unread(spec, reads.needs + reads.takes, f"{spec.kind.value} gallery")
@@ -445,25 +444,19 @@ def source(spec: GallerySpec) -> FamilySource:
     if missing:
         raise InvalidSpecError(f"{spec.kind.value} spec needs {' and '.join(missing)}")
     taken = {name: getattr(spec, name) for name in reads.takes if getattr(spec, name) is not None}
-    return reads.source(*(getattr(spec, name) for name in reads.needs), **taken)
-
-
-def build(spec: GallerySpec) -> VectorFamily:
-    """The family described by ``spec``: the table of its :func:`source`."""
-    return source(spec).family()
+    return reads.builder(*(getattr(spec, name) for name in reads.needs), **taken)
 
 
 def truncation_sequence(
     spec: GallerySpec, sizes: Sequence[int]
-) -> Callable[[int], FamilySource]:
-    """Size-indexed sources for bound-trend and redundancy experiments.
+) -> Callable[[int], VectorFamily]:
+    """Size-indexed families for bound-trend and redundancy experiments.
 
-    Each size is the :func:`source` of its spec with the fields its kind's
+    Each size is the :func:`build` of its spec with the fields its kind's
     truncation size sets, so identical specs and sizes always give identical
-    families, and a torus or affine size is streamed without its table: the
-    torus keeps four nodes per frequency slot, and a seeded spec gives each
-    size the child seed ``[seed, size]``.  ``.family()`` of a size is its
-    :func:`build`.
+    families, and a torus or affine size is a :class:`RootSource`, streamed
+    without its table: the torus keeps four nodes per frequency slot, and a
+    seeded spec gives each size the child seed ``[seed, size]``.
     """
     sizes = list(sizes)
     if sizes != sorted(sizes):
@@ -476,10 +469,10 @@ def truncation_sequence(
     unsized = [name for name in reads.needs + reads.takes if name not in reads.sized]
     _refuse_unread(spec, unsized, f"{spec.kind.value} truncation")
 
-    def sized_source(size: int) -> FamilySource:
+    def sized_family(size: int) -> VectorFamily:
         sized = {name: per_size * size for name, per_size in reads.sized.items()}
         if spec.seed is not None:
             sized["seed"] = [spec.seed, size]
-        return source(replace(spec, **sized))
+        return build(replace(spec, **sized))
 
-    return sized_source
+    return sized_family

@@ -8,8 +8,8 @@ iterative machinery.  Every Hermitian Gram ``X^H W X`` (frame operators,
 span Grams, the Gram behind a rank certificate) is :func:`block_gram`, a sum
 of one real symmetric product per row block of the float view of
 ``sqrt(w) * X``: :func:`gram` hands it the :func:`weighted_rows` of a table,
-and a generated gallery family hands it the same blocks made from its formula
-(:func:`framelab.frames.frame_operator`).  A verdict that reads only a
+and a family made from its formula (:class:`framelab.gallery.RootSource`)
+hands it the same blocks (:func:`framelab.frames.frame_operator`).  A verdict that reads only a
 spectrum takes eigenvalues without eigenvectors (``vectors=False``).  Node
 weights meet a table only here: every mixed product ``X^H W Y`` over the
 nodes is :func:`weighted_gram` and every SVD of a weighted table ``sqrt(w) *

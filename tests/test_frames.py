@@ -29,7 +29,7 @@ from framelab.frames import (
     split,
     synthesis,
 )
-from framelab.gallery import build_torus
+from framelab.gallery import RootSource, build_affine, build_torus
 from framelab.measure import DiscretizedSpace, Node, Provenance, unit_segment_space
 from framelab.numerics import FRAME_RTOL
 
@@ -313,16 +313,16 @@ class TestAnalysisRank:
         assert analysis_rank(family) == rank
         assert redundancy(family) == frame_bounds(family).redundancy == 2 - rank
 
-    def test_certified_rank_forms_no_analysis_table(self, rng, monkeypatch):
+    def test_certified_rank_forms_no_analysis_table(self, monkeypatch):
         # redundancy certifies full rank from the frame operator first: one pass
         # over the weighted rows, and no table
-        family = random_family(rng, 64, 8, weighted=True)
+        family = build_torus(8, 64)
         passes = []
-        blocks = VectorFamily.weighted_blocks
+        blocks = RootSource.weighted_blocks
         monkeypatch.setattr(
-            VectorFamily, "weighted_blocks", lambda self: passes.append(1) or blocks(self)
+            RootSource, "weighted_blocks", lambda self: passes.append(1) or blocks(self)
         )
-        monkeypatch.setattr(VectorFamily, "family", refused)
+        monkeypatch.setattr(RootSource, "members", property(refused))
         assert redundancy(family) == 56
         assert len(passes) == 1
 
@@ -625,8 +625,15 @@ class TestSplit:
 
 
 def all_pairs_row_groups(family, row_tolerance):
-    """Reference grouping: every seed against every later unused cell row."""
+    """Reference grouping: every seed against every later unused cell row.
+
+    Rows match within ``row_tolerance`` times the largest ``|entry|`` of the
+    cell rows.
+    """
     cell_indices = np.flatnonzero(~family.space.is_atom).tolist()
+    if len(cell_indices) < 2:
+        return []
+    tolerance = row_tolerance * float(np.max(np.abs(family.members[cell_indices])))
     used: set[int] = set()
     groups: list[list[int]] = []
     for pos, j in enumerate(cell_indices):
@@ -637,7 +644,7 @@ def all_pairs_row_groups(family, row_tolerance):
         for k in cell_indices[pos + 1 :]:
             if k in used:
                 continue
-            if np.max(np.abs(family.members[k] - seed)) <= row_tolerance:
+            if np.max(np.abs(family.members[k] - seed)) <= tolerance:
                 group.append(k)
         if len(group) >= 2:
             groups.append(group)
@@ -681,6 +688,35 @@ def repeated_row_families(draw):
         members = members + factor * tolerance * noise * moved[:, None]
     space = mixed_space(rng, rng.random(rows) < 0.25)
     return VectorFamily(space=space, members=members), tolerance
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**400, 2.0**-400], ids=["2^0", "2^400", "2^-400"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: VectorFamily(space=cell_space([0.5, 0.5]), members=np.eye(2, dtype=complex)),
+        lambda: build_torus(5, 5),
+        lambda: build_torus(4, 16),
+        lambda: build_affine(6, 6),
+        lambda: build_affine(8, 8, power=2),
+    ],
+    ids=["onb-c2", "torus-5x5", "torus-4x16", "affine-6", "affine-8-power-2"],
+)
+def test_row_match_is_scale_free(make, scale, rng):
+    # orthogonal rows of a family scaled by 2^-400 lie within the default
+    # row tolerance of each other in absolute terms; a relative match keeps
+    # them apart, so the split keeps its energy identity and the
+    # zero-redundancy check reads as at scale 1
+    base = make()
+    family = VectorFamily(space=base.space, members=base.members * scale)
+    discrete, continuous = split(family)
+    for f in [np.eye(base.dim)[0], *complex_rng_matrix(rng, 4, base.dim)]:
+        total = family.space.norm(analysis(family, f)) ** 2
+        cont = continuous.space.norm(analysis(continuous, f)) ** 2
+        disc = sum(abs(np.vdot(vec, f)) ** 2 for vec in discrete)
+        assert abs(total - (cont + disc)) <= 1e-10 * total
+    degenerate = frame_bounds(family).degenerate_zero_redundancy
+    assert degenerate == frame_bounds(base).degenerate_zero_redundancy
 
 
 class TestEqualRowGroups:

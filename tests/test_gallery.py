@@ -452,7 +452,7 @@ class TestUnreadFields:
         for spec, direct in cases:
             builder = truncation_sequence(spec, [2, 5])
             for size in (2, 5):
-                family, expected = builder(size).family(), direct(size)
+                family, expected = builder(size), direct(size)
                 assert np.array_equal(family.members, expected.members)
                 assert family.space == expected.space
 

@@ -22,13 +22,19 @@ floats of the reports built from Gram spectra or eigenpairs (``bounds_*``,
 ``dual_*``, ``experiment_trend_*``, ``kernel_*`` and ``partner_*``).
 
 A change that moves floats but no verdict (a new formula for the same
-numbers) leaves the committed corpus as it is.  To check such a change,
-export the parent and the change into two scratch directories (``git
-archive``), regenerate the cases it touches in each, on one machine, with
-``PYTHONPATH=src python tests/test_golden.py NAME...``, compare the two
-``tests/golden`` trees (``diff -r``), and state which reports moved and the
-largest relative deviation of their floats; this test bounds it by
-``GOLDEN_RTOL``.
+numbers) leaves the committed corpus as it is.  To check such a change
+against a revision ``REV`` (its parent, say), run::
+
+    PYTHONPATH=src python tests/test_golden.py --against REV
+
+It unpacks ``git archive REV`` and a copy of the working tree into a
+temporary directory, regenerates the whole corpus in each with that side's
+own ``tests/test_golden.py``, on one machine, and writes
+``python -m framelab.cli [COMMAND] -h`` for the top level and every
+subcommand.  It lists each report or help text that differs, with the
+largest float deviation of a report relative to its largest ``|float|``
+(at least 1, the scale ``GOLDEN_RTOL`` bounds), and exits 1 when anything
+differs, else 0.  The committed corpus is not written.
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr
@@ -53,6 +61,7 @@ from framelab.gallery import build_affine
 from framelab.measure import DiscretizedSpace, Node, Provenance
 from framelab.numerics import RANK_TOL_ENV
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 REPORTS = GOLDEN / "reports"
@@ -316,6 +325,35 @@ def test_golden_case(name, manifest, tmp_path):
         _assert_json_close(json.loads(actual), want, tol)
 
 
+def test_differences_name_every_changed_file():
+    old = {
+        "same.json": b'{"a": 1.0}',
+        "moved.json": b'{"a": 2.0, "b": [1.0]}',
+        "moved.csv": b"x,y\n1,0.5\n",
+        "grown.json": b"[1.0]",
+        "framelab -h": b"exit 0\nusage: a\n",
+        "gone.json": b"{}",
+    }
+    new = {
+        **old,
+        "moved.json": b'{"a": 2.0, "b": [1.5]}',
+        "moved.csv": b"x,y\n1,0.25\n",
+        "grown.json": b"[1.0, 2.0]",
+        "framelab -h": b"exit 0\nusage: b\n",
+        "new -h": b"",
+    }
+    del new["gone.json"]
+    assert differences(old, new) == [
+        "framelab -h: differs",
+        "gone.json: only before",
+        "grown.json: differs, 1 floats before, 2 after",
+        "moved.csv: differs, largest relative float deviation 0.25",
+        "moved.json: differs, largest relative float deviation 0.25",
+        "new -h: only after",
+    ]
+    assert differences(old, old) == []
+
+
 def regenerate(names: list[str]) -> None:
     """Rewrite the reports and manifest entries of ``names`` from the current code.
 
@@ -348,5 +386,91 @@ def regenerate(names: list[str]) -> None:
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
+def _help_text(side: Path, env: dict[str, str], command: list[str]) -> bytes:
+    """``python -m framelab.cli [COMMAND] -h`` in ``side``: its exit code, stdout and stderr."""
+    done = subprocess.run(
+        [sys.executable, "-m", "framelab.cli", *command, "-h"],
+        cwd=side, env=env, capture_output=True,
+    )
+    return b"exit %d\n" % done.returncode + done.stdout + done.stderr
+
+
+def _outputs(side: Path) -> dict[str, bytes]:
+    """Every file of the whole corpus regenerated in ``side``, and every ``-h`` text, by name."""
+    env = {**os.environ, "PYTHONPATH": str(side / "src")}
+    subprocess.run([sys.executable, "tests/test_golden.py"], cwd=side, env=env, check=True)
+    outputs = {
+        path.relative_to(side).as_posix(): path.read_bytes()
+        for path in sorted((side / "tests" / "golden").rglob("*"))
+        if path.is_file()
+    }
+    top = _help_text(side, env, [])
+    outputs["framelab -h"] = top
+    # the subcommands are the choices of the top-level usage line
+    for command in re.search(rb"\{(.*?)\}", top).group(1).decode().split(","):
+        outputs[f"framelab {command} -h"] = _help_text(side, env, [command])
+    return outputs
+
+
+def _report_floats(name: str, data: bytes) -> list[float] | None:
+    """The floats of a JSON or CSV report in order; ``None`` for any other file."""
+    text = data.decode("utf-8")
+    if name.endswith(".json"):
+        return list(_floats(json.loads(text)))
+    if name.endswith(".csv"):
+        rows = csv.reader(io.StringIO(text))
+        return [value for row in rows for value in map(_csv_float, row) if value is not None]
+    return None
+
+
+def differences(old: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
+    """One line per name whose bytes differ between ``old`` and ``new``, or that one lacks."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            lines.append(f"{name}: only {'after' if name in new else 'before'}")
+            continue
+        if old[name] == new[name]:
+            continue
+        before, after = _report_floats(name, old[name]), _report_floats(name, new[name])
+        if before is None or after is None:
+            lines.append(f"{name}: differs")
+        elif len(before) != len(after):
+            lines.append(f"{name}: differs, {len(before)} floats before, {len(after)} after")
+        else:
+            scale = max([1.0, *(abs(v) for v in before)])
+            gap = max((abs(a - b) for a, b in zip(before, after)), default=0.0)
+            lines.append(f"{name}: differs, largest relative float deviation {gap / scale:.3g}")
+    return lines
+
+
+def against(rev: str) -> int:
+    """Compare the regenerated corpus and ``-h`` texts of ``rev`` and of the working tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        before, after = Path(tmp, "rev"), Path(tmp, "tree")
+        before.mkdir()
+        archive = subprocess.run(
+            ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(before)], input=archive, check=True)
+        # the working tree: every tracked file that exists, and every file git does not ignore
+        listed = subprocess.run(
+            ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+            cwd=ROOT, check=True, capture_output=True,
+        ).stdout.decode()
+        for name in filter(None, listed.split("\0")):
+            if (ROOT / name).is_file():
+                (after / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, after / name)
+        old, new = _outputs(before), _outputs(after)
+    lines = differences(old, new)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {len(old.keys() | new.keys())} files and help texts differ from {rev}")
+    return 1 if lines else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--against"] and len(sys.argv) == 3:
+        sys.exit(against(sys.argv[2]))
     regenerate(sys.argv[1:])

@@ -312,3 +312,55 @@ def test_json_decoding_is_recognized():
         assert any(_decodes_json(node) for node in ast.walk(ast.parse(source))), source
     for source in ("json.dumps(value)", "json.dump(value, handle)", "from json import dumps"):
         assert not any(_decodes_json(node) for node in ast.walk(ast.parse(source))), source
+
+
+def _foreign_families(trees: list[ast.Module]) -> list[str]:
+    """Classes that define ``weighted_blocks`` but are not ``VectorFamily`` or derived from it.
+
+    A base is known by the last part of its name (``frames.VectorFamily`` is
+    ``VectorFamily``), and derivation is followed through every class of
+    ``trees``.
+    """
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    bases = {node.name: {ast.unparse(base).split(".")[-1] for base in node.bases} for node in classes}
+    families = {"VectorFamily"}
+    while grown := {name for name, names in bases.items() if names & families} - families:
+        families |= grown
+    return [
+        node.name
+        for node in classes
+        if node.name not in families
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "weighted_blocks"
+            for item in node.body
+        )
+    ]
+
+
+def test_one_family_type():
+    # a family made from a formula is a VectorFamily that supplies its own
+    # rows, so every consumer takes it as it takes a table: no second family
+    # type gives weighted row blocks
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+    ]
+    assert _foreign_families(trees) == []
+
+
+def test_foreign_families_are_recognized():
+    source = """
+class VectorFamily:
+    def weighted_blocks(self): ...
+class RootSource(VectorFamily):
+    def weighted_blocks(self): ...
+class Deeper(gallery.RootSource):
+    def weighted_blocks(self): ...
+class FamilySource(Protocol):
+    def weighted_blocks(self): ...
+class Loose:
+    def weighted_blocks(self): ...
+class Helper:
+    def blocks(self): ...
+"""
+    assert _foreign_families([ast.parse(source)]) == ["FamilySource", "Loose"]

@@ -1,9 +1,10 @@
 """The streamed route of torus and affine families against their member tables.
 
-``bounds``, ``redundancy`` and ``experiment trend|redundancy`` read a torus
-or affine family through its :class:`~framelab.gallery.RootSource`, whose
-weighted row blocks are made from the formula and dropped one at a time.
-Every report must be the one the member table gives, byte for byte.
+A torus or affine family is a :class:`~framelab.gallery.RootSource`, whose
+weighted row blocks are made from the formula and dropped one at a time;
+``bounds``, ``redundancy`` and ``experiment trend|redundancy`` read it
+through them, and the other commands through its table.  Every report must
+be the one the member table gives as a plain family, byte for byte.
 """
 
 import json
@@ -51,6 +52,11 @@ def _refused(self):
     raise AssertionError("member table built")
 
 
+def _table(family: frames.VectorFamily) -> frames.VectorFamily:
+    """The family as a plain member table, whose blocks are slices of it."""
+    return frames.VectorFamily(space=family.space, members=family.members)
+
+
 def _flags(spec: GallerySpec) -> list[str]:
     flags = ["--gallery", spec.kind.value]
     for name in ("dim", "grid", "power"):
@@ -61,13 +67,13 @@ def _flags(spec: GallerySpec) -> list[str]:
 
 def _table_reports(spec: GallerySpec, sizes: list[int]) -> dict[str, bytes]:
     """Each command's report as the member table gives it."""
-    family = gallery.build(spec)
+    family = _table(gallery.build(spec))
     excess = frames.redundancy(family)
     builder = gallery.truncation_sequence(GallerySpec(kind=spec.kind, power=spec.power), sizes)
-    trend = frames.semiframe_trend(lambda size: builder(size).family(), sizes)
+    trend = frames.semiframe_trend(lambda size: _table(builder(size)), sizes)
     rows = []
     for size in sizes:
-        sized = builder(size).family()
+        sized = _table(builder(size))
         rows.append((size, sized.size, sized.dim, frames.redundancy(sized)))
     return {
         "bounds": codec.json_bytes(frames.frame_bounds(family).to_json()),
@@ -128,21 +134,38 @@ def test_streamed_reports_are_the_table_reports(rank_tol, spec, sizes, block):
     environ = {} if rank_tol is None else {numerics.RANK_TOL_ENV: rank_tol}
     with mock.patch.dict(os.environ, environ), \
             mock.patch.object(numerics, "BLOCK_ENTRIES", block):
-        source, family = gallery.source(spec), gallery.build(spec)
-        for made, cut in zip(source.weighted_blocks(), family.weighted_blocks(), strict=True):
+        family = gallery.build(spec)
+        table = _table(family)
+        for made, cut in zip(family.weighted_blocks(), table.weighted_blocks(), strict=True):
             assert _bits(made) == _bits(cut)
-        assert _bits(frames.frame_operator(source)) == _bits(frames.frame_operator(family))
+        assert _bits(frames.frame_operator(family)) == _bits(frames.frame_operator(table))
         assert _streamed_reports(spec, sizes) == _table_reports(spec, sizes)
+
+
+@_ROOT_SPECS
+def test_only_a_read_of_members_builds_the_table(spec, monkeypatch):
+    # the dataclass repr of a family reads its fields: a generated family's
+    # leaves out the table, which at 64 x 2**18 would take 256 MiB
+    family = gallery.build(spec)
+    with monkeypatch.context() as patch:
+        patch.setattr(gallery.RootSource, "members", property(_refused))
+        assert (family.size, family.dim) == (spec.grid, spec.dim)
+        assert family.space.size == spec.grid
+        assert sum(len(block) for block in family.weighted_blocks()) == spec.grid
+        assert "members" not in repr(family)
+    members = family.members
+    assert family.members is members and not members.flags.writeable
+    assert members.shape == (spec.grid, spec.dim)
 
 
 @_ROOT_SPECS
 def test_a_certified_family_is_never_built(spec, monkeypatch):
     # with more nodes than dimensions and a certificate that decides, the
     # verdicts read the operator alone
-    monkeypatch.setattr(gallery.RootSource, "family", _refused)
-    source = gallery.source(spec)
-    assert frames.frame_bounds(source).redundancy == spec.grid - spec.dim
-    assert frames.redundancy(source) == spec.grid - spec.dim
+    monkeypatch.setattr(gallery.RootSource, "members", property(_refused))
+    family = gallery.build(spec)
+    assert frames.frame_bounds(family).redundancy == spec.grid - spec.dim
+    assert frames.redundancy(family) == spec.grid - spec.dim
     builder = gallery.truncation_sequence(GallerySpec(kind=spec.kind), [64, 128])
     assert len(frames.semiframe_trend(builder, [64, 128])) == 2
     _cli_report(["experiment", "trend", "--gallery", spec.kind.value, "--sizes", "16,32"])
@@ -167,12 +190,12 @@ def test_an_uncertified_count_builds_no_family(spec, rank_tol, monkeypatch):
     assert expected > spec.grid - spec.dim
     expected_rows = []
     for size in sizes:
-        sized = builder(size).family()
+        sized = builder(size)
         expected_rows.append(
             {"size": size, "rows": sized.size, "dim": sized.dim, "redundancy": table_count(sized)}
         )
-    monkeypatch.setattr(gallery.RootSource, "family", _refused)
-    assert frames.redundancy(gallery.source(spec)) == expected
+    monkeypatch.setattr(gallery.RootSource, "members", property(_refused))
+    assert frames.redundancy(gallery.build(spec)) == expected
     report = json.loads(_cli_report(["redundancy", *_flags(spec)]))
     assert report["redundancy"] == expected
     probe = ["experiment", "redundancy", "--gallery", spec.kind.value, "--sizes", "8,24"]
@@ -194,3 +217,39 @@ def test_streamed_bounds_peak_below_the_table_route(argv, bound):
     report, peak = traced_peak(lambda: _cli_report(["bounds", *argv]))
     assert b'"classification"' in report
     assert peak <= bound
+
+
+def _cli_outcome(argv: list[str], workdir: Path) -> tuple[int, bytes | None]:
+    """The exit code and the report, if one was written."""
+    out = workdir / "report"
+    out.unlink(missing_ok=True)
+    code = cli.main([*argv, "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GallerySpec(kind=GalleryKind.TORUS, dim=4, grid=16),
+        GallerySpec(kind=GalleryKind.TORUS, dim=5, grid=24),
+        GallerySpec(kind=GalleryKind.AFFINE, dim=8),
+        GallerySpec(kind=GalleryKind.AFFINE, dim=6, grid=8, power=2),
+    ],
+    ids=["torus-4x16", "torus-5x24", "affine-8", "affine-6-8-power-2"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["inspect"], ["inspect", "--format", "csv"], ["dual"], ["kernel"],
+        ["kernel", "--format", "csv"], ["split"], ["partner"],
+    ],
+    ids=["inspect", "inspect-csv", "dual", "kernel", "kernel-csv", "split", "partner"],
+)
+def test_whole_table_commands_take_a_generated_family_unchanged(spec, command, tmp_path):
+    # these commands read the members of a generated family; each report must
+    # be the one a file of its plain member table gives
+    path = tmp_path / "family.json"
+    path.write_bytes(codec.json_bytes(_table(gallery.build(spec)).to_json()))
+    generated = _cli_outcome([*command, *_flags(spec)], tmp_path)
+    from_file = _cli_outcome([*command, "--in", str(path)], tmp_path)
+    assert generated == from_file
