@@ -79,7 +79,10 @@ class VectorFamily:
         return self.members.shape[1]
 
     def weighted_blocks(self) -> Iterator[np.ndarray]:
-        """Row blocks of ``sqrt(w) * members``, which every frame operator and rank reads."""
+        """Row blocks of ``sqrt(w) * members``, which every frame operator and rank reads.
+
+        Over a counting measure they are views of ``members`` itself.
+        """
         return numerics.weighted_rows(self.members, self.space.weights)
 
     def to_json(self) -> dict:

@@ -179,7 +179,7 @@ class RootSource(VectorFamily):
         parts = table.view(np.float64)
         # each component's real and imaginary part takes its column's scale
         scale = np.repeat(self.scale, 2)
-        step = max(1, numerics.BLOCK_ENTRIES // (4 * self.dim))
+        step = numerics.quarter_rows(self.dim)
         for start, stop, index in _phase_blocks(self.factors, self.order, lo, hi, step):
             np.take(roots, index, out=table[start - lo : stop - lo], mode="wrap")
             parts[start - lo : stop - lo] *= scale
@@ -372,7 +372,16 @@ def build_mercedes() -> VectorFamily:
 
 
 def build_random(rows: int, dim: int, seed=None) -> VectorFamily:
-    """Standard complex Gaussian members over a counting space; seeded."""
+    """Standard complex Gaussian members over a counting space; seeded.
+
+    Member entry ``(j, c)`` is ``(x + 1j * y) / sqrt(2)``, where the ``x``
+    are the first ``rows * dim`` standard normal draws in C order and the
+    ``y`` the next as many.  The draws go straight into the table's real and
+    then its imaginary parts through one buffer of
+    :func:`~framelab.numerics.quarter_rows` rows; a ``Generator`` gives the
+    same values however its draws are chunked, so the table holds the bits of
+    two whole ``(rows, dim)`` draws, and no other table-sized array is made.
+    """
     _check_counts(rows=rows, dim=dim)
     if rows < 1 or dim < 1:
         raise InvalidSpecError("random family needs rows >= 1 and dim >= 1")
@@ -382,11 +391,16 @@ def build_random(rows: int, dim: int, seed=None) -> VectorFamily:
         rng = np.random.default_rng(seed)
     except ValueError as exc:
         raise InvalidSpecError(f"random family seed {seed!r} refused: {exc}") from exc
-    # the draws land in the table's real and imaginary parts, with the bits of
-    # (re + 1j * im) / sqrt(2) and no complex temporaries
     members = np.empty((rows, dim), dtype=np.complex128)
-    members.real = rng.standard_normal((rows, dim))
-    members.imag = rng.standard_normal((rows, dim))
+    step = numerics.quarter_rows(dim)
+    draws = np.empty((min(step, rows), dim))
+    for part in (members.real, members.imag):
+        for start in range(0, rows, step):
+            block = draws[: min(step, rows - start)]
+            rng.standard_normal(out=block)
+            part[start : start + len(block)] = block
+    # divided as a complex table, whose rounding differs from its float view's,
+    # it keeps the bits of (x + 1j * y) / sqrt(2)
     members /= math.sqrt(2.0)
     space = counting_space(rows)
     return _family(space, members)
@@ -459,7 +473,7 @@ def truncation_sequence(
     seeded spec gives each size the child seed ``[seed, size]``.
     """
     sizes = list(sizes)
-    if sizes != sorted(sizes):
+    if any(later <= size for size, later in zip(sizes, sizes[1:])):
         raise InvalidSpecError("trend sizes must be ascending")
     if any(s < 1 for s in sizes):
         raise InvalidSpecError("trend sizes must be positive")

@@ -13,15 +13,17 @@ hands it the same blocks (:func:`framelab.frames.frame_operator`).  A verdict th
 spectrum takes eigenvalues without eigenvectors (``vectors=False``).  Node
 weights meet a table only here: every mixed product ``X^H W Y`` over the
 nodes is :func:`weighted_gram` and every SVD of a weighted table ``sqrt(w) *
-X`` is :func:`weighted_svd`.  A sum over the nodes never holds more than one
-member table plus a block of about ``BLOCK_ENTRIES`` entries, and a
-generated family holds one block and no table: :func:`block_gram`,
-:func:`block_rank` and :func:`weighted_gram` walk the node axis in row
-blocks, and :func:`newton_update` corrects a table in place a row block at a
-time.  A table of one block or no columns is a single block.  Tables are
-frozen and shared: a family or kernel keeps the array :func:`adopt` returns,
-which is its argument itself when that is a read-only, C-contiguous
-``complex128`` array owning its data.
+X`` is :func:`weighted_svd`.  A sum over the nodes holds its member tables
+plus one block, and a generated family holds one block and no table:
+:func:`block_gram` and :func:`block_rank` walk the node axis in Gram blocks
+of about ``BLOCK_ENTRIES`` entries (:func:`gram_rows`), :func:`weighted_gram`
+in quarter blocks (:func:`quarter_rows`), and :func:`newton_update` corrects
+a table in place a quarter block of rows at a time.  Over a counting
+measure, where every weight is 1, the Gram blocks are the table's own rows,
+read in place (:func:`weighted_rows`).  A table of one block or no columns
+is a single block.  Tables are frozen and shared: a family or kernel keeps
+the array :func:`adopt` returns, which is its argument itself when that is
+a read-only, C-contiguous ``complex128`` array owning its data.
 Every rank decision and SVD cutoff comes from :func:`rank_cutoff`.  Every
 rank verdict on a family is :func:`framelab.frames.analysis_rank`: full rank
 certified from the frame operator's spectrum (:func:`certifies_full_rank`),
@@ -143,6 +145,17 @@ def _block_rows(cols: int) -> int:
     return max(1, BLOCK_ENTRIES // cols) if cols else sys.maxsize
 
 
+def quarter_rows(cols: int) -> int:
+    """Rows per quarter block: about ``BLOCK_ENTRIES / 4`` entries over ``cols`` columns.
+
+    Node sums (:func:`weighted_gram`, :func:`newton_update`) and the tables
+    :mod:`framelab.gallery` fills in place (phase blocks, random draws) work
+    a quarter block at a time, so a temporary over the rows stays small
+    beside the member tables.
+    """
+    return max(1, _block_rows(cols) // 4)
+
+
 def _node_sum(term, tables: tuple, step: int):
     """``term(*tables)`` summed over blocks of ``step`` rows of every table.
 
@@ -171,10 +184,15 @@ def gram_rows(cols: int) -> int:
 def weighted_rows(table, weights=None):
     """The blocks :func:`block_gram` sums to ``gram(table, weights)``.
 
-    Each is a fresh C-contiguous ``sqrt(w) * table`` (``table`` without
-    ``weights``) over a block of :func:`gram_rows` rows; a table with no rows
-    gives one empty block.
+    Each is a C-contiguous ``sqrt(w) * table`` over a block of
+    :func:`gram_rows` rows; a table with no rows gives one empty block.
+    Without ``weights``, or when every weight is 1 (a counting measure, where
+    ``sqrt(1) * x`` is ``x``), a block is the table's own rows: a view of a
+    C-contiguous ``complex128`` table, else a copy.  Otherwise each is a
+    fresh :func:`root_weighted` block.  Consumers only read the blocks.
     """
+    if weights is not None and np.all(weights == 1.0):
+        weights = None
     step = gram_rows(np.shape(table)[1])
     for start in range(0, len(table) or 1, step):
         stop = start + step
@@ -273,24 +291,24 @@ def _conj_weighted_product(left, weights, right) -> np.ndarray:
 def weighted_gram(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Mixed product ``left^H W right``, summed over row blocks of the nodes.
 
-    The only temporary over the nodes is one block of ``W right``; a
-    ``right`` of at most ``BLOCK_ENTRIES`` entries is one block, which
-    :func:`_node_sum` takes with no slicing, since small products such as the
-    group means of :func:`~framelab.frames.split` come by the hundred.  A
-    table's product with itself is :func:`gram`.
+    The only temporary over the nodes is one block of ``W right``, of
+    :func:`quarter_rows` rows; a ``right`` of at most that many rows is one
+    block, which :func:`_node_sum` takes with no slicing, since small
+    products such as the group means of :func:`~framelab.frames.split` come
+    by the hundred.  A table's product with itself is :func:`gram`.
     """
-    step = _block_rows(right.shape[1])
+    step = quarter_rows(right.shape[1])
     product = _node_sum(_conj_weighted_product, (left, weights, right), step)
     return np.conj(product, out=product)
 
 
 def newton_update(table: np.ndarray, correction: np.ndarray) -> None:
-    """``table -= table @ correction`` in place, one row block at a time.
+    """``table -= table @ correction`` in place, a quarter block of rows at a time.
 
     Each row's update reads only that row, so the product never holds more
-    than one block of rows.
+    than :func:`quarter_rows` rows.
     """
-    step = _block_rows(table.shape[1])
+    step = quarter_rows(table.shape[1])
     for start in range(0, table.shape[0], step):
         rows = table[start : start + step]
         rows -= rows @ correction

@@ -845,9 +845,17 @@ def test_rank_verdicts_agree_across_commands(tmp_path, capsys, weight, entry, ex
         (("experiment", "blowup", "--sizes", ","), "size list is empty"),
         (("experiment", "trend", "--gallery", "torus", "--sizes", "0,2"),
          "trend sizes must be positive"),
+        # sizes must be strictly ascending: a repeated size would write its row twice
+        (("experiment", "blowup", "--sizes", "4,4"), "refinement counts must be ascending"),
+        (("experiment", "blowup", "--sizes", "2,8,8"), "refinement counts must be ascending"),
+        (("experiment", "trend", "--gallery", "torus", "--sizes", "4,4"),
+         "trend sizes must be ascending"),
+        (("experiment", "redundancy", "--gallery", "random", "--dim", "2", "--seed", "3",
+          "--sizes", "3,5,5"), "trend sizes must be ascending"),
     ],
     ids=["affine-grid", "affine-cells", "torus-dim", "delta-count", "doubled-dim",
-         "augmented-dim", "random-rows", "empty-sizes", "trend-size-zero"],
+         "augmented-dim", "random-rows", "empty-sizes", "trend-size-zero", "blowup-repeated",
+         "blowup-repeated-last", "trend-repeated", "redundancy-repeated-last"],
 )
 def test_out_of_range_sizes_refused(tmp_path, capsys, argv, message):
     out = tmp_path / "report.json"

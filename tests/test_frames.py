@@ -29,7 +29,7 @@ from framelab.frames import (
     split,
     synthesis,
 )
-from framelab.gallery import RootSource, build_affine, build_torus
+from framelab.gallery import RootSource, build_affine, build_random, build_torus
 from framelab.measure import DiscretizedSpace, Node, Provenance, unit_segment_space
 from framelab.numerics import FRAME_RTOL
 
@@ -201,6 +201,26 @@ class TestFrameOperator:
         np.testing.assert_allclose(
             frame_operator(mercedes_family()), 1.5 * np.eye(2), atol=1e-14
         )
+
+    def test_counting_measure_reads_the_rows_in_place(self, monkeypatch):
+        # every weight is 1, so sqrt(w) * members is the table itself: its
+        # Gram takes row views with the bits of the weighted blocks
+        family = build_random(2048, 128, seed=3)
+        members, weights = family.members, family.space.weights
+        step = numerics.gram_rows(family.dim)
+        reference = numerics.block_gram(
+            numerics.root_weighted(members[lo : lo + step], weights[lo : lo + step])
+            for lo in range(0, family.size, step)
+        )
+        frame_operator(family)
+
+        def scaled_copy(*args, **kwargs):
+            raise AssertionError("rows copied to scale them by sqrt(1)")
+
+        monkeypatch.setattr(numerics, "root_weighted", scaled_copy)
+        operator, peak = traced_peak(lambda: frame_operator(family))
+        assert peak <= 1.5 * 2**20
+        assert np.array_equal(operator.view(np.uint64), np.conj(reference).view(np.uint64))
 
     def test_equals_synthesis_after_analysis(self, rng):
         family = random_family(rng, 6, 4, weighted=True)

@@ -275,6 +275,26 @@ class TestRandom:
         members = build_random(rows, dim, seed).members
         assert np.array_equal(members.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("seed", [0, 5, [9, 128]])
+    @pytest.mark.parametrize(
+        "rows, dim", [(1, 1), (3, 5), (1000, 3), (128, 64), (2048, 128), (70000, 1)]
+    )
+    def test_members_are_two_whole_draws(self, rows, dim, seed):
+        # the members drawn a buffer at a time keep the bits of two whole
+        # draws divided in place, also where the rows do not fill the last buffer
+        rng = np.random.default_rng(seed)
+        expected = np.empty((rows, dim), dtype=np.complex128)
+        expected.real = rng.standard_normal((rows, dim))
+        expected.imag = rng.standard_normal((rows, dim))
+        expected /= math.sqrt(2.0)
+        members = build_random(rows, dim, seed).members
+        assert np.array_equal(members.view(np.uint64), expected.view(np.uint64))
+
+    def test_draws_hold_no_second_table(self):
+        build_random(8, 2, seed=1)  # the first Generator imports about 1 MiB
+        family, peak = traced_peak(lambda: build_random(2048, 128, seed=7))
+        assert peak <= family.members.nbytes + 0.5 * 2**20
+
     def test_trend_builder_deterministic(self):
         spec = GallerySpec(kind=GalleryKind.RANDOM, dim=3, seed=5)
         builder = truncation_sequence(spec, [4, 8])
@@ -371,6 +391,9 @@ class TestSpec:
         spec = GallerySpec(kind=GalleryKind.DELTA)
         with pytest.raises(InvalidSpecError):
             truncation_sequence(spec, [8, 4])
+        for repeated in ([4, 4], [2, 4, 4]):
+            with pytest.raises(InvalidSpecError, match="^trend sizes must be ascending$"):
+                truncation_sequence(spec, repeated)
         with pytest.raises(InvalidSpecError):
             truncation_sequence(GallerySpec(kind=GalleryKind.MERCEDES), [2, 3])
 

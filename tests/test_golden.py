@@ -31,10 +31,11 @@ It unpacks ``git archive REV`` and a copy of the working tree into a
 temporary directory, regenerates the whole corpus in each with that side's
 own ``tests/test_golden.py``, on one machine, and writes
 ``python -m framelab.cli [COMMAND] -h`` for the top level and every
-subcommand.  It lists each report or help text that differs, with the
-largest float deviation of a report relative to its largest ``|float|``
-(at least 1, the scale ``GOLDEN_RTOL`` bounds), and exits 1 when anything
-differs, else 0.  The committed corpus is not written.
+subcommand.  It lists each report, manifest entry (``manifest NAME``) or
+help text that differs, with the largest float deviation of a report
+relative to its largest ``|float|`` (at least 1, the scale ``GOLDEN_RTOL``
+bounds), and exits 1 when anything differs, else 0.  The committed corpus
+is not written.
 """
 
 from __future__ import annotations
@@ -161,6 +162,10 @@ _case("error_no_source", "bounds")
 _case("error_two_sources", "bounds", "--in", "{in}/psi.json", *MERCEDES)
 _case("error_bad_sizes", "experiment", "blowup", "--sizes", "2,x")
 _case("error_descending_sizes", "experiment", "blowup", "--sizes", "8,2")
+_case("error_repeated_sizes", "experiment", "blowup", "--sizes", "4,4")
+_case(
+    "error_trend_repeated_sizes", "experiment", "trend", "--gallery", "torus", "--sizes", "2,4,4"
+)
 _case(
     "error_blowup_gallery_flags", "experiment", "blowup", "--sizes", "2,4", "--gallery", "torus",
     "--dim", "3",
@@ -396,7 +401,11 @@ def _help_text(side: Path, env: dict[str, str], command: list[str]) -> bytes:
 
 
 def _outputs(side: Path) -> dict[str, bytes]:
-    """Every file of the whole corpus regenerated in ``side``, and every ``-h`` text, by name."""
+    """Every file of the whole corpus regenerated in ``side``, and every ``-h`` text, by name.
+
+    The manifest comes as one entry per case, ``manifest NAME``, so a new,
+    dropped or changed case is named on its own.
+    """
     env = {**os.environ, "PYTHONPATH": str(side / "src")}
     subprocess.run([sys.executable, "tests/test_golden.py"], cwd=side, env=env, check=True)
     outputs = {
@@ -404,6 +413,9 @@ def _outputs(side: Path) -> dict[str, bytes]:
         for path in sorted((side / "tests" / "golden").rglob("*"))
         if path.is_file()
     }
+    cases = json.loads(outputs.pop("tests/golden/manifest.json"))
+    for name, entry in cases.items():
+        outputs[f"manifest {name}"] = json.dumps(entry, sort_keys=True).encode()
     top = _help_text(side, env, [])
     outputs["framelab -h"] = top
     # the subcommands are the choices of the top-level usage line
@@ -466,7 +478,8 @@ def against(rev: str) -> int:
     lines = differences(old, new)
     for line in lines:
         print(line)
-    print(f"{len(lines)} of {len(old.keys() | new.keys())} files and help texts differ from {rev}")
+    total = len(old.keys() | new.keys())
+    print(f"{len(lines)} of {total} reports, manifest entries and help texts differ from {rev}")
     return 1 if lines else 0
 
 

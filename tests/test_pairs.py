@@ -556,6 +556,14 @@ class TestOneMemberTable:
         assert peak < tables * self.N * self.D * 16
 
 
+    def test_dual_holds_its_table_and_quarter_blocks(self, inputs):
+        # the residual's node sum and the Newton step each hold a quarter block
+        psi = inputs[0]
+        lower_semiframe_dual(psi)
+        dual, peak = traced_peak(lambda: lower_semiframe_dual(psi))
+        assert peak <= dual.members.nbytes + 1.5 * 2**20
+
+
 class TestScalingCovariance:
     def test_resolution_scales_linearly(self, rng):
         psi, phi = random_pair(rng)

@@ -434,6 +434,9 @@ class TestBlowup:
     def test_requires_ascending(self):
         with pytest.raises(ValidationError):
             blowup_experiment([8, 4])
+        for repeated in ([4, 4], [2, 8, 8]):
+            with pytest.raises(ValidationError, match="^refinement counts must be ascending$"):
+                blowup_experiment(repeated)
 
     @pytest.mark.parametrize("sizes", [[0], [-1], [0, 2]])
     def test_requires_positive(self, sizes):
