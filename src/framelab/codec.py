@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numerics, rkhs
 from .errors import ValidationError
-from .frames import VectorFamily, _member_shape, _member_table, _pair_floats
+from .frames import VectorFamily, _pair_floats
 from .measure import DiscretizedSpace
 
 # complex values per rendered block of a report ([re, im] rows of a JSON table,
@@ -74,7 +74,6 @@ def _decode_family(handle) -> VectorFamily:
     space = fields.pop("space", None)
     if type(space) is not DiscretizedSpace:
         space = DiscretizedSpace.from_json(space)
-    table.resize(_member_shape(len(table), fields.get("dim")), refcheck=False)
     return VectorFamily._from_table(space, fields.get("dim"), table)
 
 
@@ -234,7 +233,7 @@ def _member_values(window: _Window) -> np.ndarray:
             raise ValueError("members not closed")
         pairs = json.loads("[" + text[at : stop.start() + 1] + "]")
         if table is None:
-            table = _member_table(len(pairs), None)
+            table = np.empty(len(pairs), dtype=np.complex128)
         elif count + len(pairs) > len(table):
             table.resize(max(count + len(pairs), len(table) + len(table) // 8), refcheck=False)
         if not _pair_floats(pairs, table[count : count + len(pairs)].view(np.float64)):

@@ -98,11 +98,16 @@ class VectorFamily:
             raise ValidationError(f"a family must be an object, got {type(data).__name__}")
         space = DiscretizedSpace.from_json(data.get("space"))
         dim = data.get("dim")
-        return cls._from_table(space, dim, _decode_pairs(data.get("members"), dim))
+        return cls._from_table(space, dim, _decode_pairs(data.get("members")))
 
     @classmethod
     def _from_table(cls, space: DiscretizedSpace, dim, table: np.ndarray) -> "VectorFamily":
-        """The family of a decoded space, its ``dim`` field and its :func:`_member_table`."""
+        """The family of a decoded space, its ``dim`` field and its flat, owning member table.
+
+        ``dim`` and the count are checked first; the table is then shaped in
+        place to ``(space.size, dim)`` and adopted, so it is the family's one
+        table of its members.
+        """
         if type(dim) is not int or dim < 1:
             raise ValidationError(f"dim must be a positive integer, got {dim!r}")
         if dim > numerics.MAX_SIZE:
@@ -111,6 +116,7 @@ class VectorFamily:
             raise ValidationError(
                 f"member count {table.size} does not factor as {space.size} x {dim}"
             )
+        table.resize((space.size, dim), refcheck=False)
         return cls(space=space, members=numerics.freeze(table))
 
     def profile_rows(self):
@@ -119,28 +125,12 @@ class VectorFamily:
         yield from zip(self.space.points.tolist(), self.space.weight_values(), norms.tolist())
 
 
-def _member_shape(count: int, dim) -> tuple[int, ...]:
-    """The shape of ``count`` member values: rows of ``dim`` where they fit.
-
-    ``dim`` columns when ``dim`` is a size that divides ``count``, else flat;
-    so a family adopts the table of a file whose counts agree with its space,
-    and :meth:`VectorFamily._from_table` refuses any other.
-    """
-    fits = type(dim) is int and 1 <= dim <= numerics.MAX_SIZE and count % dim == 0
-    return (count // dim, dim) if fits else (count,)
-
-
-def _member_table(count: int, dim) -> np.ndarray:
-    """An owning complex table of :func:`_member_shape` for ``count`` member values."""
-    return np.empty(_member_shape(count, dim), dtype=np.complex128)
-
-
-def _decode_pairs(pairs, dim) -> np.ndarray:
-    """:func:`_member_table` of ``[re, im]`` pairs; only a failed decode seeks the entry at fault."""
+def _decode_pairs(pairs) -> np.ndarray:
+    """``[re, im]`` pairs as a flat, owning complex table; a failed decode seeks the entry at fault."""
     if type(pairs) is not list:
         raise ValidationError(f"members must be a list of [re, im] pairs, got {pairs!r}")
-    table = _member_table(len(pairs), dim)
-    if not _pair_floats(pairs, table.reshape(-1).view(np.float64)):
+    table = np.empty(len(pairs), dtype=np.complex128)
+    if not _pair_floats(pairs, table.view(np.float64)):
         k = next(k for k, pair in enumerate(pairs) if not _pair_floats([pair], np.empty(2)))
         raise ValidationError(
             f"members[{k}] must be an [re, im] pair of numbers in the float range, got {pairs[k]!r}"
@@ -362,15 +352,17 @@ def _equal_row_groups(family: VectorFamily, row_tolerance: float) -> list[list[i
     """Greedy grouping of quadrature nodes with entrywise-equal member rows.
 
     Seeds are taken in node order; each unused seed collects every later
-    unused cell row within ``tolerance`` of it in every entry, which is
-    ``row_tolerance`` times the largest ``|entry|`` of the cell rows.  Only
-    groups of two or more nodes are returned.
+    unused cell row within ``row_tolerance`` times the largest ``|entry|`` of
+    the two rows in every entry, so one large row does not make two small
+    ones equal.  Only groups of two or more nodes are returned.
 
     Candidates are filtered by a window on one key column, the real or
-    imaginary column of the cell rows with the largest spread.  A row within
-    ``tolerance`` of the seed in every entry is within it in that column
-    too, since ``|Re z|, |Im z| <= |z|`` holds exactly for ``np.abs``; the
-    window ``key +- 2 * tolerance`` absorbs the rounding of its ends.
+    imaginary column of the cell rows with the largest spread.  The window
+    is ``key +- 2 * tolerance``, with ``tolerance`` the row tolerance times
+    the largest ``|entry|`` of all cell rows, which bounds every pair's.  A
+    row within a pair's tolerance of the seed in every entry is within it in
+    that column too, since ``|Re z|, |Im z| <= |z|`` holds exactly for
+    ``np.abs``; the factor 2 absorbs the rounding of the window's ends.
     Sorting costs O(n log n); the exact entrywise test then runs only on the
     rows inside each seed's window.
     """
@@ -378,7 +370,8 @@ def _equal_row_groups(family: VectorFamily, row_tolerance: float) -> list[list[i
     if cells.size < 2:
         return []
     rows = family.members[cells]
-    tolerance = row_tolerance * float(np.max(np.abs(rows)))
+    limits = row_tolerance * np.max(np.abs(rows), axis=1)  # each row's own tolerance
+    tolerance = float(np.max(limits))
     spreads = np.concatenate([np.ptp(rows.real, axis=0), np.ptp(rows.imag, axis=0)])
     column = int(np.argmax(spreads))
     key = (rows.real if column < family.dim else rows.imag)[:, column % family.dim]
@@ -396,7 +389,7 @@ def _equal_row_groups(family: VectorFamily, row_tolerance: float) -> list[list[i
         if candidates.size == 0:
             continue
         gaps = np.max(np.abs(rows[candidates] - rows[seed]), axis=1)
-        matches = candidates[gaps <= tolerance]
+        matches = candidates[gaps <= np.maximum(limits[candidates], limits[seed])]
         if matches.size:
             group = np.concatenate(([seed], matches))
             used[group] = True
@@ -411,9 +404,10 @@ def split(
 
     Every atom node collapses to the single vector ``sqrt(w) * member``; any
     group of quadrature nodes sharing one member row (entrywise within
-    ``row_tolerance`` times the largest ``|entry|`` of the quadrature rows,
-    so a scaled family splits as its scale) merges into the mass-weighted
-    mean row scaled by the square root of the group weight.  Remaining
+    ``row_tolerance`` times the largest ``|entry|`` of the two rows, so a
+    scaled family splits as its scale and a large row elsewhere changes no
+    match) merges into the mass-weighted mean row scaled by the square root
+    of the group weight.  Remaining
     quadrature nodes form the strictly continuous part.  The weighted
     coefficient energy of the input splits exactly into the discrete squared
     pairings plus the energy of the continuous part.

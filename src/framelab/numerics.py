@@ -18,9 +18,11 @@ plus one block, and a generated family holds one block and no table:
 :func:`block_gram` and :func:`block_rank` walk the node axis in Gram blocks
 of about ``BLOCK_ENTRIES`` entries (:func:`gram_rows`), :func:`weighted_gram`
 in quarter blocks (:func:`quarter_rows`), and :func:`newton_update` corrects
-a table in place a quarter block of rows at a time.  Over a counting
-measure, where every weight is 1, the Gram blocks are the table's own rows,
-read in place (:func:`weighted_rows`).  A table of one block or no columns
+a table in place a quarter block of rows at a time.  Each is one loop over
+its blocks: a sum starts from the first block's part and adds each later
+one's, and every block is released before the next is formed.  Over a
+counting measure, where every weight is 1, the Gram blocks are the table's
+own rows, read in place (:func:`weighted_rows`).  A table with no columns
 is a single block.  Tables are frozen and shared: a family or kernel keeps
 the array :func:`adopt` returns, which is its argument itself when that is
 a read-only, C-contiguous ``complex128`` array owning its data.
@@ -140,35 +142,15 @@ def freeze(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _block_rows(cols: int) -> int:
-    """Rows per node block: about ``BLOCK_ENTRIES`` entries, or all of a table with no columns."""
-    return max(1, BLOCK_ENTRIES // cols) if cols else sys.maxsize
-
-
 def quarter_rows(cols: int) -> int:
     """Rows per quarter block: about ``BLOCK_ENTRIES / 4`` entries over ``cols`` columns.
 
     Node sums (:func:`weighted_gram`, :func:`newton_update`) and the tables
     :mod:`framelab.gallery` fills in place (phase blocks, random draws) work
     a quarter block at a time, so a temporary over the rows stays small
-    beside the member tables.
+    beside the member tables.  A table with no columns is one block.
     """
-    return max(1, _block_rows(cols) // 4)
-
-
-def _node_sum(term, tables: tuple, step: int):
-    """``term(*tables)`` summed over blocks of ``step`` rows of every table.
-
-    The sum starts from the first block's value.  Tables of at most one block
-    take ``term(*tables)`` alone, with no slicing.
-    """
-    rows = len(tables[0])
-    if rows <= step:
-        return term(*tables)
-    total = term(*(t[:step] for t in tables))
-    for start in range(step, rows, step):
-        total += term(*(t[start : start + step] for t in tables))
-    return total
+    return max(1, BLOCK_ENTRIES // cols // 4) if cols else sys.maxsize // 4
 
 
 def gram_rows(cols: int) -> int:
@@ -176,9 +158,9 @@ def gram_rows(cols: int) -> int:
 
     A block holds at least ``8 * cols`` rows, since a SYRK over fewer rows
     loses speed against the one product, and about ``BLOCK_ENTRIES`` entries
-    beyond that.
+    beyond that.  A table with no columns is one block.
     """
-    return max(8 * cols, _block_rows(cols))
+    return max(8 * cols, BLOCK_ENTRIES // cols) if cols else sys.maxsize
 
 
 def weighted_rows(table, weights=None):
@@ -202,27 +184,6 @@ def weighted_rows(table, weights=None):
             yield root_weighted(table[start:stop], weights[start:stop])
 
 
-def _gram_part(blocks) -> np.ndarray | None:
-    """The Gram of the next of ``blocks``, or ``None`` past the last.
-
-    The block is taken here, so nothing else holds it, and released before
-    its Gram is assembled from the product.
-    """
-    real = next(blocks, None)
-    if real is None:
-        return None
-    real = real.view(np.float64)
-    product = real.T @ real
-    del real
-    dim = product.shape[0] // 2
-    parts = product.reshape(dim, 2, dim, 2)
-    out = np.empty((dim, dim), dtype=np.complex128)
-    halves = out.view(np.float64).reshape(dim, dim, 2)
-    np.add(parts[:, 0, :, 0], parts[:, 1, :, 1], out=halves[..., 0])
-    np.subtract(parts[:, 0, :, 1], parts[:, 1, :, 0], out=halves[..., 1])
-    return out
-
-
 def block_gram(blocks) -> np.ndarray:
     """``B^H B`` for the rows ``B`` of ``blocks`` together, one real symmetric product per block.
 
@@ -232,15 +193,24 @@ def block_gram(blocks) -> np.ndarray:
     carries ``Re G = P[re, re] + P[im, im]`` and ``Im G = P[re, im] -
     P[im, re]``.  numpy runs ``R^T R`` as one SYRK, about half the work of the
     complex product, and mirrors its triangle, so ``G`` is exactly Hermitian.
-    ``G`` is the first block's part plus each later one's, and each block is
-    released before its part is assembled from ``P``, so a generator that
-    makes its blocks holds one block at a time.
+    ``G`` is the first block's part plus each later one's.  A block is
+    released before its part is assembled from ``P``, and ``P`` and the part
+    before the next block comes, so a generator that makes its blocks holds
+    one block at a time.
     """
-    blocks = iter(blocks)
-    total = _gram_part(blocks)
-    while (part := _gram_part(blocks)) is not None:
-        total += part
-        del part
+    total = None
+    for block in blocks:
+        real = block.view(np.float64)
+        product = real.T @ real
+        del block, real
+        dim = product.shape[0] // 2
+        parts = product.reshape(dim, 2, dim, 2)
+        part = np.empty((dim, dim), dtype=np.complex128)
+        halves = part.view(np.float64).reshape(dim, dim, 2)
+        np.add(parts[:, 0, :, 0], parts[:, 1, :, 1], out=halves[..., 0])
+        np.subtract(parts[:, 0, :, 1], parts[:, 1, :, 0], out=halves[..., 1])
+        total = part if total is None else np.add(total, part, out=total)
+        del product, parts, part, halves
     return total
 
 
@@ -281,24 +251,24 @@ def gram(table, weights=None) -> np.ndarray:
     return block_gram(weighted_rows(table, weights))
 
 
-def _conj_weighted_product(left, weights, right) -> np.ndarray:
-    """``conj(left^H W right)`` as ``left^T conj(W right)``, conjugating ``W right`` in place."""
-    weighted = weights[:, None] * right
-    np.conj(weighted, out=weighted)
-    return left.T @ weighted
-
-
 def weighted_gram(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Mixed product ``left^H W right``, summed over row blocks of the nodes.
 
-    The only temporary over the nodes is one block of ``W right``, of
-    :func:`quarter_rows` rows; a ``right`` of at most that many rows is one
-    block, which :func:`_node_sum` takes with no slicing, since small
-    products such as the group means of :func:`~framelab.frames.split` come
-    by the hundred.  A table's product with itself is :func:`gram`.
+    Each block of :func:`quarter_rows` rows adds ``left^T conj(W right)``, its
+    ``W right`` conjugated in place, to the first block's, and the sum is
+    conjugated at the end.  The only temporary over the nodes is that one
+    block of ``W right``, released before the next is formed.  A table's
+    product with itself is :func:`gram`.
     """
     step = quarter_rows(right.shape[1])
-    product = _node_sum(_conj_weighted_product, (left, weights, right), step)
+    product = None
+    for start in range(0, len(right) or 1, step):
+        stop = start + step
+        weighted = weights[start:stop, None] * right[start:stop]
+        np.conj(weighted, out=weighted)
+        part = left[start:stop].T @ weighted
+        product = part if product is None else np.add(product, part, out=product)
+        del weighted, part
     return np.conj(product, out=product)
 
 

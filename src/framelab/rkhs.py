@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 
 ORTHO_TOL = 1e-10
 SPAN_CONDITION_LIMIT = 1e10
-# absolute room the pointwise square-sum bound leaves for roundoff
+# room the pointwise square-sum bound leaves for roundoff, relative to the system's scale
 POINTWISE_SLACK = 1e-9
 
 
@@ -330,17 +330,19 @@ class PointwiseVerdict:
 
 
 def bessel_pointwise_check(functions, kernel: KernelTable, upper_bound: float) -> PointwiseVerdict:
-    """Check ``sum_i |f_i(x)|^2 <= upper_bound * K(x, x) + POINTWISE_SLACK`` per node.
+    """Check ``sum_i |f_i(x)|^2 <= upper_bound * K(x, x) + POINTWISE_SLACK * scale`` per node.
 
     ``upper_bound`` must be a verified upper frame bound of the system in the
-    kernel's geometry.
+    kernel's geometry.  ``scale`` is the largest of the sums and of
+    ``upper_bound * K(x, x)``, so the verdict does not depend on the units of
+    the functions.
     """
     numerics.check_tolerance(upper_bound, "upper_bound")
     b = function_matrix(functions, kernel.space)
     sums = np.sum(np.abs(b) ** 2, axis=1)
-    return PointwiseVerdict(
-        sums=sums, upper_ok=sums <= upper_bound * kernel.diagonal + POINTWISE_SLACK
-    )
+    bounds = upper_bound * kernel.diagonal
+    scale = max(np.max(sums, initial=0.0), np.max(bounds, initial=0.0))
+    return PointwiseVerdict(sums=sums, upper_ok=sums <= bounds + POINTWISE_SLACK * scale)
 
 
 @dataclass(frozen=True, eq=False)

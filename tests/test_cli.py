@@ -501,10 +501,10 @@ def test_read_from_fifo(tmp_path, capsys):
 
 def test_out_of_memory_reading_a_family_is_a_refusal(tmp_path, monkeypatch, capsys):
     # stands in for a member table too large for memory
-    def exhausted(count, dim):
+    def exhausted(pairs, out):
         raise MemoryError("Unable to allocate 14.6 TiB for an array")
 
-    monkeypatch.setattr(codec, "_member_table", exhausted)
+    monkeypatch.setattr(codec, "_pair_floats", exhausted)
     source = Path(__file__).parent / "golden" / "inputs" / "psi.json"
     out = tmp_path / "report.json"
     assert run("bounds", "--in", str(source), "--out", str(out)) == EXIT_REFUSED

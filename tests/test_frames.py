@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from framelab import codec, numerics
@@ -647,13 +647,10 @@ class TestSplit:
 def all_pairs_row_groups(family, row_tolerance):
     """Reference grouping: every seed against every later unused cell row.
 
-    Rows match within ``row_tolerance`` times the largest ``|entry|`` of the
-    cell rows.
+    Two rows match within ``row_tolerance`` times the largest ``|entry|`` of
+    the two.
     """
     cell_indices = np.flatnonzero(~family.space.is_atom).tolist()
-    if len(cell_indices) < 2:
-        return []
-    tolerance = row_tolerance * float(np.max(np.abs(family.members[cell_indices])))
     used: set[int] = set()
     groups: list[list[int]] = []
     for pos, j in enumerate(cell_indices):
@@ -664,6 +661,7 @@ def all_pairs_row_groups(family, row_tolerance):
         for k in cell_indices[pos + 1 :]:
             if k in used:
                 continue
+            tolerance = row_tolerance * max(np.max(np.abs(seed)), np.max(np.abs(family.members[k])))
             if np.max(np.abs(family.members[k] - seed)) <= tolerance:
                 group.append(k)
         if len(group) >= 2:
@@ -739,6 +737,24 @@ def test_row_match_is_scale_free(make, scale, rng):
     assert degenerate == frame_bounds(base).degenerate_zero_redundancy
 
 
+def test_a_tiny_weight_keeps_orthogonal_rows_apart():
+    # e1, e2 and 1e12 * e3 at weights 1, 1 and 1e-24: an orthonormal basis in
+    # the weighted pairing, whose large third row must not make e1 and e2 equal
+    family = VectorFamily(
+        space=cell_space([1.0, 1.0, 1e-24]), members=np.diag([1.0, 1.0, 1e12]).astype(complex)
+    )
+    report = frame_bounds(family)
+    assert report.condition == pytest.approx(1.0) and report.redundancy == 0
+    assert report.degenerate_zero_redundancy
+    discrete, continuous = split(family)
+    for f in np.eye(3):
+        total = family.space.norm(analysis(family, f)) ** 2
+        cont = continuous.space.norm(analysis(continuous, f)) ** 2
+        disc = sum(abs(np.vdot(vec, f)) ** 2 for vec in discrete)
+        assert total == pytest.approx(1.0)
+        assert abs(total - (cont + disc)) <= 1e-10 * total
+
+
 class TestEqualRowGroups:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(repeated_row_families())
@@ -754,6 +770,23 @@ class TestEqualRowGroups:
         groups = _equal_row_groups(family, ROW_MATCH_TOL)
         assert groups == [[0, 2, 5], [1, 7], [4, 6]]  # node 3 is an atom
         assert groups == all_pairs_row_groups(family, ROW_MATCH_TOL)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(repeated_row_families())
+    def test_a_large_row_of_tiny_weight_changes_no_match(self, case):
+        # a row 2^40 times a fresh one matches no other row, so it must leave
+        # the other rows' groups as they were
+        family, tolerance = case
+        assume(tolerance < 1.0)  # at 1.0 a row may lie within the tolerance of 2^40 times another
+        rng = np.random.default_rng(family.size)
+        large = 2.0**40 * complex_rng_matrix(rng, 1, family.dim)
+        space = DiscretizedSpace.from_columns(
+            np.append(family.space.weights, 2.0**-80),
+            np.append(family.space.is_atom, False),
+            np.append(family.space.points, float(family.size)),
+        )
+        grown = VectorFamily(space=space, members=np.vstack([family.members, large]))
+        assert _equal_row_groups(grown, tolerance) == _equal_row_groups(family, tolerance)
 
     def test_large_torus_has_no_repeated_rows(self):
         assert _equal_row_groups(build_torus(256, 4096), ROW_MATCH_TOL) == []

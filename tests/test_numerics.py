@@ -129,6 +129,20 @@ _NODE_BLOCKS = {
 }
 
 
+class _SlicedRows(np.ndarray):
+    """Node weights that record the row count of each block a node sum slices from them."""
+
+    def __new__(cls, weights, rows: list):
+        out = np.asarray(weights).view(cls)
+        out.rows = rows
+        return out
+
+    def __getitem__(self, key):
+        block = np.asarray(self)[key]
+        self.rows.append(len(block))
+        return block
+
+
 class TestNodeBlocks:
     """Sums over the nodes, walked in row blocks, against the one-product forms."""
 
@@ -171,14 +185,11 @@ class TestNodeBlocks:
     def test_a_table_with_no_columns_is_one_block(self, rng, monkeypatch):
         # past BLOCK_ENTRIES rows, blocks of no entries would only cost calls
         rows = []
-        gram, term = numerics.block_gram, numerics._conj_weighted_product
+        gram = numerics.block_gram
         monkeypatch.setattr(
             numerics, "block_gram", lambda blocks: gram(b for b in blocks if not rows.append(len(b)))
         )
-        monkeypatch.setattr(
-            numerics, "_conj_weighted_product", lambda *t: rows.append(len(t[0])) or term(*t)
-        )
-        empty, w = np.zeros((300, 0), dtype=complex), np.ones(300)
+        empty, w = np.zeros((300, 0), dtype=complex), _SlicedRows(np.ones(300), rows)
         assert numerics.gram(empty, w).shape == (0, 0)
         assert numerics.weighted_gram(complex_rng_matrix(rng, 300, 3), w, empty).shape == (3, 0)
         assert rows == [300, 300]
@@ -192,6 +203,83 @@ class TestNodeBlocks:
         numerics.newton_update(table, correction)
         assert table is before
         assert np.max(np.abs(table - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+# node-sum shapes at the block edges of BLOCK_ENTRIES = 2**16: quarter blocks
+# of 256 rows and Gram blocks of 1024 at 64 columns, Gram blocks of 1024 and
+# quarter blocks of 128 at 128 columns, one Gram block of 65,536 rows at one
+_BLOCK_EDGES = [(255, 64), (256, 64), (257, 64), (1023, 64), (1025, 64), (2049, 128),
+                (0, 3), (300, 0), (70_000, 1)]
+
+
+def _gram_by_blocks(table, weights=None) -> np.ndarray:
+    """``table^H W table`` over Gram blocks of at least ``8 * cols`` and about
+    ``BLOCK_ENTRIES`` entries, each block's part from one real symmetric product,
+    summed from the first block's part; unit weights scale nothing."""
+    rows, cols = table.shape
+    step = max(8 * cols, numerics.BLOCK_ENTRIES // cols) if cols else rows + 1
+    if weights is not None and np.all(weights == 1.0):
+        weights = None
+    total = None
+    for start in range(0, rows or 1, step):
+        block = table[start : start + step]
+        if weights is not None:
+            block = block * np.sqrt(weights[start : start + step])[:, None]
+        real = np.ascontiguousarray(block).view(np.float64)
+        product = real.T @ real
+        part = np.empty((cols, cols), dtype=np.complex128)
+        part.real = product[0::2, 0::2] + product[1::2, 1::2]
+        part.imag = product[0::2, 1::2] - product[1::2, 0::2]
+        total = part if total is None else total + part
+    return total
+
+
+def _quarter_steps(rows: int, cols: int):
+    step = max(1, numerics.BLOCK_ENTRIES // cols // 4) if cols else rows + 1
+    return [slice(start, start + step) for start in range(0, rows or 1, step)]
+
+
+def _weighted_gram_by_blocks(left, weights, right) -> np.ndarray:
+    """``conj`` of the sum, from the first quarter block's, of ``left^T conj(W right)``."""
+    total = None
+    for rows in _quarter_steps(*right.shape):
+        part = left[rows].T @ np.conj(weights[rows, None] * right[rows])
+        total = part if total is None else total + part
+    return np.conj(total)
+
+
+def _newton_by_blocks(table, correction) -> np.ndarray:
+    out = table.copy()
+    for rows in _quarter_steps(*table.shape):
+        out[rows] -= out[rows] @ correction
+    return out
+
+
+class TestNodeSumBits:
+    """The node sums keep the bits of their block order at every block edge."""
+
+    @pytest.mark.parametrize("shape", _BLOCK_EDGES, ids=[f"{r}x{c}" for r, c in _BLOCK_EDGES])
+    @pytest.mark.parametrize("unit", [False, True], ids=["weighted", "unit"])
+    def test_node_sums_are_bitwise_the_block_sums(self, rng, shape, unit):
+        rows, cols = shape
+        table = complex_rng_matrix(rng, rows, cols)
+        weights = np.ones(rows) if unit else rng.uniform(0.25, 2.5, rows)
+        left = complex_rng_matrix(rng, rows, 3)
+        correction = 1e-3 * complex_rng_matrix(rng, cols, cols)
+        pairs = [
+            (numerics.gram(table, weights), _gram_by_blocks(table, weights)),
+            (numerics.gram(table), _gram_by_blocks(table)),
+            (numerics.weighted_gram(left, weights, table),
+             _weighted_gram_by_blocks(left, weights, table)),
+            (numerics.weighted_gram(table, weights, table),
+             _weighted_gram_by_blocks(table, weights, table)),
+        ]
+        updated = table.copy()
+        numerics.newton_update(updated, correction)
+        pairs.append((updated, _newton_by_blocks(table, correction)))
+        for got, expected in pairs:
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestAdopt:

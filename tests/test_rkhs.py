@@ -383,6 +383,19 @@ class TestBesselPointwise:
         assert not verdict.all_upper_ok
 
 
+    @pytest.mark.parametrize("exponent", range(-30, 31, 6))
+    def test_verdict_does_not_depend_on_units(self, exponent):
+        # the torus exponentials, undamped, are orthonormal: a tight system
+        # whose exact bound is 1, and which fails everywhere at half of it
+        torus = build_torus(8, 64)
+        functions = torus.members.conj() * np.arange(1.0, 9.0)
+        table = kernel_from_onb(functions, torus.space)
+        c = 2.0**exponent
+        for bound, ok in ((1.0, True), (0.5, False)):
+            verdict = bessel_pointwise_check(c * functions, table, c * c * bound)
+            assert np.all(verdict.upper_ok == ok)
+
+
 class TestPointEvaluationBounds:
     def test_onb_bound_is_diagonal_and_tight(self, rng):
         space = cell_space(rng.uniform(0.4, 1.6, 7))
