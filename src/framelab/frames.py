@@ -364,12 +364,13 @@ def _equal_row_groups(family: VectorFamily, row_tolerance: float) -> list[list[i
     that column too, since ``|Re z|, |Im z| <= |z|`` holds exactly for
     ``np.abs``; the factor 2 absorbs the rounding of the window's ends.
     Sorting costs O(n log n); the exact entrywise test then runs only on the
-    rows inside each seed's window.
+    rows inside each seed's window.  When every node is a cell the member
+    table is read in place, not copied.
     """
     cells = np.flatnonzero(~family.space.is_atom)
     if cells.size < 2:
         return []
-    rows = family.members[cells]
+    rows = family.members if cells.size == family.size else family.members[cells]
     limits = row_tolerance * np.max(np.abs(rows), axis=1)  # each row's own tolerance
     tolerance = float(np.max(limits))
     spreads = np.concatenate([np.ptp(rows.real, axis=0), np.ptp(rows.imag, axis=0)])

@@ -6,8 +6,11 @@ most ``d x d`` or ``n x d``; node-indexed ``n x n`` kernels are kept by
 :mod:`framelab.rkhs` as two ``n x r`` factors instead.  There is no sparse or
 iterative machinery.  Every Hermitian Gram ``X^H W X`` (frame operators,
 span Grams, the Gram behind a rank certificate) is :func:`block_gram`, a sum
-of one real symmetric product per row block of the float view of
-``sqrt(w) * X``: :func:`gram` hands it the :func:`weighted_rows` of a table,
+over row blocks of the real symmetric product of the float view of
+``sqrt(w) * X``, taken whole for a block of at least ``8 * d`` rows and in
+tiles of at most a quarter of a shorter block's floats, so a square
+operator (``n = d``) holds its block, the ``d x d`` sum and one small tile:
+:func:`gram` hands it the :func:`weighted_rows` of a table,
 and a family made from its formula (:class:`framelab.gallery.RootSource`)
 hands it the same blocks (:func:`framelab.frames.frame_operator`).  A verdict that reads only a
 spectrum takes eigenvalues without eigenvectors (``vectors=False``).  Node
@@ -35,7 +38,9 @@ its SVD.  The frame bounds of a frame operator together with the rule that
 refuses to invert it live in :func:`frame_spectrum` and
 :func:`require_frame`, and the inverse applied to the rows of a member table
 in :meth:`FrameSpectrum.inverse_rows`, so no other module hand-rolls its own
-thresholds or dual formula.  The thresholds are constants:
+thresholds or dual formula.  :func:`hermitian_eig` holds one copy of its
+input beside it, halved, checked and symmetrized in place a quarter block
+of rows at a time.  The thresholds are constants:
 ``DEFAULT_RANK_RTOL`` (overridable only through ``FRAMELAB_RANK_TOL``, read
 at each rank decision), ``HERMITIAN_RTOL`` for Hermitian symmetry and
 ``FRAME_RTOL`` for the frame verdict; the few tolerances and bounds that
@@ -185,33 +190,70 @@ def weighted_rows(table, weights=None):
 
 
 def block_gram(blocks) -> np.ndarray:
-    """``B^H B`` for the rows ``B`` of ``blocks`` together, one real symmetric product per block.
+    """``B^H B`` for the rows ``B`` of ``blocks`` together, from real symmetric products.
 
     ``blocks`` yields C-contiguous ``complex128`` row blocks of one column
     count, at least one.  The ``(m, 2d)`` float64 view ``R`` of a block holds
     the real and imaginary part of each column side by side, so ``P = R^T R``
     carries ``Re G = P[re, re] + P[im, im]`` and ``Im G = P[re, im] -
-    P[im, re]``.  numpy runs ``R^T R`` as one SYRK, about half the work of the
-    complex product, and mirrors its triangle, so ``G`` is exactly Hermitian.
-    ``G`` is the first block's part plus each later one's.  A block is
-    released before its part is assembled from ``P``, and ``P`` and the part
-    before the next block comes, so a generator that makes its blocks holds
-    one block at a time.
+    P[im, re]``.  A block of at least ``8 * d`` rows, the floor of
+    :func:`gram_rows`, takes ``P`` whole as one SYRK, about half the work of
+    the complex product; ``P`` then holds at most a quarter of the block's
+    floats.  A shorter block takes ``P`` in square tiles of whole components
+    with edges at multiples of 32, each tile's product at most a quarter of
+    the block's floats where tiles of 32 allow it, so a Gram of at most 32
+    components is one tile at any row count.  Diagonal tiles are SYRKs and
+    the others GEMMs, the same flops as the one product.  An off-diagonal
+    tile's part and its mirror's both come from its product by the two sums
+    above, the mirror's from the transpose (conjugating the part would flip
+    the sign of a zero imaginary part), so ``G`` is exactly Hermitian, as
+    numpy's SYRK, which mirrors its triangle, leaves the one product.  ``G``
+    is the first block's part plus each later one's, added a tile at a time.
+    A block is released before its last tile is assembled, and each product
+    and part before the next, so a generator that makes its blocks holds one
+    block at a time.
     """
     total = None
     for block in blocks:
         real = block.view(np.float64)
-        product = real.T @ real
-        del block, real
-        dim = product.shape[0] // 2
-        parts = product.reshape(dim, 2, dim, 2)
-        part = np.empty((dim, dim), dtype=np.complex128)
-        halves = part.view(np.float64).reshape(dim, dim, 2)
-        np.add(parts[:, 0, :, 0], parts[:, 1, :, 1], out=halves[..., 0])
-        np.subtract(parts[:, 0, :, 1], parts[:, 1, :, 0], out=halves[..., 1])
-        total = part if total is None else np.add(total, part, out=total)
-        del product, parts, part, halves
+        del block
+        dim = real.shape[1] // 2
+        if len(real) >= 8 * dim:
+            width = max(dim, 1)  # a table with no columns is one empty tile
+        else:
+            width = max(32, math.isqrt(len(real) * dim // 8) // 32 * 32)
+        first = total is None
+        for lo in range(0, max(dim, 1), width):
+            for hi in range(lo, max(dim, 1), width):
+                left = real[:, 2 * lo : 2 * (lo + width)]
+                product = left.T @ (left if lo == hi else real[:, 2 * hi : 2 * (hi + width)])
+                del left
+                if lo + width >= dim:  # the last tile
+                    del real
+                if total is None:  # after the product, so a one-tile block is gone first
+                    total = np.empty((dim, dim), dtype=np.complex128)
+                _add_tile(total, lo, hi, product, first)
+                if lo < hi:  # the mirror, from the transpose
+                    _add_tile(total, hi, lo, product.T, first)
+                del product
     return total
+
+
+def _add_tile(total: np.ndarray, top: int, side: int, tile: np.ndarray, first: bool) -> None:
+    """The part of :func:`block_gram` that the real product ``tile`` carries, into ``total``.
+
+    It is formed by the two sums of :func:`block_gram` at rows from ``top``
+    and columns from ``side``: written there for the first block, added to
+    the sum for a later one.
+    """
+    height, breadth = tile.shape[0] // 2, tile.shape[1] // 2
+    dim = len(total)
+    target = total.view(np.float64).reshape(dim, dim, 2)[top : top + height, side : side + breadth]
+    part = target if first else np.empty((height, breadth, 2))
+    np.add(tile[0::2, 0::2], tile[1::2, 1::2], out=part[..., 0])
+    np.subtract(tile[0::2, 1::2], tile[1::2, 0::2], out=part[..., 1])
+    if not first:
+        np.add(target, part, out=target)
 
 
 def block_rank(blocks, shape: tuple[int, int]) -> int:
@@ -313,22 +355,48 @@ def hermitian_eig(a, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | Non
     with ``vectors=False`` the eigenvalues alone come from ``eigvalsh`` and
     the eigenvectors are ``None``.  The input is symmetrized to absorb
     roundoff; asymmetry beyond ``HERMITIAN_RTOL`` times the matrix scale is an
-    error.
+    error.  Both are read from ``a / 2``, one copy of the input in which no
+    modulus or difference overflows, a :func:`quarter_rows` block of rows at
+    a time through one buffer of that many rows.  The eigensolvers read only
+    the lower triangle, so only that triangle of ``a / 2 + conj(a / 2)^T`` is
+    formed, in place.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    asymmetry = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    dim = len(m)
+    half = m / 2.0  # halved before any sum, which overflows near the float limit
+    step = quarter_rows(dim)
+    mirror = np.empty((min(step, dim), dim), dtype=np.complex128)
+    scale = asymmetry = 0.0
+    for lo in range(0, dim, step):
+        rows = half[lo : lo + step]
+        gap = mirror[: len(rows)]
+        np.copyto(gap, half[:, lo : lo + step].T)
+        np.conj(gap, out=gap)
+        np.subtract(rows, gap, out=gap)
+        scale = max(scale, float(np.max(np.abs(rows))))
+        asymmetry = max(asymmetry, float(np.max(np.abs(gap))))
+        del rows, gap
     if asymmetry > HERMITIAN_RTOL * scale:
         raise NotHermitianError(
-            f"asymmetry {asymmetry:.3e} exceeds {HERMITIAN_RTOL:.0e} * scale {scale:.3e}"
+            f"asymmetry {2 * asymmetry:.3e} exceeds {HERMITIAN_RTOL:.0e} * scale {2 * scale:.3e}"
         )
-    sym = m / 2.0  # halved before the sum, which overflows near the float limit
-    sym += sym.conj().T
+    for lo in range(0, dim, step):
+        hi = min(lo + step, dim)
+        # whole rows, so numpy adds in place without buffers; right of column
+        # hi they add -0, which keeps every entry and the sign of a zero, so
+        # later blocks still read a / 2 there
+        conjugates = mirror[: hi - lo]
+        np.copyto(conjugates[:, :hi], half[:hi, lo:hi].T)
+        np.conj(conjugates, out=conjugates)
+        conjugates[:, hi:] = complex(-0.0, -0.0)
+        half[lo:hi] += conjugates
+        del conjugates
+    del mirror
     if vectors:
-        return np.linalg.eigh(sym)
-    return np.linalg.eigvalsh(sym), None
+        return np.linalg.eigh(half, UPLO="L")
+    return np.linalg.eigvalsh(half, UPLO="L"), None
 
 
 class FrameSpectrum(NamedTuple):
@@ -422,9 +490,10 @@ def certifies_full_rank(gram, shape: tuple[int, int], values=None) -> bool:
     is a length-``n`` real sum, off by ``n * u`` times the sum of the
     magnitudes, and one more rounding forms ``Re S`` or ``Im S`` from two of
     them, so each of their ``2n`` products meets at most ``n`` roundings.
-    That count holds for any summation order :func:`block_gram` takes: over ``B``
-    row blocks of at most ``m`` rows it forms both parts per block and adds
-    the blocks' parts, and ``(m - 1) + 1 + (B - 1) <= n``.  By
+    That count holds for any summation order :func:`block_gram` takes: its
+    tiles split a block's product by entries, not the sum behind an entry,
+    and over ``B`` row blocks of at most ``m`` rows it forms both parts per
+    block and adds the blocks' parts, and ``(m - 1) + 1 + (B - 1) <= n``.  By
     Cauchy-Schwarz, both ``|a_j a_k| + |b_j b_k|`` and
     ``|a_j b_k| + |b_j a_k|`` are at most ``|A_j| |A_k|``.  So to first order
     the real and the imaginary part of each entry of ``S`` are off by at most

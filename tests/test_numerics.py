@@ -11,13 +11,13 @@ from framelab.errors import NonSquareError, NotAFrameError, NotHermitianError, V
 from framelab.frames import (
     Classification, VectorFamily, analysis_rank, frame_bounds, frame_operator, semiframe_trend,
 )
-from framelab.gallery import GalleryKind, GallerySpec, truncation_sequence
+from framelab.gallery import GalleryKind, GallerySpec, build_affine, truncation_sequence
 from framelab.pairs import bessel_bound, frame_transfer, lower_semiframe_dual, resolution_operator
 from framelab.rkhs import point_evaluation_bounds
 
 from conftest import (
     COPIED_TABLES, SvdCalled, cell_space, complex_rng_matrix, conditioned_family, no_svd,
-    onb_family, random_family, svd_count, unit_weight_space,
+    onb_family, random_family, svd_count, traced_peak, unit_weight_space,
 )
 
 
@@ -61,6 +61,32 @@ class TestHermitianEig:
         values, vectors = numerics.hermitian_eig(a)
         np.testing.assert_allclose(values, np.linalg.eigvalsh(a / 1e308) * 1e308, rtol=1e-12)
         np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(2), atol=1e-14)
+
+    def test_asymmetry_past_the_float_range_is_refused(self):
+        # |a| overflows, so a scale read from a itself would be inf and no
+        # asymmetry could exceed it: the imaginary diagonal would be dropped
+        with pytest.raises(NotHermitianError, match="^asymmetry "):
+            numerics.hermitian_eig([[1.5e308 + 1.5e308j]], vectors=False)
+
+    def test_lower_triangle_is_bitwise_the_symmetrized_half(self, rng, monkeypatch):
+        # a real-valued matrix with roundoff-level asymmetry, zeros of either
+        # sign in both parts, and more rows than one quarter block: a
+        # conjugate taken by another route flips the sign of a zero
+        dim = 300
+        real = rng.standard_normal((dim, dim))
+        real += real.T + 1e-14 * rng.standard_normal((dim, dim))
+        zeros = rng.random((dim, dim)) < 0.3
+        zeros |= zeros.T
+        real[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
+        a = real + 0j
+        a.imag = np.copysign(0.0, rng.standard_normal((dim, dim)))
+        solved = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m, UPLO="L": solved.append(m.copy()))
+        numerics.hermitian_eig(a, vectors=False)
+        half = a / 2.0
+        half += half.conj().T
+        lower = np.tril_indices(dim)
+        assert solved[0][lower].tobytes() == half[lower].tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12))
@@ -255,6 +281,25 @@ def _newton_by_blocks(table, correction) -> np.ndarray:
     return out
 
 
+class _CountedProducts(np.ndarray):
+    """A row block that records the shape of each product taken of it in ``products``."""
+
+    products: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [x.view(np.ndarray) if isinstance(x, _CountedProducts) else x for x in inputs]
+        if ufunc is np.matmul:
+            _CountedProducts.products.append((inputs[0].shape[0], inputs[1].shape[1]))
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _tile_products(table) -> tuple[np.ndarray, list]:
+    """The :func:`numerics.block_gram` of ``table`` as one block, and its product shapes."""
+    _CountedProducts.products = []
+    gram = numerics.block_gram(iter([np.ascontiguousarray(table).view(_CountedProducts)]))
+    return gram, _CountedProducts.products
+
+
 class TestNodeSumBits:
     """The node sums keep the bits of their block order at every block edge."""
 
@@ -280,6 +325,60 @@ class TestNodeSumBits:
         for got, expected in pairs:
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(512, 64), (1024, 128), (320, 40)])
+    def test_a_block_of_at_least_8_rows_a_component_is_one_tile(self, rng, shape):
+        table = complex_rng_matrix(rng, *shape)
+        gram, products = _tile_products(table)
+        assert products == [(2 * shape[1], 2 * shape[1])]
+        assert gram.tobytes() == _gram_by_blocks(table).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 32), (1, 32), (7, 32), (100, 17), (3, 1)])
+    def test_at_most_32_components_are_one_tile(self, rng, shape):
+        table = complex_rng_matrix(rng, *shape)
+        gram, products = _tile_products(table)
+        assert products == [(2 * shape[1], 2 * shape[1])]
+        assert gram.tobytes() == _gram_by_blocks(table).tobytes()
+
+    @pytest.mark.parametrize("shape", [(256, 256), (512, 128), (300, 256), (40, 128)])
+    def test_tiles_are_bitwise_the_one_product(self, rng, shape):
+        table = complex_rng_matrix(rng, *shape)
+        gram, products = _tile_products(table)
+        # several tiles, each product at most a quarter of the block's floats
+        # or, in a block too short for that, one of 32 components
+        assert len(products) > 1
+        assert all(rows * cols <= max(table.size / 2, 64 * 64) for rows, cols in products)
+        assert gram.tobytes() == _gram_by_blocks(table).tobytes()
+
+    @pytest.mark.parametrize("shape", [(700, 97), (513, 513)])
+    def test_tiles_stay_within_the_certificate_slack(self, rng, shape):
+        rows, cols = shape
+        table = complex_rng_matrix(rng, rows, cols)
+        gram, products = _tile_products(table)
+        reference = _gram_by_blocks(table)
+        assert len(products) > 1
+        assert np.array_equal(gram, gram.conj().T)
+        slack = 4 * (rows + cols) * np.finfo(float).eps * np.trace(reference).real
+        assert np.max(np.abs(gram - reference)) <= slack
+
+
+class TestSquareOperatorMemory:
+    """A square frame operator's steps hold its block, one d x d operator and small tiles."""
+
+    D = 256
+
+    def test_frame_bounds_of_a_square_family(self):
+        frame_bounds(build_affine(self.D, self.D))
+        report, peak = traced_peak(lambda: frame_bounds(build_affine(self.D, self.D)))
+        assert report.redundancy == 0 and report.degenerate_zero_redundancy
+        assert peak < 2.5 * self.D**2 * 16
+
+    def test_hermitian_eig_holds_one_copy(self, rng):
+        m = complex_rng_matrix(rng, self.D, self.D)
+        m += m.conj().T
+        numerics.hermitian_eig(m, vectors=False)
+        _, peak = traced_peak(lambda: numerics.hermitian_eig(m, vectors=False))
+        assert peak < 1.4 * m.nbytes
 
 
 class TestAdopt:
