@@ -61,10 +61,7 @@ class VectorFamily:
         # the weighted sum of squared row norms is the trace of the frame
         # operator and bounds its entries; weights are positive, so it is
         # finite only when every entry, squared row norm and weighted one is
-        parts = m.view(np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            energy = float(self.space.weights @ np.einsum("ij,ij->i", parts, parts))
-        if not math.isfinite(energy):
+        if not math.isfinite(numerics.weighted_energy(m, self.space.weights)):
             if not np.all(np.isfinite(m)):
                 raise ValidationError("member entries must be finite")
             raise ValidationError("squared norms of the members overflow")
@@ -247,7 +244,8 @@ def analysis_rank(family: VectorFamily, operator=None, values=None) -> int:
     which is that table's Gram exactly as :func:`~framelab.numerics.gram`
     forms it from the table.  A caller holding the operator passes it, with
     its ascending eigenvalues ``values`` when known; otherwise it is formed
-    here.  When nothing is certified, :func:`~framelab.numerics.block_rank`
+    here, and without ``values`` one Cholesky factor decides.  When nothing
+    is certified, :func:`~framelab.numerics.block_rank`
     counts the singular values of the family's weighted row blocks, the
     conjugate of that table with the same singular values.  Neither route
     reads ``members``, so a generated family builds no table, and either way

@@ -7,9 +7,10 @@ most ``d x d`` or ``n x d``; node-indexed ``n x n`` kernels are kept by
 iterative machinery.  Every Hermitian Gram ``X^H W X`` (frame operators,
 span Grams, the Gram behind a rank certificate) is :func:`block_gram`, a sum
 over row blocks of the real symmetric product of the float view of
-``sqrt(w) * X``, taken whole for a block of at least ``8 * d`` rows and in
-tiles of at most a quarter of a shorter block's floats, so a square
-operator (``n = d``) holds its block, the ``d x d`` sum and one small tile:
+``sqrt(w) * X``, taken whole for a block of at least ``8 * d`` rows or at
+most ``BLOCK_ENTRIES // 4`` entries and in tiles of at most a quarter of any
+other block's floats, so a square operator (``n = d``) past that size holds
+its block, the ``d x d`` sum and one small tile:
 :func:`gram` hands it the :func:`weighted_rows` of a table,
 and a family made from its formula (:class:`framelab.gallery.RootSource`)
 hands it the same blocks (:func:`framelab.frames.frame_operator`).  A verdict that reads only a
@@ -31,10 +32,13 @@ the array :func:`adopt` returns, which is its argument itself when that is
 a read-only, C-contiguous ``complex128`` array owning its data.
 Every rank decision and SVD cutoff comes from :func:`rank_cutoff`.  Every
 rank verdict on a family is :func:`framelab.frames.analysis_rank`: full rank
-certified from the frame operator's spectrum (:func:`certifies_full_rank`),
-or else the :func:`block_rank` count of the row blocks :func:`block_gram`
-takes, folded into a triangular factor, so no rank verdict forms a table or
-its SVD.  The frame bounds of a frame operator together with the rule that
+certified from the frame operator, by its spectrum when known and else by
+one Cholesky factor (:func:`certifies_full_rank`), or else the
+:func:`block_rank` count of the row blocks :func:`block_gram` takes, folded
+into a triangular factor, so no rank verdict forms a table or its SVD.  A
+pair whose resolution operator certifies both families at full rank
+(:func:`certifies_pair_rank`) has that count without either frame
+operator.  The frame bounds of a frame operator together with the rule that
 refuses to invert it live in :func:`frame_spectrum` and
 :func:`require_frame`, and the inverse applied to the rows of a member table
 in :meth:`FrameSpectrum.inverse_rows`, so no other module hand-rolls its own
@@ -71,8 +75,8 @@ MAX_SIZE = 1 << 20  # largest count a builder or a family's dim takes; tables pa
 RANK_TOL_ENV = "FRAMELAB_RANK_TOL"
 
 _EPS = float(np.finfo(np.float64).eps)
-# below this Gram trace per table entry, gradual underflow in forming the Gram
-# could exceed the rank certificate's rounding slack
+# below this Gram trace per table entry, gradual underflow in forming a Gram
+# or a resolution operator could exceed a rank certificate's rounding slack
 _GRAM_FLOOR = float(np.finfo(np.float64).tiny) / _EPS
 
 
@@ -199,7 +203,10 @@ def block_gram(blocks) -> np.ndarray:
     P[im, re]``.  A block of at least ``8 * d`` rows, the floor of
     :func:`gram_rows`, takes ``P`` whole as one SYRK, about half the work of
     the complex product; ``P`` then holds at most a quarter of the block's
-    floats.  A shorter block takes ``P`` in square tiles of whole components
+    floats.  So does a block of at most ``BLOCK_ENTRIES // 4`` entries, whose
+    tiles would cost more time than the memory they save; its ``P`` holds
+    twice the floats of the ``d x d`` sum.  Any other block, one shorter than
+    ``8 * d`` rows, takes ``P`` in square tiles of whole components
     with edges at multiples of 32, each tile's product at most a quarter of
     the block's floats where tiles of 32 allow it, so a Gram of at most 32
     components is one tile at any row count.  Diagonal tiles are SYRKs and
@@ -218,7 +225,7 @@ def block_gram(blocks) -> np.ndarray:
         real = block.view(np.float64)
         del block
         dim = real.shape[1] // 2
-        if len(real) >= 8 * dim:
+        if len(real) >= 8 * dim or len(real) * dim <= BLOCK_ENTRIES // 4:
             width = max(dim, 1)  # a table with no columns is one empty tile
         else:
             width = max(32, math.isqrt(len(real) * dim // 8) // 32 * 32)
@@ -462,19 +469,38 @@ def certifies_full_rank(gram, shape: tuple[int, int], values=None) -> bool:
     """Whether a Gram matrix certifies that a ``shape`` table has full rank.
 
     ``gram`` is the Gram matrix of the table's shorter side (``min(rows,
-    cols)`` square) and ``values`` its ascending eigenvalues, taken with
-    ``eigvalsh`` when not given.  Forming ``gram`` and taking its eigenvalues
-    is backward stable, so by Weyl's inequality
-    ``|values[i] - sigma_i**2| <= slack`` with
+    cols)`` square) and ``values``, when given, its ascending eigenvalues.
+    Forming ``gram`` and taking its eigenvalues is backward stable, so by
+    Weyl's inequality ``|values[i] - sigma_i**2| <= slack`` with
     ``slack = 4 * (rows + cols) * eps * trace(gram)`` and
     ``trace(gram) = ||table||_F**2``.  Full rank is certified when
     ``values[0] - slack`` exceeds the squared :func:`rank_cutoff` of the
     upper bound ``sqrt(values[-1] + slack)`` on ``sigma_max``: every singular
-    value then clears the cutoff.  The trace must be finite and above
-    ``rows * cols * tiny / eps``, and every entry of ``gram`` finite, so that
-    neither overflow nor gradual underflow escapes the slack; otherwise
-    nothing is certified.  An uncertified rank is counted by
-    :func:`block_rank`, which takes no Gram and no eigenvalues.
+    value then clears the cutoff.
+
+    Without ``values`` one Cholesky factor decides, with the trace in place
+    of ``values[-1]``, since ``sigma_max**2 <= trace``.  The Gram is taken at
+    trace 1, ``G = gram / trace``, so no entry overflows and the slack reads
+    ``s = 4 * (rows + cols) * eps``; with ``c`` the cutoff of
+    ``sqrt(1 + s)``, ``G - (s + c**2 + 2 * (d + 1) * eps) * I`` (``d`` the
+    order of ``gram``) is factored, shifted in place on one copy.  When the
+    factor ``R`` exists, ``R^H R`` is the shifted matrix plus an error of
+    norm at most about ``(d + 1) * u`` (``u = eps / 2``; Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, Thm 10.5, with
+    ``|| |R^H| |R| || <= ||R||_F**2``, the trace of the shifted matrix, at
+    most 1), and normalizing and shifting round by ``u`` each: all below
+    ``2 * (d + 1) * eps``, with room for complex arithmetic.  So the least
+    eigenvalue of ``G`` exceeds ``s + c**2``, which is the rule above with
+    the trace for ``values[-1]``: the factor certifies nothing the
+    eigenvalues would not, and a table whose ``sigma_min / sigma_max`` lies
+    between the cutoff and about ``sqrt(d)`` times it is left to
+    :func:`block_rank`.
+
+    Either way the trace must be finite and above ``rows * cols * tiny /
+    eps``, and every entry of ``gram`` finite, so that neither overflow nor
+    gradual underflow escapes the slack; otherwise nothing is certified.  An
+    uncertified rank is counted by :func:`block_rank`, which takes no Gram and
+    no eigenvalues.
 
     The slack also covers a frame operator ``S = members^T (w * conj(members))``
     over ``n`` nodes in ``d`` dimensions, taken as the Gram of the weighted
@@ -502,15 +528,74 @@ def certifies_full_rank(gram, shape: tuple[int, int], values=None) -> bool:
     ``(n + 5) * eps * trace(S) / sqrt(2)``, since
     ``|| |A|^H |A| || <= ||A||_F**2``.  That leaves at least
     ``3 * n * eps * trace(S)`` of the slack ``4 * (n + d) * eps * trace(S)``
-    to the symmetrization and the eigensolver's own backward error.
+    to the symmetrization and the eigensolver's own backward error; the
+    factor's has its own term in the shift.
     """
     rows, cols = shape
     with np.errstate(all="ignore"):
         trace = float(np.trace(gram).real)
     if not (_GRAM_FLOOR * rows * cols < trace < math.inf and np.all(np.isfinite(gram))):
         return False
-    if values is None:
-        values = np.linalg.eigvalsh(gram)
-    slack = 4 * (rows + cols) * _EPS * trace
-    bound = rank_cutoff(np.sqrt([values[-1] + slack]), shape)
-    return bool(values[0] - slack > bound * bound)
+    if values is not None:
+        slack = 4 * (rows + cols) * _EPS * trace
+        bound = rank_cutoff(np.sqrt([values[-1] + slack]), shape)
+        return bool(values[0] - slack > bound * bound)
+    slack = 4 * (rows + cols) * _EPS
+    bound = rank_cutoff(np.sqrt([1.0 + slack]), shape)
+    shifted = gram / trace
+    shifted.flat[:: len(shifted) + 1] -= slack + bound * bound + 2 * (len(shifted) + 1) * _EPS
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def weighted_energy(table: np.ndarray, weights: np.ndarray) -> float:
+    """``||sqrt(w) * table||_F**2``, the trace of the table's weighted Gram.
+
+    One pass over the float view of a C-contiguous ``complex128`` table, whose
+    only temporary is the squared row norms; ``inf`` or ``nan``, with no
+    warning, past the float range.
+    """
+    parts = table.view(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(weights @ np.einsum("ij,ij->i", parts, parts))
+
+
+def certifies_pair_rank(smallest: float, energies, shape: tuple[int, int]) -> bool:
+    """Whether a resolution operator certifies that both tables of a pair have full rank.
+
+    The pair is two ``shape = (n, d)`` tables ``A_psi`` and ``A_phi`` with
+    squared Frobenius norms ``energies`` (:func:`weighted_energy`), and
+    ``smallest`` is the least computed singular value of ``S = A_phi^H
+    A_psi``: the resolution operator of a pair whose weighted analysis
+    tables these are.  Since ``sigma_d(S) <= sigma_1(A_phi) * sigma_d(A_psi)`` and
+    ``sigma_1 <= ||.||_F``, ``sigma_d(S)`` above the :func:`rank_cutoff` of
+    ``scale = ||A_psi||_F * ||A_phi||_F`` puts ``sigma_d(A_psi)`` above
+    ``threshold * max(n, d) * ||A_psi||_F``, past its own cutoff, and
+    likewise ``sigma_d(A_phi)``: both tables have rank ``d``.
+
+    Certified is ``smallest - 2 * slack`` above that cutoff, with ``slack =
+    4 * (n + d) * eps * scale``.  One slack covers the rounding of ``S``,
+    each entry of its node sum off by at most about ``(n + 5) * eps`` times
+    the same entry of ``|A_phi|^H |A_psi|``, whose norm is at most ``scale``
+    by Cauchy-Schwarz; the SVD's backward error, ``O(d * eps * ||S||)``; and
+    the rounding of both norms, which moves the cutoff by at most ``(n + d)
+    * eps * scale``.  The other covers the rounding of :func:`block_rank`,
+    ``O(eps * sigma_1)`` in each table's singular values, times the other
+    table's norm, so every route of
+    :func:`~framelab.frames.analysis_rank` counts ``d`` too.  Nothing is
+    certified with fewer rows than columns, with a non-finite ``scale`` or
+    with an energy at or below ``n * d * tiny / eps``, under which gradual
+    underflow in ``S`` or the norms could escape the slack; nor at a
+    threshold of at least ``1 / max(n, d)``, whose cutoff is at least
+    ``scale >= sigma_1(S)``.
+    """
+    rows, cols = shape
+    floor = _GRAM_FLOOR * rows * cols
+    if rows < cols or not all(floor < energy < math.inf for energy in energies):
+        return False
+    scale = math.sqrt(energies[0]) * math.sqrt(energies[1])
+    slack = 4 * (rows + cols) * _EPS * scale
+    return bool(smallest - 2 * slack > rank_cutoff(np.array([scale]), shape))

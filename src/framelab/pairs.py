@@ -256,16 +256,28 @@ def bessel_bound(family: VectorFamily) -> float:
 
 
 def pair_verdict(psi: VectorFamily, phi: VectorFamily) -> dict:
-    """One-shot reproducing-pair check, shaped for report serialization."""
+    """One-shot reproducing-pair check, shaped for report serialization.
+
+    The resolution operator is the mixed Gram of the weighted analysis
+    tables, so when its least singular value certifies both at full rank
+    (:func:`~framelab.numerics.certifies_pair_rank`) each redundancy is
+    ``n - d``, the count of :func:`~framelab.frames.redundancy`, and neither
+    frame operator is formed; otherwise each is that function's.
+    """
     report = resolution_operator(psi, phi)
     swapped = mixed_operator(phi, psi)
     adjoint_gap = float(np.max(np.abs(swapped - report.operator.conj().T)))
+    energies = [numerics.weighted_energy(f.members, f.space.weights) for f in (psi, phi)]
+    if numerics.certifies_pair_rank(report.singular_values[-1], energies, (psi.size, psi.dim)):
+        excess_psi = excess_phi = psi.size - psi.dim
+    else:
+        excess_psi, excess_phi = redundancy(psi), redundancy(phi)
     verdict = {
         "reproducing_pair": report.invertible,
         "resolution": report.to_json(),
         "adjoint_identity_gap": adjoint_gap,
-        "redundancy_psi": redundancy(psi),
-        "redundancy_phi": redundancy(phi),
+        "redundancy_psi": excess_psi,
+        "redundancy_phi": excess_phi,
     }
     if report.invertible:
         identity_gap = report.operator @ report.inverse - np.eye(psi.dim)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from framelab import numerics
 from framelab.errors import NonSquareError, NotAFrameError, NotHermitianError, ValidationError
 from framelab.frames import (
-    Classification, VectorFamily, analysis_rank, frame_bounds, frame_operator, semiframe_trend,
+    Classification, VectorFamily, analysis_rank, frame_bounds, frame_operator, redundancy,
+    semiframe_trend,
 )
 from framelab.gallery import GalleryKind, GallerySpec, build_affine, truncation_sequence
 from framelab.pairs import bessel_bound, frame_transfer, lower_semiframe_dual, resolution_operator
@@ -340,7 +342,15 @@ class TestNodeSumBits:
         assert products == [(2 * shape[1], 2 * shape[1])]
         assert gram.tobytes() == _gram_by_blocks(table).tobytes()
 
-    @pytest.mark.parametrize("shape", [(256, 256), (512, 128), (300, 256), (40, 128)])
+    @pytest.mark.parametrize("shape", [(40, 128), (256, 64), (128, 128)])
+    def test_a_block_of_at_most_a_quarter_block_is_one_product(self, rng, shape):
+        # BLOCK_ENTRIES // 4 entries or fewer: tiles would cost more time than they save
+        table = complex_rng_matrix(rng, *shape)
+        gram, products = _tile_products(table)
+        assert products == [(2 * shape[1], 2 * shape[1])]
+        assert gram.tobytes() == _gram_by_blocks(table).tobytes()
+
+    @pytest.mark.parametrize("shape", [(256, 256), (512, 128), (300, 256), (200, 128)])
     def test_tiles_are_bitwise_the_one_product(self, rng, shape):
         table = complex_rng_matrix(rng, *shape)
         gram, products = _tile_products(table)
@@ -582,7 +592,9 @@ class TestRankCertificate:
         short=st.integers(1, 12),
         extra=st.integers(0, 36),
         tall=st.booleans(),
-        kind=st.sampled_from(["generic", "thin-product", "above-cutoff", "below-cutoff"]),
+        kind=st.sampled_from(
+            ["generic", "thin-product", "above-cutoff", "below-cutoff", "trace-band"]
+        ),
         exponent=st.sampled_from([0, 600, -600, -530, 510]),
         step=st.integers(1, 16),
     )
@@ -599,10 +611,13 @@ class TestRankCertificate:
             inner = int(rng.integers(0, short))
             a = complex_rng_matrix(rng, rows, inner) @ complex_rng_matrix(rng, inner, cols)
         else:
-            # unit singular values except the smallest, placed just off the cutoff
+            # unit singular values except the smallest, placed just off the
+            # cutoff, or between it and sqrt(short) times it, where the trace
+            # bound on sigma_max**2 leaves the count to block_rank
             cutoff = float(threshold or numerics.DEFAULT_RANK_RTOL) * max(rows, cols)
             s = np.ones(short)
-            s[-1] = cutoff * (1 + 1e-6 if kind == "above-cutoff" else 1 - 1e-6)
+            factors = {"above-cutoff": 1 + 1e-6, "below-cutoff": 1 - 1e-6}
+            s[-1] = cutoff * factors.get(kind, (1 + short**0.5) / 2)
             u, _ = np.linalg.qr(complex_rng_matrix(rng, rows, short))
             v, _ = np.linalg.qr(complex_rng_matrix(rng, cols, short))
             a = (u * s) @ v.conj().T
@@ -611,8 +626,12 @@ class TestRankCertificate:
         # the Gram of the shorter side: for a wide table, the Gram of a^T
         with np.errstate(all="ignore"):
             shorter = numerics.gram(a if tall else a.T)
-        if numerics.certifies_full_rank(shorter, a.shape):
+        certified = numerics.certifies_full_rank(shorter, a.shape)
+        if certified:
             assert count == short
+        if kind == "trace-band" and short >= 3 and s[-1] < 1:
+            # (1 + sqrt(short)) / 2 < sqrt(short - 1): sigma_min**2 < cutoff**2 * trace
+            assert not certified
         assert _block_rank(a) == _block_rank(a, step) == count
 
     def test_well_conditioned_table_needs_no_svd(self, rng, monkeypatch):
@@ -624,6 +643,14 @@ class TestRankCertificate:
         assert analysis_rank(a) == 32
         with pytest.raises(SvdCalled):
             analysis_rank(deficient)
+
+    def test_well_conditioned_redundancy_takes_no_eigenvalues(self, rng):
+        family = random_family(rng, 512, 32, weighted=True)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+                assert redundancy(family) == 512 - 32
+        assert eigvalsh.call_count == 0
+        assert cholesky.call_count == 1
 
     @pytest.mark.parametrize(
         "a", [[[1e200]], [[1e308, 1.0], [1.0, 1e-300]]], ids=["square-overflows", "ill-scaled"]

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from framelab import codec, frames, numerics, pairs
@@ -562,6 +562,96 @@ class TestOneMemberTable:
         lower_semiframe_dual(psi)
         dual, peak = traced_peak(lambda: lower_semiframe_dual(psi))
         assert peak <= dual.members.nbytes + 1.5 * 2**20
+
+
+def _pair_of_kind(rng, rows, dim, kind, exponent, threshold):
+    """A pair over one weighted space at weight scale ``2**exponent``; ``psi`` is of ``kind``.
+
+    ``thin-product`` has rank below ``min(rows, dim)``; the cutoff kinds have a
+    weighted analysis table with unit singular values except the smallest,
+    at the rank cutoff times ``1 +- 1e-6``.
+    """
+    space = cell_space(rng.uniform(0.25, 2.5, rows) * 2.0**exponent)
+    phi = VectorFamily(space=space, members=complex_rng_matrix(rng, rows, dim))
+    short = min(rows, dim)
+    if kind == "generic":
+        members = complex_rng_matrix(rng, rows, dim)
+    elif kind == "thin-product":
+        inner = int(rng.integers(0, short))
+        members = complex_rng_matrix(rng, rows, inner) @ complex_rng_matrix(rng, inner, dim)
+    else:
+        cutoff = float(threshold or numerics.DEFAULT_RANK_RTOL) * max(rows, dim)
+        s = np.ones(short)
+        s[-1] = cutoff * (1 + 1e-6 if kind == "above-cutoff" else 1 - 1e-6)
+        u, _ = np.linalg.qr(complex_rng_matrix(rng, rows, short))
+        v, _ = np.linalg.qr(complex_rng_matrix(rng, dim, short))
+        weighted_analysis = (u * s) @ v.conj().T
+        members = weighted_analysis.conj() / np.sqrt(space.weights)[:, None]
+    return VectorFamily(space=space, members=members), phi
+
+
+class TestPairRankCertificate:
+    """``pair_verdict`` reads both redundancies off its resolution operator when it can."""
+
+    @pytest.mark.parametrize("threshold", [None, "1e-3", "0.5"])
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        extra=st.integers(-4, 24),
+        kind=st.sampled_from(["generic", "thin-product", "above-cutoff", "below-cutoff"]),
+        exponent=st.sampled_from([0, 600, -600]),
+        swap=st.booleans(),
+    )
+    def test_redundancies_are_each_familys(
+        self, monkeypatch, threshold, seed, dim, extra, kind, exponent, swap
+    ):
+        if threshold is not None:
+            monkeypatch.setenv(numerics.RANK_TOL_ENV, threshold)
+        rows = max(1, dim + extra)
+        psi, phi = _pair_of_kind(np.random.default_rng(seed), rows, dim, kind, exponent, threshold)
+        if swap:
+            psi, phi = phi, psi
+        verdict = pair_verdict(psi, phi)
+        assert verdict["redundancy_psi"] == redundancy(psi)
+        assert verdict["redundancy_phi"] == redundancy(phi)
+
+    @pytest.mark.parametrize("exponent", [0, 600, -600])
+    @pytest.mark.parametrize("shape", [(2048, 128), (12, 4), (4, 4)], ids=["2048x128", "12x4", "4x4"])
+    def test_a_reproducing_pair_forms_no_frame_operator(self, exponent, shape):
+        rows, dim = shape
+        psi, phi = _pair_of_kind(np.random.default_rng(rows), rows, dim, "generic", exponent, None)
+        with mock.patch.object(frames, "frame_operator", wraps=frames.frame_operator) as operator:
+            with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+                verdict = pair_verdict(psi, phi)
+        assert verdict["reproducing_pair"]
+        assert verdict["redundancy_psi"] == verdict["redundancy_phi"] == rows - dim
+        assert operator.call_count == eigvalsh.call_count == 0
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["psi-thin", "phi-thin"])
+    def test_an_uncertified_pair_forms_both_operators(self, rng, swap):
+        psi, phi = _pair_of_kind(rng, 12, 4, "generic", 0, None)
+        thin = complex_rng_matrix(rng, 12, 3) @ complex_rng_matrix(rng, 3, 4)
+        psi = VectorFamily(space=psi.space, members=thin)
+        if swap:
+            psi, phi = phi, psi
+        with mock.patch.object(frames, "frame_operator", wraps=frames.frame_operator) as operator:
+            verdict = pair_verdict(psi, phi)
+        assert not verdict["reproducing_pair"]
+        assert operator.call_count == 2
+        assert (verdict["redundancy_psi"], verdict["redundancy_phi"]) == ((8, 9) if swap else (9, 8))
+
+    def test_fewer_nodes_than_dimensions_take_the_block_count(self, rng):
+        psi, phi = _pair_of_kind(rng, 3, 5, "generic", 0, None)
+        with mock.patch.object(numerics, "block_rank", wraps=numerics.block_rank) as block_rank:
+            verdict = pair_verdict(psi, phi)
+        assert verdict["redundancy_psi"] == verdict["redundancy_phi"] == 0
+        assert block_rank.call_count == 2
 
 
 class TestScalingCovariance:
