@@ -24,7 +24,7 @@ class NonSquareError(ValidationError):
 
 
 class NotHermitianError(ValidationError):
-    """Matrix asymmetry exceeds the roundoff symmetrization tolerance."""
+    """Matrix asymmetry exceeds the roundoff tolerance of a solve from its lower triangle."""
 
 
 class DimensionMismatchError(ValidationError):

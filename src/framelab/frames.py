@@ -447,15 +447,16 @@ def semiframe_trend(
 def classify_trend(trend: Sequence[tuple[int, float, float]]) -> Classification:
     """Asymptotic classification from a bound trend.
 
-    The lower bound is considered vanishing when its last value drops below
-    ``TREND_VANISH_RATIO`` times its first; the upper bound diverging when its
-    last value exceeds ``TREND_GROWTH_RATIO`` times its first.
+    The lower bound is considered vanishing when the last size's bounds fail
+    :meth:`~framelab.numerics.FrameSpectrum.is_frame` or its last value drops
+    below ``TREND_VANISH_RATIO`` times its first; the upper bound diverging
+    when its last value exceeds ``TREND_GROWTH_RATIO`` times its first.
     """
     if len(trend) < 2:
         raise ValidationError("a trend needs at least two sizes")
-    first_lower, last_lower = trend[0][1], trend[-1][1]
-    first_upper, last_upper = trend[0][2], trend[-1][2]
-    vanishing = last_lower < TREND_VANISH_RATIO * first_lower
+    (_, first_lower, first_upper), (_, last_lower, last_upper) = trend[0], trend[-1]
+    last = numerics.FrameSpectrum(last_lower, last_upper, np.array([last_lower, last_upper]), None)
+    vanishing = not last.is_frame() or last_lower < TREND_VANISH_RATIO * first_lower
     diverging = last_upper > TREND_GROWTH_RATIO * first_upper
     if vanishing and diverging:
         return Classification.NEITHER

@@ -42,16 +42,17 @@ operator.  The frame bounds of a frame operator together with the rule that
 refuses to invert it live in :func:`frame_spectrum` and
 :func:`require_frame`, and the inverse applied to the rows of a member table
 in :meth:`FrameSpectrum.inverse_rows`, so no other module hand-rolls its own
-thresholds or dual formula.  :func:`hermitian_eig` holds one copy of its
-input beside it, halved, checked and symmetrized in place a quarter block
-of rows at a time.  The thresholds are constants:
-``DEFAULT_RANK_RTOL`` (overridable only through ``FRAMELAB_RANK_TOL``, read
-at each rank decision), ``HERMITIAN_RTOL`` for Hermitian symmetry and
-``FRAME_RTOL`` for the frame verdict; the few tolerances and bounds that
-callers still pass go through :func:`check_tolerance`.  Complex arrays are
-written out as ``[re, im]`` pairs through :func:`complex_pairs`, an ``(m,
-2)`` float64 view of the entries in C order; a report renders that view as
-``json.dumps`` renders its ``.tolist()``.
+thresholds or dual formula.  :func:`hermitian_eig` checks its input a
+quarter block of rows at a time and solves the input itself from its lower
+triangle, which every :func:`block_gram` holds exactly Hermitian.  The
+thresholds are constants: ``DEFAULT_RANK_RTOL`` (overridable only through
+``FRAMELAB_RANK_TOL``, read at each rank decision), ``HERMITIAN_RTOL`` for
+Hermitian symmetry and ``FRAME_RTOL`` for the frame verdict; the few
+tolerances and bounds that callers still pass go through
+:func:`check_tolerance`.  Complex arrays are written out as ``[re, im]``
+pairs through :func:`complex_pairs`, an ``(m, 2)`` float64 view of the
+entries in C order; a report renders that view as ``json.dumps`` renders its
+``.tolist()``.
 """
 
 from __future__ import annotations
@@ -360,50 +361,38 @@ def hermitian_eig(a, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | Non
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as unitary columns, so ``a = V @ diag(vals) @ V.conj().T``;
     with ``vectors=False`` the eigenvalues alone come from ``eigvalsh`` and
-    the eigenvectors are ``None``.  The input is symmetrized to absorb
-    roundoff; asymmetry beyond ``HERMITIAN_RTOL`` times the matrix scale is an
-    error.  Both are read from ``a / 2``, one copy of the input in which no
+    the eigenvectors are ``None``.  Asymmetry beyond ``HERMITIAN_RTOL`` times
+    the matrix scale is an error; both are read from halves, in which no
     modulus or difference overflows, a :func:`quarter_rows` block of rows at
-    a time through one buffer of that many rows.  The eigensolvers read only
-    the lower triangle, so only that triangle of ``a / 2 + conj(a / 2)^T`` is
-    formed, in place.
+    a time.  The eigensolvers then read the lower triangle of the input
+    itself: every Gram :func:`block_gram` forms holds it exactly Hermitian,
+    and for an input Hermitian up to roundoff that triangle moves each
+    eigenvalue of ``(a + a^H) / 2`` by at most ``||a - a^H||_F / 2``.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
     dim = len(m)
-    half = m / 2.0  # halved before any sum, which overflows near the float limit
     step = quarter_rows(dim)
-    mirror = np.empty((min(step, dim), dim), dtype=np.complex128)
+    halves = np.empty((2, min(step, dim), dim), dtype=np.complex128)
     scale = asymmetry = 0.0
     for lo in range(0, dim, step):
-        rows = half[lo : lo + step]
-        gap = mirror[: len(rows)]
-        np.copyto(gap, half[:, lo : lo + step].T)
+        rows, gap = halves[:, : dim - lo]
+        np.divide(m[lo : lo + step], 2.0, out=rows)
+        np.divide(m[:, lo : lo + step].T, 2.0, out=gap)
         np.conj(gap, out=gap)
         np.subtract(rows, gap, out=gap)
         scale = max(scale, float(np.max(np.abs(rows))))
         asymmetry = max(asymmetry, float(np.max(np.abs(gap))))
         del rows, gap
+    del halves
     if asymmetry > HERMITIAN_RTOL * scale:
         raise NotHermitianError(
             f"asymmetry {2 * asymmetry:.3e} exceeds {HERMITIAN_RTOL:.0e} * scale {2 * scale:.3e}"
         )
-    for lo in range(0, dim, step):
-        hi = min(lo + step, dim)
-        # whole rows, so numpy adds in place without buffers; right of column
-        # hi they add -0, which keeps every entry and the sign of a zero, so
-        # later blocks still read a / 2 there
-        conjugates = mirror[: hi - lo]
-        np.copyto(conjugates[:, :hi], half[:hi, lo:hi].T)
-        np.conj(conjugates, out=conjugates)
-        conjugates[:, hi:] = complex(-0.0, -0.0)
-        half[lo:hi] += conjugates
-        del conjugates
-    del mirror
     if vectors:
-        return np.linalg.eigh(half, UPLO="L")
-    return np.linalg.eigvalsh(half, UPLO="L"), None
+        return np.linalg.eigh(m, UPLO="L")
+    return np.linalg.eigvalsh(m, UPLO="L"), None
 
 
 class FrameSpectrum(NamedTuple):

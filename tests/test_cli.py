@@ -904,8 +904,9 @@ def test_size_past_the_largest_refused(tmp_path, capsys, argv, name):
 
 
 def test_bounds_of_a_frame_operator_near_the_float_limit(tmp_path, capsys):
-    # a fuzzed doubled-onb file with node weight 1e308: symmetrizing its frame
-    # operator overflowed, and bounds wrote NaN bounds after two numpy warnings
+    # a fuzzed doubled-onb file with node weight 1e308: a Hermitian check that
+    # summed its frame operator's entries unhalved overflowed, and bounds wrote
+    # NaN bounds after two numpy warnings
     payload = {
         "space": {"nodes": [
             {"point": "p0", "weight": 1e308, "provenance": "atom"},

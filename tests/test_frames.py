@@ -808,6 +808,13 @@ class TestTrend:
         trend = semiframe_trend(builder, [2, 4, 8])
         assert classify_trend(trend) is Classification.BESSEL_ONLY
 
+    def test_no_lower_bound_at_the_last_size_vanishes(self):
+        # a lower bound of 0 at every size never drops by a ratio, and one of
+        # rounding size rises from 0; the last size's frame verdict decides
+        assert classify_trend([(2, 0.0, 11.9), (3, 0.0, 9.4)]) is Classification.BESSEL_ONLY
+        assert classify_trend([(3, 0.0, 9.4), (6, 1.4e-16, 18.9)]) is Classification.NEITHER
+        assert classify_trend([(3, 0.0, 9.4), (6, 0.5, 9.4)]) is Classification.FRAME
+
     def test_needs_two_points(self):
         with pytest.raises(ValidationError):
             classify_trend([(2, 1.0, 1.0)])

@@ -145,6 +145,10 @@ _case(
     "experiment_trend_random", "experiment", "trend", "--gallery", "random", "--dim", "3",
     "--seed", "9", "--sizes", "3,6,12",
 )
+# fewer rows than dim 8 at the last size, so no lower frame bound there
+_SINGULAR = ("experiment", "trend", "--gallery", "random", "--dim", "8", "--seed", "1")
+_case("experiment_trend_random_singular", *_SINGULAR, "--sizes", "2,3")
+_case("experiment_trend_random_singular_growing", *_SINGULAR, "--sizes", "3,6")
 _case(
     "experiment_redundancy_doubled", "experiment", "redundancy", "--gallery", "doubled-onb",
     "--sizes", "2,4,8",

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,14 +9,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from framelab import numerics
+from framelab.cli import main
 from framelab.errors import NonSquareError, NotAFrameError, NotHermitianError, ValidationError
 from framelab.frames import (
     Classification, VectorFamily, analysis_rank, frame_bounds, frame_operator, redundancy,
     semiframe_trend,
 )
 from framelab.gallery import GalleryKind, GallerySpec, build_affine, truncation_sequence
-from framelab.pairs import bessel_bound, frame_transfer, lower_semiframe_dual, resolution_operator
-from framelab.rkhs import point_evaluation_bounds
+from framelab.pairs import (
+    bessel_bound, frame_transfer, lower_semiframe_dual, pair_verdict, resolution_operator,
+)
+from framelab.rkhs import kernel_of_span, point_evaluation_bounds
 
 from conftest import (
     COPIED_TABLES, SvdCalled, cell_space, complex_rng_matrix, conditioned_family, no_svd,
@@ -58,7 +62,7 @@ class TestHermitianEig:
             numerics.hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_entries_near_the_float_limit(self):
-        # twice 1e308 overflows, so the symmetrization halves before it adds
+        # twice 1e308 overflows, so the asymmetry check halves before it subtracts
         a = np.array([[1e308, 1e307j], [-1e307j, 2.0]])
         values, vectors = numerics.hermitian_eig(a)
         np.testing.assert_allclose(values, np.linalg.eigvalsh(a / 1e308) * 1e308, rtol=1e-12)
@@ -70,25 +74,26 @@ class TestHermitianEig:
         with pytest.raises(NotHermitianError, match="^asymmetry "):
             numerics.hermitian_eig([[1.5e308 + 1.5e308j]], vectors=False)
 
-    def test_lower_triangle_is_bitwise_the_symmetrized_half(self, rng, monkeypatch):
-        # a real-valued matrix with roundoff-level asymmetry, zeros of either
-        # sign in both parts, and more rows than one quarter block: a
-        # conjugate taken by another route flips the sign of a zero
-        dim = 300
-        real = rng.standard_normal((dim, dim))
-        real += real.T + 1e-14 * rng.standard_normal((dim, dim))
-        zeros = rng.random((dim, dim)) < 0.3
-        zeros |= zeros.T
-        real[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
-        a = real + 0j
-        a.imag = np.copysign(0.0, rng.standard_normal((dim, dim)))
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_solvers_read_the_input_in_place(self, rng, vectors, monkeypatch):
+        # more rows than one quarter block, so the checks take several blocks
+        a = complex_rng_matrix(rng, 300, 300)
+        a += a.conj().T
+        expected = np.linalg.eigvalsh(a)
         solved = []
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m, UPLO="L": solved.append(m.copy()))
-        numerics.hermitian_eig(a, vectors=False)
-        half = a / 2.0
-        half += half.conj().T
-        lower = np.tril_indices(dim)
-        assert solved[0][lower].tobytes() == half[lower].tobytes()
+
+        def spy(solve):
+            def call(m, UPLO):
+                solved.append(m)
+                return solve(m, UPLO)
+
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+        values, _ = numerics.hermitian_eig(a, vectors)
+        assert len(solved) == 1 and np.shares_memory(solved[0], a)
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 12))
@@ -100,6 +105,76 @@ class TestHermitianEig:
         rebuilt = vectors @ np.diag(values) @ vectors.conj().T
         scale = max(np.max(np.abs(a)), 1.0)
         assert np.max(np.abs(rebuilt - a)) <= 1e-10 * scale
+
+
+# small flags for each gallery kind, as the golden corpus takes them
+_GALLERY_FLAGS = {
+    GalleryKind.TORUS: ("--dim", "4", "--grid", "16"),
+    GalleryKind.AFFINE: ("--dim", "8"),
+    GalleryKind.DELTA: ("--dim", "5"),
+    GalleryKind.DOUBLED_ONB: ("--dim", "3"),
+    GalleryKind.AUGMENTED_ONB: ("--dim", "3"),
+    GalleryKind.MERCEDES: (),
+    GalleryKind.RANDOM: ("--rows", "7", "--dim", "3", "--seed", "5"),
+}
+_GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+class TestSolverInputsAreHermitian:
+    """Every matrix that reaches :func:`numerics.hermitian_eig` is exactly Hermitian.
+
+    The solvers read only its lower triangle, so an input whose upper triangle
+    differed would be solved as another matrix.
+    """
+
+    @pytest.fixture
+    def hermitian(self, monkeypatch):
+        verdicts = []
+        solve = numerics.hermitian_eig
+
+        def spy(a, vectors=True):
+            m = np.asarray(a)
+            verdicts.append(bool(np.array_equal(m, m.conj().T)))
+            return solve(a, vectors)
+
+        monkeypatch.setattr(numerics, "hermitian_eig", spy)
+        return verdicts
+
+    def test_every_gallery_kind_is_covered(self):
+        assert set(_GALLERY_FLAGS) == set(GalleryKind)
+
+    @pytest.mark.parametrize("command", ["bounds", "dual", "kernel", "partner"])
+    @pytest.mark.parametrize(
+        "source",
+        [("--gallery", kind.value, *flags) for kind, flags in _GALLERY_FLAGS.items()]
+        + [("--in", str(_GOLDEN_INPUTS / "mixed.json"))],
+        ids=[kind.value for kind in _GALLERY_FLAGS] + ["weighted-file-with-atoms"],
+    )
+    def test_commands(self, hermitian, tmp_path, command, source):
+        main([command, *source, "--out", str(tmp_path / "report")])
+        assert hermitian and all(hermitian)
+
+    def test_library_entry_points(self, hermitian, rng):
+        psi = random_family(rng, 12, 3, weighted=True)
+        phi = VectorFamily(space=psi.space, members=complex_rng_matrix(rng, 12, 3))
+        space = cell_space(rng.uniform(0.25, 2.5, 9))
+        calls = {}
+        for name, call in {
+            "frame_transfer": lambda: frame_transfer(psi, phi, complex_rng_matrix(rng, 5, 3)),
+            "lower_semiframe_dual": lambda: lower_semiframe_dual(psi),
+            "kernel_of_span": lambda: kernel_of_span(complex_rng_matrix(rng, 9, 4), space),
+            "point_evaluation_bounds": lambda: point_evaluation_bounds(
+                complex_rng_matrix(rng, 9, 4), space
+            ),
+            "pair_verdict": lambda: pair_verdict(psi, phi),
+        }.items():
+            before = len(hermitian)
+            call()
+            calls[name] = len(hermitian) - before
+        assert all(hermitian)
+        # a pair's verdict reads singular values and rank certificates, no spectrum
+        assert calls.pop("pair_verdict") == 0
+        assert all(calls.values()), calls
 
 
 _LAYOUTS = {
@@ -383,12 +458,13 @@ class TestSquareOperatorMemory:
         assert report.redundancy == 0 and report.degenerate_zero_redundancy
         assert peak < 2.5 * self.D**2 * 16
 
-    def test_hermitian_eig_holds_one_copy(self, rng):
+    def test_hermitian_eig_holds_no_copy(self, rng):
+        # two quarter blocks of rows and a modulus of one: 0.625 of the matrix
         m = complex_rng_matrix(rng, self.D, self.D)
         m += m.conj().T
         numerics.hermitian_eig(m, vectors=False)
         _, peak = traced_peak(lambda: numerics.hermitian_eig(m, vectors=False))
-        assert peak < 1.4 * m.nbytes
+        assert peak < 0.7 * m.nbytes
 
 
 class TestAdopt:
