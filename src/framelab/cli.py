@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 validation error, 2 numerical refusal (for example a
 requested inversion on a family whose lower bound sits below tolerance, or a
-computation that runs out of memory), 3 I/O error.  Reports are fully
-serialized in memory, then written to a temporary file beside the target and
-renamed over it, so a failing command never leaves a partial output file behind.
+computation that runs out of memory), 3 I/O error.  Reports are streamed a
+block at a time into a temporary file beside the target and renamed over it
+after the last block, so a failing command never leaves a partial output file
+behind.  A target that is not a regular file, such as /dev/stdout or a FIFO,
+is written in place as the report renders, and a fault mid-render can leave a
+partial report there.
 
 Files are read and written by :mod:`framelab.codec`; the parser is built once per process.
 """
@@ -17,6 +20,7 @@ import os
 import secrets
 import sys
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -81,24 +85,26 @@ def _load_family(args: argparse.Namespace) -> frames.VectorFamily:
     return gallery.build(_gallery_spec(args))
 
 
-def _write(path: Path, data: bytes) -> None:
-    """Replace ``path`` with ``data``, atomically where the target is a file.
+def _write(path: Path, write: Callable[[BinaryIO], None]) -> None:
+    """Replace ``path`` with what ``write`` writes, atomically where the target is a file.
 
-    For a missing or regular target the bytes go to a fresh file in the
-    directory of the file itself (a symlink is followed and kept), which is
-    then renamed over it, so a failed write leaves any earlier report untouched
-    and no temporary file behind. Any other target, such as ``/dev/stdout``,
-    ``/dev/null`` or a FIFO, is written in place.
+    For a missing or regular target, ``write`` renders into a fresh file in
+    the directory of the file itself (a symlink is followed and kept), which
+    is renamed over it after the last block, so a failed render or write
+    leaves any earlier report untouched and no temporary file behind. Any
+    other target, such as ``/dev/stdout``, ``/dev/null`` or a FIFO, is
+    written in place as the report renders, so a fault mid-render leaves the
+    blocks written before it.
     """
     if path.exists() and not path.is_file():
         with open(path, "wb") as handle:
-            handle.write(data)
+            write(handle)
         return
     target = Path(os.path.realpath(path))
     temporary = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
     try:
         with open(temporary, "xb") as handle:
-            handle.write(data)
+            write(handle)
         os.replace(temporary, target)
     except OSError as exc:
         # name the target, not the temporary file, as a direct write would
@@ -107,10 +113,16 @@ def _write(path: Path, data: bytes) -> None:
         temporary.unlink(missing_ok=True)
 
 
-def _cmd_inspect(args: argparse.Namespace) -> bytes:
+# Each handler returns the writer of its report (``write(handle)``), holding
+# only what the report needs: the families it read or built are released
+# before the first byte renders.
+
+
+def _cmd_inspect(args: argparse.Namespace) -> Callable:
     family = _load_family(args)
     atoms = int(np.count_nonzero(family.space.is_atom))
-    return codec.table_bytes(
+    return functools.partial(
+        codec.write_table,
         args.format,
         "profile",
         ("point", "weight", "squared_norm"),
@@ -123,49 +135,49 @@ def _cmd_inspect(args: argparse.Namespace) -> bytes:
     )
 
 
-def _cmd_bounds(args: argparse.Namespace) -> bytes:
+def _cmd_bounds(args: argparse.Namespace) -> Callable:
     report = frames.frame_bounds(_load_family(args))
-    return codec.json_bytes(report.to_json())
+    return functools.partial(codec.write_json, report.to_json())
 
 
-def _cmd_dual(args: argparse.Namespace) -> bytes:
+def _cmd_dual(args: argparse.Namespace) -> Callable:
     family = _load_family(args)
     dual = frames.canonical_dual(family)
-    return codec.json_bytes(dual.to_json())
+    return functools.partial(codec.write_json, dual.to_json())
 
 
-def _cmd_kernel(args: argparse.Namespace) -> bytes:
+def _cmd_kernel(args: argparse.Namespace) -> Callable:
     family = _load_family(args)
     table = frames.kernel_matrix(family)
     if args.format == "csv":
-        return codec.kernel_csv_bytes(table)
-    return codec.json_bytes(table.to_json())
+        return functools.partial(codec.write_kernel_csv, table)
+    return functools.partial(codec.write_json, table.to_json())
 
 
-def _cmd_redundancy(args: argparse.Namespace) -> bytes:
+def _cmd_redundancy(args: argparse.Namespace) -> Callable:
     family = _load_family(args)
     excess = frames.redundancy(family)
     payload = {"rows": family.size, "dim": family.dim, "redundancy": excess, "index": -excess}
-    return codec.json_bytes(payload)
+    return functools.partial(codec.write_json, payload)
 
 
-def _cmd_split(args: argparse.Namespace) -> bytes:
+def _cmd_split(args: argparse.Namespace) -> Callable:
     family = _load_family(args)
     discrete, continuous = frames.split(family, row_tolerance=args.row_tol)
     payload = {
         "discrete": [numerics.complex_pairs(vector) for vector in discrete],
         "continuous": continuous.to_json(),
     }
-    return codec.json_bytes(payload)
+    return functools.partial(codec.write_json, payload)
 
 
-def _cmd_pair_check(args: argparse.Namespace) -> bytes:
+def _cmd_pair_check(args: argparse.Namespace) -> Callable:
     psi = codec.read_family(args.psi)
     phi = codec.read_family(args.phi)
-    return codec.json_bytes(pairs.pair_verdict(psi, phi))
+    return functools.partial(codec.write_json, pairs.pair_verdict(psi, phi))
 
 
-def _cmd_partner(args: argparse.Namespace) -> bytes:
+def _cmd_partner(args: argparse.Namespace) -> Callable:
     family = _load_family(args)
     partner = pairs.reproducing_partner(family)
     residual = pairs.mixed_operator(partner, family) - np.eye(family.dim)
@@ -174,10 +186,10 @@ def _cmd_partner(args: argparse.Namespace) -> bytes:
         "pointwise_sums": [float(v) for v in pairs.partner_pointwise_sums(partner)],
         "identity_residual": float(np.max(np.abs(residual))),
     }
-    return codec.json_bytes(payload)
+    return functools.partial(codec.write_json, payload)
 
 
-def _cmd_experiment(args: argparse.Namespace) -> bytes:
+def _cmd_experiment(args: argparse.Namespace) -> Callable:
     sizes = _parse_sizes(args.sizes)
     if args.experiment == "blowup":
         flags = ("gallery", *_SPEC_FLAGS)
@@ -185,7 +197,9 @@ def _cmd_experiment(args: argparse.Namespace) -> bytes:
         if given:
             raise ValidationError(f"experiment blowup reads no gallery flags: {' '.join(given)}")
         points = rkhs.blowup_experiment(sizes)
-        return codec.table_bytes(args.format, "points", ("cells", "max_diagonal"), points)
+        return functools.partial(
+            codec.write_table, args.format, "points", ("cells", "max_diagonal"), points
+        )
     if args.gallery is None:
         raise ValidationError(f"experiment {args.experiment} needs --gallery")
     spec = _gallery_spec(args)
@@ -193,14 +207,21 @@ def _cmd_experiment(args: argparse.Namespace) -> bytes:
     if args.experiment == "trend":
         trend = frames.semiframe_trend(builder, sizes)
         verdict = frames.classify_trend(trend)
-        return codec.table_bytes(
-            args.format, "trend", ("size", "lower", "upper"), trend, classification=verdict.value
+        return functools.partial(
+            codec.write_table,
+            args.format,
+            "trend",
+            ("size", "lower", "upper"),
+            trend,
+            classification=verdict.value,
         )
     rows = []
     for size in sizes:
         family = builder(size)
         rows.append((size, family.size, family.dim, frames.redundancy(family)))
-    return codec.table_bytes(args.format, "redundancy", ("size", "rows", "dim", "redundancy"), rows)
+    return functools.partial(
+        codec.write_table, args.format, "redundancy", ("size", "rows", "dim", "redundancy"), rows
+    )
 
 
 @functools.cache
@@ -250,8 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = args.handler(args)
-        _write(args.out, payload)
+        _write(args.out, args.handler(args))
     except ValidationError as exc:
         print(f"framelab: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

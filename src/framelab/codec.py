@@ -8,13 +8,16 @@ formatted once, or taken from the previous block's texts, and each block is
 joined once; the rest follows the stdlib rules value by value.  The kernel
 CSV is byte for byte what ``csv.writer`` gives row by row: the writer renders
 the header and each node point once, and the table is formed and rendered a
-block of rows at a time, its floats as in a report.
+block of rows at a time, its floats as in a report.  Every writer writes each
+block to a binary handle as it is rendered, so no report is held whole; the
+``*_bytes`` functions give what a writer writes to an ``io.BytesIO``.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import io
 import itertools
 import json
@@ -245,33 +248,44 @@ def _member_values(window: _Window) -> np.ndarray:
             return table
 
 
-def json_bytes(payload) -> bytearray:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` as UTF-8 bytes.
+def write_json(payload, handle) -> None:
+    """Write ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` to ``handle`` as UTF-8.
 
-    An ndarray renders as ``json.dumps`` renders its ``.tolist()`` when it is
-    a 2-D float64 table of two columns, the ``[re, im]`` view that
+    ``handle`` is a binary file, or any object with its ``write``.  An
+    ndarray renders as ``json.dumps`` renders its ``.tolist()`` when it is a
+    2-D float64 table of two columns, the ``[re, im]`` view that
     :func:`framelab.numerics.complex_pairs` gives; any other ndarray raises
-    ``TypeError``, as the stdlib does for every ndarray.  Such a table goes
-    into the one output buffer ``RENDER_BLOCK`` rows at a time, and the rest
-    of the report goes in as text between the tables.
+    ``TypeError``, as the stdlib does for every ndarray.  A
+    :class:`~framelab.rkhs.EntryPairs` renders as the table of its rows.
+    Such a table goes to ``handle`` ``RENDER_BLOCK`` rows at a time, and the
+    rest of the report goes in as text between the tables, so the report is
+    never held whole.
     """
-    buffer = bytearray()
     out: list[str] = []
-    _render_json(payload, "\n", out, buffer, {})
+    _render_json(payload, "\n", out, handle, {})
     out.append("\n")
-    buffer += "".join(out).encode("utf-8")
-    return buffer
+    handle.write("".join(out).encode("utf-8"))
 
 
-def _render_json(
-    value, newline: str, out: list[str], buffer: bytearray, strings: dict[str, str]
-) -> None:
+def json_bytes(payload) -> bytes:
+    """The bytes :func:`write_json` writes."""
+    return _written(functools.partial(write_json, payload))
+
+
+def _written(write: Callable) -> bytes:
+    """The bytes ``write(handle)`` writes to an in-memory binary handle."""
+    handle = io.BytesIO()
+    write(handle)
+    return handle.getvalue()
+
+
+def _render_json(value, newline: str, out: list[str], handle, strings: dict[str, str]) -> None:
     """Append the ``indent=2`` text of ``value``; ``newline`` carries its indent.
 
     Exact ``str``, finite ``float`` and ``int`` values render as the stdlib
     renders them (``strings`` keeps each string's text for the rest of the
-    report) and ndarrays through :func:`_render_pairs`, which moves the text
-    in ``out`` to ``buffer``; empty containers, ``None``, booleans,
+    report) and pair tables through :func:`_render_pairs`, which writes the
+    text in ``out`` to ``handle``; empty containers, ``None``, booleans,
     non-finite floats, number subclasses and unsupported types go to
     ``json.dumps`` one value at a time.
     """
@@ -283,13 +297,15 @@ def _render_json(
     elif kind is int:
         out.append(int.__repr__(value))
     elif isinstance(value, np.ndarray):
-        _render_pairs(value, newline, out, buffer)
+        _render_pairs(_table_blocks(value), newline, out, handle)
+    elif isinstance(value, rkhs.EntryPairs):
+        _render_pairs(value.blocks(RENDER_BLOCK), newline, out, handle)
     elif isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
         separator = "[" + inner
         for item in value:
             out.append(separator)
-            _render_json(item, inner, out, buffer, strings)
+            _render_json(item, inner, out, handle, strings)
             separator = "," + inner
         out.append(newline + "]")
     elif isinstance(value, dict) and value:
@@ -299,7 +315,7 @@ def _render_json(
             out.append(separator)
             out.append(_json_string(key, strings))
             out.append(": ")
-            _render_json(item, inner, out, buffer, strings)
+            _render_json(item, inner, out, handle, strings)
             separator = "," + inner
         out.append(newline + "}")
     else:
@@ -361,72 +377,85 @@ def _block_texts(values: np.ndarray, text, kept: tuple) -> tuple[list[str], tupl
     return distinct[inverse].tolist(), (patterns, distinct)
 
 
-def _render_pairs(table: np.ndarray, newline: str, out: list[str], buffer: bytearray) -> None:
-    """Render an ``(m, 2)`` float64 ``table`` as the stdlib renders ``table.tolist()``.
+def _table_blocks(table: np.ndarray) -> Iterator[np.ndarray]:
+    """An ``(m, 2)`` float64 ``table`` in blocks of ``RENDER_BLOCK`` rows; any other raises ``TypeError``.
 
-    The text in ``out`` moves to ``buffer`` first.  Each block of
-    ``RENDER_BLOCK`` rows then becomes one list: the texts of its floats, from
-    :func:`_block_texts` by ``float.__repr__`` (or :func:`_float_text` in a
-    block with a non-finite value), fill every other slot and the separators
-    go in by slice assignment; the block is joined and encoded onto ``buffer``.
+    The shape is checked at the call, before any block is taken.
     """
     if table.ndim != 2 or table.shape[1] != 2 or table.dtype != np.float64:
         raise TypeError(
             f"only (m, 2) float64 arrays are JSON serializable, not {table.dtype} {table.shape}"
         )
-    count = len(table)
-    if not count:
-        out.append("[]")
-        return
+    return (table[start : start + RENDER_BLOCK] for start in range(0, len(table), RENDER_BLOCK))
+
+
+def _render_pairs(blocks: Iterable[np.ndarray], newline: str, out: list[str], handle) -> None:
+    """Render the rows of ``(m, 2)`` float64 ``blocks`` as the stdlib renders their ``.tolist()``.
+
+    Before the first row, the text in ``out`` goes to ``handle``.  Each block
+    then becomes one list: the texts of its floats, from :func:`_block_texts`
+    by ``float.__repr__`` (or :func:`_float_text` in a block with a
+    non-finite value), fill every other slot and the separators go in by
+    slice assignment; the block is joined, encoded and written to ``handle``.
+    """
     inner = newline + "  "
     innermost = inner + "  "
-    out.append("[" + inner + "[" + innermost)
-    buffer += "".join(out).encode("utf-8")
-    out.clear()
     between = inner + "]," + inner + "[" + innermost
-    kept = _NOTHING_KEPT
-    for start in range(0, count, RENDER_BLOCK):
-        block = table[start : start + RENDER_BLOCK]
+    kept = None
+    for block in blocks:
         rows = len(block)
+        if not rows:
+            continue
         text = float.__repr__ if np.isfinite(block).all() else _float_text
+        # each row opens with the separator from the row before it
         parts = [between] * (4 * rows)
-        parts[0::2], kept = _block_texts(block.ravel(), text, kept)
-        parts[1::4] = ["," + innermost] * rows
-        if start + rows == count:
-            parts[-1] = inner + "]" + newline + "]"
-        buffer += "".join(parts).encode("utf-8")
+        if kept is None:
+            out.append("[" + inner + "[" + innermost)
+            handle.write("".join(out).encode("utf-8"))
+            out.clear()
+            parts[0], kept = "", _NOTHING_KEPT
+        parts[1::2], kept = _block_texts(block.ravel(), text, kept)
+        parts[2::4] = ["," + innermost] * rows
+        handle.write("".join(parts).encode("utf-8"))
+    out.append("[]" if kept is None else inner + "]" + newline + "]")
+
+
+def write_table(fmt: str, key: str, header, rows, handle, **summary) -> None:
+    """Write CSV rows under ``header``, or JSON with one object per row under ``key``.
+
+    Each object is keyed by ``header``; the ``summary`` fields sit beside
+    ``key``.  CSV goes to the binary ``handle`` a row at a time.
+    """
+    if fmt == "csv":
+        encoded = types.SimpleNamespace(write=lambda text: handle.write(text.encode("utf-8")))
+        writer = csv.writer(encoded, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        write_json({key: [dict(zip(header, row)) for row in rows], **summary}, handle)
 
 
 def table_bytes(fmt: str, key: str, header, rows, **summary) -> bytes:
-    """CSV rows under ``header``, or JSON with one object per row under ``key``.
-
-    Each object is keyed by ``header``; the ``summary`` fields sit beside ``key``.
-    """
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buffer.getvalue().encode("utf-8")
-    return json_bytes({key: [dict(zip(header, row)) for row in rows], **summary})
+    """The bytes :func:`write_table` writes."""
+    return _written(functools.partial(write_table, fmt, key, header, rows, **summary))
 
 
-def kernel_csv_bytes(table: rkhs.KernelTable) -> bytearray:
-    """``x,y,re,im`` rows of ``table``: the bytes ``csv.writer`` gives row by row.
+def write_kernel_csv(table: rkhs.KernelTable, handle) -> None:
+    """Write the ``x,y,re,im`` rows of ``table``: the bytes ``csv.writer`` gives row by row.
 
     The writer renders the header and each node point once; a ``(point, "")``
     row comes out as ``<cell>,\\n``, so every cell is quoted as the writer
     quotes it.  Entries are formed from the factors in blocks of about
-    ``RENDER_BLOCK`` (:meth:`~framelab.rkhs.KernelTable.row_blocks`) and
+    ``RENDER_BLOCK`` (:meth:`~framelab.rkhs.KernelTable.row_blocks`),
     written as ``float.__repr__``, as the writer writes floats, through
-    :func:`_block_texts`.
+    :func:`_block_texts`, and each block goes to ``handle`` as it is joined.
     """
     lines: list[str] = []
     writer = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(("x", "y", "re", "im"))
     writer.writerows(zip(table.space.points.tolist(), itertools.repeat("")))
     header, cells = lines[0], [line[:-1] for line in lines[1:]]
-    text = bytearray(header[:-1].encode("utf-8"))
+    handle.write(header[:-1].encode("utf-8"))
     kept = _NOTHING_KEPT
     for start, stop, block in table.row_blocks(RENDER_BLOCK):
         # each entry opens with the line break and "x,y," of its own row
@@ -436,6 +465,10 @@ def kernel_csv_bytes(table: rkhs.KernelTable) -> bytearray:
         parts = [","] * (4 * len(heads))
         parts[0::4] = heads
         parts[1::2], kept = _block_texts(block.view(np.float64).ravel(), float.__repr__, kept)
-        text += "".join(parts).encode("utf-8")
-    text += b"\n"
-    return text
+        handle.write("".join(parts).encode("utf-8"))
+    handle.write(b"\n")
+
+
+def kernel_csv_bytes(table: rkhs.KernelTable) -> bytes:
+    """The bytes :func:`write_kernel_csv` writes."""
+    return _written(functools.partial(write_kernel_csv, table))

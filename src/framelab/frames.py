@@ -116,10 +116,13 @@ class VectorFamily:
         table.resize((space.size, dim), refcheck=False)
         return cls(space=space, members=numerics.freeze(table))
 
-    def profile_rows(self):
-        """Yield ``(point, weight, squared_norm)`` rows for tabular export."""
+    def profile_rows(self) -> Iterator[tuple]:
+        """The ``(point, weight, squared_norm)`` rows for tabular export, read off the family now.
+
+        The rows hold no reference to the family.
+        """
         norms = np.sum(np.abs(self.members) ** 2, axis=1)
-        yield from zip(self.space.points.tolist(), self.space.weight_values(), norms.tolist())
+        return zip(self.space.points.tolist(), self.space.weight_values(), norms.tolist())
 
 
 def _decode_pairs(pairs) -> np.ndarray:

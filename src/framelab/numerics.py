@@ -363,17 +363,19 @@ def hermitian_eig(a, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | Non
     with ``vectors=False`` the eigenvalues alone come from ``eigvalsh`` and
     the eigenvectors are ``None``.  Asymmetry beyond ``HERMITIAN_RTOL`` times
     the matrix scale is an error; both are read from halves, in which no
-    modulus or difference overflows, a :func:`quarter_rows` block of rows at
-    a time.  The eigensolvers then read the lower triangle of the input
-    itself: every Gram :func:`block_gram` forms holds it exactly Hermitian,
-    and for an input Hermitian up to roundoff that triangle moves each
-    eigenvalue of ``(a + a^H) / 2`` by at most ``||a - a^H||_F / 2``.
+    modulus or difference overflows, a :func:`quarter_rows` block of rows,
+    and at most a quarter of the rows, at a time.  The eigensolvers then read
+    the lower triangle of the input itself: every Gram :func:`block_gram`
+    forms holds it exactly Hermitian, and for an input Hermitian up to
+    roundoff that triangle moves each eigenvalue of ``(a + a^H) / 2`` by at
+    most ``||a - a^H||_F / 2``.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
     dim = len(m)
-    step = quarter_rows(dim)
+    # a quarter of the rows at most, so the two buffers stay half the matrix when it is small
+    step = min(quarter_rows(dim), max(1, -(-dim // 4)))
     halves = np.empty((2, min(step, dim), dim), dtype=np.complex128)
     scale = asymmetry = 0.0
     for lo in range(0, dim, step):

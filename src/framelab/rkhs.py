@@ -44,9 +44,10 @@ class KernelTable:
 
     ``apply`` realizes the induced integral operator
     ``(K F)(x) = sum_y w_y K[x, y] F(y)``.  ``apply``, ``diagonal`` and
-    ``section`` work on the factors in O(n r); :attr:`entries` and ``to_json``
-    build the dense table on each call and keep nothing, and
-    :meth:`row_blocks` builds it a block of rows at a time.
+    ``section`` work on the factors in O(n r); :attr:`entries` builds the
+    dense table on each call and keeps nothing, and :meth:`row_blocks`, which
+    the entries of ``to_json`` render from (:class:`EntryPairs`), builds it a
+    block of rows at a time.
     Reproducing-kernel constructors guarantee Hermitian symmetry of their
     tables; tables of oblique projections (mixed analysis/synthesis kernels)
     are in general not Hermitian, so symmetry is checked by the builders, not
@@ -143,8 +144,27 @@ class KernelTable:
         return {
             "space": self.space.to_json(),
             "geometry": "induced" if self.geometry is not None else "plain",
-            "entries": numerics.complex_pairs(self.entries),
+            "entries": EntryPairs(self),
         }
+
+
+@dataclass(frozen=True)
+class EntryPairs:
+    """The entries of a kernel table as the ``[re, im]`` rows of a report, in C order.
+
+    :mod:`framelab.codec` renders them from :meth:`blocks`, so the dense
+    table is never formed whole; ``tolist()`` gives the lists a report holds.
+    """
+
+    table: KernelTable
+
+    def blocks(self, entries: int) -> Iterator[np.ndarray]:
+        """``(m, 2)`` float64 views of the rows, one :meth:`KernelTable.row_blocks` block each."""
+        for _, _, block in self.table.row_blocks(entries):
+            yield numerics.complex_pairs(block)
+
+    def tolist(self) -> list[list[float]]:
+        return [pair for block in self.blocks(numerics.BLOCK_ENTRIES) for pair in block.tolist()]
 
 
 def _row_inner_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -453,6 +453,109 @@ def test_write_follows_symlink(tmp_path):
     assert sorted(tmp_path.iterdir()) == [link, real]
 
 
+class _FaultAfterFirstBlock:
+    """File handle that raises ``fault`` on the write after the first table block.
+
+    A report's first write holds its text up to its first table, and the
+    second write that table's first block.
+    """
+
+    def __init__(self, path, mode, fault):
+        self.handle = builtins.open(path, mode)
+        self.fault = fault
+        self.sizes = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, data):
+        if len(self.sizes) == 2:
+            raise self.fault
+        self.sizes.append(len(data))
+        return self.handle.write(data)
+
+
+@pytest.mark.parametrize(
+    "fault, code, message",
+    [
+        (
+            OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+            EXIT_IO,
+            "framelab: i/o error: [Errno {}] {}: {{!r}}".format(
+                errno.ENOSPC, os.strerror(errno.ENOSPC)
+            ),
+        ),
+        (
+            MemoryError("Unable to allocate 64.0 KiB for an array"),
+            EXIT_REFUSED,
+            "framelab: refused: out of memory: Unable to allocate 64.0 KiB for an array",
+        ),
+    ],
+    ids=["disk-full", "out-of-memory"],
+)
+def test_fault_mid_render_keeps_existing_report(
+    tmp_path, monkeypatch, capsys, fault, code, message
+):
+    # a dual of 1,024 members in dimension 2 renders its 2,048 entries in two blocks, and
+    # the fault comes between them
+    out = tmp_path / "report.json"
+    out.write_bytes(b"earlier report\n")
+    opened = []
+
+    def faulty_open(path, mode):
+        opened.append(_FaultAfterFirstBlock(path, mode, fault))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", faulty_open, raising=False)
+    argv = ["dual", "--gallery", "random", "--rows", "1024", "--dim", "2", "--seed", "1"]
+    assert run(*argv, "--out", str(out)) == code
+    assert capsys.readouterr().err.splitlines() == [message.format(str(out))]
+    assert len(opened) == 1 and opened[0].sizes[1] > codec.RENDER_BLOCK
+    assert out.read_bytes() == b"earlier report\n"
+    assert sorted(tmp_path.iterdir()) == [out]
+
+
+MEMBER_TABLE = 4096 * 64 * 16  # bytes of a 4096 x 64 complex member table
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["dual", "--gallery", "random", "--rows", "4096", "--dim", "64", "--seed", "1"],
+         3.5 * MEMBER_TABLE),
+        (["split", "--gallery", "torus", "--dim", "64", "--grid", "4096"], 3.5 * MEMBER_TABLE),
+        (["partner", "--gallery", "random", "--rows", "4096", "--dim", "64", "--seed", "1"],
+         3.5 * MEMBER_TABLE),
+        (["kernel", "--gallery", "torus", "--dim", "16", "--grid", "1024"], 4 * 2**20),
+        (["kernel", "--gallery", "torus", "--dim", "16", "--grid", "1024", "--format", "csv"],
+         4 * 2**20),
+    ],
+    ids=["dual", "split", "partner", "kernel-json", "kernel-csv"],
+)
+def test_report_streams_into_its_file(tmp_path, argv, bound):
+    # the report goes to the file a block at a time, after the family is released, so
+    # the peak stays below the report: 18-21 MiB of text for 2.0-2.8x the member table,
+    # and 65-67 MiB of kernel text for under 2 MiB
+    out = tmp_path / "report"
+    code, peak = traced_peak(lambda: run(*argv, "--out", str(out)))
+    assert code == EXIT_OK and peak < bound < out.stat().st_size
+
+
+def test_pair_check_renders_after_its_families_are_released(tmp_path):
+    # two 1 MiB member tables: the verdict renders once both are gone
+    paths = []
+    for role, seed in (("psi", 1), ("phi", 2)):
+        paths += [f"--{role}", str(tmp_path / f"{role}.json")]
+        family = gallery.build_random(1024, 64, seed=seed)
+        Path(paths[-1]).write_bytes(codec.json_bytes(family.to_json()))
+    out = tmp_path / "verdict.json"
+    code, peak = traced_peak(lambda: run("pair-check", *paths, "--out", str(out)))
+    assert code == EXIT_OK and peak < 2.75 * 2**20
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_write_into_fifo_in_place(tmp_path):
     expected = tmp_path / "expected.json"

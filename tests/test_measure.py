@@ -312,7 +312,10 @@ def _inspect_bytes(space: DiscretizedSpace, fmt: str) -> bytes:
     members = _members(space.size)
     family = frames.VectorFamily(space=space, members=members)
     with mock.patch.object(cli, "_load_family", return_value=family):
-        return cli._cmd_inspect(argparse.Namespace(format=fmt))
+        write = cli._cmd_inspect(argparse.Namespace(format=fmt))
+    handle = io.BytesIO()
+    write(handle)
+    return handle.getvalue()
 
 
 def _profile_csv(triples) -> bytes:

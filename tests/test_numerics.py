@@ -459,12 +459,13 @@ class TestSquareOperatorMemory:
         assert peak < 2.5 * self.D**2 * 16
 
     def test_hermitian_eig_holds_no_copy(self, rng):
-        # two quarter blocks of rows and a modulus of one: 0.625 of the matrix
-        m = complex_rng_matrix(rng, self.D, self.D)
-        m += m.conj().T
-        numerics.hermitian_eig(m, vectors=False)
-        _, peak = traced_peak(lambda: numerics.hermitian_eig(m, vectors=False))
-        assert peak < 0.7 * m.nbytes
+        # two blocks of a quarter of the rows at most, and a modulus of one
+        for dim, bound in ((64, 0.8), (128, 0.8), (self.D, 0.7)):
+            m = complex_rng_matrix(rng, dim, dim)
+            m += m.conj().T
+            numerics.hermitian_eig(m, vectors=False)
+            _, peak = traced_peak(lambda: numerics.hermitian_eig(m, vectors=False))
+            assert peak < bound * m.nbytes, dim
 
 
 class TestAdopt:
